@@ -34,7 +34,6 @@ from .partitions import (
     classification_order,
     conjugate,
     is_valid_partition,
-    lex_compare,
     partitions_of,
 )
 from .roots import (
@@ -84,7 +83,6 @@ __all__ = [
     "expand",
     "format_root_spec",
     "is_valid_partition",
-    "lex_compare",
     "parse_root_spec",
     "partitions_of",
     "random_root_spec",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import disc_value
-from .partitions import Partition, classification_order
+from .partitions import Partition, classification_order, conjugate, partitions_of
 from .unipoly import UniPoly
 
 
@@ -36,21 +36,20 @@ class ClassificationTrace:
 def classify_trace(poly: UniPoly) -> ClassificationTrace:
     """Full short-circuit evaluation trail for the classification chain.
 
-    Denominators are cleared once up front so all determinants run over
-    integers; reported values are rescaled back to the input polynomial,
-    which scaling invariance makes exact.
+    Walks the partitions gamma of n in descending lex order and evaluates
+    each discriminant with ``disc_value``, which runs the determinant over
+    integers and rescales the value to the input polynomial.  Only the
+    partition that breaks the chain is conjugated.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
-    n = poly.degree
-    cleared, scale = poly.clear_denominators()
     steps: list[TraceStep] = []
-    for mu, gamma in classification_order(n):
-        value = disc_value(cleared, gamma).value / scale ** (n + gamma[0] - 2)
+    for gamma in partitions_of(poly.degree):
+        value = disc_value(poly, gamma).value
         nonzero = value != 0
         steps.append(TraceStep(gamma, value, nonzero))
         if nonzero:
-            return ClassificationTrace(tuple(steps), mu, gamma)
+            return ClassificationTrace(tuple(steps), conjugate(gamma), gamma)
     raise AssertionError("classification chain exhausted; engine bug")
 
 

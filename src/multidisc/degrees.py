@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import Partition, is_valid_partition, partitions_of
+from .partitions import as_partition, partitions_of
 
 
 @dataclass(frozen=True)
@@ -20,13 +20,6 @@ class DegreeRow:
     d_yhz: int
     d_hy21: int
     d_hy22: int
-
-
-def _check(mu) -> Partition:
-    mu = tuple(int(p) for p in mu)
-    if not is_valid_partition(mu):
-        raise ValueError(f"not a partition: {mu!r}")
-    return mu
 
 
 def d_yhz(mu) -> int:
@@ -38,7 +31,7 @@ def d_yhz(mu) -> int:
     branch is a rational expression whose product is provably integral;
     a fractional result would mean the formula was transcribed wrong.
     """
-    mu = _check(mu)
+    mu = as_partition(mu)
     n = sum(mu)
     if len(mu) == 1:
         return 2 * n - 1
@@ -61,12 +54,12 @@ def d_yhz(mu) -> int:
 
 def d_hy21(mu) -> int:
     """Maximum degree in the sum-of-determinants condition system: 2n-1."""
-    return 2 * sum(_check(mu)) - 1
+    return 2 * sum(as_partition(mu)) - 1
 
 
 def d_hy22(mu) -> int:
     """Maximum degree in the single-determinant condition system: 2n-2."""
-    return 2 * sum(_check(mu)) - 2
+    return 2 * sum(as_partition(mu)) - 2
 
 
 def degree_table(max_n: int) -> list[DegreeRow]:

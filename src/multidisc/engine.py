@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import perm
 from typing import Sequence, Union
 
-from .partitions import Partition, is_valid_partition
+from .partitions import Partition, as_partition
 from .sympoly import SymPoly
 from .unipoly import UniPoly
 
@@ -115,60 +115,42 @@ class DiscValue:
     n: int
 
 
-def _check_gamma(n: int, gamma: Sequence[int]) -> Partition:
-    gamma = tuple(int(g) for g in gamma)
-    if not is_valid_partition(gamma) or sum(gamma) != n:
-        raise ValueError(f"{gamma!r} is not a partition of {n}")
-    return gamma
+def _build(coeffs: Sequence[Entry], gamma: Sequence[int], symbolic: bool) -> DiscMatrix:
+    """The discriminant matrix of the polynomial with ascending ``coeffs``.
 
-
-def _row_layout(n: int, gamma: Partition) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    The row F^(i) * x^k is the descending coefficient list of F^(i), computed
+    once per derivative order, with size - 1 - (n - i + k) zeros before it and
+    k after it, so the entries live in whatever ring ``coeffs`` does.
+    """
+    n = len(coeffs) - 1
+    gamma = as_partition(gamma, n)
     gamma0 = gamma[0] - 1
-    size = n + gamma[0] - 1
-    prov = [(0, k) for k in range(gamma0 - 1, -1, -1)]
-    for i, gi in enumerate(gamma, start=1):
-        prov.extend((i, k) for k in range(gi - 1, -1, -1))
-    assert len(prov) == size
-    return gamma0, size, tuple(prov)
+    size = n + gamma0
+    zero = coeffs[0] * 0
+    blocks = [(0, gamma0)] + list(enumerate(gamma, start=1))
+    rows = []
+    prov = []
+    for order, count in blocks:
+        desc = [coeffs[d] * perm(d, order) for d in range(n, order - 1, -1)]
+        for shift in range(count - 1, -1, -1):
+            lead = size - len(desc) - shift
+            rows.append(tuple([zero] * lead + desc + [zero] * shift))
+            prov.append((order, shift))
+    return DiscMatrix(tuple(rows), gamma, gamma0, size, tuple(prov), n, symbolic)
 
 
 def build_matrix(poly: UniPoly, gamma: Sequence[int]) -> DiscMatrix:
     """Concrete discriminant matrix for a polynomial of degree >= 1."""
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
-    n = poly.degree
-    gamma = _check_gamma(n, gamma)
-    gamma0, size, prov = _row_layout(n, gamma)
-    rows = []
-    for order, shift in prov:
-        p = poly.derivative(order).mul_power(shift)
-        rows.append(tuple(p.coeff(size - 1 - j) for j in range(size)))
-    return DiscMatrix(tuple(rows), gamma, gamma0, size, prov, n, symbolic=False)
+    return _build(poly.coeffs, gamma, symbolic=False)
 
 
 def build_symbolic_matrix(n: int, gamma: Sequence[int]) -> DiscMatrix:
     """Discriminant matrix of the generic degree-n polynomial, entries in Z[a0..an]."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    gamma = _check_gamma(n, gamma)
-    gamma0, size, prov = _row_layout(n, gamma)
-    nvars = n + 1
-    zero = SymPoly.zero(nvars)
-    rows = []
-    for order, shift in prov:
-        row = []
-        for j in range(size):
-            # F^(order) * x^shift has the x^(d-order+shift) coefficient
-            # perm(d, order) * a_d; column j carries x^(size-1-j).
-            d = (size - 1 - j) - shift + order
-            if order <= d <= n:
-                exps = [0] * nvars
-                exps[d] = 1
-                row.append(SymPoly.monomial(nvars, perm(d, order), tuple(exps)))
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
-    return DiscMatrix(tuple(rows), gamma, gamma0, size, prov, n, symbolic=True)
+    return _build([SymPoly.variable(n + 1, d) for d in range(n + 1)], gamma, symbolic=True)
 
 
 def _int_exact_div(num: int, den: int) -> int:
@@ -183,16 +165,14 @@ def det_fraction_free(rows: Sequence[Sequence[Entry]]) -> Entry:
 
     Accepts square matrices over the integers, rationals, or SymPoly.  The
     pivot is the first nonzero entry in the column.  A fully zero pivot
-    column means a zero determinant over a field; in the symbolic ring the
-    computation falls back to memoized minor expansion instead, which also
-    sidesteps pathological pivot growth.
+    column means a zero determinant in every one of these rings, since each
+    is an integral domain, so the ring's zero is returned at once.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square nonempty matrix required")
     sample = rows[0][0]
-    symbolic = isinstance(sample, SymPoly)
-    if symbolic:
+    if isinstance(sample, SymPoly):
         div = SymPoly.exact_divide
     elif all(isinstance(e, int) for row in rows for e in row):
         div = _int_exact_div
@@ -205,8 +185,6 @@ def det_fraction_free(rows: Sequence[Sequence[Entry]]) -> Entry:
     for k in range(n - 1):
         pivot = next((i for i in range(k, n) if work[i][k]), -1)
         if pivot < 0:
-            if symbolic:
-                return det_minor_expansion(rows)
             return sample * 0
         if pivot != k:
             work[k], work[pivot] = work[pivot], work[k]
@@ -261,15 +239,13 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
-    n = poly.degree
-    gamma = _check_gamma(n, gamma)
     cleared, scale = poly.clear_denominators()
     matrix = build_matrix(cleared, gamma)
     int_rows = [[e.numerator for e in row] for row in matrix.entries]
     dp = det_fraction_free(int_rows)
     lead = cleared.leading.numerator
     value = Fraction(dp, lead) / scale ** (matrix.size - 1)
-    return DiscValue(value, gamma, n)
+    return DiscValue(value, matrix.gamma, matrix.n)
 
 
 def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT) -> DiscValue:

@@ -6,36 +6,53 @@ Partition = tuple[int, ...]
 
 
 def is_valid_partition(parts) -> bool:
-    """True when ``parts`` is a nonempty weakly decreasing tuple of positive ints."""
+    """True when ``parts`` is a nonempty weakly decreasing tuple of positive ints.
+
+    Floats and bools are not ints here, so a part such as 2.5 or True is rejected
+    rather than truncated.
+    """
     parts = tuple(parts)
     if not parts:
         return False
-    if any(not isinstance(p, int) or p < 1 for p in parts):
+    if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
         return False
     return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+
+
+def as_partition(parts, n: int | None = None) -> Partition:
+    """``parts`` as a partition tuple, or ValueError; the sum must be ``n`` when given."""
+    parts = tuple(parts)
+    if not is_valid_partition(parts) or (n is not None and sum(parts) != n):
+        of = "" if n is None else f" of {n}"
+        raise ValueError(f"{parts!r} is not a partition{of}")
+    return parts
 
 
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of ``n`` in descending lexicographic order.
 
-    The first entry is ``(n,)`` and the last is ``(1,) * n``.
+    The first entry is ``(n,)`` and the last is ``(1,) * n``.  Each successor
+    lowers the last part above 1 by one and refills the remainder, the trailing
+    ones included, greedily with parts no larger than the lowered one.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     result: list[Partition] = []
-    prefix: list[int] = []
-
-    def extend(remaining: int, cap: int) -> None:
-        if remaining == 0:
-            result.append(tuple(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            extend(remaining - part, part)
-            prefix.pop()
-
-    extend(n, n)
-    return result
+    parts = [n]
+    while True:
+        result.append(tuple(parts))
+        rest = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            rest += 1
+        if not parts:
+            return result
+        part = parts.pop() - 1
+        parts.append(part)
+        rest += 1
+        while rest > 0:
+            parts.append(min(part, rest))
+            rest -= part
 
 
 def conjugate(parts: Partition) -> Partition:
@@ -43,25 +60,8 @@ def conjugate(parts: Partition) -> Partition:
 
     Transposes the Young diagram; applying it twice gives back the input.
     """
-    parts = tuple(parts)
-    if not is_valid_partition(parts):
-        raise ValueError(f"not a partition: {parts!r}")
+    parts = as_partition(parts)
     return tuple(sum(1 for p in parts if p >= i) for i in range(1, parts[0] + 1))
-
-
-def lex_compare(p: Partition, q: Partition) -> int:
-    """Lexicographic comparison of two partitions of the same integer.
-
-    Shorter part sequences are padded with zeros, so e.g. (3, 2) > (3, 1, 1).
-    Returns -1, 0, or 1.
-    """
-    p, q = tuple(p), tuple(q)
-    if sum(p) != sum(q):
-        raise ValueError(f"partitions of different integers: {p!r} vs {q!r}")
-    width = max(len(p), len(q))
-    a = p + (0,) * (width - len(p))
-    b = q + (0,) * (width - len(q))
-    return (a > b) - (a < b)
 
 
 def classification_order(n: int) -> list[tuple[Partition, Partition]]:

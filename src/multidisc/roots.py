@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .engine import det_fraction_free
-from .partitions import Partition, is_valid_partition
+from .partitions import Partition, as_partition
 from .unipoly import UniPoly
 
 
@@ -139,13 +139,6 @@ def squarefree_multiplicity(poly: UniPoly) -> Partition:
     return tuple(sorted(mults, reverse=True))
 
 
-def _check_gamma_for(spec: RootSpec, gamma) -> Partition:
-    gamma = tuple(int(g) for g in gamma)
-    if not is_valid_partition(gamma) or sum(gamma) != spec.n:
-        raise ValueError(f"{gamma!r} is not a partition of {spec.n}")
-    return gamma
-
-
 def disc_from_distinct_roots(spec: RootSpec, gamma) -> Fraction:
     """Discriminant evaluated through n distinct roots.
 
@@ -153,7 +146,7 @@ def disc_from_distinct_roots(spec: RootSpec, gamma) -> Fraction:
     for i = 1..s and k = gi-1..0, divides by the alternating power-matrix
     determinant of the roots, and scales by leading^(g1 - 2).
     """
-    gamma = _check_gamma_for(spec, gamma)
+    gamma = as_partition(gamma, spec.n)
     if any(m != 1 for _, m in spec.roots):
         raise ValueError("all multiplicities must be 1 (distinct-roots formula)")
     alphas = [r for r, _ in spec.roots]
@@ -180,7 +173,7 @@ def disc_from_multiple_roots_abs(spec: RootSpec, gamma) -> Fraction:
     The overall sign of the scaling constant is not pinned down, so only
     the absolute value is returned.
     """
-    gamma = _check_gamma_for(spec, gamma)
+    gamma = as_partition(gamma, spec.n)
     poly = expand(spec)
     rows = []
     for i, gi in enumerate(gamma, start=1):

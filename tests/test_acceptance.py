@@ -21,7 +21,6 @@ from multidisc import (
     disc_symbolic,
     disc_value,
     expand,
-    lex_compare,
     partitions_of,
     random_root_spec,
     squarefree_multiplicity,
@@ -95,11 +94,10 @@ def test_criterion_4_vanishing_and_nonvanishing_lemmas(sweep_specs):
         for spec in specs:
             poly = expand(spec)
             for lam in partitions:
-                cmp = lex_compare(lam, bar_mu)
-                if cmp > 0:
+                if lam > bar_mu:
                     assert disc_value(poly, lam).value == 0, (mu, lam, spec)
                     zero_checks += 1
-                elif cmp == 0:
+                elif lam == bar_mu:
                     assert disc_value(poly, lam).value != 0, (mu, spec)
                     nonzero_checks += 1
     print(

@@ -13,7 +13,6 @@ from multidisc import (
     conjugate,
     disc_value,
     expand,
-    lex_compare,
     partitions_of,
     random_root_spec,
     squarefree_multiplicity,
@@ -101,8 +100,19 @@ def test_vanishing_and_nonvanishing_sample():
             bar_mu = conjugate(mu)
             assert disc_value(poly, bar_mu).value != 0
             for lam in partitions:
-                if lex_compare(lam, bar_mu) > 0:
+                if lam > bar_mu:
                     assert disc_value(poly, lam).value == 0
+
+
+def test_vanishing_is_not_monotone_along_the_chain():
+    # x^4 - x has four simple roots, so the scan stops at D(4); below it
+    # D(3,1) vanishes while D(2,2) does not, so the chain of zeros cannot be
+    # found by bisection.
+    poly = UniPoly.from_descending([1, 0, 0, -1, 0])
+    assert disc_value(poly, (4,)).value == -27
+    assert disc_value(poly, (3, 1)).value == 0
+    assert disc_value(poly, (2, 2)).value == -432
+    assert classify(poly) == (1, 1, 1, 1)
 
 
 def test_scaling_and_shift_invariance():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multidisc
 from multidisc import disc_value, UniPoly
 from multidisc.cli import main, run_selftest
 
@@ -93,6 +98,22 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "--file", str(batch))
         assert code == 2
         assert "line 2" in err
+
+    def test_batch_output_to_closed_pipe_exits_quietly(self, tmp_path):
+        batch = tmp_path / "polys.txt"
+        batch.write_text("1,-5,7,1,-8,4\n" * 50, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(multidisc.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "multidisc.cli", "classify", "--file", str(batch)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader is gone before the first line is written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--file", "/nonexistent/path.txt")

@@ -78,6 +78,22 @@ class TestMatrixLayout:
                 assert len(m.entries) == m.size
                 assert all(len(row) == m.size for row in m.entries)
 
+    def test_rows_match_shifted_derivatives(self):
+        # the definition of row (order, shift): the coefficients of F^(order) * x^shift
+        rng = random.Random(99)
+        for n in range(1, 9):
+            integer = random_int_poly(rng, n)
+            rational = UniPoly(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                + [Fraction(rng.choice([-7, 5, 11]), rng.choice([2, 3, 4]))]
+            )
+            for poly in (integer, rational):
+                for gamma in partitions_of(n):
+                    m = build_matrix(poly, gamma)
+                    for row, (order, shift) in zip(m.entries, m.row_provenance):
+                        p = poly.derivative(order).mul_power(shift)
+                        assert row == tuple(p.coeff(m.size - 1 - j) for j in range(m.size))
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             build_matrix(QUINTIC, (3, 3))  # not a partition of 5

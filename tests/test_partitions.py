@@ -1,10 +1,21 @@
+from fractions import Fraction
+
 import pytest
 
 from multidisc import (
+    RootSpec,
+    UniPoly,
+    build_matrix,
+    build_symbolic_matrix,
     classification_order,
     conjugate,
+    d_hy21,
+    d_hy22,
+    d_yhz,
+    disc_from_distinct_roots,
+    disc_from_multiple_roots_abs,
+    disc_value,
     is_valid_partition,
-    lex_compare,
     partitions_of,
 )
 
@@ -61,6 +72,8 @@ def test_partitions_of_rejects_nonpositive():
         partitions_of(0)
     with pytest.raises(ValueError):
         partitions_of(-3)
+    with pytest.raises(ValueError):
+        partitions_of(True)
 
 
 def test_conjugate_examples():
@@ -85,25 +98,34 @@ def test_conjugate_part_counts():
             assert len(gamma) == mu[0]
 
 
-def test_lex_compare_examples():
-    assert lex_compare((3, 1, 1), (2, 2, 1)) == 1
-    assert lex_compare((5,), (4, 1)) == 1
-    assert lex_compare((3, 2), (3, 1, 1)) == 1
-    assert lex_compare((2, 2, 1), (2, 2, 1)) == 0
-    assert lex_compare((2, 1, 1, 1), (3, 2)) == -1
+def test_tuple_order_is_lex_order_of_partitions():
+    # for partitions of one integer, native tuple order needs no zero padding
+    assert (3, 1, 1) > (2, 2, 1)
+    assert (5,) > (4, 1)
+    assert (3, 2) > (3, 1, 1)
+    assert (2, 2, 1) == (2, 2, 1)
+    assert (2, 1, 1, 1) < (3, 2)
 
 
-def test_lex_compare_rejects_different_sums():
-    with pytest.raises(ValueError):
-        lex_compare((3, 1), (3, 2))
-
-
-def test_lex_compare_is_a_strict_total_order():
-    for n in range(1, 10):
-        parts = partitions_of(n)
-        for i, p in enumerate(parts):
-            for q in parts[i + 1 :]:
-                assert lex_compare(p, q) == -lex_compare(q, p) != 0
+def test_non_integer_parts_are_rejected_not_truncated():
+    quintic = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
+    repeated = RootSpec(((Fraction(1), 3), (Fraction(-2), 2)), Fraction(1))
+    distinct = RootSpec(tuple((Fraction(r), 1) for r in range(5)), Fraction(1))
+    entry_points = [
+        lambda parts: disc_value(quintic, parts),
+        lambda parts: build_matrix(quintic, parts),
+        lambda parts: build_symbolic_matrix(5, parts),
+        lambda parts: disc_from_multiple_roots_abs(repeated, parts),
+        lambda parts: disc_from_distinct_roots(distinct, parts),
+        d_yhz,
+        d_hy21,
+        d_hy22,
+        conjugate,
+    ]
+    for parts in [(3.5, 2.5), (3.2, 2.1), (3.0, 2), (2.5,), (4, True), (True,) * 5]:
+        for entry in entry_points:
+            with pytest.raises(ValueError, match="not a partition"):
+                entry(parts)
 
 
 def test_classification_order_for_degree_five():
@@ -134,7 +156,7 @@ def test_classification_order_degenerate_and_large():
     assert len(pairs) == 30
     gammas = [g for _, g in pairs]
     for a, b in zip(gammas, gammas[1:]):
-        assert lex_compare(a, b) == 1
+        assert a > b
     # both columns cover all partitions exactly once
     assert set(gammas) == set(partitions_of(9))
     assert set(m for m, _ in pairs) == set(partitions_of(9))
