@@ -1,18 +1,30 @@
 """Multiplicity classification by scanning discriminants in conjugate order.
 
-The discriminants are evaluated along the classification order (partition
+The discriminants are taken along the classification order (partition
 conjugates, lexicographically decreasing).  The first nonzero value stops
 the scan; the multiplicity vector is the conjugate of the partition that
 produced it.  The scan always terminates because the final discriminant
 equals prod(i^i) * an^(n-1), which cannot vanish.
+
+Partitions with a common prefix (g1..gk) are contiguous in that order and
+their matrices share the width n + g1 - 1 and the row blocks 0..k.  When
+those rows are linearly dependent, every discriminant under the prefix is
+exactly 0, so a rank test decides the whole subtree and the scan moves on
+to the next sibling.  Blocks 0..1 alone form the subresultant matrix
+S_(n-g1)(F, F'), which is rank-deficient exactly when g1 exceeds the number
+of distinct roots (Collins 1967; Brown-Traub 1971).  Every complete
+partition the scan reaches still runs the exact determinant.  Vanishing is
+not monotone along the order (x^4 - x has D(3,1) = 0 but D(2,2) != 0), so
+the scan never bisects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .engine import disc_value
+from .engine import block_rows, disc_value
 from .partitions import Partition, classification_order, conjugate, partitions_of
 from .unipoly import UniPoly
 
@@ -33,24 +45,82 @@ class ClassificationTrace:
     delta: Partition  # the partition whose discriminant broke the chain
 
 
+def _extend_echelon(echelon: list[tuple[int, list[int]]], rows) -> bool:
+    """Append integer ``rows`` to ``echelon``; False at the first dependent row.
+
+    ``echelon`` holds (pivot column, row) pairs, each row zero in the pivot
+    columns of the rows stored before it.  A new row is reduced fraction-free
+    against them in that order and divided by its content (Bareiss 1968); it
+    reduces to zero exactly when it lies in the span of the rows before it.
+    The rows stored before a dependent one stay stored.
+    """
+    for row in rows:
+        for pivot, base in echelon:
+            factor = row[pivot]
+            if factor:
+                head = base[pivot]
+                row = [head * a - factor * b for a, b in zip(row, base)]
+        content = gcd(*row)
+        if not content:
+            return False
+        pivot = next(j for j, v in enumerate(row) if v)
+        echelon.append((pivot, [v // content for v in row]))
+    return True
+
+
 def classify_trace(poly: UniPoly) -> ClassificationTrace:
     """Full short-circuit evaluation trail for the classification chain.
 
-    Walks the partitions gamma of n in descending lex order and evaluates
-    each discriminant with ``disc_value``, which runs the determinant over
-    integers and rescales the value to the input polynomial.  Only the
+    Walks the partitions gamma of n in descending lex order as a prefix trie.
+    A complete partition is evaluated with ``disc_value``, which runs the
+    exact determinant over integers and rescales it to the input polynomial.
+    A proper prefix (g1..gk) fixes the width and the row blocks 0..k of every
+    matrix below it, so the walk adds those rows to its parent's integer
+    echelon; when one of them is dependent, every discriminant in the subtree
+    is exactly 0 and is recorded as such without a determinant.  Only the
     partition that breaks the chain is conjugated.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
+    n = poly.degree
+    coeffs = [c.numerator for c in poly.clear_denominators()[0].coeffs]
     steps: list[TraceStep] = []
-    for gamma in partitions_of(poly.degree):
-        value = disc_value(poly, gamma).value
-        nonzero = value != 0
-        steps.append(TraceStep(gamma, value, nonzero))
-        if nonzero:
-            return ClassificationTrace(tuple(steps), conjugate(gamma), gamma)
-    raise AssertionError("classification chain exhausted; engine bug")
+    parts: list[int] = []  # the proper prefix g1..gk the walk is below
+    marks: list[int] = []  # the echelon's length before each part's rows
+    echelon: list[tuple[int, list[int]]] = []
+    rest, part = n, n  # what the prefix leaves to fill, and the next part to try
+    while True:
+        gamma = (*parts, part)
+        if part == rest:
+            value = disc_value(poly, gamma).value
+            steps.append(TraceStep(gamma, value, value != 0))
+            if value:
+                return ClassificationTrace(tuple(steps), conjugate(gamma), gamma)
+        else:
+            size = n + gamma[0] - 1
+            rows = block_rows(coeffs, len(gamma), part, size)
+            if not parts:
+                rows = block_rows(coeffs, 0, part - 1, size) + rows
+            mark = len(echelon)
+            if _extend_echelon(echelon, rows):
+                parts.append(part)
+                marks.append(mark)
+                rest -= part
+                part = min(part, rest)
+                continue
+            del echelon[mark:]
+            steps.extend(
+                TraceStep(gamma + tail, Fraction(0), False)
+                for tail in partitions_of(rest - part)
+                if tail[0] <= part
+            )
+        while part == 1:
+            if not parts:
+                raise AssertionError("classification chain exhausted; engine bug")
+            part = parts.pop()
+            rest += part
+            del echelon[marks.pop():]
+        part -= 1
 
 
 def classify(poly: UniPoly) -> Partition:

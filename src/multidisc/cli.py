@@ -3,7 +3,8 @@
 Coefficients are entered highest power first ("1,-5,7,1,-8,4" is
 x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4); each entry is an integer or a rational
 written p/q.  Exit codes: 0 success, 1 selftest property violation,
-2 usage or parse error, 141 output pipe closed early (as with "| head").
+2 usage or parse error (in batch mode, after every line was tried),
+3 internal arithmetic error, 141 output pipe closed early (as with "| head").
 """
 
 from __future__ import annotations
@@ -72,19 +73,24 @@ def _cmd_classify(args) -> int:
                 lines = [line.strip() for line in handle]
         except OSError as exc:
             raise CliError(f"cannot read {args.file}: {exc}") from None
+        code = 0
         for lineno, line in enumerate(lines, start=1):
             if not line:
                 continue
             try:
                 poly = parse_coeffs(line)
             except CliError as exc:
-                raise CliError(f"line {lineno}: {exc}") from None
+                print(f"error: line {lineno}: {exc}", file=sys.stderr)
+                if args.json:
+                    print(_json_dumps({"error": str(exc), "line": lineno}))
+                code = 2
+                continue
             trace = classify_trace(poly)
             if args.json:
                 print(_json_dumps(trace_json_dict(poly, trace)))
             else:
                 print(_format_partition(trace.result))
-        return 0
+        return code
 
     poly = parse_coeffs(args.coeffs)
     trace = classify_trace(poly)
@@ -307,6 +313,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: internal arithmetic error: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -115,27 +115,33 @@ class DiscValue:
     n: int
 
 
-def _build(coeffs: Sequence[Entry], gamma: Sequence[int], symbolic: bool) -> DiscMatrix:
-    """The discriminant matrix of the polynomial with ascending ``coeffs``.
+def block_rows(coeffs: Sequence[Entry], order: int, count: int, size: int) -> list[list[Entry]]:
+    """The rows F^(order) * x^k, k = count - 1 down to 0, of width ``size``.
 
-    The row F^(i) * x^k is the descending coefficient list of F^(i), computed
-    once per derivative order, with size - 1 - (n - i + k) zeros before it and
-    k after it, so the entries live in whatever ring ``coeffs`` does.
+    Each row is the descending coefficient list of F^(order), computed once,
+    with size - 1 - (n - order + k) zeros before it and k after it; F has the
+    ascending ``coeffs``, and the entries live in whatever ring those do.
     """
+    n = len(coeffs) - 1
+    zero = coeffs[0] * 0
+    desc = [coeffs[d] * perm(d, order) for d in range(n, order - 1, -1)]
+    return [
+        [zero] * (size - len(desc) - shift) + desc + [zero] * shift
+        for shift in range(count - 1, -1, -1)
+    ]
+
+
+def _build(coeffs: Sequence[Entry], gamma: Sequence[int], symbolic: bool) -> DiscMatrix:
+    """The discriminant matrix of the polynomial with ascending ``coeffs``."""
     n = len(coeffs) - 1
     gamma = as_partition(gamma, n)
     gamma0 = gamma[0] - 1
     size = n + gamma0
-    zero = coeffs[0] * 0
-    blocks = [(0, gamma0)] + list(enumerate(gamma, start=1))
     rows = []
     prov = []
-    for order, count in blocks:
-        desc = [coeffs[d] * perm(d, order) for d in range(n, order - 1, -1)]
-        for shift in range(count - 1, -1, -1):
-            lead = size - len(desc) - shift
-            rows.append(tuple([zero] * lead + desc + [zero] * shift))
-            prov.append((order, shift))
+    for order, count in [(0, gamma0)] + list(enumerate(gamma, start=1)):
+        rows.extend(tuple(row) for row in block_rows(coeffs, order, count, size))
+        prov.extend((order, shift) for shift in range(count - 1, -1, -1))
     return DiscMatrix(tuple(rows), gamma, gamma0, size, tuple(prov), n, symbolic)
 
 

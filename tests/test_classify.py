@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from multidisc import (
+    RootSpec,
     UniPoly,
     classification_order,
     classify,
@@ -18,6 +19,8 @@ from multidisc import (
     squarefree_multiplicity,
     trace_json_dict,
 )
+from multidisc.classify import _extend_echelon
+from multidisc.engine import block_rows
 
 from conftest import shift_poly
 
@@ -113,6 +116,92 @@ def test_vanishing_is_not_monotone_along_the_chain():
     assert disc_value(poly, (3, 1)).value == 0
     assert disc_value(poly, (2, 2)).value == -432
     assert classify(poly) == (1, 1, 1, 1)
+
+
+def reference_trace(poly):
+    """The plain scan: every discriminant in order up to the first nonzero one."""
+    steps = []
+    for gamma in partitions_of(poly.degree):
+        value = disc_value(poly, gamma).value
+        steps.append((gamma, value, value != 0))
+        if value:
+            return steps
+    raise AssertionError("chain exhausted")
+
+
+def assert_trace_is_reference(poly):
+    trace = classify_trace(poly)
+    assert [(s.gamma, s.value, s.nonzero) for s in trace.steps] == reference_trace(poly)
+    assert trace.delta == trace.steps[-1].gamma
+    assert trace.result == conjugate(trace.delta)
+
+
+def test_pruned_trace_equals_plain_scan_up_to_degree_8():
+    rng = random.Random(8)
+    for n in range(1, 9):
+        for mu in partitions_of(n):
+            poly = expand(random_root_spec(rng, mu))
+            assert_trace_is_reference(poly)
+            assert_trace_is_reference(poly * Fraction(-7, 3))
+
+
+def test_pruned_trace_equals_plain_scan_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def root_specs(draw):
+        mu = draw(st.integers(1, 10).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+        roots = draw(
+            st.lists(
+                st.fractions(-9, 9, max_denominator=4),
+                min_size=len(mu),
+                max_size=len(mu),
+                unique=True,
+            )
+        )
+        leading = draw(st.fractions(-10, 10, max_denominator=6).filter(bool))
+        return RootSpec(tuple(zip(roots, mu)), leading)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(root_specs())
+    def check(spec):
+        assert_trace_is_reference(expand(spec))
+
+    check()
+
+
+@pytest.mark.parametrize("mu", [(8, 8), (6, 5, 5)])
+def test_pruned_trace_equals_plain_scan_at_degree_16(mu):
+    spec = RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3)
+    assert_trace_is_reference(expand(spec))
+
+
+def test_first_two_blocks_are_dependent_iff_g1_exceeds_distinct_roots():
+    # blocks 0..1 hold A*F + B*F' for deg A < g1 - 1 and deg B < g1; a
+    # dependency A*F = -B*F' needs deg B >= n - deg gcd(F, F'), which is the
+    # number of distinct roots
+    rng = random.Random(968)
+    cases = 0
+    for n in range(2, 11):
+        for mu in partitions_of(n):
+            poly = expand(random_root_spec(rng, mu))
+            coeffs = [c.numerator for c in poly.clear_denominators()[0].coeffs]
+            for g1 in range(1, n):
+                size = n + g1 - 1
+                rows = block_rows(coeffs, 0, g1 - 1, size) + block_rows(coeffs, 1, g1, size)
+                assert _extend_echelon([], rows) == (g1 <= len(mu)), (mu, g1)
+                cases += 1
+    assert cases == 968
+
+
+def test_deep_two_root_scan_is_all_zero_until_the_last_step():
+    poly = expand(RootSpec(((Fraction(-1), 15), (Fraction(2), 15)), 1))
+    trace = classify_trace(poly)
+    assert trace.result == (15, 15)
+    assert trace.delta == (2,) * 15
+    assert all(step.value == 0 and not step.nonzero for step in trace.steps[:-1])
+    assert trace.steps[-1].nonzero
 
 
 def test_scaling_and_shift_invariance():

@@ -99,6 +99,21 @@ class TestClassify:
         assert code == 2
         assert "line 2" in err
 
+    def test_batch_file_keeps_going_past_a_bad_line(self, capsys, tmp_path):
+        batch = tmp_path / "polys.txt"
+        batch.write_text("1,2,1\nfoo\n1,0,-1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify", "--file", str(batch))
+        assert code == 2
+        assert out.splitlines() == ["2", "1,1"]
+        assert err == "error: line 2: need at least two coefficients (degree >= 1)\n"
+        code, out, err = run_cli(capsys, "classify", "--file", str(batch), "--json")
+        assert code == 2
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows[0]["multiplicity"] == [2]
+        assert rows[1] == {"error": "need at least two coefficients (degree >= 1)", "line": 2}
+        assert rows[2]["multiplicity"] == [1, 1]
+        assert err == "error: line 2: need at least two coefficients (degree >= 1)\n"
+
     def test_batch_output_to_closed_pipe_exits_quietly(self, tmp_path):
         batch = tmp_path / "polys.txt"
         batch.write_text("1,-5,7,1,-8,4\n" * 50, encoding="utf-8")
@@ -114,6 +129,19 @@ class TestClassify:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert err == b""
+
+    def test_engine_arithmetic_error_is_one_line(self, capsys, monkeypatch):
+        def broken(poly):
+            raise ArithmeticError("non-exact integer division in fraction-free elimination")
+
+        monkeypatch.setattr("multidisc.cli.classify_trace", broken)
+        code, out, err = run_cli(capsys, "classify", "--coeffs", "1,0")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: internal arithmetic error: "
+            "non-exact integer division in fraction-free elimination\n"
+        )
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--file", "/nonexistent/path.txt")
