@@ -166,21 +166,19 @@ def _int_exact_div(num: int, den: int) -> int:
     return q
 
 
-def det_fraction_free(rows: Sequence[Sequence[Entry]]) -> Entry:
+def det_fraction_free(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Union[int, Fraction]:
     """Exact determinant by single-step fraction-free (Bareiss) elimination.
 
-    Accepts square matrices over the integers, rationals, or SymPoly.  The
-    pivot is the first nonzero entry in the column.  A fully zero pivot
-    column means a zero determinant in every one of these rings, since each
-    is an integral domain, so the ring's zero is returned at once.
+    Accepts square matrices over the integers or rationals; the symbolic
+    matrices use :func:`det_minor_expansion`.  The pivot is the first nonzero
+    entry in the column.  A fully zero pivot column means a zero determinant,
+    so zero is returned at once.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square nonempty matrix required")
     sample = rows[0][0]
-    if isinstance(sample, SymPoly):
-        div = SymPoly.exact_divide
-    elif all(isinstance(e, int) for row in rows for e in row):
+    if all(isinstance(e, int) for row in rows for e in row):
         div = _int_exact_div
     else:
         rows = [[Fraction(e) for e in row] for row in rows]
@@ -208,32 +206,36 @@ def det_fraction_free(rows: Sequence[Sequence[Entry]]) -> Entry:
 
 
 def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:
-    """Laplace expansion along columns, memoized on the surviving row set."""
+    """Laplace expansion along columns, memoized on the surviving row set.
+
+    Division-free, so it works over any commutative ring; it is the
+    determinant of the symbolic matrices, whose entries are single terms.
+    """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square nonempty matrix required")
-    zero = rows[0][0] * 0
-    memo: dict[tuple[int, ...], Entry] = {}
+    return _expand(rows, tuple(range(n)), {})
 
-    def expand(row_ids: tuple[int, ...]) -> Entry:
-        col = n - len(row_ids)
-        if len(row_ids) == 1:
-            return rows[row_ids[0]][col]
-        cached = memo.get(row_ids)
-        if cached is not None:
-            return cached
-        total = zero
-        sign = 1
-        for pos, ri in enumerate(row_ids):
-            e = rows[ri][col]
-            if e:
-                sub = expand(row_ids[:pos] + row_ids[pos + 1 :])
-                total = total + sign * (e * sub)
-            sign = -sign
-        memo[row_ids] = total
-        return total
 
-    return expand(tuple(range(n)))
+# Module level, not a closure over memo: a closure that calls itself is a
+# reference cycle, which keeps every minor alive until a full collection.
+def _expand(rows: Sequence[Sequence[Entry]], row_ids: tuple[int, ...], memo: dict) -> Entry:
+    col = len(rows) - len(row_ids)
+    if len(row_ids) == 1:
+        return rows[row_ids[0]][col]
+    cached = memo.get(row_ids)
+    if cached is not None:
+        return cached
+    total = rows[row_ids[0]][col] * 0
+    sign = 1
+    for pos, ri in enumerate(row_ids):
+        e = rows[ri][col]
+        if e:
+            sub = _expand(rows, row_ids[:pos] + row_ids[pos + 1 :], memo)
+            total = total + sign * (e * sub)
+        sign = -sign
+    memo[row_ids] = total
+    return total
 
 
 def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
@@ -257,9 +259,10 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
 def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT) -> DiscValue:
     """Parametric discriminant as an integer polynomial in a0..an.
 
-    The determinant of the generic matrix is exactly divisible by an; the
-    quotient is returned.  Term counts blow up quickly, so degrees above
-    ``cap`` are rejected.
+    The determinant of the generic matrix, by division-free cofactor
+    expansion, is exactly divisible by the monomial an; the quotient is
+    returned.  Term counts blow up quickly, so degrees above ``cap`` are
+    rejected.
     """
     if n > cap:
         raise ValueError(
@@ -267,7 +270,6 @@ def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT)
             "if you accept the term growth"
         )
     matrix = build_symbolic_matrix(n, gamma)
-    dp = det_fraction_free([list(row) for row in matrix.entries])
-    lead = SymPoly.variable(n + 1, n)
-    value = dp.exact_divide(lead)
+    dp = det_minor_expansion(matrix.entries)
+    value = dp.exact_divide(SymPoly.variable(n + 1, n))
     return DiscValue(value, matrix.gamma, n)

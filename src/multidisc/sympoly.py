@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over the integers in a0..an.
 
 Terms map an exponent tuple (one slot per indeterminate a0..an) to a
-nonzero arbitrary-precision integer coefficient.  Serialization and
-leading-term selection use a fixed graded lexicographic order with
-an > a(n-1) > ... > a0, so output is reproducible.
+nonzero arbitrary-precision integer coefficient.  Serialization uses a
+fixed graded lexicographic order with an > a(n-1) > ... > a0, so output
+is reproducible.
 """
 
 from __future__ import annotations
@@ -69,13 +69,6 @@ class SymPoly:
         if not self.terms:
             raise ValueError("total degree of the zero polynomial is undefined")
         return max(sum(e) for e in self.terms)
-
-    def leading_term(self) -> tuple[tuple[int, ...], int]:
-        """Leading (exponents, coefficient) under graded lex."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_term_key)
-        return exps, self.terms[exps]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in decreasing graded-lex order."""
@@ -154,32 +147,32 @@ class SymPoly:
         return result
 
     def exact_divide(self, divisor: "SymPoly") -> "SymPoly":
-        """Exact quotient in Z[a0..an]; raises ArithmeticError if not divisible.
+        """Exact quotient by a single term c * a^e in Z[a0..an].
 
-        Repeatedly cancels the graded-lex leading term; any step where the
-        divisor's leading term does not divide (exponent-wise or in Z) means
-        the division is not exact.
+        One pass shifts every exponent vector down by e and divides every
+        coefficient by c.  Raises ArithmeticError if a term is not divisible,
+        and ValueError if the divisor has more than one term.
         """
         if isinstance(divisor, int):
             divisor = SymPoly.const(self.nvars, divisor)
         self._check_compatible(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        d_exps, d_coeff = divisor.leading_term()
+        if len(divisor.terms) > 1:
+            raise ValueError("exact division needs a single-term divisor")
+        ((d_exps, d_coeff),) = divisor.terms.items()
         quot: dict[tuple[int, ...], int] = {}
-        rem = self
-        while not rem.is_zero:
-            r_exps, r_coeff = rem.leading_term()
-            t_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
-            if any(e < 0 for e in t_exps) or r_coeff % d_coeff:
+        for exps, coeff in self.terms.items():
+            q_exps = tuple(a - b for a, b in zip(exps, d_exps))
+            q_coeff, r = divmod(coeff, d_coeff)
+            if r or any(e < 0 for e in q_exps):
                 raise ArithmeticError(
-                    f"not exactly divisible: leading term {r_exps}:{r_coeff} "
-                    f"vs divisor {d_exps}:{d_coeff}"
+                    f"not exactly divisible: term {exps}:{coeff} by {d_exps}:{d_coeff}"
                 )
-            t_coeff = r_coeff // d_coeff
-            quot[t_exps] = quot.get(t_exps, 0) + t_coeff
-            rem = rem - SymPoly.monomial(self.nvars, t_coeff, t_exps) * divisor
-        return SymPoly(self.nvars, quot)
+            quot[q_exps] = q_coeff
+        result = SymPoly(self.nvars)
+        result.terms = quot
+        return result
 
     def evaluate(self, values) -> Fraction | int:
         """Substitute one value per indeterminate (a0 first)."""

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,8 @@ from multidisc import (
     UniPoly,
     build_matrix,
     build_symbolic_matrix,
+    d_hy22,
+    degree_table,
     det_fraction_free,
     det_minor_expansion,
     disc_symbolic,
@@ -156,14 +159,30 @@ class TestDeterminants:
                 ]
                 for _ in range(4)
             ]
-            assert det_fraction_free(rows) == det_minor_expansion(rows)
+            assert det_minor_expansion(rows) == perm_det(rows)
 
     def test_symbolic_zero_pivot_column_falls_back(self):
         nv = 2
         zero = SymPoly.zero(nv)
         a0 = SymPoly.variable(nv, 0)
         rows = [[zero, a0], [zero, a0 * a0]]
-        assert det_fraction_free(rows).is_zero
+        assert det_minor_expansion(rows).is_zero
+
+    def test_symbolic_rows_rejected_by_bareiss(self):
+        a0 = SymPoly.variable(1, 0)
+        with pytest.raises(TypeError):
+            det_fraction_free([[a0, a0], [a0, a0 * a0]])
+
+    def test_minor_expansion_leaves_no_garbage_cycles(self):
+        # a self-referencing closure kept the whole memo of minors alive
+        # until the next full collection
+        gc.collect()
+        gc.disable()
+        try:
+            det_minor_expansion(build_symbolic_matrix(5, (3, 2)).entries)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -245,13 +264,42 @@ class TestDiscSymbolic:
 
     def test_degree_six_agreement_with_concrete_engine(self):
         rng = random.Random(808)
-        for gamma in partitions_of(6):
-            d = disc_symbolic(6, gamma)
-            for _ in range(2):
-                vec = [rng.randint(-5, 5) for _ in range(6)]
-                vec.append(rng.choice([c for c in range(-4, 5) if c]))
-                poly = UniPoly(vec)
-                assert d.value.evaluate(vec) == disc_value(poly, gamma).value
+        for n in (6, 7):
+            for gamma in partitions_of(n):
+                d = disc_symbolic(n, gamma, cap=n)
+                for _ in range(2):
+                    vec = [rng.randint(-5, 5) for _ in range(n)]
+                    vec.append(rng.choice([c for c in range(-4, 5) if c]))
+                    poly = UniPoly(vec)
+                    assert d.value.evaluate(vec) == disc_value(poly, gamma).value
+
+    def test_max_degree_is_the_single_determinant_bound(self):
+        # the abstract's claim, computed: over every gamma of n the largest
+        # total degree of D_gamma is d_hy22, reached at the classical gamma = (n)
+        table = {row.n: row.d_hy22 for row in degree_table(7)}
+        for n in range(2, 8):
+            degrees = {
+                gamma: disc_symbolic(n, gamma, cap=7).value.total_degree
+                for gamma in partitions_of(n)
+            }
+            worst = max(degrees.values())
+            assert worst == d_hy22((n,)) == degrees[(n,)]
+            if n >= 3:
+                assert worst == table[n]
+
+    def test_classical_discriminant_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(2, 7):
+            a = sympy.symbols(f"a0:{n + 1}")
+            x = sympy.Symbol("x")
+            generic = sum(a[i] * x**i for i in range(n + 1))
+            expected = (-1) ** (n * (n - 1) // 2) * sympy.discriminant(generic, x)
+            value = disc_symbolic(n, (n,)).value
+            ours = sum(
+                c * sympy.Mul(*(a[i] ** e for i, e in enumerate(exps)))
+                for exps, c in value.terms.items()
+            )
+            assert sympy.expand(ours - expected) == 0
 
     def test_cap_is_enforced_and_overridable(self):
         with pytest.raises(ValueError, match="cap 6"):

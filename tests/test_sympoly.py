@@ -39,10 +39,11 @@ def test_exact_divide_round_trip():
     rng = random.Random(12)
     for _ in range(40):
         p = _random_poly(rng)
-        q = _random_poly(rng)
-        if q.is_zero:
-            continue
+        exps = tuple(rng.randint(0, 2) for _ in range(4))
+        q = SymPoly.monomial(4, rng.choice([-3, -1, 1, 2, 5]), exps)
         assert (p * q).exact_divide(q) == p
+    with pytest.raises(ValueError):
+        (_var(5) * _var(4)).exact_divide(_var(5) + _var(4))
 
 
 def test_zero_coefficients_never_stored():
