@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterator
 
 from .engine import block_rows, disc_value
 from .partitions import Partition, classification_order, conjugate, partitions_of
@@ -128,14 +129,17 @@ def classify(poly: UniPoly) -> Partition:
     return classify_trace(poly).result
 
 
-def conditions(n: int) -> list[tuple[Partition, list[Partition], Partition]]:
+def conditions(n: int) -> Iterator[tuple[Partition, list[Partition], Partition]]:
     """Per multiplicity vector: the partitions whose discriminants must vanish
-    and the single partition whose discriminant must not."""
-    order = classification_order(n)
-    out = []
-    for idx, (mu, gamma) in enumerate(order):
-        out.append((mu, [g for _, g in order[:idx]], gamma))
-    return out
+    and the single partition whose discriminant must not.
+
+    Row k lists the k partitions before its own, so all rows together grow as
+    p(n)^2; they are yielded one at a time, and each list is the row's own.
+    """
+    zero: list[Partition] = []
+    for mu, gamma in classification_order(n):
+        yield mu, list(zero), gamma
+        zero.append(gamma)
 
 
 def trace_json_dict(poly: UniPoly, trace: ClassificationTrace) -> dict:

@@ -142,17 +142,16 @@ def _cmd_discriminant(args) -> int:
 def _cmd_conditions(args) -> int:
     if args.n < 1:
         raise CliError("n must be at least 1")
+    # The rows together grow as p(n)^2, so each is printed as it is made;
+    # the JSON list is written item by item, the same bytes as one json.dumps.
     table = conditions(args.n)
     if args.json:
-        payload = [
-            {
-                "mu": list(mu),
-                "zero": [list(g) for g in zero],
-                "nonzero": list(nonzero),
-            }
-            for mu, zero, nonzero in table
-        ]
-        print(_json_dumps(payload))
+        sep = "["
+        for mu, zero, nonzero in table:
+            item = {"mu": list(mu), "zero": [list(g) for g in zero], "nonzero": list(nonzero)}
+            sys.stdout.write(sep + _json_dumps(item))
+            sep = ", "
+        print("]")
         return 0
     for mu, zero, nonzero in table:
         clauses = [f"D({_format_partition(g)}) = 0" for g in zero]

@@ -10,13 +10,17 @@ matrix, divided by the leading coefficient.  The matrix stacks row blocks
 with every row right-aligned to a common width n + g1 - 1: column j holds
 the coefficient of x^(size-1-j), so the serialized matrices reproduce the
 familiar staircase layout with blanks in the lower-left/upper-right.
+
+The numeric determinant is one Bareiss elimination over Python ints:
+rational input is cleared to integer rows before it and rescaled after it.
+The symbolic matrices use a division-free cofactor expansion instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 from typing import Sequence, Union
 
 from .partitions import Partition, as_partition
@@ -159,50 +163,58 @@ def build_symbolic_matrix(n: int, gamma: Sequence[int]) -> DiscMatrix:
     return _build([SymPoly.variable(n + 1, d) for d in range(n + 1)], gamma, symbolic=True)
 
 
-def _int_exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("non-exact integer division in fraction-free elimination")
-    return q
-
-
 def det_fraction_free(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Union[int, Fraction]:
     """Exact determinant by single-step fraction-free (Bareiss) elimination.
 
-    Accepts square matrices over the integers or rationals; the symbolic
-    matrices use :func:`det_minor_expansion`.  The pivot is the first nonzero
-    entry in the column.  A fully zero pivot column means a zero determinant,
-    so zero is returned at once.
+    The elimination runs over Python ints only.  A row of ints is taken as
+    is; any other row is read as Fractions and scaled to integers by the lcm
+    of its denominators, and the determinant is divided by the product of
+    those scales at the end.  So the result is an int when every entry is an
+    int, else a Fraction.  Symbolic rows raise TypeError; they use
+    :func:`det_minor_expansion`.  The pivot is the first nonzero entry in the
+    column, and a fully zero pivot column means a zero determinant.  Every
+    Bareiss division is exact, so a remainder raises ArithmeticError.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square nonempty matrix required")
-    sample = rows[0][0]
-    if all(isinstance(e, int) for row in rows for e in row):
-        div = _int_exact_div
-    else:
-        rows = [[Fraction(e) for e in row] for row in rows]
-        div = lambda a, b: a / b  # noqa: E731 - field division is already exact
-    work = [list(row) for row in rows]
+    work = []
+    scale = None  # product of the row scales; None while every entry is an int
+    for row in rows:
+        if all(isinstance(e, int) for e in row):
+            work.append(list(row))
+            continue
+        row = [Fraction(e) for e in row]
+        # a list, not a generator: lcm(*generator) resizes its argument tuple,
+        # which then fills CPython's tuple free list, one tuple per call
+        den = lcm(*[e.denominator for e in row])
+        work.append([e.numerator * (den // e.denominator) for e in row])
+        scale = den if scale is None else scale * den
     sign = 1
-    prev = None
+    prev = 1
     for k in range(n - 1):
         pivot = next((i for i in range(k, n) if work[i][k]), -1)
         if pivot < 0:
-            return sample * 0
+            sign = 0  # a zero column: the determinant is 0
+            break
         if pivot != k:
             work[k], work[pivot] = work[pivot], work[k]
             sign = -sign
-        pk = work[k][k]
+        row_k = work[k]
+        pk = row_k[k]
         for i in range(k + 1, n):
             row_i = work[i]
             mik = row_i[k]
-            row_k = work[k]
             for j in range(k + 1, n):
-                num = pk * row_i[j] - mik * row_k[j]
-                row_i[j] = num if prev is None else div(num, prev)
+                q, r = divmod(pk * row_i[j] - mik * row_k[j], prev)
+                if r:  # Bareiss divisions are exact; a remainder is an engine fault
+                    raise ArithmeticError(
+                        "non-exact integer division in fraction-free elimination"
+                    )
+                row_i[j] = q
         prev = pk
-    return sign * work[n - 1][n - 1]
+    det = sign * work[n - 1][n - 1]
+    return det if scale is None else Fraction(det, scale)
 
 
 def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:

@@ -5,24 +5,20 @@ from __future__ import annotations
 Partition = tuple[int, ...]
 
 
-def is_valid_partition(parts) -> bool:
-    """True when ``parts`` is a nonempty weakly decreasing tuple of positive ints.
+def as_partition(parts, n: int | None = None) -> Partition:
+    """``parts`` as a partition tuple, or ValueError; the sum must be ``n`` when given.
 
-    Floats and bools are not ints here, so a part such as 2.5 or True is rejected
+    A partition is a nonempty weakly decreasing tuple of positive ints.  Floats
+    and bools are not ints here, so a part such as 2.5 or True is rejected
     rather than truncated.
     """
     parts = tuple(parts)
-    if not parts:
-        return False
-    if any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts):
-        return False
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
-
-
-def as_partition(parts, n: int | None = None) -> Partition:
-    """``parts`` as a partition tuple, or ValueError; the sum must be ``n`` when given."""
-    parts = tuple(parts)
-    if not is_valid_partition(parts) or (n is not None and sum(parts) != n):
+    if (
+        not parts
+        or any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts)
+        or any(a < b for a, b in zip(parts, parts[1:]))
+        or (n is not None and sum(parts) != n)
+    ):
         of = "" if n is None else f" of {n}"
         raise ValueError(f"{parts!r} is not a partition{of}")
     return parts

@@ -26,13 +26,13 @@ class RootSpec:
     leading: Fraction
 
     def __post_init__(self):
-        roots = tuple((Fraction(r), int(m)) for r, m in self.roots)
+        roots = tuple((Fraction(r), m) for r, m in self.roots)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "leading", Fraction(self.leading))
         if not roots:
             raise ValueError("at least one root is required")
-        if any(m < 1 for _, m in roots):
-            raise ValueError("multiplicities must be positive")
+        # the multiplicity vector is a partition: 2.5 and True are rejected, not truncated
+        as_partition(self.multiplicities())
         values = [r for r, _ in roots]
         if len(set(values)) != len(values):
             raise ValueError(f"roots must be pairwise distinct: {values!r}")
@@ -206,7 +206,7 @@ _LEADING_POOL = [i for i in range(-5, 6) if i]
 
 def random_root_spec(rng: random.Random, multiplicities) -> RootSpec:
     """Seeded random spec with the given multiplicity vector."""
-    mults = tuple(int(m) for m in multiplicities)
+    mults = tuple(multiplicities)
     roots = rng.sample(_ROOT_POOL, len(mults))
     leading = Fraction(rng.choice(_LEADING_POOL))
     return RootSpec(tuple(zip(roots, mults)), leading)

@@ -1,7 +1,7 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-``Rational`` is an alias for :class:`fractions.Fraction`: always reduced,
-positive denominator, arbitrary precision.  ``UniPoly`` stores coefficients
+Coefficients are :class:`fractions.Fraction` values: always reduced,
+positive denominator, arbitrary precision.  ``UniPoly`` stores them
 ascending by power; the zero polynomial is the empty coefficient tuple so
 that ``degree`` is never silently queried on it.
 """
@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import gcd, lcm, perm
 from typing import Iterable, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
@@ -91,9 +90,10 @@ class UniPoly:
         """Return (G, c) with G = c * self, G integer-coefficient, content 1, c > 0."""
         if self.is_zero:
             raise ValueError("cannot clear denominators of the zero polynomial")
-        den_lcm = lcm(*(c.denominator for c in self.coeffs))
+        # lists, not generators: see engine.det_fraction_free on lcm(*generator)
+        den_lcm = lcm(*[c.denominator for c in self.coeffs])
         ints = [c.numerator * (den_lcm // c.denominator) for c in self.coeffs]
-        content = gcd(*(abs(v) for v in ints))
+        content = gcd(*ints)
         scaled = UniPoly(v // content for v in ints)
         return scaled, Fraction(den_lcm, content)
 

@@ -22,9 +22,9 @@ from multidisc import (
     disc_value,
     expand,
     partitions_of,
-    random_root_spec,
     squarefree_multiplicity,
 )
+from multidisc.roots import random_root_spec
 
 from conftest import random_int_poly, shift_poly
 

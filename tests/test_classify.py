@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from multidisc import (
     RootSpec,
     UniPoly,
-    classification_order,
     classify,
     classify_trace,
     conditions,
@@ -15,12 +15,12 @@ from multidisc import (
     disc_value,
     expand,
     partitions_of,
-    random_root_spec,
     squarefree_multiplicity,
-    trace_json_dict,
 )
-from multidisc.classify import _extend_echelon
+from multidisc.classify import _extend_echelon, trace_json_dict
 from multidisc.engine import block_rows
+from multidisc.partitions import classification_order
+from multidisc.roots import random_root_spec
 
 from conftest import shift_poly
 
@@ -217,7 +217,7 @@ def test_scaling_and_shift_invariance():
 
 
 def test_conditions_for_degree_five():
-    table = conditions(5)
+    table = list(conditions(5))
     by_mu = {mu: (zero, nonzero) for mu, zero, nonzero in table}
     assert by_mu[(2, 2, 1)] == ([(5,), (4, 1)], (3, 2))
     assert by_mu[(1, 1, 1, 1, 1)] == ([], (5,))
@@ -228,12 +228,25 @@ def test_conditions_for_degree_five():
 def test_conditions_are_chain_prefixes():
     for n in (1, 4, 6):
         order = classification_order(n)
-        table = conditions(n)
+        table = list(conditions(n))
         assert len(table) == len(order)
         for idx, (mu, zero, nonzero) in enumerate(table):
             assert mu == order[idx][0]
             assert nonzero == order[idx][1]
             assert zero == [g for _, g in order[:idx]]
+
+
+def test_conditions_yields_one_row_at_a_time():
+    # p(35) = 14883 rows listing 110 million partitions in all; the first row
+    # must come without building the others
+    tracemalloc.start()
+    try:
+        mu, zero, nonzero = next(iter(conditions(35)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (mu, zero, nonzero) == ((1,) * 35, [], (35,))
+    assert peak < 16 * 2**20
 
 
 def test_trace_json_schema_and_round_trip():

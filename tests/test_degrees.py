@@ -6,10 +6,10 @@ from multidisc import (
     d_hy22,
     d_yhz,
     degree_table,
-    degree_table_csv,
     disc_symbolic,
     partitions_of,
 )
+from multidisc.degrees import degree_table_csv
 
 TABLE_1 = {
     3: (5, 5, 4),

@@ -12,12 +12,11 @@ from multidisc import (
     build_symbolic_matrix,
     d_hy22,
     degree_table,
-    det_fraction_free,
-    det_minor_expansion,
     disc_symbolic,
     disc_value,
     partitions_of,
 )
+from multidisc.engine import det_fraction_free, det_minor_expansion
 
 from conftest import perm_det, random_int_poly
 
@@ -120,7 +119,8 @@ class TestDeterminants:
             for _ in range(8):
                 rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
                 expected = perm_det(rows)
-                assert det_fraction_free(rows) == expected
+                got = det_fraction_free(rows)
+                assert got == expected and type(got) is int
                 assert det_minor_expansion(rows) == expected
 
     def test_larger_matrices_against_minor_expansion(self):
@@ -137,16 +137,44 @@ class TestDeterminants:
             assert det_fraction_free(rows) == 0
         # leading column of zeros exercises the pivot-missing path
         rows = [[0, 1], [0, 5]]
-        assert det_fraction_free(rows) == 0
+        got = det_fraction_free(rows)
+        assert got == 0 and type(got) is int
+        # a rational matrix whose second column is zero below the first pivot
+        rows = [
+            [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)],
+            [Fraction(1, 4), Fraction(1, 6), 7],
+            [1, Fraction(2, 3), Fraction(-1, 9)],
+        ]
+        got = det_fraction_free(rows)
+        assert got == perm_det(rows) == 0 and type(got) is Fraction
+        got = det_fraction_free([[0, Fraction(1, 2)], [0, Fraction(3, 7)]])
+        assert got == 0 and type(got) is Fraction
 
     def test_fraction_matrices(self):
         rng = random.Random(31)
-        for _ in range(10):
-            rows = [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
-                for _ in range(4)
-            ]
-            assert det_fraction_free(rows) == perm_det(rows)
+        cases = [
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
+            for _ in range(10)
+        ]
+        primes = [2**61 - 1, 2**31 - 1, 10**9 + 7, 10**9 + 9, 998244353, 2**89 - 1, 2**107 - 1]
+        for size in range(1, 7):
+            for _ in range(6):
+                # int rows mixed with Fraction rows; the last row is rational
+                cases.append([
+                    [rng.randint(-9, 9) for _ in range(size)]
+                    if i < size - 1 and rng.random() < 0.5
+                    else [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(size)]
+                    for i in range(size)
+                ])
+                # large denominators, pairwise coprime within each row
+                cases.append([
+                    [Fraction(rng.randint(-10**12, 10**12), p) for p in rng.sample(primes, size)]
+                    for _ in range(size)
+                ])
+        cases.append([[Fraction(4)]])
+        for rows in cases:
+            got = det_fraction_free(rows)
+            assert got == perm_det(rows) and type(got) is Fraction
 
     def test_symbolic_matrix_against_minor_expansion(self):
         rng = random.Random(8)

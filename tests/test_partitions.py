@@ -7,7 +7,6 @@ from multidisc import (
     UniPoly,
     build_matrix,
     build_symbolic_matrix,
-    classification_order,
     conjugate,
     d_hy21,
     d_hy22,
@@ -15,9 +14,9 @@ from multidisc import (
     disc_from_distinct_roots,
     disc_from_multiple_roots_abs,
     disc_value,
-    is_valid_partition,
     partitions_of,
 )
+from multidisc.partitions import as_partition, classification_order
 
 
 def partition_count(n: int) -> int:
@@ -63,7 +62,7 @@ def test_partition_counts_against_recurrence():
 def test_partitions_are_valid_and_sum_correctly():
     for n in range(1, 11):
         for p in partitions_of(n):
-            assert is_valid_partition(p)
+            assert as_partition(p) == p
             assert sum(p) == n
 
 

@@ -11,13 +11,11 @@ from multidisc import (
     disc_from_multiple_roots_abs,
     disc_value,
     expand,
-    format_root_spec,
     parse_root_spec,
     partitions_of,
-    random_root_spec,
-    squarefree_decomposition,
     squarefree_multiplicity,
 )
+from multidisc.roots import format_root_spec, random_root_spec, squarefree_decomposition
 
 from conftest import random_int_poly
 
@@ -47,6 +45,15 @@ class TestRootSpec:
     def test_zero_leading_rejected(self):
         with pytest.raises(ValueError):
             _spec([(1, 1)], leading=0)
+
+    def test_float_and_bool_multiplicities_rejected(self):
+        # int() used to truncate these: ((1, 2.5), (2, True)) read as (2, 1)
+        for mults in ((2.5, True), (2.0, 1), (True,), (3, False)):
+            pairs = tuple(zip((Fraction(1), Fraction(2), Fraction(3)), mults))
+            with pytest.raises(ValueError, match="not a partition"):
+                RootSpec(pairs, 1)
+            with pytest.raises(ValueError, match="not a partition"):
+                random_root_spec(random.Random(3), mults)
 
     def test_parse_and_format_round_trip(self):
         spec = parse_root_spec("-2; 1^2, -1/2^1, 7/3^3")
