@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Coefficients are entered highest power first ("1,-5,7,1,-8,4" is
-x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4); each entry is an integer or a rational
-written p/q.  Exit codes: 0 success, 1 selftest property violation,
-2 usage or parse error (in batch mode, after every line was tried),
-3 internal arithmetic error, 141 output pipe closed early (as with "| head").
+x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4); each entry is an integer, a decimal
+such as 0.5, or a rational written p/q; exponent notation (1e5) is
+rejected.  Exit codes: 0 success, 1 selftest property violation, 2 usage
+or parse error (in batch mode, after every line was tried), 3 internal
+arithmetic error, 141 output pipe closed early (as with "| head").
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ def parse_coeffs(text: str) -> UniPoly:
         raise CliError("need at least two coefficients (degree >= 1)")
     values = []
     for part in parts:
+        # Fraction() reads exponent notation, and "1e10000000" alone takes
+        # seconds to expand before any check could see its size
+        if "e" in part or "E" in part:
+            raise CliError(f"malformed rational {part!r}")
         try:
             values.append(Fraction(part))
         except (ValueError, ZeroDivisionError):

@@ -13,6 +13,9 @@ familiar staircase layout with blanks in the lower-left/upper-right.
 
 The numeric determinant is one Bareiss elimination over Python ints:
 rational input is cleared to integer rows before it and rescaled after it.
+A step leaves alone the rows that are zero in its pivot column; for them
+the full elimination would only scale the row by p_k / p_(k-1), and those
+factors telescope, so a row is caught up by one exact division later.
 The symbolic matrices use a division-free cofactor expansion instead.
 """
 
@@ -172,8 +175,16 @@ def det_fraction_free(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Union[i
     those scales at the end.  So the result is an int when every entry is an
     int, else a Fraction.  Symbolic rows raise TypeError; they use
     :func:`det_minor_expansion`.  The pivot is the first nonzero entry in the
-    column, and a fully zero pivot column means a zero determinant.  Every
-    Bareiss division is exact, so a remainder raises ArithmeticError.
+    column, and a fully zero pivot column means a zero determinant.
+
+    A row that is zero in the pivot column of step k is skipped: the dense
+    update would only multiply it by p_k / p_(k-1).  Over the steps t..k-1
+    a skipped row misses, these factors telescope to p_(k-1) / p_(t-1), so
+    when step k does reduce it, the usual numerator is divided by p_(t-1),
+    its own last pivot, instead of p_(k-1); a skipped row that becomes the
+    pivot row, or the last entry at the exit, is multiplied by that ratio
+    once.  Each stored integer equals the dense elimination's.  Every
+    division is exact, so a remainder raises ArithmeticError.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
@@ -191,7 +202,8 @@ def det_fraction_free(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Union[i
         work.append([e.numerator * (den // e.denominator) for e in row])
         scale = den if scale is None else scale * den
     sign = 1
-    prev = 1
+    pivots = [1]  # pivots[t] is the pivot of step t - 1
+    stage = [0] * n  # the step each stored row was last brought to
     for k in range(n - 1):
         pivot = next((i for i in range(k, n) if work[i][k]), -1)
         if pivot < 0:
@@ -199,22 +211,46 @@ def det_fraction_free(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Union[i
             break
         if pivot != k:
             work[k], work[pivot] = work[pivot], work[k]
+            stage[k], stage[pivot] = stage[pivot], stage[k]
             sign = -sign
         row_k = work[k]
+        if stage[k] != k:
+            _rescale(row_k, k, pivots[k], pivots[stage[k]])
         pk = row_k[k]
         for i in range(k + 1, n):
             row_i = work[i]
             mik = row_i[k]
+            if not mik:
+                continue  # the dense step would only scale it by pk / pivots[k]
+            div = pivots[stage[i]]
             for j in range(k + 1, n):
-                q, r = divmod(pk * row_i[j] - mik * row_k[j], prev)
-                if r:  # Bareiss divisions are exact; a remainder is an engine fault
-                    raise ArithmeticError(
-                        "non-exact integer division in fraction-free elimination"
-                    )
+                q, r = divmod(pk * row_i[j] - mik * row_k[j], div)
+                if r:
+                    _inexact()
                 row_i[j] = q
-        prev = pk
-    det = sign * work[n - 1][n - 1]
+            stage[i] = k + 1
+        pivots.append(pk)
+    det = 0
+    if sign:
+        last = work[n - 1]
+        if stage[n - 1] != n - 1:
+            _rescale(last, n - 1, pivots[n - 1], pivots[stage[n - 1]])
+        det = sign * last[n - 1]
     return det if scale is None else Fraction(det, scale)
+
+
+def _rescale(row: list[int], start: int, num: int, den: int) -> None:
+    """Multiply ``row[start:]`` by num / den in place; every quotient is exact."""
+    for j in range(start, len(row)):
+        q, r = divmod(row[j] * num, den)
+        if r:
+            _inexact()
+        row[j] = q
+
+
+def _inexact() -> None:
+    # Bareiss divisions are exact; a remainder is an engine fault
+    raise ArithmeticError("non-exact integer division in fraction-free elimination")
 
 
 def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:

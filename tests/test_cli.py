@@ -66,6 +66,18 @@ class TestClassify:
         assert code == 2
         assert "malformed rational" in err
 
+    def test_exponent_notation_rejected(self, capsys, tmp_path):
+        # Fraction("1e10000000") takes seconds before any size check could run
+        code, out, err = run_cli(capsys, "classify", "--coeffs", "1,1e5")
+        assert (code, out, err) == (2, "", "error: malformed rational '1e5'\n")
+        value = ("discriminant", "--n", "1", "--gamma", "1", "--format", "value")
+        code, _, err = run_cli(capsys, *value, "--coeffs", "2E3,1")
+        assert (code, err) == (2, "error: malformed rational '2E3'\n")
+        batch = tmp_path / "polys.txt"
+        batch.write_text("1,1e100\n1,-0.5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify", "--file", str(batch))
+        assert (code, out, err) == (2, "1\n", "error: line 1: malformed rational '1e100'\n")
+
     def test_single_coefficient_rejected(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--coeffs", "5")
         assert code == 2

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -107,6 +108,11 @@ class TestMatrixLayout:
             build_matrix(UniPoly(), (1,))
 
 
+def _sparse_rows(rng, size, density, entry):
+    """A size x size matrix whose entries are ``entry()`` with probability density, else 0."""
+    return [[entry() if rng.random() < density else 0 for _ in range(size)] for _ in range(size)]
+
+
 class TestDeterminants:
     def test_identity_and_proportional_rows(self):
         eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
@@ -114,20 +120,54 @@ class TestDeterminants:
         assert det_fraction_free([[2, 1], [4, 2]]) == 0
 
     def test_random_integer_matrices_match_oracles(self):
+        # sparse matrices leave many rows zero in the pivot column, so the
+        # elimination skips them and catches them up later
         rng = random.Random(2024)
-        for size in range(1, 7):
-            for _ in range(8):
-                rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-                expected = perm_det(rows)
-                got = det_fraction_free(rows)
-                assert got == expected and type(got) is int
-                assert det_minor_expansion(rows) == expected
+        for density in (1.0, 0.7, 0.4, 0.2):
+            for size in range(1, 8):
+                for _ in range(8):
+                    rows = _sparse_rows(rng, size, density, lambda: rng.randint(-9, 9))
+                    expected = perm_det(rows)
+                    got = det_fraction_free(rows)
+                    assert got == expected and type(got) is int
+                    assert det_minor_expansion(rows) == expected
 
     def test_larger_matrices_against_minor_expansion(self):
         rng = random.Random(77)
         for _ in range(4):
             rows = [[rng.randint(-6, 6) for _ in range(8)] for _ in range(8)]
             assert det_fraction_free(rows) == det_minor_expansion(rows)
+        for density in (0.7, 0.4, 0.2):
+            for size in range(8, 13):
+                for _ in range(3):
+                    rows = _sparse_rows(rng, size, density, lambda: rng.randint(-30, 30))
+                    assert det_fraction_free(rows) == det_minor_expansion(rows)
+
+    def test_discriminant_matrices_match_sympy_berkowitz(self):
+        # orders 14..23, above the reach of perm_det and det_minor_expansion
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1616)
+        for gamma in [(10,), (5, 3, 2), (6, 4, 2, 2), (4, 4, 4, 1), (8, 8)]:
+            poly = random_int_poly(rng, sum(gamma), bound=30)
+            rows = [[e.numerator for e in row] for row in build_matrix(poly, gamma).entries]
+            assert det_fraction_free(rows) == sympy.Matrix(rows).det(method="berkowitz")
+
+    def test_skipped_rows_are_caught_up(self):
+        # diagonal: every row stays skipped until it is the pivot or the last entry
+        primes = [2, -3, 5, 7, -11, 13, 17, 19]
+        for size in range(1, 9):
+            rows = [[primes[i] if i == j else 0 for j in range(size)] for i in range(size)]
+            assert det_fraction_free(rows) == prod(primes[:size])
+        # the swap at step 1 brings up row 2, skipped at step 0, above row 1,
+        # reduced at step 0; each keeps its own stage
+        rows = [[2, 1, 1, 3], [4, 2, 1, 1], [0, 3, 1, 2], [1, 1, 2, 1]]
+        assert det_fraction_free(rows) == perm_det(rows) != 0
+        # the last row is zero until the last column: skipped until the exit
+        rows = [[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [5, 8, 9, 7, 9], [3, 2, 3, 8, 4], [0, 0, 0, 0, 6]]
+        assert det_fraction_free(rows) == perm_det(rows) != 0
+        # a staircase whose rows start ever further right, then one full row at the bottom
+        rows = [[0] * i + [i + 2] * (6 - i) for i in range(5)] + [[1, -1, 2, -3, 5, -8]]
+        assert det_fraction_free(rows) == perm_det(rows) != 0
 
     def test_singular_matrices(self):
         rng = random.Random(5)
@@ -148,6 +188,13 @@ class TestDeterminants:
         got = det_fraction_free(rows)
         assert got == perm_det(rows) == 0 and type(got) is Fraction
         got = det_fraction_free([[0, Fraction(1, 2)], [0, Fraction(3, 7)]])
+        assert got == 0 and type(got) is Fraction
+        # a zero pivot column reached after steps that skipped rows
+        rows = [[2, 1, 5, 3], [0, 3, 7, 1], [0, 0, 0, 4], [4, 2, 10, 9]]
+        got = det_fraction_free(rows)
+        assert got == perm_det(rows) == 0 and type(got) is int
+        rows[3][0] = Fraction(4)
+        got = det_fraction_free(rows)
         assert got == 0 and type(got) is Fraction
 
     def test_fraction_matrices(self):
@@ -171,10 +218,16 @@ class TestDeterminants:
                     [Fraction(rng.randint(-10**12, 10**12), p) for p in rng.sample(primes, size)]
                     for _ in range(size)
                 ])
+            # sparse: Fraction entries among int zeros
+            for density in (0.2, 0.4, 0.7):
+                cases.append(_sparse_rows(
+                    rng, size, density, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                ))
         cases.append([[Fraction(4)]])
         for rows in cases:
             got = det_fraction_free(rows)
-            assert got == perm_det(rows) and type(got) is Fraction
+            only_ints = all(type(e) is int for row in rows for e in row)
+            assert got == perm_det(rows) and type(got) is (int if only_ints else Fraction)
 
     def test_symbolic_matrix_against_minor_expansion(self):
         rng = random.Random(8)
@@ -242,7 +295,10 @@ class TestDiscValue:
             for gamma in partitions_of(n):
                 poly = random_int_poly(rng, n)
                 m = build_matrix(poly, gamma)
-                dp = det_fraction_free([[e.numerator for e in row] for row in m.entries])
+                rows = [[e.numerator for e in row] for row in m.entries]
+                dp = det_fraction_free(rows)
+                # the staircase layout skips rows in most elimination steps
+                assert dp == det_minor_expansion(rows)
                 assert dp % poly.leading.numerator == 0
 
     def test_homogeneity_scaling(self):
@@ -255,6 +311,25 @@ class TestDiscValue:
             base = disc_value(poly, gamma).value
             scaled = disc_value(poly * c, gamma).value
             assert scaled == c ** (n + gamma[0] - 2) * base
+
+    def test_classical_discriminant_at_workload_degrees_matches_sympy(self):
+        # the classify workloads run D_(n) at n = 20..28, far above perm_det's reach
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(2028)
+        for n in (20, 24, 28):
+            integer = random_int_poly(rng, n, bound=50)
+            rational = UniPoly(
+                [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(n)]
+                + [Fraction(rng.choice([-7, 3, 11]), rng.choice([2, 5, 9]))]
+            )
+            for poly in (integer, rational):
+                f = sum(sympy.Rational(c.numerator, c.denominator) * x**i
+                        for i, c in enumerate(poly.coeffs))
+                expected = (-1) ** (n * (n - 1) // 2) * sympy.discriminant(f, x)
+                value = disc_value(poly, (n,)).value
+                assert value != 0
+                assert sympy.Rational(value.numerator, value.denominator) == expected
 
     def test_rational_coefficients_supported(self):
         poly = QUINTIC * Fraction(3, 7)
