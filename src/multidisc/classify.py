@@ -12,10 +12,14 @@ those rows are linearly dependent, every discriminant under the prefix is
 exactly 0, so a rank test decides the whole subtree and the scan moves on
 to the next sibling.  Blocks 0..1 alone form the subresultant matrix
 S_(n-g1)(F, F'), which is rank-deficient exactly when g1 exceeds the number
-of distinct roots (Collins 1967; Brown-Traub 1971).  Every complete
-partition the scan reaches still runs the exact determinant.  Vanishing is
-not monotone along the order (x^4 - x has D(3,1) = 0 but D(2,2) != 0), so
-the scan never bisects.
+of distinct roots (Collins 1967; Brown-Traub 1971).  The first step,
+D_(n) = Res(F, F') / an by a subresultant PRS, also gives that number k as
+n - deg gcd(F, F'), so every subtree with g1 > k is recorded as zero at
+once and the walk starts its echelon at g1 = k; the partition that breaks
+the chain, the conjugate of a vector with k parts, starts with k too.
+Every other complete partition the scan reaches still runs the exact
+determinant.  Vanishing is not monotone along the order (x^4 - x has
+D(3,1) = 0 but D(2,2) != 0), so the scan never bisects.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
-from .engine import block_rows, disc_value
+from .engine import block_rows, disc_resultant, disc_value
 from .partitions import Partition, classification_order, conjugate, partitions_of
 from .unipoly import UniPoly
 
@@ -73,23 +77,32 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
     """Full short-circuit evaluation trail for the classification chain.
 
     Walks the partitions gamma of n in descending lex order as a prefix trie.
-    A complete partition is evaluated with ``disc_value``, which runs the
-    exact determinant over integers and rescales it to the input polynomial.
-    A proper prefix (g1..gk) fixes the width and the row blocks 0..k of every
-    matrix below it, so the walk adds those rows to its parent's integer
-    echelon; when one of them is dependent, every discriminant in the subtree
-    is exactly 0 and is recorded as such without a determinant.  Only the
-    partition that breaks the chain is conjugated.
+    The first, gamma = (n), comes from Res(F, F') by ``disc_resultant``,
+    which also gives the number k of distinct roots; every partition with
+    g1 > k is then exactly 0.  Below that, a complete partition is evaluated
+    with ``disc_value``, which runs the exact determinant over integers and
+    rescales it to the input polynomial.  A proper prefix (g1..gk) fixes the
+    width and the row blocks 0..k of every matrix below it, so the walk adds
+    those rows to its parent's integer echelon; when one of them is
+    dependent, every discriminant in the subtree is exactly 0 and is recorded
+    as such without a determinant.  Only the partition that breaks the chain
+    is conjugated.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
     n = poly.degree
+    first, common = disc_resultant(poly)
+    steps = [TraceStep((n,), first.value, first.value != 0)]
+    if first.value:
+        return ClassificationTrace(tuple(steps), conjugate((n,)), (n,))
+    distinct = n - common
+    for g1 in range(n - 1, distinct, -1):
+        steps.extend(_zero_subtree((g1,), n - g1, g1))
     coeffs = [c.numerator for c in poly.clear_denominators()[0].coeffs]
-    steps: list[TraceStep] = []
     parts: list[int] = []  # the proper prefix g1..gk the walk is below
     marks: list[int] = []  # the echelon's length before each part's rows
     echelon: list[tuple[int, list[int]]] = []
-    rest, part = n, n  # what the prefix leaves to fill, and the next part to try
+    rest, part = n, distinct  # what the prefix leaves to fill, and the next part to try
     while True:
         gamma = (*parts, part)
         if part == rest:
@@ -110,11 +123,7 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
                 part = min(part, rest)
                 continue
             del echelon[mark:]
-            steps.extend(
-                TraceStep(gamma + tail, Fraction(0), False)
-                for tail in partitions_of(rest - part)
-                if tail[0] <= part
-            )
+            steps.extend(_zero_subtree(gamma, rest - part, part))
         while part == 1:
             if not parts:
                 raise AssertionError("classification chain exhausted; engine bug")
@@ -122,6 +131,13 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
             rest += part
             del echelon[marks.pop():]
         part -= 1
+
+
+def _zero_subtree(prefix: Partition, rest: int, cap: int) -> Iterator[TraceStep]:
+    """Zero steps for every partition below ``prefix``: tails of ``rest``, parts <= ``cap``."""
+    for tail in partitions_of(rest):
+        if tail[0] <= cap:
+            yield TraceStep(prefix + tail, Fraction(0), False)
 
 
 def classify(poly: UniPoly) -> Partition:

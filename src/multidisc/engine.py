@@ -11,19 +11,25 @@ with every row right-aligned to a common width n + g1 - 1: column j holds
 the coefficient of x^(size-1-j), so the serialized matrices reproduce the
 familiar staircase layout with blanks in the lower-left/upper-right.
 
-The numeric determinant is one Bareiss elimination over Python ints:
-rational input is cleared to integer rows before it and rescaled after it.
-A step leaves alone the rows that are zero in its pivot column; for them
-the full elimination would only scale the row by p_k / p_(k-1), and those
-factors telescope, so a row is caught up by one exact division later.
-The symbolic matrices use a division-free cofactor expansion instead.
+The matrix of gamma = (n) is the Sylvester matrix of F and F' (n - 1 rows
+of F above n rows of F'), so D_(n) is Res(F, F') up to the division by
+the leading coefficient.  It is computed by a subresultant polynomial
+remainder sequence over the integers (Collins 1967; Brown-Traub 1971) in
+O(n^2) integer operations, and the same sequence gives deg gcd(F, F').
+
+Every other numeric determinant is one Bareiss elimination over Python
+ints: rational input is cleared to integer rows before it and rescaled
+after it.  A step leaves alone the rows that are zero in its pivot column;
+for them the full elimination would only scale the row by p_k / p_(k-1),
+and those factors telescope, so a row is caught up by one exact division
+later.  The symbolic matrices use a division-free cofactor expansion instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, perm
+from math import gcd, lcm, perm
 from typing import Sequence, Union
 
 from .partitions import Partition, as_partition
@@ -122,6 +128,11 @@ class DiscValue:
     n: int
 
 
+def derivative_coeffs(coeffs: Sequence[Entry], order: int) -> list[Entry]:
+    """The descending coefficient list of F^(order), F with the ascending ``coeffs``."""
+    return [coeffs[d] * perm(d, order) for d in range(len(coeffs) - 1, order - 1, -1)]
+
+
 def block_rows(coeffs: Sequence[Entry], order: int, count: int, size: int) -> list[list[Entry]]:
     """The rows F^(order) * x^k, k = count - 1 down to 0, of width ``size``.
 
@@ -129,9 +140,8 @@ def block_rows(coeffs: Sequence[Entry], order: int, count: int, size: int) -> li
     with size - 1 - (n - order + k) zeros before it and k after it; F has the
     ascending ``coeffs``, and the entries live in whatever ring those do.
     """
-    n = len(coeffs) - 1
     zero = coeffs[0] * 0
-    desc = [coeffs[d] * perm(d, order) for d in range(n, order - 1, -1)]
+    desc = derivative_coeffs(coeffs, order)
     return [
         [zero] * (size - len(desc) - shift) + desc + [zero] * shift
         for shift in range(count - 1, -1, -1)
@@ -249,8 +259,67 @@ def _rescale(row: list[int], start: int, num: int, den: int) -> None:
 
 
 def _inexact() -> None:
-    # Bareiss divisions are exact; a remainder is an engine fault
+    # Bareiss and subresultant divisions are exact; a remainder is an engine fault
     raise ArithmeticError("non-exact integer division in fraction-free elimination")
+
+
+def _exact(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        _inexact()
+    return q
+
+
+def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, int]:
+    """Res(a, b) and deg gcd(a, b) of two integer polynomials, by a subresultant PRS.
+
+    ``a`` and ``b`` are descending coefficient lists with nonzero leading
+    coefficients, and Res(a, b) is the determinant of their Sylvester matrix:
+    deg b rows of a above deg a rows of b.  This is Cohen, GTM 138, Algorithm
+    3.3.7.  The contents are taken out first and come back as
+    cont(a)^deg(b) * cont(b)^deg(a).  Res(a, b) = (-1)^(deg a * deg b) Res(b, a),
+    so a swap and every pseudo-division step flip the sign when both degrees
+    are odd.  The pseudo-remainder of a step whose degree drops by delta is
+    divided by g * h^delta, where g is the leading coefficient of the divisor
+    and h becomes g^delta / h^(delta - 1): the subresultant recurrence of
+    Brown-Traub 1971, exact also when delta > 1 (see Ducos 2000).  The last
+    nonzero remainder is a multiple of gcd(a, b), so a zero resultant comes
+    with its degree and a nonzero one with 0.  Every division is exact, so a
+    remainder raises ArithmeticError.
+    """
+    if not a or not b or not a[0] or not b[0]:
+        raise ValueError("nonzero leading coefficients required")
+    ca, cb = gcd(*a), gcd(*b)
+    scale = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) & (len(b) - 1) & 1:
+            sign = -1
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        # pseudo-remainder: lead(b)^(delta + 1) * a = q * b + r, one term per pass
+        lead, tail, rem = b[0], b[1:], a
+        for _ in range(delta + 1):
+            top = rem[0]
+            head = [lead * x - top * y for x, y in zip(rem[1:], tail)]
+            rem = head + [lead * x for x in rem[len(b) :]]
+        start = next((i for i, c in enumerate(rem) if c), None)
+        if start is None:
+            return 0, db
+        den = g * h**delta
+        a, b = b, [_exact(c, den) for c in rem[start:]]
+        g = a[0]
+        if delta:
+            h = _exact(g**delta, h ** (delta - 1))
+    da = len(a) - 1
+    return sign * scale * _exact(b[0] ** da * h, h**da), 0
 
 
 def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:
@@ -290,18 +359,41 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     """Exact multiplicity discriminant of a concrete polynomial.
 
     Denominators are cleared first and the determinant runs over plain
-    integers; the result is rescaled through the homogeneity degree
-    n + g1 - 1 of the determinant and divided by the leading coefficient.
+    integers: D_(n) is Res(F, F') by a subresultant PRS (:func:`disc_resultant`),
+    and every other gamma runs the Bareiss elimination of its matrix.  The
+    result is rescaled through the homogeneity degree n + g1 - 1 of the
+    determinant and divided by the leading coefficient.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
+    n = poly.degree
+    gamma = as_partition(gamma, n)
+    if gamma == (n,):
+        return disc_resultant(poly)[0]
     cleared, scale = poly.clear_denominators()
     matrix = build_matrix(cleared, gamma)
-    int_rows = [[e.numerator for e in row] for row in matrix.entries]
-    dp = det_fraction_free(int_rows)
-    lead = cleared.leading.numerator
-    value = Fraction(dp, lead) / scale ** (matrix.size - 1)
-    return DiscValue(value, matrix.gamma, matrix.n)
+    dp = det_fraction_free([[e.numerator for e in row] for row in matrix.entries])
+    return _rescaled(dp, cleared, scale, gamma)
+
+
+def disc_resultant(poly: UniPoly) -> tuple[DiscValue, int]:
+    """D_(n) of a polynomial of degree n >= 1, and deg gcd(F, F').
+
+    The matrix of gamma = (n) is the Sylvester matrix of F and F', so its
+    determinant is Res(F, F'), taken by :func:`sylvester_resultant` on the
+    cleared integer F.  The gcd degree is n minus the number of distinct roots.
+    """
+    cleared, scale = poly.clear_denominators()
+    ints = [c.numerator for c in cleared.coeffs]
+    res, common = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
+    return _rescaled(res, cleared, scale, (len(ints) - 1,)), common
+
+
+def _rescaled(dp: int, cleared: UniPoly, scale: Fraction, gamma: Partition) -> DiscValue:
+    # dp is the determinant for cleared = scale * poly, homogeneous of degree n + g1 - 1
+    n = cleared.degree
+    value = Fraction(dp, cleared.leading.numerator) / scale ** (n + gamma[0] - 2)
+    return DiscValue(value, gamma, n)
 
 
 def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT) -> DiscValue:

@@ -1,7 +1,9 @@
 import json
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
@@ -22,7 +24,11 @@ from multidisc.engine import block_rows
 from multidisc.partitions import classification_order
 from multidisc.roots import random_root_spec
 
-from conftest import shift_poly
+from conftest import random_int_poly, shift_poly
+
+# the package's classify function shadows the module of the same name
+CLASSIFY = import_module("multidisc.classify")
+ENGINE = import_module("multidisc.engine")
 
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
@@ -193,6 +199,75 @@ def test_first_two_blocks_are_dependent_iff_g1_exceeds_distinct_roots():
                 assert _extend_echelon([], rows) == (g1 <= len(mu)), (mu, g1)
                 cases += 1
     assert cases == 968
+
+
+def _count_calls(monkeypatch, module, name, calls, record=None):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        if record is not None:
+            record(*args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_squarefree_input_runs_one_resultant_and_no_matrix(monkeypatch):
+    poly = random_int_poly(random.Random(28), 28, bound=40)
+    calls = Counter()
+    for name in ("sylvester_resultant", "det_fraction_free", "build_matrix"):
+        _count_calls(monkeypatch, ENGINE, name, calls)
+    _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", calls)
+    trace = classify_trace(poly)
+    assert trace.result == (1,) * 28 and len(trace.steps) == 1
+    assert calls == Counter(sylvester_resultant=1)
+
+
+@pytest.mark.parametrize("mu", [(10, 10), (8, 7, 5), (15, 15), (8, 8), (6, 5, 5)])
+def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu):
+    # every prefix with g1 > k is decided by deg gcd(F, F') alone: its rows,
+    # of width n + g1 - 1, never reach the echelon
+    spec = RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3)
+    poly = expand(spec)
+    n, k = poly.degree, len(mu)
+    widths = set()
+    calls = Counter()
+    _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", calls,
+                 lambda echelon, rows: widths.update(len(row) for row in rows))
+    _count_calls(monkeypatch, ENGINE, "sylvester_resultant", calls)
+    trace = classify_trace(poly)
+    assert calls["sylvester_resultant"] == 1
+    assert calls["_extend_echelon"] and max(widths) == n + k - 1
+    assert trace.result == mu and trace.delta[0] == k
+    chain = partitions_of(n)
+    assert [s.gamma for s in trace.steps] == chain[: chain.index(trace.delta) + 1]
+    assert all(s.value == 0 for s in trace.steps[:-1])
+    if n <= 16:
+        monkeypatch.undo()
+        assert_trace_is_reference(poly)
+
+
+def test_classify_matches_sympy_sqf_list():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2040)
+    for i in range(30):
+        n = rng.randint(20, 40)
+        if i % 2:
+            # 1..5 distinct roots, multiplicities from a random composition of n
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, 4)))
+            mu = sorted((b - a for a, b in zip([0, *cuts], [*cuts, n])), reverse=True)
+            poly = expand(random_root_spec(rng, tuple(mu)))
+        else:
+            poly = UniPoly(
+                [Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+                + [rng.choice([-4, 1, 3])]
+            )
+        f = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in poly.descending_coeffs()], x)
+        _, factors = sympy.sqf_list(f)
+        expected = sorted((m for g, m in factors for _ in range(g.degree())), reverse=True)
+        assert classify(poly) == tuple(expected), poly
 
 
 def test_deep_two_root_scan_is_all_zero_until_the_last_step():

@@ -15,11 +15,21 @@ from multidisc import (
     degree_table,
     disc_symbolic,
     disc_value,
+    expand,
     partitions_of,
+    squarefree_multiplicity,
 )
-from multidisc.engine import det_fraction_free, det_minor_expansion
+from multidisc.engine import (
+    _exact,
+    block_rows,
+    derivative_coeffs,
+    det_fraction_free,
+    det_minor_expansion,
+    sylvester_resultant,
+)
+from multidisc.roots import random_root_spec
 
-from conftest import perm_det, random_int_poly
+from conftest import perm_det, random_int_poly, shift_poly
 
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
@@ -272,6 +282,105 @@ class TestDeterminants:
             det_fraction_free([])
 
 
+def _sylvester(a, b):
+    """Sylvester matrix of descending ``a`` and ``b``: deg b rows of a above deg a rows of b."""
+    m, k = len(a) - 1, len(b) - 1
+    return [[0] * i + list(a) + [0] * (k - 1 - i) for i in range(k)] + [
+        [0] * i + list(b) + [0] * (m - 1 - i) for i in range(m)
+    ]
+
+
+def _rank(rows):
+    """Rank over the rationals by plain Gaussian elimination."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _resultant_inputs(rng):
+    """Integer polynomials of degree 1..30: dense and squarefree, with repeated
+    roots, with content, with a negative leading coefficient, and sparse."""
+    for n in range(1, 31):
+        yield random_int_poly(rng, n, bound=40)
+        mu = rng.choice(partitions_of(n))
+        yield expand(random_root_spec(rng, mu)).clear_denominators()[0] * rng.choice([-6, 4, 15])
+        yield UniPoly([1] + [0] * (n - 1) + [1])  # x^n + 1
+        if n > 1:
+            yield UniPoly([0, -1] + [0] * (n - 2) + [1])  # x^n - x
+        yield UniPoly([rng.randint(-3, 3) if rng.random() < 0.25 else 0 for _ in range(n)] + [-2])
+
+
+class TestSylvesterResultant:
+    def test_equals_the_bareiss_determinant_of_the_gamma_n_matrix(self):
+        rng = random.Random(3737)
+        for poly in _resultant_inputs(rng):
+            n = poly.degree
+            ints = [c.numerator for c in poly.coeffs]
+            size = 2 * n - 1
+            rows = block_rows(ints, 0, n - 1, size) + block_rows(ints, 1, n, size)
+            res, common = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
+            assert res == det_fraction_free(rows), poly
+            assert n - common == len(squarefree_multiplicity(poly)), poly
+            assert (res == 0) == (common > 0)
+            assert disc_value(poly, (n,)).value == Fraction(res, ints[-1])
+
+    def test_rational_input_rescales_like_the_matrix(self):
+        rng = random.Random(4242)
+        for n in range(1, 31):
+            poly = UniPoly(
+                [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n)]
+                + [Fraction(rng.choice([-5, 2, 7]), rng.randint(1, 6))]
+            )
+            if n % 3 == 0:  # a repeated root, so the value is 0
+                poly = poly * UniPoly([Fraction(1, 3), -2]) ** 2
+            m = poly.degree
+            size = 2 * m - 1
+            rows = block_rows(poly.coeffs, 0, m - 1, size) + block_rows(poly.coeffs, 1, m, size)
+            assert disc_value(poly, (m,)).value == det_fraction_free(rows) / poly.leading
+
+    def test_general_pairs_and_the_gcd_degree(self):
+        # unequal degrees in either order, both odd included (the swap's sign),
+        # with and without a common factor; the gcd degree is the Sylvester
+        # matrix's rank defect
+        rng = random.Random(5151)
+        for _ in range(300):
+            a = [rng.choice([-4, -1, 2, 3, 6])] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 7))]
+            b = [rng.choice([-3, 1, 4, 10])] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 7))]
+            if rng.random() < 0.4:
+                f = UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [3])
+                a = [c.numerator for c in (UniPoly.from_descending(a) * f).descending_coeffs()]
+                b = [c.numerator for c in (UniPoly.from_descending(b) * f).descending_coeffs()]
+            content = rng.choice([1, 1, 6])
+            a = [c * content for c in a]
+            res, common = sylvester_resultant(a, b)
+            rows = _sylvester(a, b)
+            if rows:
+                assert res == det_fraction_free(rows), (a, b)
+                assert common == len(rows) - _rank(rows), (a, b)
+            else:
+                assert (res, common) == (1, 0)
+        assert sylvester_resultant([3], [5, 1]) == (3, 0)
+        assert sylvester_resultant([2, 0, 1], [-5]) == (25, 0)
+
+    def test_rejects_zero_leading_and_flags_inexact_division(self):
+        with pytest.raises(ValueError):
+            sylvester_resultant([0, 1], [1, 1])
+        with pytest.raises(ValueError):
+            sylvester_resultant([1, 1], [])
+        with pytest.raises(ArithmeticError, match="non-exact"):
+            _exact(7, 2)
+        assert _exact(-12, 4) == -3
+
+
 class TestDiscValue:
     def test_reference_quintic_chain_values(self):
         assert disc_value(QUINTIC, (5,)).value == 0
@@ -311,6 +420,16 @@ class TestDiscValue:
             base = disc_value(poly, gamma).value
             scaled = disc_value(poly * c, gamma).value
             assert scaled == c ** (n + gamma[0] - 2) * base
+        # gamma = (n) at the classify workloads' degrees, on the resultant path;
+        # D_(n) is also invariant under a shift of x
+        for n in range(20, 31, 2):
+            poly = random_int_poly(rng, n, bound=30)
+            c = Fraction(rng.choice([2, -3, 5]), rng.choice([1, 2, 7]))
+            t = Fraction(rng.randint(-4, 4), rng.choice([1, 3]))
+            base = disc_value(poly, (n,)).value
+            assert base != 0
+            assert disc_value(poly * c, (n,)).value == c ** (2 * n - 2) * base
+            assert disc_value(shift_poly(poly, t), (n,)).value == base
 
     def test_classical_discriminant_at_workload_degrees_matches_sympy(self):
         # the classify workloads run D_(n) at n = 20..28, far above perm_det's reach
