@@ -135,9 +135,8 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
 
 def _zero_subtree(prefix: Partition, rest: int, cap: int) -> Iterator[TraceStep]:
     """Zero steps for every partition below ``prefix``: tails of ``rest``, parts <= ``cap``."""
-    for tail in partitions_of(rest):
-        if tail[0] <= cap:
-            yield TraceStep(prefix + tail, Fraction(0), False)
+    for tail in partitions_of(rest, max_part=cap):
+        yield TraceStep(prefix + tail, Fraction(0), False)
 
 
 def classify(poly: UniPoly) -> Partition:

@@ -6,6 +6,11 @@ such as 0.5, or a rational written p/q; exponent notation (1e5) is
 rejected.  Exit codes: 0 success, 1 selftest property violation, 2 usage
 or parse error (in batch mode, after every line was tried), 3 internal
 arithmetic error, 141 output pipe closed early (as with "| head").
+
+The argument parser is built once per process, on the first ``main()``
+call, and reused by every later call: ``parse_args`` returns a new
+namespace each time, and no default is mutable.  ``build_parser()`` still
+returns a new parser on every call.
 """
 
 from __future__ import annotations
@@ -218,6 +223,11 @@ def run_selftest(max_n: int, trials: int, seed: int, quiet: bool = False) -> tup
 
 
 def _cmd_selftest(args) -> int:
+    # a sweep over no degree or no trial checks nothing and must not report OK
+    if args.max_n < 1:
+        raise CliError("--max-n must be at least 1")
+    if args.trials < 1:
+        raise CliError("--trials must be at least 1")
     checked, failures = run_selftest(args.max_n, args.trials, args.seed, quiet=args.quiet)
     for failure in failures[:20]:
         print(f"FAIL {failure}")
@@ -299,9 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

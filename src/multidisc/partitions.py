@@ -24,17 +24,28 @@ def as_partition(parts, n: int | None = None) -> Partition:
     return parts
 
 
-def partitions_of(n: int) -> list[Partition]:
+def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
     """All partitions of ``n`` in descending lexicographic order.
 
     The first entry is ``(n,)`` and the last is ``(1,) * n``.  Each successor
     lowers the last part above 1 by one and refills the remainder, the trailing
     ones included, greedily with parts no larger than the lowered one.
+
+    With ``max_part`` only the partitions whose parts are all <= ``max_part``
+    are listed, in the same order.  They are the tail of the full list that
+    starts at the greedy partition ``[cap] * (n // cap) + [n % cap]``: it is
+    the largest with parts <= ``cap``, and no later partition has a larger
+    first part.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    if max_part is None:
+        max_part = n
+    elif not isinstance(max_part, int) or isinstance(max_part, bool) or max_part < 1:
+        raise ValueError(f"max_part must be a positive integer, got {max_part!r}")
     result: list[Partition] = []
-    parts = [n]
+    cap = min(max_part, n)
+    parts = [cap] * (n // cap) + ([n % cap] if n % cap else [])
     while True:
         result.append(tuple(parts))
         rest = 0

@@ -10,6 +10,8 @@ import multidisc
 from multidisc import disc_value, UniPoly
 from multidisc.cli import main, run_selftest
 
+from cli_reuse import check_reuse
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -341,6 +343,18 @@ class TestSelftest:
         assert "degree 1 done" in err
         assert "OK:" in out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--max-n", "0"), "--max-n must be at least 1"),
+            (("--trials", "0"), "--trials must be at least 1"),
+            (("--trials", "-3"), "--trials must be at least 1"),
+        ],
+    )
+    def test_sweep_that_checks_nothing_is_rejected(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "selftest", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_property_violation_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "multidisc.cli.run_selftest",
@@ -355,3 +369,17 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_kept_parser_matches_a_fresh_parser():
+    # main() keeps its parser for the process; no call may see another's state
+    assert check_reuse() > 0
+
+
+def test_parser_is_built_on_first_use_not_at_import():
+    env = dict(os.environ, PYTHONPATH=str(Path(multidisc.__file__).parents[1]))
+    probe = "import multidisc.cli as c; print(c._parser is None)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "True\n"

@@ -73,6 +73,17 @@ def test_partitions_of_rejects_nonpositive():
         partitions_of(-3)
     with pytest.raises(ValueError):
         partitions_of(True)
+    for cap in [0, -2, True, False, 2.0]:
+        with pytest.raises(ValueError):
+            partitions_of(5, max_part=cap)
+
+
+def test_bounded_partitions_are_the_filtered_full_list():
+    for n in range(1, 21):
+        full = partitions_of(n)
+        assert partitions_of(n, max_part=None) == full
+        for cap in range(1, n + 2):
+            assert partitions_of(n, max_part=cap) == [p for p in full if p[0] <= cap]
 
 
 def test_conjugate_examples():
