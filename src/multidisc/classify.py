@@ -6,20 +6,23 @@ the scan; the multiplicity vector is the conjugate of the partition that
 produced it.  The scan always terminates because the final discriminant
 equals prod(i^i) * an^(n-1), which cannot vanish.
 
-Partitions with a common prefix (g1..gk) are contiguous in that order and
-their matrices share the width n + g1 - 1 and the row blocks 0..k.  When
+Partitions with a common prefix (g1..gj) are contiguous in that order and
+their matrices share the width n + g1 - 1 and the row blocks 0..j.  When
 those rows are linearly dependent, every discriminant under the prefix is
-exactly 0, so a rank test decides the whole subtree and the scan moves on
-to the next sibling.  Blocks 0..1 alone form the subresultant matrix
+exactly 0.  The scan takes the partitions one at a time from a lazy
+enumerator and keeps one integer echelon, for the prefix it tested last: a
+partition under a prefix found dependent is recorded as 0 without work, and
+any other cuts the echelon back to the prefix they share and adds the rows
+of its own proper prefixes.  Blocks 0..1 alone form the subresultant matrix
 S_(n-g1)(F, F'), which is rank-deficient exactly when g1 exceeds the number
 of distinct roots (Collins 1967; Brown-Traub 1971).  The first step,
 D_(n) = Res(F, F') / an by a subresultant PRS, also gives that number k as
-n - deg gcd(F, F'), so every subtree with g1 > k is recorded as zero at
-once and the walk starts its echelon at g1 = k; the partition that breaks
-the chain, the conjugate of a vector with k parts, starts with k too.
-Every other complete partition the scan reaches still runs the exact
-determinant.  Vanishing is not monotone along the order (x^4 - x has
-D(3,1) = 0 but D(2,2) != 0), so the scan never bisects.
+n - deg gcd(F, F'), so every partition with g1 > k is recorded as 0 at once
+and the echelon starts at g1 = k; the partition that breaks the chain, the
+conjugate of a vector with k parts, starts with k too.  A partition whose
+proper prefixes are all independent runs the exact determinant.  Vanishing
+is not monotone along the order (x^4 - x has D(3,1) = 0 but D(2,2) != 0),
+so the scan never bisects.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from math import gcd
 from typing import Iterator
 
 from .engine import block_rows, disc_resultant, disc_value
-from .partitions import Partition, classification_order, conjugate, partitions_of
+from .partitions import Partition, classification_order, conjugate, iter_partitions
 from .unipoly import UniPoly
 
 
@@ -76,17 +79,18 @@ def _extend_echelon(echelon: list[tuple[int, list[int]]], rows) -> bool:
 def classify_trace(poly: UniPoly) -> ClassificationTrace:
     """Full short-circuit evaluation trail for the classification chain.
 
-    Walks the partitions gamma of n in descending lex order as a prefix trie.
-    The first, gamma = (n), comes from Res(F, F') by ``disc_resultant``,
-    which also gives the number k of distinct roots; every partition with
-    g1 > k is then exactly 0.  Below that, a complete partition is evaluated
-    with ``disc_value``, which runs the exact determinant over integers and
-    rescales it to the input polynomial.  A proper prefix (g1..gk) fixes the
-    width and the row blocks 0..k of every matrix below it, so the walk adds
-    those rows to its parent's integer echelon; when one of them is
-    dependent, every discriminant in the subtree is exactly 0 and is recorded
-    as such without a determinant.  Only the partition that breaks the chain
-    is conjugated.
+    The first partition, gamma = (n), comes from Res(F, F') by
+    ``disc_resultant``, which also gives the number k of distinct roots.
+    The walk then takes the partitions one at a time from ``iter_partitions``.
+    A gamma is recorded as 0 without work when g1 > k, or when it starts
+    with the last prefix whose rows were found dependent.  Otherwise the
+    integer echelon is cut back to the longest prefix it shares with
+    gamma[:-1] and extended one level at a time: level j adds the rows of
+    derivative order j, and level 1 also those of order 0.  A level that
+    adds a dependent row marks its prefix dead and gamma is 0; a gamma whose
+    proper prefixes are all independent runs ``disc_value``, the exact
+    determinant over integers rescaled to the input polynomial.  Only the
+    partition that breaks the chain is conjugated.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
@@ -96,47 +100,39 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
     if first.value:
         return ClassificationTrace(tuple(steps), conjugate((n,)), (n,))
     distinct = n - common
-    for g1 in range(n - 1, distinct, -1):
-        steps.extend(_zero_subtree((g1,), n - g1, g1))
     coeffs = [c.numerator for c in poly.clear_denominators()[0].coeffs]
-    parts: list[int] = []  # the proper prefix g1..gk the walk is below
-    marks: list[int] = []  # the echelon's length before each part's rows
+    zero = Fraction(0)
     echelon: list[tuple[int, list[int]]] = []
-    rest, part = n, distinct  # what the prefix leaves to fill, and the next part to try
-    while True:
-        gamma = (*parts, part)
-        if part == rest:
+    held: Partition = ()  # the prefix whose row blocks 0..len(held) the echelon holds
+    dead: Partition = (n,)  # the last prefix found dependent; (n,) starts no other gamma
+    gammas = iter_partitions(n)
+    next(gammas)  # (n,), decided by the resultant
+    for gamma in gammas:
+        if gamma[0] > distinct or gamma[: len(dead)] == dead:
+            steps.append(TraceStep(gamma, zero, False))
+            continue
+        depth = 0
+        while depth < len(held) and held[depth] == gamma[depth]:
+            depth += 1
+        # blocks 0..depth hold (g1 - 1) + g1 + ... + g_depth rows
+        del echelon[sum(gamma[:depth], gamma[0] - 1) if depth else 0 :]
+        size = n + gamma[0] - 1
+        held = gamma[:-1]
+        for depth in range(depth, len(held)):
+            part = gamma[depth]
+            rows = block_rows(coeffs, depth + 1, part, size)
+            if not depth:
+                rows = block_rows(coeffs, 0, part - 1, size) + rows
+            if not _extend_echelon(echelon, rows):
+                held, dead = gamma[:depth], gamma[: depth + 1]
+                steps.append(TraceStep(gamma, zero, False))
+                break
+        else:
             value = disc_value(poly, gamma).value
             steps.append(TraceStep(gamma, value, value != 0))
             if value:
                 return ClassificationTrace(tuple(steps), conjugate(gamma), gamma)
-        else:
-            size = n + gamma[0] - 1
-            rows = block_rows(coeffs, len(gamma), part, size)
-            if not parts:
-                rows = block_rows(coeffs, 0, part - 1, size) + rows
-            mark = len(echelon)
-            if _extend_echelon(echelon, rows):
-                parts.append(part)
-                marks.append(mark)
-                rest -= part
-                part = min(part, rest)
-                continue
-            del echelon[mark:]
-            steps.extend(_zero_subtree(gamma, rest - part, part))
-        while part == 1:
-            if not parts:
-                raise AssertionError("classification chain exhausted; engine bug")
-            part = parts.pop()
-            rest += part
-            del echelon[marks.pop():]
-        part -= 1
-
-
-def _zero_subtree(prefix: Partition, rest: int, cap: int) -> Iterator[TraceStep]:
-    """Zero steps for every partition below ``prefix``: tails of ``rest``, parts <= ``cap``."""
-    for tail in partitions_of(rest, max_part=cap):
-        yield TraceStep(prefix + tail, Fraction(0), False)
+    raise AssertionError("classification chain exhausted; engine bug")
 
 
 def classify(poly: UniPoly) -> Partition:

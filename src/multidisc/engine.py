@@ -360,9 +360,10 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
 
     Denominators are cleared first and the determinant runs over plain
     integers: D_(n) is Res(F, F') by a subresultant PRS (:func:`disc_resultant`),
-    and every other gamma runs the Bareiss elimination of its matrix.  The
-    result is rescaled through the homogeneity degree n + g1 - 1 of the
-    determinant and divided by the leading coefficient.
+    and every other gamma runs the Bareiss elimination of the matrix stacked
+    from the integer coefficients.  The result is rescaled through the
+    homogeneity degree n + g1 - 1 of the determinant and divided by the
+    leading coefficient.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
@@ -371,8 +372,8 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     if gamma == (n,):
         return disc_resultant(poly)[0]
     cleared, scale = poly.clear_denominators()
-    matrix = build_matrix(cleared, gamma)
-    dp = det_fraction_free([[e.numerator for e in row] for row in matrix.entries])
+    ints = [c.numerator for c in cleared.coeffs]
+    dp = det_fraction_free(_build(ints, gamma, symbolic=False).entries)
     return _rescaled(dp, cleared, scale, gamma)
 
 

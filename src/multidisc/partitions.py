@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 Partition = tuple[int, ...]
 
 
@@ -24,42 +26,41 @@ def as_partition(parts, n: int | None = None) -> Partition:
     return parts
 
 
-def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
-    """All partitions of ``n`` in descending lexicographic order.
+def iter_partitions(n: int) -> Iterator[Partition]:
+    """The partitions of ``n`` one at a time, in descending lexicographic order.
 
-    The first entry is ``(n,)`` and the last is ``(1,) * n``.  Each successor
-    lowers the last part above 1 by one and refills the remainder, the trailing
-    ones included, greedily with parts no larger than the lowered one.
-
-    With ``max_part`` only the partitions whose parts are all <= ``max_part``
-    are listed, in the same order.  They are the tail of the full list that
-    starts at the greedy partition ``[cap] * (n // cap) + [n % cap]``: it is
-    the largest with parts <= ``cap``, and no later partition has a larger
-    first part.
+    The first is ``(n,)`` and the last is ``(1,) * n``.  Each successor
+    lowers the last part above 1 by one and refills the remainder, the
+    trailing ones included, greedily with parts no larger than the lowered
+    one (Knuth, TAOCP 4A, 7.2.1.4).  ``n`` is checked here, at the call, so a
+    bad ``n`` raises before the first partition is asked for.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if max_part is None:
-        max_part = n
-    elif not isinstance(max_part, int) or isinstance(max_part, bool) or max_part < 1:
-        raise ValueError(f"max_part must be a positive integer, got {max_part!r}")
-    result: list[Partition] = []
-    cap = min(max_part, n)
-    parts = [cap] * (n // cap) + ([n % cap] if n % cap else [])
+    return _descending(n)
+
+
+def _descending(n: int) -> Iterator[Partition]:
+    parts = [n]
     while True:
-        result.append(tuple(parts))
+        yield tuple(parts)
         rest = 0
         while parts and parts[-1] == 1:
             parts.pop()
             rest += 1
         if not parts:
-            return result
+            return
         part = parts.pop() - 1
         parts.append(part)
         rest += 1
         while rest > 0:
             parts.append(min(part, rest))
             rest -= part
+
+
+def partitions_of(n: int) -> list[Partition]:
+    """All partitions of ``n`` in descending lexicographic order: ``iter_partitions`` as a list."""
+    return list(iter_partitions(n))
 
 
 def conjugate(parts: Partition) -> Partition:

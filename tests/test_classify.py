@@ -202,13 +202,17 @@ def test_first_two_blocks_are_dependent_iff_g1_exceeds_distinct_roots():
 
 
 def _count_calls(monkeypatch, module, name, calls, record=None):
+    """Count the calls of ``module.name`` in ``calls[name]``, its False results in ``calls[name, False]``."""
     original = getattr(module, name)
 
     def counted(*args):
         calls[name] += 1
         if record is not None:
             record(*args)
-        return original(*args)
+        result = original(*args)
+        if result is False:
+            calls[name, False] += 1
+        return result
 
     monkeypatch.setattr(module, name, counted)
 
@@ -246,6 +250,76 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
     if n <= 16:
         monkeypatch.undo()
         assert_trace_is_reference(poly)
+
+
+@pytest.mark.parametrize(
+    "mu, work",
+    [
+        ((10, 10), (617, 9, 0, 1)),
+        ((8, 7, 5), (586, 8, 1, 1)),
+        ((15, 15), (5589, 14, 0, 1)),
+        ((6, 5, 5), (202, 5, 0, 1)),
+        ((4, 3, 3, 2, 2, 1), (71, 4, 1, 2)),
+        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 4, 2, 1)),
+    ],
+)
+def test_walk_does_the_same_work(monkeypatch, mu, work):
+    # (steps, echelon extensions, dependent ones, leaf determinants) for
+    # F = prod (x - i)^mu_i, i = 0, 1, 2, ...: each proper prefix the scan
+    # reaches is extended once, and nothing under a dependent one is tested
+    poly = expand(RootSpec(tuple((Fraction(i), m) for i, m in enumerate(mu)), 1))
+    calls = Counter()
+    _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", calls)
+    _count_calls(monkeypatch, CLASSIFY, "disc_value", calls)
+    trace = classify_trace(poly)
+    assert trace.result == mu
+    got = (len(trace.steps), calls["_extend_echelon"], calls["_extend_echelon", False],
+           calls["disc_value"])
+    assert got == work
+
+
+def test_walk_takes_the_partitions_lazily():
+    # p(60) = 966467 partitions, a few hundred MB as a list; this input
+    # breaks the chain at the second partition, (59, 1)
+    poly = UniPoly([-1, 1]) ** 2 * UniPoly([-2] + [0] * 57 + [1])  # (x - 1)^2 (x^58 - 2)
+    tracemalloc.start()
+    try:
+        trace = classify_trace(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.gamma for s in trace.steps] == [(60,), (59, 1)]
+    assert trace.result == (2,) + (1,) * 58
+    assert peak < 16 * 2**20
+
+
+def test_leaf_values_are_shift_invariant_and_homogeneous():
+    # D_gamma(F(x + t)) = D_gamma(F) and D_gamma(c F) = c^(n + g1 - 2) D_gamma(F)
+    # for every gamma of n <= 7, dense and repeated-root rational F
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(-9, 9, max_denominator=5)
+    nonzero = rationals.filter(bool)
+
+    @st.composite
+    def polys(draw):
+        n = draw(st.integers(1, 7))
+        if draw(st.booleans()):
+            return UniPoly(draw(st.lists(rationals, min_size=n, max_size=n)) + [draw(nonzero)])
+        mu = draw(st.sampled_from(partitions_of(n)))
+        roots = draw(st.lists(rationals, min_size=len(mu), max_size=len(mu), unique=True))
+        return expand(RootSpec(tuple(zip(roots, mu)), draw(nonzero)))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(polys(), rationals, nonzero)
+    def check(poly, t, c):
+        n = poly.degree
+        for gamma in partitions_of(n):
+            value = disc_value(poly, gamma).value
+            assert disc_value(shift_poly(poly, t), gamma).value == value
+            assert disc_value(poly * c, gamma).value == c ** (n + gamma[0] - 2) * value
+
+    check()
 
 
 def test_classify_matches_sympy_sqf_list():

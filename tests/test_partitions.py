@@ -16,7 +16,7 @@ from multidisc import (
     disc_value,
     partitions_of,
 )
-from multidisc.partitions import as_partition, classification_order
+from multidisc.partitions import as_partition, classification_order, iter_partitions
 
 
 def partition_count(n: int) -> int:
@@ -73,17 +73,19 @@ def test_partitions_of_rejects_nonpositive():
         partitions_of(-3)
     with pytest.raises(ValueError):
         partitions_of(True)
-    for cap in [0, -2, True, False, 2.0]:
-        with pytest.raises(ValueError):
-            partitions_of(5, max_part=cap)
 
 
-def test_bounded_partitions_are_the_filtered_full_list():
+def test_iter_partitions_is_partitions_of_one_at_a_time():
     for n in range(1, 21):
-        full = partitions_of(n)
-        assert partitions_of(n, max_part=None) == full
-        for cap in range(1, n + 2):
-            assert partitions_of(n, max_part=cap) == [p for p in full if p[0] <= cap]
+        assert list(iter_partitions(n)) == partitions_of(n)
+        assert sum(1 for _ in iter_partitions(n)) == partition_count(n)
+
+
+def test_iter_partitions_rejects_bad_n_at_the_call():
+    # a plain generator function would raise only at the first next()
+    for bad in [0, -3, True, 2.0]:
+        with pytest.raises(ValueError):
+            iter_partitions(bad)
 
 
 def test_conjugate_examples():
