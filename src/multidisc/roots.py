@@ -4,6 +4,17 @@ verify multiplicity structure independently of the coefficient matrices.
 Two independent routes live here: Yun squarefree decomposition (the
 multiplicity oracle) and the evaluation-side determinant formulas that
 express a discriminant through the roots instead of the coefficients.
+
+The root-side formulas run over the integers.  With Q the lcm of the root
+denominators, each root is r_j = P_j / Q with P_j an integer, and
+F = leading * Q^-n * K(Q x) for the monic integer K = prod (x - P_j)^m_j.
+So F^(d)(r_j) = leading * Q^(d-n) * K^(d)(P_j), and the values K^(d)(P_j)
+come from one Taylor shift of K per distinct root (repeated synthetic
+division; von zur Gathen and Gerhard, "Fast algorithms for Taylor
+shifts", 1997).  The entry (x^k F^(i))^(l)(r_j) follows from these by the
+Leibniz rule as an integer times leading * Q^(i-k-n) (a row factor) and
+Q^l (a column factor), so the determinant runs on integer rows and one
+exact rescale gives the rational value; no Fraction entry is built.
 """
 
 from __future__ import annotations
@@ -11,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm, perm
 
 from .engine import det_fraction_free
 from .partitions import Partition, as_partition
@@ -48,16 +59,25 @@ class RootSpec:
         return tuple(sorted((m for _, m in self.roots), reverse=True))
 
 
+def _parse_rational(text: str) -> Fraction:
+    # Fraction() reads exponent notation, and "1e100000" alone starts
+    # large-integer work before any check could see its size
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
+    return Fraction(text)
+
+
 def parse_root_spec(text: str) -> RootSpec:
     """Parse "leading; r1^m1, r2^m2, ..." with rationals written as p/q.
 
-    A bare root without ^m means multiplicity 1.
+    A bare root without ^m means multiplicity 1.  Decimals such as 0.5 are
+    read exactly; exponent notation such as 1e5 is rejected.
     """
     head, sep, tail = text.partition(";")
     if not sep:
         raise ValueError("expected 'leading; r1^m1, r2^m2, ...'")
     try:
-        leading = Fraction(head.strip())
+        leading = _parse_rational(head.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad leading coefficient {head.strip()!r}") from exc
     roots = []
@@ -67,7 +87,7 @@ def parse_root_spec(text: str) -> RootSpec:
             raise ValueError("empty root entry")
         base, sep, mult = item.partition("^")
         try:
-            root = Fraction(base.strip())
+            root = _parse_rational(base.strip())
             m = int(mult) if sep else 1
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad root entry {item!r}") from exc
@@ -80,12 +100,35 @@ def format_root_spec(spec: RootSpec) -> str:
     return f"{spec.leading}; {body}"
 
 
+def _scaled_roots(spec: RootSpec) -> tuple[int, list[int]]:
+    """Q, the lcm of the root denominators, and the integers P_j = Q * r_j."""
+    q = lcm(*[r.denominator for r, _ in spec.roots])
+    return q, [r.numerator * (q // r.denominator) for r, _ in spec.roots]
+
+
+def _monic_product(points: list[int], mults: list[int]) -> list[int]:
+    """Ascending integer coefficients of K = prod (x - P_j)^m_j.
+
+    K is multiplied by one linear factor at a time, O(deg) per factor.
+    """
+    coeffs = [1]
+    for p, m in zip(points, mults):
+        for _ in range(m):
+            coeffs.insert(0, 0)
+            for e in range(len(coeffs) - 1):
+                coeffs[e] -= p * coeffs[e + 1]
+    return coeffs
+
+
 def expand(spec: RootSpec) -> UniPoly:
-    """Expand leading * prod (x - r)^m into dense coefficients."""
-    acc = UniPoly([spec.leading])
-    for root, mult in spec.roots:
-        acc = acc * UniPoly([-root, 1]) ** mult
-    return acc
+    """Expand leading * prod (x - r)^m into dense coefficients.
+
+    With r_j = P_j / Q this is leading * Q^-n * K(Q x), so the coefficient
+    of x^e is leading * K_e / Q^(n - e), with K from :func:`_monic_product`.
+    """
+    q, points = _scaled_roots(spec)
+    coeffs = _monic_product(points, [m for _, m in spec.roots])
+    return UniPoly(spec.leading * Fraction(c, q ** (spec.n - e)) for e, c in enumerate(coeffs))
 
 
 def _poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -139,29 +182,80 @@ def squarefree_multiplicity(poly: UniPoly) -> Partition:
     return tuple(sorted(mults, reverse=True))
 
 
+def _derivative_values(desc: list[int], p: int, top: int) -> list[int]:
+    """K^(d)(p) for d = 0..top, with K given highest power first.
+
+    One Taylor shift: pass d of repeated synthetic division by x - p leaves
+    the Taylor coefficient K^(d)(p) / d! in ``work[deg - d]``.  Orders above
+    the degree are 0.
+    """
+    work = list(desc)
+    deg = len(work) - 1
+    values = []
+    for d in range(min(top, deg) + 1):
+        for e in range(1, deg + 1 - d):
+            work[e] += p * work[e - 1]
+        values.append(work[deg - d] * factorial(d))
+    return values + [0] * (top - deg)
+
+
+def _root_side_det(spec: RootSpec, gamma: Partition) -> Fraction:
+    """Determinant of the matrix with row (i, k) and column (r_j, l) entry
+    (x^k F^(i))^(l)(r_j): rows i = 1..s, k = gi-1..0; columns in root order,
+    l = 0..m_j-1.
+
+    With r_j = P_j / Q and K as in :func:`expand`, F^(d)(r_j) =
+    leading * Q^(d-n) * K^(d)(P_j), and by the Leibniz rule the entry is
+    leading * Q^(i-k-n) * Q^l times the integer
+    sum_t C(l, t) * k!/(k-t)! * P_j^(k-t) * K^(i+l-t)(P_j).
+    So ``det_fraction_free`` runs on those integers, and the row factors
+    leading * Q^(i-k-n) and the column factors Q^l are put back in one
+    exact rescale.
+    """
+    q, points = _scaled_roots(spec)
+    mults = [m for _, m in spec.roots]
+    desc = _monic_product(points, mults)[::-1]
+    n, s = spec.n, len(gamma)
+    values = [_derivative_values(desc, p, s + m - 1) for p, m in zip(points, mults)]
+    q_exp = sum(m * (m - 1) // 2 for m in mults)
+    rows = []
+    for i, gi in enumerate(gamma, start=1):
+        for k in range(gi - 1, -1, -1):
+            q_exp += i - k - n
+            row = []
+            for p, m, vals in zip(points, mults, values):
+                row.extend(
+                    sum(
+                        comb(ell, t) * perm(k, t) * p ** (k - t) * vals[i + ell - t]
+                        for t in range(min(ell, k) + 1)
+                    )
+                    for ell in range(m)
+                )
+            rows.append(row)
+    return spec.leading**n * Fraction(q) ** q_exp * det_fraction_free(rows)
+
+
 def disc_from_distinct_roots(spec: RootSpec, gamma) -> Fraction:
     """Discriminant evaluated through n distinct roots.
 
-    Builds the n x n matrix whose block rows are F^(i)(alpha_j) * alpha_j^k
-    for i = 1..s and k = gi-1..0, divides by the alternating power-matrix
-    determinant of the roots, and scales by leading^(g1 - 2).
+    Takes the n x n matrix whose block rows are F^(i)(alpha_j) * alpha_j^k
+    for i = 1..s and k = gi-1..0, divides its determinant by the
+    alternating power-matrix determinant of the roots, and scales by
+    leading^(g1 - 2).  Both determinants run over the integers: the first
+    is the l = 0 case of :func:`disc_from_multiple_roots_abs`'s matrix,
+    and the power matrix of the alpha_j = P_j / Q is the power matrix of
+    the integers P_j with row i scaled by Q^-(n-1-i), i = 0..n-1.  Every
+    factor is put back exactly, so the result equals the Fraction
+    determinants' quotient.
     """
     gamma = as_partition(gamma, spec.n)
     if any(m != 1 for _, m in spec.roots):
         raise ValueError("all multiplicities must be 1 (distinct-roots formula)")
-    alphas = [r for r, _ in spec.roots]
     n = spec.n
-    poly = expand(spec)
-    derivs = {i: poly.derivative(i) for i in range(1, len(gamma) + 1)}
-    rows = []
-    for i, gi in enumerate(gamma, start=1):
-        values = [derivs[i].eval(a) for a in alphas]
-        for k in range(gi - 1, -1, -1):
-            rows.append([v * a**k for v, a in zip(values, alphas)])
-    numer = det_fraction_free(rows)
-    vandermonde = det_fraction_free(
-        [[Fraction(a) ** (n - 1 - i) for a in alphas] for i in range(n)]
-    )
+    numer = _root_side_det(spec, gamma)
+    q, points = _scaled_roots(spec)
+    power_det = det_fraction_free([[p ** (n - 1 - i) for p in points] for i in range(n)])
+    vandermonde = Fraction(power_det, q ** (n * (n - 1) // 2))
     return spec.leading ** (gamma[0] - 2) * numer / vandermonde
 
 
@@ -170,21 +264,14 @@ def disc_from_multiple_roots_abs(spec: RootSpec, gamma) -> Fraction:
 
     Column blocks run over the distinct roots r_j with inner index
     l = 0..m_j-1; the entry is the l-th derivative of F^(i) * x^k at r_j.
+    Every entry comes from one integer Taylor shift per distinct root and
+    the Leibniz rule, and the determinant runs over the integers with the
+    row and column scales put back exactly (see ``_root_side_det``).
     The overall sign of the scaling constant is not pinned down, so only
     the absolute value is returned.
     """
     gamma = as_partition(gamma, spec.n)
-    poly = expand(spec)
-    rows = []
-    for i, gi in enumerate(gamma, start=1):
-        base = poly.derivative(i)
-        for k in range(gi - 1, -1, -1):
-            shifted = base.mul_power(k)
-            row = []
-            for root, mult in spec.roots:
-                row.extend(shifted.derivative(ell).eval(root) for ell in range(mult))
-            rows.append(row)
-    det = det_fraction_free(rows)
+    det = _root_side_det(spec, gamma)
     fact_product = 1
     for _, mult in spec.roots:
         for j in range(mult):

@@ -473,6 +473,29 @@ class TestDiscSymbolic:
                 # homogeneous: every term has the same total degree
                 assert {sum(e) for e in value.terms} == {n + gamma[0] - 2}
 
+    def test_terms_are_isobaric(self):
+        # a_d has weight d.  In the column of x^j, row (order o, shift k)
+        # holds a multiple of a_(j - k + o), the coefficient of x^j in
+        # x^k F^(o).  So every term of the determinant has weight
+        # sum(o - k) over the rows plus sum(j) = size(size - 1)/2, and the
+        # division by an takes n off.  Not n(n - 1) in general: 18 for
+        # (3, 2) and 17 for (2, 2, 1) at n = 5.
+        expected = {}
+        for n in range(1, 7):
+            for gamma in partitions_of(n):
+                matrix = build_symbolic_matrix(n, gamma)
+                expected[gamma] = (
+                    sum(order - shift for order, shift in matrix.row_provenance)
+                    + matrix.size * (matrix.size - 1) // 2
+                    - n
+                )
+                weights = {
+                    sum(d * e for d, e in enumerate(exps))
+                    for exps in disc_symbolic(n, gamma).value.terms
+                }
+                assert weights == {expected[gamma]}, (n, gamma)
+        assert (expected[(3, 2)], expected[(2, 2, 1)], expected[(5,)]) == (18, 17, 20)
+
     def test_specialization_matches_concrete_engine(self):
         rng = random.Random(606)
         for n in range(2, 6):

@@ -101,6 +101,31 @@ def test_conjugate_is_involution():
             assert conjugate(conjugate(p)) == p
 
 
+def test_conjugate_is_involution_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def partitions(draw):
+        n = draw(st.integers(1, 30))
+        parts, rest = [], n
+        while rest:
+            part = draw(st.integers(1, rest))
+            parts.append(part)
+            rest -= part
+        return n, tuple(sorted(parts, reverse=True))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(partitions())
+    def check(drawn):
+        n, p = drawn
+        gamma = conjugate(p)
+        assert as_partition(gamma, n) == gamma
+        assert conjugate(gamma) == p
+
+    check()
+
+
 def test_conjugate_part_counts():
     # first conjugate part = number of parts; number of conjugate parts = largest part
     for n in range(1, 13):

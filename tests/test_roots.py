@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -15,6 +16,7 @@ from multidisc import (
     partitions_of,
     squarefree_multiplicity,
 )
+from multidisc.engine import det_fraction_free
 from multidisc.roots import format_root_spec, random_root_spec, squarefree_decomposition
 
 from conftest import random_int_poly
@@ -72,6 +74,15 @@ class TestRootSpec:
             parse_root_spec("1; x^2")
         with pytest.raises(ValueError):
             parse_root_spec("q; 1^2")
+
+    def test_parse_rejects_exponent_notation(self):
+        # Fraction() would read these, and 1e100000 starts large-integer work
+        for text in ("1; 1e100000^2", "1e5; 1^2", "1; 2, 3E2", "-2e0; 1", "1; 1/2e3^1"):
+            with pytest.raises(ValueError, match="bad"):
+                parse_root_spec(text)
+        spec = parse_root_spec("0.5; 0.25^2, -1.5")
+        assert spec.leading == Fraction(1, 2)
+        assert spec.roots == ((Fraction(1, 4), 2), (Fraction(-3, 2), 1))
 
     def test_random_spec_is_seeded_and_in_range(self):
         a = random_root_spec(random.Random(9), (3, 1))
@@ -186,6 +197,119 @@ class TestMultipleRootsFormula:
                 assert disc_from_multiple_roots_abs(spec, gamma) == abs(
                     disc_from_distinct_roots(spec, gamma)
                 )
+
+
+def _reference_expand(spec):
+    acc = UniPoly([spec.leading])
+    for root, mult in spec.roots:
+        acc = acc * UniPoly([-root, 1]) ** mult
+    return acc
+
+
+def _reference_distinct(spec, gamma):
+    # every entry F^(i)(alpha_j) * alpha_j^k built and evaluated in Fractions
+    alphas = [r for r, _ in spec.roots]
+    n = spec.n
+    poly = _reference_expand(spec)
+    derivs = {i: poly.derivative(i) for i in range(1, len(gamma) + 1)}
+    rows = []
+    for i, gi in enumerate(gamma, start=1):
+        values = [derivs[i].eval(a) for a in alphas]
+        for k in range(gi - 1, -1, -1):
+            rows.append([v * a**k for v, a in zip(values, alphas)])
+    numer = det_fraction_free(rows)
+    vandermonde = det_fraction_free(
+        [[Fraction(a) ** (n - 1 - i) for a in alphas] for i in range(n)]
+    )
+    return spec.leading ** (gamma[0] - 2) * numer / vandermonde
+
+
+def _reference_multiple_abs(spec, gamma):
+    # every entry (x^k F^(i))^(l)(r_j) built as a UniPoly and evaluated in Fractions
+    poly = _reference_expand(spec)
+    rows = []
+    for i, gi in enumerate(gamma, start=1):
+        base = poly.derivative(i)
+        for k in range(gi - 1, -1, -1):
+            shifted = base.mul_power(k)
+            row = []
+            for root, mult in spec.roots:
+                row.extend(shifted.derivative(ell).eval(root) for ell in range(mult))
+            rows.append(row)
+    det = det_fraction_free(rows)
+    fact_product = 1
+    for _, mult in spec.roots:
+        for j in range(mult):
+            fact_product *= factorial(j)
+    denom = Fraction(1)
+    roots = [r for r, _ in spec.roots]
+    mults = [m for _, m in spec.roots]
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            denom *= (roots[i] - roots[j]) ** (mults[i] * mults[j])
+    scale = spec.leading ** (gamma[0] - 2) / fact_product
+    return abs(scale * det / denom)
+
+
+# Q = 1 with a root at 0; and denominators 3, 5, 4 (Q = 60) with 0 among them
+INTEGER_ROOTS = [0, 2, -1, 3, -4, 1, -2, 5]
+MIXED_ROOTS = [
+    Fraction(1, 3), Fraction(-2, 5), Fraction(7, 4), 0,
+    Fraction(-5, 3), 2, Fraction(3, 4), Fraction(-1, 5),
+]
+
+
+def _exact(a, b):
+    return type(a) is type(b) and a == b
+
+
+def _assert_matches_reference(spec, gammas):
+    got = expand(spec)
+    want = _reference_expand(spec)
+    assert got == want and all(type(c) is Fraction for c in got.coeffs)
+    distinct = all(m == 1 for _, m in spec.roots)
+    for gamma in gammas:
+        assert _exact(
+            disc_from_multiple_roots_abs(spec, gamma), _reference_multiple_abs(spec, gamma)
+        ), (spec, gamma)
+        if distinct:
+            assert _exact(
+                disc_from_distinct_roots(spec, gamma), _reference_distinct(spec, gamma)
+            ), (spec, gamma)
+
+
+class TestTaylorShiftRows:
+    """The integer Taylor-shift rows give the Fraction construction's values exactly."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_gamma_up_to_degree_8(self, n):
+        partitions = partitions_of(n)
+        for idx, mu in enumerate(partitions):
+            pool, leading = (INTEGER_ROOTS, 3) if idx % 2 else (MIXED_ROOTS, Fraction(-3, 7))
+            # rotate so each root of the pool takes each multiplicity in turn
+            roots = [pool[(idx + j) % len(pool)] for j in range(len(mu))]
+            spec = _spec(zip(roots, mu), leading)
+            _assert_matches_reference(spec, partitions)
+
+    def test_sampled_gamma_at_verify_degrees(self):
+        rng = random.Random(1409)
+        pool = MIXED_ROOTS + [Fraction(k, 2) for k in range(-9, 10, 2)] + [Fraction(3, 7)]
+        for n in range(9, 15):
+            partitions = partitions_of(n)
+            for mu in ((1,) * n, rng.choice(partitions[1:-1]), rng.choice(partitions[1:-1])):
+                leading = rng.choice([Fraction(-3, 7), Fraction(2), Fraction(5, 4)])
+                spec = _spec(zip(rng.sample(pool, len(mu)), mu), leading)
+                gammas = {conjugate(mu), *rng.sample(partitions, 2)}
+                _assert_matches_reference(spec, sorted(gammas))
+
+    def test_common_denominator_and_zero_root(self):
+        spec = _spec([(Fraction(1, 3), 2), (Fraction(-2, 5), 1), (Fraction(7, 4), 3), (0, 1)],
+                     Fraction(-3, 7))
+        assert spec.n == 7
+        _assert_matches_reference(spec, partitions_of(7))
+        value = disc_from_multiple_roots_abs(spec, conjugate(spec.multiplicities()))
+        assert value == abs(disc_value(expand(spec), conjugate(spec.multiplicities())).value)
+        assert value != 0
 
 
 def test_leibniz_vanishing_structure():
