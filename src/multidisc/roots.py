@@ -5,6 +5,14 @@ Two independent routes live here: Yun squarefree decomposition (the
 multiplicity oracle) and the evaluation-side determinant formulas that
 express a discriminant through the roots instead of the coefficients.
 
+Yun's algorithm runs over the integers.  The input is cleared once to a
+primitive integer polynomial; every gcd is a primitive polynomial
+remainder sequence (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1) and every
+quotient an exact integer division, so no rational is formed until the
+factors are returned as monic rational polynomials.  Its gcds are not the
+subresultant sequence of ``engine.sylvester_resultant``, which the
+classifier uses, so the two gcd routes share no code.
+
 The root-side formulas run over the integers.  With Q the lcm of the root
 denominators, each root is r_j = P_j / Q with P_j an integer, and
 F = leading * Q^-n * K(Q x) for the monic integer K = prod (x - P_j)^m_j.
@@ -22,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 
 from .engine import det_fraction_free
 from .partitions import Partition, as_partition
@@ -131,54 +139,129 @@ def expand(spec: RootSpec) -> UniPoly:
     return UniPoly(spec.leading * Fraction(c, q ** (spec.n - e)) for e, c in enumerate(coeffs))
 
 
-def _poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm over the rationals."""
-    while not b.is_zero:
-        _, r = divmod(a, b)
-        a, b = b, r
-    if a.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    return a * (1 / a.leading)
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content, with a positive leading coefficient."""
+    c = gcd(*p)
+    if p[0] < 0:
+        c = -c
+    return [x // c for x in p]
 
 
-def _exact_quo(a: UniPoly, b: UniPoly) -> UniPoly:
-    q, r = divmod(a, b)
-    if not r.is_zero:
-        raise ArithmeticError("division was expected to be exact")
-    return q
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero integer polynomials, highest power first.
+
+    Primitive PRS (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1): each
+    pseudo-remainder is divided by its content, so the coefficients stay
+    near the size of the inputs' instead of growing along the sequence as
+    Euclid's do.  A pass whose top coefficient is already 0 only drops it;
+    that changes the remainder by a power of lc(b), a constant the content
+    takes out again.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        lead, tail, rem = b[0], b[1:], a
+        while len(rem) >= len(b):
+            top = rem[0]
+            if top:
+                rem = [lead * x - top * y for x, y in zip(rem[1:], tail)] + [
+                    lead * x for x in rem[len(b) :]
+                ]
+            else:
+                rem = rem[1:]
+        start = next((i for i, c in enumerate(rem) if c), None)
+        if start is None:
+            return b
+        a, b = b, _primitive(rem[start:])
+    return [1]
+
+
+def _exact_divide(a: list[int], b: list[int]) -> list[int]:
+    """a / b over the integers, highest power first; a remainder raises ArithmeticError."""
+    lead = b[0]
+    rem = list(a)
+    quo = []
+    for i in range(len(a) - len(b) + 1):
+        q, r = divmod(rem[i], lead)
+        if r:
+            _inexact()
+        quo.append(q)
+        if q:
+            for j in range(1, len(b)):
+                rem[i + j] -= q * b[j]
+    if any(rem[len(quo) :]):
+        _inexact()
+    return quo
+
+
+def _inexact() -> None:
+    # b divides a by construction in Yun's algorithm; a remainder is a fault
+    raise ArithmeticError("non-exact integer division in squarefree decomposition")
+
+
+def _derivative(p: list[int]) -> list[int]:
+    # not engine.derivative_coeffs, so the oracle's gcds share no code with the resultant's
+    d = len(p) - 1
+    return [c * (d - k) for k, c in enumerate(p[:-1])]
+
+
+def _squarefree_ints(poly: UniPoly) -> list[tuple[list[int], int]]:
+    """Yun's algorithm over Z: the primitive squarefree factors H_i, each
+    with a positive leading coefficient and paired with i, of degree >= 1.
+
+    F is poly cleared to a primitive integer polynomial with lc(F) > 0.
+    The monic run over Q keeps v = V / lc(V) and w = W / lc(V) with V, W
+    integer: V = F / U and W = F' / U for U = gcd(F, F') primitive, and
+    then V / H and Z / H for Z = W - V' and H = gcd(V, Z) primitive.  By
+    Gauss's lemma each quotient by a primitive divisor is exact over Z, so
+    the invariant holds at every step and no rational is formed.  W and V'
+    both have degree deg V - 1, and lc(Z) = lc(V) * sum_(j>i) (j - i) deg H_j,
+    so Z is 0 exactly when V = H_i, and otherwise has degree deg V - 1.
+    """
+    if poly.is_zero or poly.degree < 1:
+        raise ValueError("polynomial must have degree at least 1")
+    cleared, _ = poly.clear_denominators()
+    f = [c.numerator for c in reversed(cleared.coeffs)]
+    if f[0] < 0:
+        f = [-c for c in f]
+    df = _derivative(f)
+    u = _prs_gcd(f, df)
+    v = _exact_divide(f, u)
+    w = _exact_divide(df, u)
+    factors: list[tuple[list[int], int]] = []
+    i = 1
+    while len(v) > 1:
+        z = [c - d for c, d in zip(w, _derivative(v), strict=True)]
+        if not any(z):
+            factors.append((v, i))
+            break
+        h = _prs_gcd(v, z)
+        if len(h) > 1:
+            factors.append((h, i))
+        v = _exact_divide(v, h)
+        w = _exact_divide(z, h)
+        i += 1
+    return factors
 
 
 def squarefree_decomposition(poly: UniPoly) -> tuple[Fraction, list[tuple[UniPoly, int]]]:
     """Yun's algorithm: poly = lc * prod g_i^i with the g_i monic, squarefree,
     and pairwise coprime.  Factors with empty content (degree 0) are skipped.
+
+    Every step runs over Python ints with primitive-PRS gcds (see
+    :func:`_squarefree_ints`); a factor becomes a monic Fraction polynomial
+    only here, when it is returned.
     """
-    if poly.is_zero or poly.degree < 1:
-        raise ValueError("polynomial must have degree at least 1")
-    lead = poly.leading
-    f = poly * (1 / lead)
-    df = f.derivative()
-    u = _poly_gcd(f, df)
-    v = _exact_quo(f, u)
-    w = _exact_quo(df, u)
-    factors: list[tuple[UniPoly, int]] = []
-    i = 1
-    while v.degree > 0:
-        z = w - v.derivative()
-        h = _poly_gcd(v, z) if not z.is_zero else v
-        if h.degree > 0:
-            factors.append((h, i))
-        v = _exact_quo(v, h)
-        w = _exact_quo(z, h)
-        i += 1
-    return lead, factors
+    factors = _squarefree_ints(poly)
+    return poly.leading, [(UniPoly(Fraction(c, h[0]) for c in h[::-1]), i) for h, i in factors]
 
 
 def squarefree_multiplicity(poly: UniPoly) -> Partition:
     """Multiplicity vector via squarefree decomposition (the independent oracle)."""
-    _, factors = squarefree_decomposition(poly)
     mults: list[int] = []
-    for g, i in factors:
-        mults.extend([i] * g.degree)
+    for h, i in _squarefree_ints(poly):
+        mults.extend([i] * (len(h) - 1))
     return tuple(sorted(mults, reverse=True))
 
 
@@ -235,18 +318,31 @@ def _root_side_det(spec: RootSpec, gamma: Partition) -> Fraction:
     return spec.leading**n * Fraction(q) ** q_exp * det_fraction_free(rows)
 
 
+def _power_det(points: list[int]) -> int:
+    """det [P_j^(n-1-i)] for i, j = 0..n-1: the Vandermonde product prod_(i<j) (P_i - P_j).
+
+    The rows run from the highest power down, the reverse of the usual
+    Vandermonde matrix, which turns each factor P_j - P_i into P_i - P_j.
+    """
+    det = 1
+    for i, p in enumerate(points):
+        for r in points[i + 1 :]:
+            det *= p - r
+    return det
+
+
 def disc_from_distinct_roots(spec: RootSpec, gamma) -> Fraction:
     """Discriminant evaluated through n distinct roots.
 
     Takes the n x n matrix whose block rows are F^(i)(alpha_j) * alpha_j^k
     for i = 1..s and k = gi-1..0, divides its determinant by the
     alternating power-matrix determinant of the roots, and scales by
-    leading^(g1 - 2).  Both determinants run over the integers: the first
+    leading^(g1 - 2).  Both run over the integers: the first determinant
     is the l = 0 case of :func:`disc_from_multiple_roots_abs`'s matrix,
     and the power matrix of the alpha_j = P_j / Q is the power matrix of
-    the integers P_j with row i scaled by Q^-(n-1-i), i = 0..n-1.  Every
-    factor is put back exactly, so the result equals the Fraction
-    determinants' quotient.
+    the integers P_j with row i scaled by Q^-(n-1-i), i = 0..n-1, whose
+    determinant is the product :func:`_power_det`.  Every factor is put
+    back exactly, so the result equals the Fraction determinants' quotient.
     """
     gamma = as_partition(gamma, spec.n)
     if any(m != 1 for _, m in spec.roots):
@@ -254,8 +350,7 @@ def disc_from_distinct_roots(spec: RootSpec, gamma) -> Fraction:
     n = spec.n
     numer = _root_side_det(spec, gamma)
     q, points = _scaled_roots(spec)
-    power_det = det_fraction_free([[p ** (n - 1 - i) for p in points] for i in range(n)])
-    vandermonde = Fraction(power_det, q ** (n * (n - 1) // 2))
+    vandermonde = Fraction(_power_det(points), q ** (n * (n - 1) // 2))
     return spec.leading ** (gamma[0] - 2) * numer / vandermonde
 
 

@@ -10,7 +10,8 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from multidisc import UniPoly
+from multidisc import UniPoly, expand
+from multidisc.roots import random_root_spec
 
 
 def perm_det(rows):
@@ -44,3 +45,25 @@ def shift_poly(poly: UniPoly, offset) -> UniPoly:
     for c in reversed(poly.coeffs):
         acc = acc * base + UniPoly([c])
     return acc
+
+
+def sqf_list_inputs() -> list[UniPoly]:
+    """30 seeded polynomials of degree 20-40 for the sympy ``sqf_list`` oracles.
+
+    Odd entries are root specs with 1..5 distinct roots and multiplicities
+    from a random composition of n; even entries are dense rationals.
+    """
+    rng = random.Random(2040)
+    polys = []
+    for i in range(30):
+        n = rng.randint(20, 40)
+        if i % 2:
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, 4)))
+            mu = sorted((b - a for a, b in zip([0, *cuts], [*cuts, n])), reverse=True)
+            polys.append(expand(random_root_spec(rng, tuple(mu))))
+        else:
+            polys.append(UniPoly(
+                [Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+                + [rng.choice([-4, 1, 3])]
+            ))
+    return polys

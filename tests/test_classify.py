@@ -24,7 +24,7 @@ from multidisc.engine import block_rows
 from multidisc.partitions import classification_order
 from multidisc.roots import random_root_spec
 
-from conftest import random_int_poly, shift_poly
+from conftest import random_int_poly, shift_poly, sqf_list_inputs
 
 # the package's classify function shadows the module of the same name
 CLASSIFY = import_module("multidisc.classify")
@@ -325,19 +325,7 @@ def test_leaf_values_are_shift_invariant_and_homogeneous():
 def test_classify_matches_sympy_sqf_list():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    rng = random.Random(2040)
-    for i in range(30):
-        n = rng.randint(20, 40)
-        if i % 2:
-            # 1..5 distinct roots, multiplicities from a random composition of n
-            cuts = sorted(rng.sample(range(1, n), rng.randint(0, 4)))
-            mu = sorted((b - a for a, b in zip([0, *cuts], [*cuts, n])), reverse=True)
-            poly = expand(random_root_spec(rng, tuple(mu)))
-        else:
-            poly = UniPoly(
-                [Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3])) for _ in range(n)]
-                + [rng.choice([-4, 1, 3])]
-            )
+    for poly in sqf_list_inputs():
         f = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in poly.descending_coeffs()], x)
         _, factors = sympy.sqf_list(f)
         expected = sorted((m for g, m in factors for _ in range(g.degree())), reverse=True)

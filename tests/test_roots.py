@@ -16,10 +16,15 @@ from multidisc import (
     partitions_of,
     squarefree_multiplicity,
 )
-from multidisc.engine import det_fraction_free
-from multidisc.roots import format_root_spec, random_root_spec, squarefree_decomposition
+from multidisc.engine import det_fraction_free, sylvester_resultant
+from multidisc.roots import (
+    _power_det,
+    format_root_spec,
+    random_root_spec,
+    squarefree_decomposition,
+)
 
-from conftest import random_int_poly
+from conftest import random_int_poly, sqf_list_inputs
 
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
@@ -94,6 +99,138 @@ class TestRootSpec:
         assert 1 <= abs(a.leading) <= 5 and a.leading.denominator == 1
 
 
+def _cleared(poly):
+    cleared, _ = poly.clear_denominators()
+    return [c.numerator for c in cleared.descending_coeffs()]
+
+
+def _coprime(g, h):
+    res, common = sylvester_resultant(_cleared(g), _cleared(h))
+    return res != 0 and common == 0
+
+
+def _reference_gcd(a, b):
+    # monic gcd by the Euclidean algorithm over the rationals
+    while not b.is_zero:
+        _, r = divmod(a, b)
+        a, b = b, r
+    return a * (1 / a.leading)
+
+
+def _reference_quo(a, b):
+    q, r = divmod(a, b)
+    assert r.is_zero
+    return q
+
+
+def _reference_squarefree(poly):
+    """Yun's algorithm on monic Fraction polynomials, Euclid over Q for each gcd."""
+    lead = poly.leading
+    f = poly * (1 / lead)
+    df = f.derivative()
+    u = _reference_gcd(f, df)
+    v = _reference_quo(f, u)
+    w = _reference_quo(df, u)
+    factors = []
+    i = 1
+    while v.degree > 0:
+        z = w - v.derivative()
+        h = _reference_gcd(v, z) if not z.is_zero else v
+        if h.degree > 0:
+            factors.append((h, i))
+        v = _reference_quo(v, h)
+        w = _reference_quo(z, h)
+        i += 1
+    return lead, factors
+
+
+def _decomposition_key(decomposition):
+    lead, factors = decomposition
+    return (
+        lead,
+        type(lead),
+        [(g.coeffs, i) for g, i in factors],
+        [all(type(c) is Fraction for c in g.coeffs) for g, _ in factors],
+    )
+
+
+def _seeded_sqf_inputs():
+    """Root specs and dense rationals of degree 1-20, plus the edge cases."""
+    rng = random.Random(1505)
+    polys = []
+    for n in range(1, 21):
+        partitions = partitions_of(n) if n <= 12 else [(1,) * n, (n,), (3, 3, 2) + (1,) * (n - 8)]
+        for mu in rng.sample(partitions, min(3, len(partitions))):
+            spec = random_root_spec(rng, mu)
+            polys.append(expand(spec))
+            # a rational leading coefficient and rational roots
+            roots = [(Fraction(rng.randint(-12, 12), rng.randint(1, 7)), m) for m in mu]
+            if len({r for r, _ in roots}) == len(roots):
+                leading = Fraction(rng.choice([-7, -2, 3, 5]), rng.randint(2, 9))
+                polys.append(expand(_spec(roots, leading)))
+        polys.append(UniPoly(
+            [Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+            + [Fraction(rng.choice([-4, -1, 1, 3]), rng.choice([1, 2, 5]))]
+        ))
+    polys += [
+        UniPoly([-6, 0, 6]),  # content 6
+        UniPoly([1, -3, 3, -1]),  # negative leading coefficient, (1 - x)^3
+        UniPoly([1, Fraction(1, 2)]),  # x/2 + 1
+        UniPoly([-1, 1]) ** 30,  # a pure power
+        UniPoly([0] * 7 + [7]),  # c * x^n
+        UniPoly([0] * 12 + [Fraction(-3, 4)]),
+        UniPoly([Fraction(-9, 2), 0, 1]) ** 4,  # empty factors for i = 1..3
+        UniPoly.from_descending([1, 0, 0, 0, 1, 1]),  # already squarefree
+    ]
+    return polys
+
+
+class TestIntegerYun:
+    """The integer Yun gives the Euclid-over-Q reference's decomposition exactly.
+
+    Every input ends on the z = 0 branch: at the last i, v = g_i and w = v'.
+    """
+
+    def test_matches_the_rational_reference(self):
+        polys = _seeded_sqf_inputs()
+        assert len(polys) > 100 and max(p.degree for p in polys) == 30
+        for poly in polys:
+            got = _decomposition_key(squarefree_decomposition(poly))
+            assert got == _decomposition_key(_reference_squarefree(poly)), poly
+
+    def test_content_sign_and_rational_leading(self):
+        lead, factors = squarefree_decomposition(UniPoly([-6, 0, 6]))
+        assert lead == 6 and [(g.coeffs, i) for g, i in factors] == [((-1, 0, 1), 1)]
+        lead, factors = squarefree_decomposition(UniPoly([1, -3, 3, -1]))
+        assert lead == -1 and [(g.coeffs, i) for g, i in factors] == [((-1, 1), 3)]
+        lead, factors = squarefree_decomposition(UniPoly([1, Fraction(1, 2)]))
+        assert lead == Fraction(1, 2) and [(g.coeffs, i) for g, i in factors] == [((2, 1), 1)]
+
+    def test_pure_powers_and_empty_low_factors(self):
+        lead, factors = squarefree_decomposition(UniPoly([-1, 1]) ** 30)
+        assert lead == 1 and [(g.coeffs, i) for g, i in factors] == [((-1, 1), 30)]
+        lead, factors = squarefree_decomposition(UniPoly([0] * 7 + [7]))
+        assert lead == 7 and [(g.coeffs, i) for g, i in factors] == [((0, 1), 7)]
+        # i = 1 and 2 give degree-0 factors, which are skipped
+        spec = _spec([(Fraction(1, 3), 3), (-2, 3)], leading=Fraction(-5, 2))
+        lead, factors = squarefree_decomposition(expand(spec))
+        assert lead == Fraction(-5, 2) and [i for _, i in factors] == [3]
+
+    def test_factors_match_sympy_sqf_list(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for poly in sqf_list_inputs():
+            coeffs = [sympy.Rational(c.numerator, c.denominator) for c in poly.descending_coeffs()]
+            _, expected = sympy.sqf_list(sympy.Poly(coeffs, x))
+            _, factors = squarefree_decomposition(poly)
+            ours = [([Fraction(c) for c in g.descending_coeffs()], i) for g, i in factors]
+            theirs = [
+                ([Fraction(int(c.p), int(c.q)) for c in g.monic().all_coeffs()], m)
+                for g, m in expected
+            ]
+            assert ours == theirs, poly
+
+
 class TestSquarefreeOracle:
     def test_reference_quintic(self):
         assert squarefree_multiplicity(QUINTIC) == (2, 2, 1)
@@ -111,8 +248,8 @@ class TestSquarefreeOracle:
                 assert squarefree_multiplicity(expand(spec)) == mu
 
     def test_decomposition_reconstructs_and_factors_are_coprime(self):
-        from multidisc.roots import _poly_gcd
-
+        # squarefree and coprime are proved by nonzero resultants, a route
+        # that shares no code with the oracle's primitive-PRS gcds
         rng = random.Random(3)
         for _ in range(12):
             n = rng.randint(2, 8)
@@ -125,9 +262,9 @@ class TestSquarefreeOracle:
             assert rebuilt == poly
             for idx, (g, _) in enumerate(factors):
                 # squarefree: coprime with its own derivative
-                assert _poly_gcd(g, g.derivative()).degree == 0
+                assert _coprime(g, g.derivative())
                 for h, _ in factors[idx + 1 :]:
-                    assert _poly_gcd(g, h).degree == 0
+                    assert _coprime(g, h)
 
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
@@ -162,6 +299,14 @@ class TestDistinctRootsFormula:
     def test_repeated_roots_rejected(self):
         with pytest.raises(ValueError):
             disc_from_distinct_roots(_spec([(1, 2), (2, 1)]), (3,))
+
+    def test_power_det_is_the_bareiss_determinant(self):
+        rng = random.Random(1414)
+        for n in range(1, 15):
+            for _ in range(5):
+                points = rng.sample(range(-60, 61), n)
+                rows = [[p ** (n - 1 - i) for p in points] for i in range(n)]
+                assert _power_det(points) == det_fraction_free(rows), points
 
 
 class TestMultipleRootsFormula:
