@@ -36,8 +36,8 @@ from .roots import expand, random_root_spec, squarefree_decomposition, squarefre
 from .unipoly import UniPoly
 
 
-class CliError(Exception):
-    """Bad user input; reported on stderr with exit code 2."""
+class CliError(ValueError):
+    """Bad user input; reported on stderr with exit code 2, as any ValueError is."""
 
 
 def _json_dumps(obj) -> str:
@@ -75,44 +75,41 @@ def _format_partition(parts) -> str:
     return ",".join(str(p) for p in parts)
 
 
-def _cmd_classify(args) -> int:
-    if args.file:
-        lines = []
-        try:
-            with open(args.file, encoding="utf-8") as handle:
-                lines = [line.strip() for line in handle]
-        except OSError as exc:
-            raise CliError(f"cannot read {args.file}: {exc}") from None
-        code = 0
-        for lineno, line in enumerate(lines, start=1):
-            if not line:
-                continue
-            try:
-                poly = parse_coeffs(line)
-            except CliError as exc:
-                print(f"error: line {lineno}: {exc}", file=sys.stderr)
-                if args.json:
-                    print(_json_dumps({"error": str(exc), "line": lineno}))
-                code = 2
-                continue
-            trace = classify_trace(poly)
-            if args.json:
-                print(_json_dumps(trace_json_dict(poly, trace)))
-            else:
-                print(_format_partition(trace.result))
-        return code
-
-    poly = parse_coeffs(args.coeffs)
+def _print_classification(args, poly: UniPoly) -> None:
     trace = classify_trace(poly)
     if args.json:
         print(_json_dumps(trace_json_dict(poly, trace)))
-        return 0
+        return
     if args.trace:
         for step in trace.steps:
             tag = f"{step.value} (nonzero)" if step.nonzero else "0"
             print(f"D({_format_partition(step.gamma)}) = {tag}")
     print(_format_partition(trace.result))
-    return 0
+
+
+def _cmd_classify(args) -> int:
+    if not args.file:
+        _print_classification(args, parse_coeffs(args.coeffs))
+        return 0
+    try:
+        with open(args.file, encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle]
+    except OSError as exc:
+        raise CliError(f"cannot read {args.file}: {exc}") from None
+    code = 0
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
+            poly = parse_coeffs(line)
+        except CliError as exc:
+            print(f"error: line {lineno}: {exc}", file=sys.stderr)
+            if args.json:
+                print(_json_dumps({"error": str(exc), "line": lineno}))
+            code = 2
+            continue
+        _print_classification(args, poly)
+    return code
 
 
 def _cmd_discriminant(args) -> int:
@@ -248,10 +245,6 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON output")
-    common.add_argument("--quiet", action="store_true", help="suppress progress chatter")
-
     parser = argparse.ArgumentParser(
         prog="multidisc",
         description="Classify the complex-root multiplicity structure of a "
@@ -261,10 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "classify",
-        parents=[common],
         help="multiplicity vector of a polynomial",
         description="Coefficients are given highest power first.",
     )
+    p.add_argument("--json", action="store_true", help="emit JSON output")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--coeffs", help='coefficient list, e.g. "1,-5,7,1,-8,4"')
     group.add_argument("--file", help="batch mode: one coefficient list per line")
@@ -273,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "discriminant",
-        parents=[common],
         help="one discriminant: matrix, LaTeX, parametric polynomial, or value",
     )
     p.add_argument("--n", required=True, help="polynomial degree")
@@ -295,21 +287,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "conditions",
-        parents=[common],
         help="equality/inequation table for every multiplicity vector",
     )
+    p.add_argument("--json", action="store_true", help="emit JSON output")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_conditions)
 
-    p = sub.add_parser("degree-table", parents=[common], help="CSV of worst-case degrees")
+    p = sub.add_parser("degree-table", help="CSV of worst-case degrees")
     p.add_argument("--max-n", type=int, default=9)
     p.set_defaults(func=_cmd_degree_table)
 
     p = sub.add_parser(
         "selftest",
-        parents=[common],
         help="run the randomized verification sweeps",
     )
+    p.add_argument("--quiet", action="store_true", help="suppress progress chatter")
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
@@ -335,9 +327,6 @@ def main(argv=None) -> int:
         # final flush of the unwritten buffer cannot fail a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

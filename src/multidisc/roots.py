@@ -2,8 +2,11 @@
 verify multiplicity structure independently of the coefficient matrices.
 
 Two independent routes live here: Yun squarefree decomposition (the
-multiplicity oracle) and the evaluation-side determinant formulas that
-express a discriminant through the roots instead of the coefficients.
+multiplicity oracle) and the root-side determinant formula that
+expresses a signed discriminant through the roots instead of the
+coefficients, with the confluent Vandermonde product of the roots as its
+divisor.  ``disc_from_distinct_roots`` and ``disc_from_multiple_roots_abs``
+are its two public entry points.
 
 Yun's algorithm runs over the integers.  The input is cleared once to a
 primitive integer polynomial; every gcd is a primitive polynomial
@@ -13,7 +16,7 @@ factors are returned as monic rational polynomials.  Its gcds are not the
 subresultant sequence of ``engine.sylvester_resultant``, which the
 classifier uses, so the two gcd routes share no code.
 
-The root-side formulas run over the integers.  With Q the lcm of the root
+The root-side formula runs over the integers.  With Q the lcm of the root
 denominators, each root is r_j = P_j / Q with P_j an integer, and
 F = leading * Q^-n * K(Q x) for the monic integer K = prod (x - P_j)^m_j.
 So F^(d)(r_j) = leading * Q^(d-n) * K^(d)(P_j), and the values K^(d)(P_j)
@@ -21,8 +24,9 @@ come from one Taylor shift of K per distinct root (repeated synthetic
 division; von zur Gathen and Gerhard, "Fast algorithms for Taylor
 shifts", 1997).  The entry (x^k F^(i))^(l)(r_j) follows from these by the
 Leibniz rule as an integer times leading * Q^(i-k-n) (a row factor) and
-Q^l (a column factor), so the determinant runs on integer rows and one
-exact rescale gives the rational value; no Fraction entry is built.
+Q^l (a column factor), so the determinant runs on integer rows, the
+difference product on the integers P_j, and one exact division at the
+end gives the rational value; no Fraction entry is built.
 """
 
 from __future__ import annotations
@@ -282,25 +286,41 @@ def _derivative_values(desc: list[int], p: int, top: int) -> list[int]:
     return values + [0] * (top - deg)
 
 
-def _root_side_det(spec: RootSpec, gamma: Partition) -> Fraction:
-    """Determinant of the matrix with row (i, k) and column (r_j, l) entry
-    (x^k F^(i))^(l)(r_j): rows i = 1..s, k = gi-1..0; columns in root order,
-    l = 0..m_j-1.
+def _root_side_disc(spec: RootSpec, gamma: Partition) -> Fraction:
+    """Signed D_gamma through the roots r_j of multiplicity m_j:
+
+        (-1)^(sum C(m_j, 2)) * leading^(g1 - 2) * det M
+        / (prod_j prod_(l<m_j) l! * prod_(i<j) (r_i - r_j)^(m_i m_j))
+
+    M has row (i, k) and column (r_j, l) entry (x^k F^(i))^(l)(r_j): rows
+    i = 1..s, k = gi-1..0; columns in root order, l = 0..m_j-1.  The sign
+    is that of the confluent Vandermonde determinant in this column order;
+    with every m_j = 1 it is +1 and this is the distinct-roots formula.
 
     With r_j = P_j / Q and K as in :func:`expand`, F^(d)(r_j) =
     leading * Q^(d-n) * K^(d)(P_j), and by the Leibniz rule the entry is
     leading * Q^(i-k-n) * Q^l times the integer
     sum_t C(l, t) * k!/(k-t)! * P_j^(k-t) * K^(i+l-t)(P_j).
-    So ``det_fraction_free`` runs on those integers, and the row factors
-    leading * Q^(i-k-n) and the column factors Q^l are put back in one
-    exact rescale.
+    So ``det_fraction_free`` runs on those integers, the difference product
+    runs on the P_j, and leading and the powers of Q are put back as
+    exponents in the one Fraction returned.
     """
     q, points = _scaled_roots(spec)
     mults = [m for _, m in spec.roots]
     desc = _monic_product(points, mults)[::-1]
     n, s = spec.n, len(gamma)
     values = [_derivative_values(desc, p, s + m - 1) for p, m in zip(points, mults)]
-    q_exp = sum(m * (m - 1) // 2 for m in mults)
+    # sum C(m_j, 2) is the sign's exponent and that of the column factors Q^l;
+    # each factor (P_i - P_j) / Q of the difference product adds Q^(m_i m_j)
+    pairs = sum(m * (m - 1) // 2 for m in mults)
+    q_exp = pairs
+    denom = 1
+    for j, (p, m) in enumerate(zip(points, mults)):
+        for ell in range(m):
+            denom *= factorial(ell)
+        for r, mr in zip(points[j + 1 :], mults[j + 1 :]):
+            denom *= (p - r) ** (m * mr)
+            q_exp += m * mr
     rows = []
     for i, gi in enumerate(gamma, start=1):
         for k in range(gi - 1, -1, -1):
@@ -315,43 +335,26 @@ def _root_side_det(spec: RootSpec, gamma: Partition) -> Fraction:
                     for ell in range(m)
                 )
             rows.append(row)
-    return spec.leading**n * Fraction(q) ** q_exp * det_fraction_free(rows)
-
-
-def _power_det(points: list[int]) -> int:
-    """det [P_j^(n-1-i)] for i, j = 0..n-1: the Vandermonde product prod_(i<j) (P_i - P_j).
-
-    The rows run from the highest power down, the reverse of the usual
-    Vandermonde matrix, which turns each factor P_j - P_i into P_i - P_j.
-    """
-    det = 1
-    for i, p in enumerate(points):
-        for r in points[i + 1 :]:
-            det *= p - r
-    return det
+    numer = det_fraction_free(rows)
+    if pairs % 2:
+        numer = -numer
+    lead_exp = n + gamma[0] - 2
+    numer *= spec.leading.numerator**lead_exp * q ** max(q_exp, 0)
+    denom *= spec.leading.denominator**lead_exp * q ** max(-q_exp, 0)
+    return Fraction(numer, denom)
 
 
 def disc_from_distinct_roots(spec: RootSpec, gamma) -> Fraction:
-    """Discriminant evaluated through n distinct roots.
+    """Discriminant evaluated through n distinct roots (see :func:`_root_side_disc`).
 
-    Takes the n x n matrix whose block rows are F^(i)(alpha_j) * alpha_j^k
-    for i = 1..s and k = gi-1..0, divides its determinant by the
-    alternating power-matrix determinant of the roots, and scales by
-    leading^(g1 - 2).  Both run over the integers: the first determinant
-    is the l = 0 case of :func:`disc_from_multiple_roots_abs`'s matrix,
-    and the power matrix of the alpha_j = P_j / Q is the power matrix of
-    the integers P_j with row i scaled by Q^-(n-1-i), i = 0..n-1, whose
-    determinant is the product :func:`_power_det`.  Every factor is put
-    back exactly, so the result equals the Fraction determinants' quotient.
+    The matrix has block rows F^(i)(alpha_j) * alpha_j^k for i = 1..s and
+    k = gi-1..0; its determinant is divided by the Vandermonde product
+    prod_(i<j) (alpha_i - alpha_j) and scaled by leading^(g1 - 2).
     """
     gamma = as_partition(gamma, spec.n)
     if any(m != 1 for _, m in spec.roots):
         raise ValueError("all multiplicities must be 1 (distinct-roots formula)")
-    n = spec.n
-    numer = _root_side_det(spec, gamma)
-    q, points = _scaled_roots(spec)
-    vandermonde = Fraction(_power_det(points), q ** (n * (n - 1) // 2))
-    return spec.leading ** (gamma[0] - 2) * numer / vandermonde
+    return _root_side_disc(spec, gamma)
 
 
 def disc_from_multiple_roots_abs(spec: RootSpec, gamma) -> Fraction:
@@ -359,26 +362,9 @@ def disc_from_multiple_roots_abs(spec: RootSpec, gamma) -> Fraction:
 
     Column blocks run over the distinct roots r_j with inner index
     l = 0..m_j-1; the entry is the l-th derivative of F^(i) * x^k at r_j.
-    Every entry comes from one integer Taylor shift per distinct root and
-    the Leibniz rule, and the determinant runs over the integers with the
-    row and column scales put back exactly (see ``_root_side_det``).
-    The overall sign of the scaling constant is not pinned down, so only
-    the absolute value is returned.
+    This is the absolute value of the signed :func:`_root_side_disc`.
     """
-    gamma = as_partition(gamma, spec.n)
-    det = _root_side_det(spec, gamma)
-    fact_product = 1
-    for _, mult in spec.roots:
-        for j in range(mult):
-            fact_product *= factorial(j)
-    denom = Fraction(1)
-    roots = [r for r, _ in spec.roots]
-    mults = [m for _, m in spec.roots]
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            denom *= (roots[i] - roots[j]) ** (mults[i] * mults[j])
-    scale = spec.leading ** (gamma[0] - 2) / fact_product
-    return abs(scale * det / denom)
+    return abs(_root_side_disc(spec, as_partition(gamma, spec.n)))
 
 
 # Half-integers in [-9, 9]; small values keep the exact arithmetic compact.

@@ -24,7 +24,7 @@ from multidisc import (
     partitions_of,
     squarefree_multiplicity,
 )
-from multidisc.roots import random_root_spec
+from multidisc.roots import _root_side_disc, random_root_spec
 
 from conftest import random_int_poly, shift_poly
 
@@ -132,11 +132,12 @@ def test_criterion_6_multiple_roots_identity_abs():
                 spec = random_root_spec(rng, mu)
                 poly = expand(spec)
                 for gamma in partitions:
+                    rhs = disc_value(poly, gamma).value
+                    assert _root_side_disc(spec, gamma) == rhs, (mu, gamma, spec)
                     lhs = disc_from_multiple_roots_abs(spec, gamma)
-                    rhs = abs(disc_value(poly, gamma).value)
-                    assert lhs == rhs, (mu, gamma, spec)
+                    assert lhs == abs(rhs), (mu, gamma, spec)
                     checked += 1
-    print(f"PASS criterion 6: absolute identity exact on {checked} (spec, gamma) pairs")
+    print(f"PASS criterion 6: signed and absolute identities exact on {checked} (spec, gamma) pairs")
 
 
 def test_criterion_7_degree_table_reproduction():

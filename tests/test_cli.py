@@ -128,6 +128,18 @@ class TestClassify:
         assert rows[2]["multiplicity"] == [1, 1]
         assert err == "error: line 2: need at least two coefficients (degree >= 1)\n"
 
+    @pytest.mark.parametrize("mode", [(), ("--trace",), ("--json",)])
+    def test_batch_output_is_the_per_line_output(self, capsys, tmp_path, mode):
+        lines = ["1,-5,7,1,-8,4", "1,2,1", "1,0,-1", "3/2,0,-5/7,1"]
+        batch = tmp_path / "polys.txt"
+        batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = ""
+        for line in lines:
+            code, out, err = run_cli(capsys, "classify", "--coeffs", line, *mode)
+            assert (code, err) == (0, "")
+            expected += out
+        assert run_cli(capsys, "classify", "--file", str(batch), *mode) == (0, expected, "")
+
     def test_batch_output_to_closed_pipe_exits_quietly(self, tmp_path):
         batch = tmp_path / "polys.txt"
         batch.write_text("1,-5,7,1,-8,4\n" * 50, encoding="utf-8")
@@ -369,6 +381,28 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--coeffs", "1,0", "--quiet"],
+        ["discriminant", "--n", "2", "--gamma", "2", "--format", "matrix", "--json"],
+        ["discriminant", "--n", "2", "--gamma", "2", "--format", "matrix", "--quiet"],
+        ["conditions", "--n", "3", "--quiet"],
+        ["degree-table", "--max-n", "4", "--json"],
+        ["degree-table", "--max-n", "4", "--quiet"],
+        ["selftest", "--max-n", "1", "--json"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    # each subcommand takes only the --json or --quiet it acts on
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_kept_parser_matches_a_fresh_parser():

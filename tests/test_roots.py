@@ -18,7 +18,7 @@ from multidisc import (
 )
 from multidisc.engine import det_fraction_free, sylvester_resultant
 from multidisc.roots import (
-    _power_det,
+    _root_side_disc,
     format_root_spec,
     random_root_spec,
     squarefree_decomposition,
@@ -300,14 +300,6 @@ class TestDistinctRootsFormula:
         with pytest.raises(ValueError):
             disc_from_distinct_roots(_spec([(1, 2), (2, 1)]), (3,))
 
-    def test_power_det_is_the_bareiss_determinant(self):
-        rng = random.Random(1414)
-        for n in range(1, 15):
-            for _ in range(5):
-                points = rng.sample(range(-60, 61), n)
-                rows = [[p ** (n - 1 - i) for p in points] for i in range(n)]
-                assert _power_det(points) == det_fraction_free(rows), points
-
 
 class TestMultipleRootsFormula:
     def test_worked_mult_32_case_layout(self):
@@ -455,6 +447,21 @@ class TestTaylorShiftRows:
         value = disc_from_multiple_roots_abs(spec, conjugate(spec.multiplicities()))
         assert value == abs(disc_value(expand(spec), conjugate(spec.multiplicities())).value)
         assert value != 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_signed_root_side_formula_is_disc_value(n):
+    # the confluent-Vandermonde sign (-1)^(sum C(m_j, 2)) makes the root side
+    # equal D_gamma itself, not only its absolute value
+    partitions = partitions_of(n)
+    for idx, mu in enumerate(partitions):
+        for pool, leading in ((INTEGER_ROOTS, -2), (MIXED_ROOTS, Fraction(5, 3))):
+            roots = [pool[(idx + j) % len(pool)] for j in range(len(mu))]
+            spec = _spec(zip(roots, mu), leading)
+            poly = expand(spec)
+            for gamma in partitions:
+                assert _exact(_root_side_disc(spec, gamma), disc_value(poly, gamma).value), (
+                    spec, gamma)
 
 
 def test_leibniz_vanishing_structure():
