@@ -79,7 +79,8 @@ def _extend_echelon(echelon: list[tuple[int, list[int]]], rows) -> bool:
 def classify_trace(poly: UniPoly) -> ClassificationTrace:
     """Full short-circuit evaluation trail for the classification chain.
 
-    The first partition, gamma = (n), comes from Res(F, F') by
+    The input is cleared to integers once, for the first step and the walk's
+    rows.  The first partition, gamma = (n), comes from Res(F, F') by
     ``disc_resultant``, which also gives the number k of distinct roots.
     The walk then takes the partitions one at a time from ``iter_partitions``.
     A gamma is recorded as 0 without work when g1 > k, or when it starts
@@ -88,19 +89,19 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
     gamma[:-1] and extended one level at a time: level j adds the rows of
     derivative order j, and level 1 also those of order 0.  A level that
     adds a dependent row marks its prefix dead and gamma is 0; a gamma whose
-    proper prefixes are all independent runs ``disc_value``, the exact
-    determinant over integers rescaled to the input polynomial.  Only the
-    partition that breaks the chain is conjugated.
+    proper prefixes are all independent runs ``disc_value`` on the input
+    polynomial, the exact determinant over integers rescaled to a rational.
+    Only the partition that breaks the chain is conjugated.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
     n = poly.degree
-    first, common = disc_resultant(poly)
+    coeffs, scale = poly.clear_denominators()
+    first, common = disc_resultant(coeffs, scale)
     steps = [TraceStep((n,), first.value, first.value != 0)]
     if first.value:
         return ClassificationTrace(tuple(steps), conjugate((n,)), (n,))
     distinct = n - common
-    coeffs = [c.numerator for c in poly.clear_denominators()[0].coeffs]
     zero = Fraction(0)
     echelon: list[tuple[int, list[int]]] = []
     held: Partition = ()  # the prefix whose row blocks 0..len(held) the echelon holds

@@ -3,9 +3,10 @@
 Coefficients are entered highest power first ("1,-5,7,1,-8,4" is
 x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4); each entry is an integer, a decimal
 such as 0.5, or a rational written p/q; exponent notation (1e5) is
-rejected.  Exit codes: 0 success, 1 selftest property violation, 2 usage
-or parse error (in batch mode, after every line was tried), 3 internal
-arithmetic error, 141 output pipe closed early (as with "| head").
+rejected; a negative first coefficient needs the form --coeffs=-3/7,1/7.
+Exit codes: 0 success, 1 selftest property violation, 2 usage or parse
+error (in batch mode, after every line was tried), 3 internal arithmetic
+error, 141 output pipe closed early (as with "| head").
 
 The argument parser is built once per process, on the first ``main()``
 call, and reused by every later call: ``parse_args`` returns a new
@@ -20,7 +21,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .classify import classify_trace, conditions, trace_json_dict
 from .degrees import degree_table_csv
@@ -33,7 +33,11 @@ from .engine import (
 )
 from .partitions import as_partition, conjugate, partitions_of
 from .roots import expand, random_root_spec, squarefree_decomposition, squarefree_multiplicity
-from .unipoly import UniPoly
+from .unipoly import UniPoly, parse_rational
+
+
+# argparse reads a separate "-3/7,1/7" as an option
+_NEGATIVE_FIRST = "a negative first coefficient needs the = form: --coeffs=-3/7,1/7"
 
 
 class CliError(ValueError):
@@ -50,12 +54,8 @@ def parse_coeffs(text: str) -> UniPoly:
         raise CliError("need at least two coefficients (degree >= 1)")
     values = []
     for part in parts:
-        # Fraction() reads exponent notation, and "1e10000000" alone takes
-        # seconds to expand before any check could see its size
-        if "e" in part or "E" in part:
-            raise CliError(f"malformed rational {part!r}")
         try:
-            values.append(Fraction(part))
+            values.append(parse_rational(part))
         except (ValueError, ZeroDivisionError):
             raise CliError(f"malformed rational {part!r}") from None
     if not values[0]:
@@ -257,11 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiplicity vector of a polynomial",
         description="Coefficients are given highest power first.",
     )
-    p.add_argument("--json", action="store_true", help="emit JSON output")
+    # the JSON holds every step, so --trace would add nothing to it
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="emit JSON output")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--coeffs", help='coefficient list, e.g. "1,-5,7,1,-8,4"')
+    group.add_argument(
+        "--coeffs", help=f'coefficient list, e.g. "1,-5,7,1,-8,4"; {_NEGATIVE_FIRST}'
+    )
     group.add_argument("--file", help="batch mode: one coefficient list per line")
-    p.add_argument("--trace", action="store_true", help="print the full discriminant chain")
+    output.add_argument("--trace", action="store_true", help="print the full discriminant chain")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser(
@@ -276,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["matrix", "latex", "poly", "value"],
         help="output representation",
     )
-    p.add_argument("--coeffs", help="concrete coefficients (required for value)")
+    p.add_argument(
+        "--coeffs", help=f"concrete coefficients (required for value); {_NEGATIVE_FIRST}"
+    )
     p.add_argument(
         "--cap",
         type=int,

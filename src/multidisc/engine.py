@@ -18,8 +18,9 @@ remainder sequence over the integers (Collins 1967; Brown-Traub 1971) in
 O(n^2) integer operations, and the same sequence gives deg gcd(F, F').
 
 Every other numeric determinant is one Bareiss elimination over Python
-ints: rational input is cleared to integer rows before it and rescaled
-after it.  A step leaves alone the rows that are zero in its pivot column;
+ints, on integer rows only: a rational polynomial is cleared to integers
+once, at the input, and the determinant becomes a rational once, at the
+output.  A step leaves alone the rows that are zero in its pivot column;
 for them the full elimination would only scale the row by p_k / p_(k-1),
 and those factors telescope, so a row is caught up by one exact division
 later.  The symbolic matrices use a division-free cofactor expansion instead.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, perm
+from math import gcd, perm
 from typing import Sequence, Union
 
 from .partitions import Partition, as_partition
@@ -176,16 +177,15 @@ def build_symbolic_matrix(n: int, gamma: Sequence[int]) -> DiscMatrix:
     return _build([SymPoly.variable(n + 1, d) for d in range(n + 1)], gamma, symbolic=True)
 
 
-def det_fraction_free(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Union[int, Fraction]:
-    """Exact determinant by single-step fraction-free (Bareiss) elimination.
+def det_fraction_free(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix by single-step fraction-free
+    (Bareiss) elimination.
 
-    The elimination runs over Python ints only.  A row of ints is taken as
-    is; any other row is read as Fractions and scaled to integers by the lcm
-    of its denominators, and the determinant is divided by the product of
-    those scales at the end.  So the result is an int when every entry is an
-    int, else a Fraction.  Symbolic rows raise TypeError; they use
-    :func:`det_minor_expansion`.  The pivot is the first nonzero entry in the
-    column, and a fully zero pivot column means a zero determinant.
+    Every entry must be an int; any other entry (Fraction, float, SymPoly)
+    raises TypeError.  Rational matrices are cleared to integers by their
+    caller, and symbolic ones use :func:`det_minor_expansion`.  The pivot is
+    the first nonzero entry in the column, and a fully zero pivot column
+    means a zero determinant.
 
     A row that is zero in the pivot column of step k is skipped: the dense
     update would only multiply it by p_k / p_(k-1).  Over the steps t..k-1
@@ -199,18 +199,9 @@ def det_fraction_free(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Union[i
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square nonempty matrix required")
-    work = []
-    scale = None  # product of the row scales; None while every entry is an int
-    for row in rows:
-        if all(isinstance(e, int) for e in row):
-            work.append(list(row))
-            continue
-        row = [Fraction(e) for e in row]
-        # a list, not a generator: lcm(*generator) resizes its argument tuple,
-        # which then fills CPython's tuple free list, one tuple per call
-        den = lcm(*[e.denominator for e in row])
-        work.append([e.numerator * (den // e.denominator) for e in row])
-        scale = den if scale is None else scale * den
+    if not all(isinstance(e, int) for row in rows for e in row):
+        raise TypeError("det_fraction_free takes int entries only")
+    work = [list(row) for row in rows]
     sign = 1
     pivots = [1]  # pivots[t] is the pivot of step t - 1
     stage = [0] * n  # the step each stored row was last brought to
@@ -246,7 +237,7 @@ def det_fraction_free(rows: Sequence[Sequence[Union[int, Fraction]]]) -> Union[i
         if stage[n - 1] != n - 1:
             _rescale(last, n - 1, pivots[n - 1], pivots[stage[n - 1]])
         det = sign * last[n - 1]
-    return det if scale is None else Fraction(det, scale)
+    return det
 
 
 def _rescale(row: list[int], start: int, num: int, den: int) -> None:
@@ -358,42 +349,43 @@ def _expand(rows: Sequence[Sequence[Entry]], row_ids: tuple[int, ...], memo: dic
 def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     """Exact multiplicity discriminant of a concrete polynomial.
 
-    Denominators are cleared first and the determinant runs over plain
+    The polynomial is cleared once to integer coefficients
+    (``UniPoly.clear_denominators``) and the determinant runs over plain
     integers: D_(n) is Res(F, F') by a subresultant PRS (:func:`disc_resultant`),
     and every other gamma runs the Bareiss elimination of the matrix stacked
-    from the integer coefficients.  The result is rescaled through the
-    homogeneity degree n + g1 - 1 of the determinant and divided by the
-    leading coefficient.
+    from the integer coefficients.  The one rational is built at the exit:
+    the determinant rescaled through its homogeneity degree n + g1 - 1 and
+    divided by the leading coefficient.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
     n = poly.degree
     gamma = as_partition(gamma, n)
+    ints, scale = poly.clear_denominators()
     if gamma == (n,):
-        return disc_resultant(poly)[0]
-    cleared, scale = poly.clear_denominators()
-    ints = [c.numerator for c in cleared.coeffs]
+        return disc_resultant(ints, scale)[0]
     dp = det_fraction_free(_build(ints, gamma, symbolic=False).entries)
-    return _rescaled(dp, cleared, scale, gamma)
+    return _rescaled(dp, ints, scale, gamma)
 
 
-def disc_resultant(poly: UniPoly) -> tuple[DiscValue, int]:
-    """D_(n) of a polynomial of degree n >= 1, and deg gcd(F, F').
+def disc_resultant(ints: Sequence[int], scale: Fraction) -> tuple[DiscValue, int]:
+    """D_(n) of F = G / scale, and deg gcd(F, F'), for the cleared integer G.
 
-    The matrix of gamma = (n) is the Sylvester matrix of F and F', so its
-    determinant is Res(F, F'), taken by :func:`sylvester_resultant` on the
-    cleared integer F.  The gcd degree is n minus the number of distinct roots.
+    ``ints`` and ``scale`` are what ``UniPoly.clear_denominators`` returns
+    for F, of degree n >= 1.  The matrix of gamma = (n) is the Sylvester
+    matrix of F and F', so its determinant is Res(F, F'), taken by
+    :func:`sylvester_resultant` on G.  The gcd degree is n minus the number
+    of distinct roots.
     """
-    cleared, scale = poly.clear_denominators()
-    ints = [c.numerator for c in cleared.coeffs]
     res, common = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
-    return _rescaled(res, cleared, scale, (len(ints) - 1,)), common
+    return _rescaled(res, ints, scale, (len(ints) - 1,)), common
 
 
-def _rescaled(dp: int, cleared: UniPoly, scale: Fraction, gamma: Partition) -> DiscValue:
-    # dp is the determinant for cleared = scale * poly, homogeneous of degree n + g1 - 1
-    n = cleared.degree
-    value = Fraction(dp, cleared.leading.numerator) / scale ** (n + gamma[0] - 2)
+def _rescaled(dp: int, ints: Sequence[int], scale: Fraction, gamma: Partition) -> DiscValue:
+    # dp is the determinant for G = scale * poly with the ascending ``ints``,
+    # homogeneous of degree n + g1 - 1
+    n = len(ints) - 1
+    value = Fraction(dp, ints[-1]) / scale ** (n + gamma[0] - 2)
     return DiscValue(value, gamma, n)
 
 

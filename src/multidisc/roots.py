@@ -38,7 +38,7 @@ from math import comb, factorial, gcd, lcm, perm
 
 from .engine import det_fraction_free
 from .partitions import Partition, as_partition
-from .unipoly import UniPoly
+from .unipoly import UniPoly, parse_rational
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,6 @@ class RootSpec:
         return tuple(sorted((m for _, m in self.roots), reverse=True))
 
 
-def _parse_rational(text: str) -> Fraction:
-    # Fraction() reads exponent notation, and "1e100000" alone starts
-    # large-integer work before any check could see its size
-    if "e" in text or "E" in text:
-        raise ValueError(f"exponent notation is not accepted: {text!r}")
-    return Fraction(text)
-
-
 def parse_root_spec(text: str) -> RootSpec:
     """Parse "leading; r1^m1, r2^m2, ..." with rationals written as p/q.
 
@@ -89,7 +81,7 @@ def parse_root_spec(text: str) -> RootSpec:
     if not sep:
         raise ValueError("expected 'leading; r1^m1, r2^m2, ...'")
     try:
-        leading = _parse_rational(head.strip())
+        leading = parse_rational(head.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad leading coefficient {head.strip()!r}") from exc
     roots = []
@@ -99,7 +91,7 @@ def parse_root_spec(text: str) -> RootSpec:
             raise ValueError("empty root entry")
         base, sep, mult = item.partition("^")
         try:
-            root = _parse_rational(base.strip())
+            root = parse_rational(base.strip())
             m = int(mult) if sep else 1
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad root entry {item!r}") from exc
@@ -225,8 +217,7 @@ def _squarefree_ints(poly: UniPoly) -> list[tuple[list[int], int]]:
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
-    cleared, _ = poly.clear_denominators()
-    f = [c.numerator for c in reversed(cleared.coeffs)]
+    f = list(poly.clear_denominators()[0][::-1])
     if f[0] < 0:
         f = [-c for c in f]
     df = _derivative(f)

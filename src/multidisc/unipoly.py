@@ -15,6 +15,14 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text) without exponent notation: "1e100000" alone would start
+    large-integer work before any check could see its size."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
+    return Fraction(text)
+
+
 class UniPoly:
     """Immutable a0 + a1*x + ... + an*x^n with Fraction coefficients."""
 
@@ -86,16 +94,16 @@ class UniPoly:
             acc = acc * point + c
         return acc
 
-    def clear_denominators(self) -> tuple["UniPoly", Fraction]:
-        """Return (G, c) with G = c * self, G integer-coefficient, content 1, c > 0."""
+    def clear_denominators(self) -> tuple[tuple[int, ...], Fraction]:
+        """(ints, c): the ascending integer coefficients of c * self, content 1, c > 0."""
         if self.is_zero:
             raise ValueError("cannot clear denominators of the zero polynomial")
-        # lists, not generators: see engine.det_fraction_free on lcm(*generator)
+        # a list, not a generator: lcm(*generator) resizes its argument tuple,
+        # which then fills CPython's tuple free list, one tuple per call
         den_lcm = lcm(*[c.denominator for c in self.coeffs])
         ints = [c.numerator * (den_lcm // c.denominator) for c in self.coeffs]
         content = gcd(*ints)
-        scaled = UniPoly(v // content for v in ints)
-        return scaled, Fraction(den_lcm, content)
+        return tuple(v // content for v in ints), Fraction(den_lcm, content)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite.
 
-The determinant oracle here is deliberately naive (permutation expansion)
-so it shares no code path with the fraction-free elimination it checks.
+The determinant oracles here are deliberately naive (permutation expansion,
+and Gaussian elimination over the rationals) so they share no code path
+with the fraction-free elimination they check.
 """
 
 from __future__ import annotations
@@ -29,6 +30,27 @@ def perm_det(rows):
             prod = prod * rows[i][perm[i]]
         total = total + prod
     return total
+
+
+def det_rational(rows) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals; any size, any
+    int or Fraction entries, and always a Fraction."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    n = len(rows)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            factor = rows[i][k] / rows[k][k]
+            if factor:
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[k])]
+    return det
 
 
 def random_int_poly(rng: random.Random, n: int, bound: int = 9) -> UniPoly:

@@ -192,7 +192,7 @@ def test_first_two_blocks_are_dependent_iff_g1_exceeds_distinct_roots():
     for n in range(2, 11):
         for mu in partitions_of(n):
             poly = expand(random_root_spec(rng, mu))
-            coeffs = [c.numerator for c in poly.clear_denominators()[0].coeffs]
+            coeffs = poly.clear_denominators()[0]
             for g1 in range(1, n):
                 size = n + g1 - 1
                 rows = block_rows(coeffs, 0, g1 - 1, size) + block_rows(coeffs, 1, g1, size)
@@ -276,6 +276,21 @@ def test_walk_does_the_same_work(monkeypatch, mu, work):
     got = (len(trace.steps), calls["_extend_echelon"], calls["_extend_echelon", False],
            calls["disc_value"])
     assert got == work
+
+
+@pytest.mark.parametrize(
+    "mu, leaves",
+    [((1,) * 6, 0), ((10, 10), 1), ((8, 7, 5), 1), ((4, 3, 3, 2, 2, 1), 2), ((2, 2, 1), 1)],
+)
+def test_classification_clears_its_input_once(monkeypatch, mu, leaves):
+    # one clearing feeds the first step and the walk's rows; each leaf
+    # ``disc_value`` takes the input polynomial and clears it once more
+    spec = RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(-3, 7))
+    calls = Counter()
+    _count_calls(monkeypatch, UniPoly, "clear_denominators", calls)
+    _count_calls(monkeypatch, CLASSIFY, "disc_value", calls)
+    assert classify_trace(expand(spec)).result == mu
+    assert (calls["clear_denominators"], calls["disc_value"]) == (1 + leaves, leaves)
 
 
 def test_walk_takes_the_partitions_lazily():

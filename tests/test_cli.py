@@ -179,6 +179,28 @@ class TestClassify:
             main(["classify", "--coeffs", "1,0", "--file", "x.txt"])
         assert exc.value.code == 2
 
+    def test_json_and_trace_are_exclusive(self, capsys):
+        # the JSON holds every step, so --trace would be dropped without a word
+        for argv in (["--json", "--trace"], ["--trace", "--json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["classify", "--coeffs", "1,0", *argv])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == ""
+            assert "not allowed with" in err
+
+    def test_negative_leading_coefficient_needs_the_equals_form(self, capsys):
+        assert run_cli(capsys, "classify", "--coeffs=-3/7,1/7") == (0, "1\n", "")
+        value = ("discriminant", "--n", "2", "--gamma", "1,1", "--format", "value")
+        expected = disc_value(UniPoly.from_descending([-1, 0, 4]), (1, 1)).value
+        assert run_cli(capsys, *value, "--coeffs=-1,0,4") == (0, f"{expected}\n", "")
+        # argparse reads a separate "-3/7,1/7" as an option, not as the value
+        for argv in (["classify", "--coeffs", "-3/7,1/7"], [*value, "--coeffs", "-1,0,4"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == ""
+            assert "expected one argument" in err
+
 
 class TestDiscriminant:
     def test_poly_format_all_ones(self, capsys):

@@ -16,7 +16,7 @@ from multidisc import (
     partitions_of,
     squarefree_multiplicity,
 )
-from multidisc.engine import det_fraction_free, sylvester_resultant
+from multidisc.engine import sylvester_resultant
 from multidisc.roots import (
     _root_side_disc,
     format_root_spec,
@@ -24,7 +24,7 @@ from multidisc.roots import (
     squarefree_decomposition,
 )
 
-from conftest import random_int_poly, sqf_list_inputs
+from conftest import det_rational, random_int_poly, sqf_list_inputs
 
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
@@ -100,8 +100,7 @@ class TestRootSpec:
 
 
 def _cleared(poly):
-    cleared, _ = poly.clear_denominators()
-    return [c.numerator for c in cleared.descending_coeffs()]
+    return list(poly.clear_denominators()[0][::-1])
 
 
 def _coprime(g, h):
@@ -354,8 +353,8 @@ def _reference_distinct(spec, gamma):
         values = [derivs[i].eval(a) for a in alphas]
         for k in range(gi - 1, -1, -1):
             rows.append([v * a**k for v, a in zip(values, alphas)])
-    numer = det_fraction_free(rows)
-    vandermonde = det_fraction_free(
+    numer = det_rational(rows)
+    vandermonde = det_rational(
         [[Fraction(a) ** (n - 1 - i) for a in alphas] for i in range(n)]
     )
     return spec.leading ** (gamma[0] - 2) * numer / vandermonde
@@ -373,7 +372,7 @@ def _reference_multiple_abs(spec, gamma):
             for root, mult in spec.roots:
                 row.extend(shifted.derivative(ell).eval(root) for ell in range(mult))
             rows.append(row)
-    det = det_fraction_free(rows)
+    det = det_rational(rows)
     fact_product = 1
     for _, mult in spec.roots:
         for j in range(mult):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from multidisc import UniPoly
+from multidisc.unipoly import parse_rational
 
 from conftest import random_int_poly
 
@@ -73,17 +75,15 @@ def test_eval_examples():
 
 def test_clear_denominators_examples():
     half_third = UniPoly([Fraction(1, 3), Fraction(1, 2)])  # x/2 + 1/3
-    cleared, scale = half_third.clear_denominators()
-    assert cleared == UniPoly([2, 3])  # 3x + 2
-    assert scale == 6
+    assert half_third.clear_denominators() == ((2, 3), 6)  # 3x + 2
 
-    primitive = UniPoly([3, -2, 5])
-    assert primitive.clear_denominators() == (primitive, 1)
+    assert UniPoly([3, -2, 5]).clear_denominators() == ((3, -2, 5), 1)
 
     doubled = UniPoly([4, 2])  # 2x + 4
-    cleared, scale = doubled.clear_denominators()
-    assert cleared == UniPoly([2, 1])
-    assert scale == Fraction(1, 2)
+    assert doubled.clear_denominators() == ((2, 1), Fraction(1, 2))
+
+    # the sign stays with the integers: the scale is always positive
+    assert UniPoly([Fraction(-1, 2), 0, Fraction(-3, 4)]).clear_denominators() == ((-2, 0, -3), 4)
 
 
 def test_clear_denominators_round_trip_and_rejects_zero():
@@ -95,10 +95,11 @@ def test_clear_denominators_round_trip_and_rejects_zero():
         poly = UniPoly(coeffs)
         if poly.is_zero:
             continue
-        cleared, scale = poly.clear_denominators()
-        assert scale > 0
-        assert all(c.denominator == 1 for c in cleared.coeffs)
-        assert cleared * (1 / scale) == poly
+        ints, scale = poly.clear_denominators()
+        assert type(ints) is tuple and all(type(c) is int for c in ints)
+        assert len(ints) == len(poly.coeffs) and gcd(*ints) == 1
+        assert type(scale) is Fraction and scale > 0
+        assert UniPoly(ints) * (1 / scale) == poly
     with pytest.raises(ValueError):
         UniPoly().clear_denominators()
 
@@ -124,3 +125,14 @@ def test_power_and_arithmetic():
 def test_str_rendering():
     assert str(QUINTIC) == "x^5 - 5*x^4 + 7*x^3 + x^2 - 8*x + 4"
     assert str(UniPoly()) == "0"
+
+
+def test_parse_rational_is_exact_and_rejects_exponents():
+    assert parse_rational("-3/7") == Fraction(-3, 7)
+    assert parse_rational("0.5") == Fraction(1, 2)
+    assert parse_rational(" 12 ") == 12
+    for text in ("1e5", "2E-3", "1/2e1"):
+        with pytest.raises(ValueError, match="exponent notation"):
+            parse_rational(text)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
