@@ -9,20 +9,20 @@ equals prod(i^i) * an^(n-1), which cannot vanish.
 Partitions with a common prefix (g1..gj) are contiguous in that order and
 their matrices share the width n + g1 - 1 and the row blocks 0..j.  When
 those rows are linearly dependent, every discriminant under the prefix is
-exactly 0.  The scan takes the partitions one at a time from a lazy
-enumerator and keeps one integer echelon, for the prefix it tested last: a
-partition under a prefix found dependent is recorded as 0 without work, and
-any other cuts the echelon back to the prefix they share and adds the rows
-of its own proper prefixes.  Blocks 0..1 alone form the subresultant matrix
-S_(n-g1)(F, F'), which is rank-deficient exactly when g1 exceeds the number
-of distinct roots (Collins 1967; Brown-Traub 1971).  The first step,
-D_(n) = Res(F, F') / an by a subresultant PRS, also gives that number k as
-n - deg gcd(F, F'), so every partition with g1 > k is recorded as 0 at once
-and the echelon starts at g1 = k; the partition that breaks the chain, the
-conjugate of a vector with k parts, starts with k too.  A partition whose
-proper prefixes are all independent runs the exact determinant.  Vanishing
-is not monotone along the order (x^4 - x has D(3,1) = 0 but D(2,2) != 0),
-so the scan never bisects.
+exactly 0.  The first step, D_(n) = Res(F, F') / an by a subresultant PRS,
+also gives the number k = n - deg gcd(F, F') of distinct roots.  Every
+partition with g1 > k is then 0, and the one that breaks the chain, the
+conjugate of a vector with k parts, starts with k; so the scan tests g1 = k
+only, at width n + k - 1, where blocks 0..1 form the subresultant matrix
+S_(n-k)(F, F'), of full rank by that gcd degree (Collins 1967; Brown-Traub
+1971).  Level 1 is therefore seeded into one integer echelon, untested.
+The scan takes the partitions one at a time from a lazy enumerator and
+keeps that echelon for the prefix it tested last: a partition under a
+prefix found dependent is recorded as 0 without work, and any other cuts
+the echelon back to the prefix they share and adds the rows of its own
+proper prefixes.  A partition whose proper prefixes are all independent
+runs the exact determinant.  Vanishing is not monotone along the order
+(x^4 - x has D(3,1) = 0 but D(2,2) != 0), so the scan never bisects.
 """
 
 from __future__ import annotations
@@ -82,15 +82,15 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
     The input is cleared to integers once, for the first step and the walk's
     rows.  The first partition, gamma = (n), comes from Res(F, F') by
     ``disc_resultant``, which also gives the number k of distinct roots.
-    The walk then takes the partitions one at a time from ``iter_partitions``.
-    A gamma is recorded as 0 without work when g1 > k, or when it starts
-    with the last prefix whose rows were found dependent.  Otherwise the
-    integer echelon is cut back to the longest prefix it shares with
-    gamma[:-1] and extended one level at a time: level j adds the rows of
-    derivative order j, and level 1 also those of order 0.  A level that
-    adds a dependent row marks its prefix dead and gamma is 0; a gamma whose
-    proper prefixes are all independent runs ``disc_value`` on the input
-    polynomial, the exact determinant over integers rescaled to a rational.
+    The walk then takes the partitions one at a time from ``iter_partitions``
+    and records a gamma as 0 without work when g1 > k, or when it starts with
+    the last prefix whose rows were found dependent.  Otherwise g1 = k: the
+    echelon, seeded untested with level 1 (blocks 0..1) before the first
+    level-2 test, is cut back to the prefix it shares with gamma[:-1] and
+    extended from level 2 on, level j adding the rows of derivative order j.
+    A dependent row marks its level's prefix dead and gamma 0; in the seed it
+    is an engine fault, as is a walk that leaves g1 = k.  A gamma whose proper
+    prefixes are all independent runs ``disc_value`` on the input polynomial.
     Only the partition that breaks the chain is conjugated.
     """
     if poly.is_zero or poly.degree < 1:
@@ -98,33 +98,32 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
     n = poly.degree
     coeffs, scale = poly.clear_denominators()
     first, common = disc_resultant(coeffs, scale)
-    steps = [TraceStep((n,), first.value, first.value != 0)]
     if first.value:
-        return ClassificationTrace(tuple(steps), conjugate((n,)), (n,))
-    distinct = n - common
+        return ClassificationTrace((TraceStep((n,), first.value, True),), conjugate((n,)), (n,))
+    k = n - common
+    size = n + k - 1  # the width of every matrix the walk tests
     zero = Fraction(0)
+    steps: list[TraceStep] = []
     echelon: list[tuple[int, list[int]]] = []
-    held: Partition = ()  # the prefix whose row blocks 0..len(held) the echelon holds
-    dead: Partition = (n,)  # the last prefix found dependent; (n,) starts no other gamma
-    gammas = iter_partitions(n)
-    next(gammas)  # (n,), decided by the resultant
-    for gamma in gammas:
-        if gamma[0] > distinct or gamma[: len(dead)] == dead:
+    held: Partition = (k,)  # the prefix whose row blocks 0..len(held) the echelon holds
+    dead: Partition = (n,)  # the last prefix found dependent
+    for gamma in iter_partitions(n):  # (n,) first: 0 by the resultant, and n > k
+        if gamma[0] > k or gamma[: len(dead)] == dead:
             steps.append(TraceStep(gamma, zero, False))
             continue
-        depth = 0
+        if gamma[0] < k:
+            break
+        depth = 1
         while depth < len(held) and held[depth] == gamma[depth]:
             depth += 1
-        # blocks 0..depth hold (g1 - 1) + g1 + ... + g_depth rows
-        del echelon[sum(gamma[:depth], gamma[0] - 1) if depth else 0 :]
-        size = n + gamma[0] - 1
+        del echelon[sum(gamma[1:depth], 2 * k - 1) :]  # keeps blocks 0..depth
         held = gamma[:-1]
+        if len(held) > 1 and not echelon:  # level 2 comes next; level 1 needs no test
+            seed = block_rows(coeffs, 0, k - 1, size) + block_rows(coeffs, 1, k, size)
+            if not _extend_echelon(echelon, seed):
+                raise ArithmeticError("blocks 0..1 are dependent at g1 = k; engine bug")
         for depth in range(depth, len(held)):
-            part = gamma[depth]
-            rows = block_rows(coeffs, depth + 1, part, size)
-            if not depth:
-                rows = block_rows(coeffs, 0, part - 1, size) + rows
-            if not _extend_echelon(echelon, rows):
+            if not _extend_echelon(echelon, block_rows(coeffs, depth + 1, gamma[depth], size)):
                 held, dead = gamma[:depth], gamma[: depth + 1]
                 steps.append(TraceStep(gamma, zero, False))
                 break
@@ -133,7 +132,7 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
             steps.append(TraceStep(gamma, value, value != 0))
             if value:
                 return ClassificationTrace(tuple(steps), conjugate(gamma), gamma)
-    raise AssertionError("classification chain exhausted; engine bug")
+    raise ArithmeticError("no discriminant with g1 = k is nonzero; engine bug")
 
 
 def classify(poly: UniPoly) -> Partition:

@@ -119,6 +119,11 @@ def _cmd_discriminant(args) -> int:
         raise CliError(f"bad degree {args.n!r}") from None
     if n < 1:
         raise CliError("degree must be at least 1")
+    # the parametric discriminant is generic, and only it has a degree cap
+    if args.format == "poly" and args.coeffs is not None:
+        raise CliError("--format poly gives the generic discriminant and reads no --coeffs")
+    if args.format != "poly" and args.cap is not None:
+        raise CliError(f"--cap is read only by --format poly, not --format {args.format}")
     gamma = parse_gamma(args.gamma, n)
     poly = None
     if args.coeffs:
@@ -133,7 +138,8 @@ def _cmd_discriminant(args) -> int:
         return 0
     if args.format == "poly":
         try:
-            result = disc_symbolic(n, gamma, cap=args.cap)
+            cap = SYMBOLIC_CAP_DEFAULT if args.cap is None else args.cap
+            result = disc_symbolic(n, gamma, cap=cap)
         except ValueError as exc:
             raise CliError(str(exc)) from None
         print(str(result.value))
@@ -260,12 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     # the JSON holds every step, so --trace would add nothing to it
     output = p.add_mutually_exclusive_group()
     output.add_argument("--json", action="store_true", help="emit JSON output")
+    output.add_argument("--trace", action="store_true", help="print the full discriminant chain")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--coeffs", help=f'coefficient list, e.g. "1,-5,7,1,-8,4"; {_NEGATIVE_FIRST}'
     )
     group.add_argument("--file", help="batch mode: one coefficient list per line")
-    output.add_argument("--trace", action="store_true", help="print the full discriminant chain")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser(
@@ -286,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cap",
         type=int,
-        default=SYMBOLIC_CAP_DEFAULT,
         help=f"symbolic degree cap for --format poly (default {SYMBOLIC_CAP_DEFAULT})",
     )
     p.set_defaults(func=_cmd_discriminant)

@@ -9,7 +9,7 @@ is reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 def _term_key(exps: tuple[int, ...]) -> tuple:
@@ -133,19 +133,6 @@ class SymPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "SymPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = SymPoly.const(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def exact_divide(self, divisor: "SymPoly") -> "SymPoly":
         """Exact quotient by a single term c * a^e in Z[a0..an].
 
@@ -202,9 +189,6 @@ class SymPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(self.sorted_terms())
 
     def _format_term(self, exps: tuple[int, ...], coeff: int, latex: bool) -> str:
         factors = []

@@ -261,12 +261,15 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
         ((6, 5, 5), (202, 5, 0, 1)),
         ((4, 3, 3, 2, 2, 1), (71, 4, 1, 2)),
         ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 4, 2, 1)),
+        ((2, 2, 2, 2, 1, 1), (8, 0, 0, 1)),
     ],
 )
 def test_walk_does_the_same_work(monkeypatch, mu, work):
     # (steps, echelon extensions, dependent ones, leaf determinants) for
     # F = prod (x - i)^mu_i, i = 0, 1, 2, ...: each proper prefix the scan
-    # reaches is extended once, and nothing under a dependent one is tested
+    # reaches is extended once, and nothing under a dependent one is tested;
+    # level 1 is one untested extension, made only before a level-2 test, so
+    # the two-part leaf (6, 4) of (2, 2, 2, 2, 1, 1) extends nothing
     poly = expand(RootSpec(tuple((Fraction(i), m) for i, m in enumerate(mu)), 1))
     calls = Counter()
     _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", calls)
@@ -276,6 +279,29 @@ def test_walk_does_the_same_work(monkeypatch, mu, work):
     got = (len(trace.steps), calls["_extend_echelon"], calls["_extend_echelon", False],
            calls["disc_value"])
     assert got == work
+
+
+@pytest.mark.parametrize(
+    "mu", [(5,), (10, 10), (8, 7, 5), (4, 3, 3, 2, 2, 1), (3, 3, 3, 3, 2, 2, 2, 1, 1), (2, 2, 1, 1)]
+)
+def test_level_one_is_seeded_once_and_never_tested(monkeypatch, mu):
+    # blocks 0..1 at g1 = k are independent by the resultant's gcd degree:
+    # their 2k - 1 rows are the echelon's first extension, made only when a
+    # partition with three or more parts needs level 2, and every later
+    # extension adds one block of derivative order >= 2 above them
+    poly = expand(RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3))
+    n, k = poly.degree, len(mu)
+    coeffs, size = poly.clear_denominators()[0], n + k - 1
+    seed = block_rows(coeffs, 0, k - 1, size) + block_rows(coeffs, 1, k, size)
+    batches = []
+    _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", Counter(),
+                 lambda echelon, rows: batches.append((len(echelon), rows)))
+    trace = classify_trace(poly)
+    assert trace.result == mu
+    assert batches[:1] == ([(0, seed)] if len(trace.delta) > 2 else [])
+    for held, rows in batches[1:]:
+        assert held >= len(seed)
+        assert any(rows == block_rows(coeffs, j, len(rows), size) for j in range(2, n + 1))
 
 
 @pytest.mark.parametrize(
@@ -293,10 +319,13 @@ def test_classification_clears_its_input_once(monkeypatch, mu, leaves):
     assert (calls["clear_denominators"], calls["disc_value"]) == (1 + leaves, leaves)
 
 
-def test_walk_takes_the_partitions_lazily():
+def test_walk_takes_the_partitions_lazily(monkeypatch):
     # p(60) = 966467 partitions, a few hundred MB as a list; this input
-    # breaks the chain at the second partition, (59, 1)
+    # breaks the chain at the second partition, (59, 1), a two-part leaf
+    # whose only proper prefix, level 1, the resultant decides
     poly = UniPoly([-1, 1]) ** 2 * UniPoly([-2] + [0] * 57 + [1])  # (x - 1)^2 (x^58 - 2)
+    calls = Counter()
+    _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", calls)
     tracemalloc.start()
     try:
         trace = classify_trace(poly)
@@ -306,6 +335,7 @@ def test_walk_takes_the_partitions_lazily():
     assert [s.gamma for s in trace.steps] == [(60,), (59, 1)]
     assert trace.result == (2,) + (1,) * 58
     assert peak < 16 * 2**20
+    assert calls["_extend_echelon"] == 0
 
 
 def test_leaf_values_are_shift_invariant_and_homogeneous():

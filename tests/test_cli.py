@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import multidisc
 from multidisc import disc_value, UniPoly
 from multidisc.cli import main, run_selftest
+from multidisc.engine import DiscValue
 
 from cli_reuse import check_reuse
 
@@ -169,6 +172,35 @@ class TestClassify:
             "non-exact integer division in fraction-free elimination\n"
         )
 
+    @pytest.mark.parametrize(
+        "coeffs, fault, message",
+        [
+            # (x - 1)^2 (x + 1) (x - 2)^2, k = 3: every g1 = 3 leaf forced to 0
+            ("1,-5,7,1,-8,4", "disc_value", "no discriminant with g1 = k is nonzero"),
+            # (x - 1)^3: (1,1,1) seeds blocks 0..1, which the gcd degree makes independent
+            ("1,-3,3,-1", "_extend_echelon", "blocks 0..1 are dependent at g1 = k"),
+        ],
+    )
+    def test_walk_fault_is_one_line(self, capsys, monkeypatch, coeffs, fault, message):
+        faults = {
+            "disc_value": lambda poly, gamma: DiscValue(Fraction(0), gamma, poly.degree),
+            "_extend_echelon": lambda echelon, rows: False,
+        }
+        # the package's classify function shadows the module of the same name
+        monkeypatch.setattr(import_module("multidisc.classify"), fault, faults[fault])
+        code, out, err = run_cli(capsys, "classify", "--coeffs", coeffs)
+        assert (code, out) == (3, "")
+        assert err == f"error: internal arithmetic error: {message}; engine bug\n"
+
+    def test_usage_shows_json_and_trace_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify"])
+        usage = " ".join(capsys.readouterr().err.split())
+        assert exc.value.code == 2
+        assert usage.startswith(
+            "usage: multidisc classify [-h] [--json | --trace] (--coeffs COEFFS | --file FILE)"
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--file", "/nonexistent/path.txt")
         assert code == 2
@@ -299,6 +331,22 @@ class TestDiscriminant:
         )
         assert code == 0
         assert out.strip().endswith("*a7^6")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--format", "poly", "--coeffs", "1,0,-1"], "reads no --coeffs"),
+            (["--format", "matrix", "--cap", "8"], "--cap is read only by --format poly"),
+            (["--format", "latex", "--cap", "8"], "--cap is read only by --format poly"),
+            (["--format", "value", "--coeffs", "1,0,-1", "--cap", "8"],
+             "--cap is read only by --format poly"),
+        ],
+    )
+    def test_options_the_format_does_not_read_are_rejected(self, capsys, argv, message):
+        # the parametric discriminant is generic, and only it has a degree cap
+        code, out, err = run_cli(capsys, "discriminant", "--n", "2", "--gamma", "2", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_invalid_gamma(self, capsys):
         code, _, err = run_cli(

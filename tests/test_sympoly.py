@@ -101,10 +101,3 @@ def test_evaluate_matches_hand_expansion():
 def test_incompatible_rings_rejected():
     with pytest.raises(ValueError):
         SymPoly.variable(3, 0) + SymPoly.variable(4, 0)
-
-
-def test_pow():
-    a0 = _var(0, nvars=2)
-    a1 = _var(1, nvars=2)
-    assert (a0 + a1) ** 2 == a0 * a0 + 2 * a0 * a1 + a1 * a1
-    assert (a0 + a1) ** 0 == SymPoly.const(2, 1)
