@@ -7,22 +7,19 @@ produced it.  The scan always terminates because the final discriminant
 equals prod(i^i) * an^(n-1), which cannot vanish.
 
 Partitions with a common prefix (g1..gj) are contiguous in that order and
-their matrices share the width n + g1 - 1 and the row blocks 0..j.  When
-those rows are linearly dependent, every discriminant under the prefix is
-exactly 0.  The first step, D_(n) = Res(F, F') / an by a subresultant PRS,
-also gives the number k = n - deg gcd(F, F') of distinct roots.  Every
-partition with g1 > k is then 0, and the one that breaks the chain, the
-conjugate of a vector with k parts, starts with k; so the scan tests g1 = k
-only, at width n + k - 1, where blocks 0..1 form the subresultant matrix
-S_(n-k)(F, F'), of full rank by that gcd degree (Collins 1967; Brown-Traub
-1971).  Level 1 is therefore seeded into one integer echelon, untested.
-The scan takes the partitions one at a time from a lazy enumerator and
-keeps that echelon for the prefix it tested last: a partition under a
-prefix found dependent is recorded as 0 without work, and any other cuts
-the echelon back to the prefix they share and adds the rows of its own
-proper prefixes.  A partition whose proper prefixes are all independent
-runs the exact determinant.  Vanishing is not monotone along the order
-(x^4 - x has D(3,1) = 0 but D(2,2) != 0), so the scan never bisects.
+share the row blocks 0..j; when those rows are dependent, every discriminant
+under the prefix is exactly 0.  The first step, D_(n) = Res(F, F') / an by a
+subresultant PRS, also gives G = gcd(F, F'), of degree n - k for k distinct
+roots.  Every partition with g1 > k is then 0, and the one that breaks the
+chain starts with k, so the scan tests g1 = k only.  There the rows of blocks
+0..1 span exactly G * P_(2k-1), the multiples of G of degree below n + k - 1
+(Collins 1967; Brown-Traub 1971), so a prefix is independent exactly when the
+remainders mod G of its blocks 2..j are: rows of width n - k, none at level
+1.  The scan takes the partitions one at a time from a lazy enumerator, skips
+those under the last prefix found dependent, and tests the proper prefixes of
+any other on a fresh echelon; a partition whose proper prefixes are all
+independent runs the exact determinant.  Vanishing is not monotone along the
+order (x^4 - x has D(3,1) = 0 but D(2,2) != 0), so the scan never bisects.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
-from .engine import block_rows, disc_resultant, disc_value
+from .engine import derivative_coeffs, disc_resultant, disc_value, pseudo_remainder
 from .partitions import Partition, classification_order, conjugate, iter_partitions
 from .unipoly import UniPoly
 
@@ -60,7 +57,6 @@ def _extend_echelon(echelon: list[tuple[int, list[int]]], rows) -> bool:
     columns of the rows stored before it.  A new row is reduced fraction-free
     against them in that order and divided by its content (Bareiss 1968); it
     reduces to zero exactly when it lies in the span of the rows before it.
-    The rows stored before a dependent one stay stored.
     """
     for row in rows:
         for pivot, base in echelon:
@@ -76,36 +72,44 @@ def _extend_echelon(echelon: list[tuple[int, list[int]]], rows) -> bool:
     return True
 
 
+def _reduced_rows(coeffs, divisor: list[int], order: int, count: int) -> list[list[int]]:
+    """x^s * F^(order) mod G for s < count, each up to a nonzero factor.
+
+    F has the ascending ``coeffs`` and G the descending ``divisor``; each row
+    has deg G entries, and that of s + 1 is that of s times x, reduced once.
+    """
+    row = pseudo_remainder(derivative_coeffs(coeffs, order), divisor)
+    rows = [row]
+    for _ in range(1, count):
+        row = pseudo_remainder(row + [0], divisor)
+        rows.append(row)
+    return rows
+
+
 def classify_trace(poly: UniPoly) -> ClassificationTrace:
     """Full short-circuit evaluation trail for the classification chain.
 
     The input is cleared to integers once, for the first step and the walk's
     rows.  The first partition, gamma = (n), comes from Res(F, F') by
-    ``disc_resultant``, which also gives the number k of distinct roots.
-    The walk then takes the partitions one at a time from ``iter_partitions``
-    and records a gamma as 0 without work when g1 > k, or when it starts with
-    the last prefix whose rows were found dependent.  Otherwise g1 = k: the
-    echelon, seeded untested with level 1 (blocks 0..1) before the first
-    level-2 test, is cut back to the prefix it shares with gamma[:-1] and
-    extended from level 2 on, level j adding the rows of derivative order j.
-    A dependent row marks its level's prefix dead and gamma 0; in the seed it
-    is an engine fault, as is a walk that leaves g1 = k.  A gamma whose proper
-    prefixes are all independent runs ``disc_value`` on the input polynomial.
-    Only the partition that breaks the chain is conjugated.
+    ``disc_resultant``, which also gives G = gcd(F, F'), so k = n - deg G.
+    The walk takes the partitions from ``iter_partitions`` and records a
+    gamma as 0 without work when g1 > k or when it starts with the last prefix
+    found dependent.  Otherwise g1 = k, and its proper prefixes are tested on
+    a fresh echelon from level 2 on, level j adding x^s * F^(j) mod G, s < g_j;
+    a dependent row marks the prefix dead and gamma 0.  If all are independent,
+    gamma runs ``disc_value`` on the input polynomial.  A walk that leaves
+    g1 = k without a nonzero step is an engine fault.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
     n = poly.degree
     coeffs, scale = poly.clear_denominators()
-    first, common = disc_resultant(coeffs, scale)
+    first, divisor = disc_resultant(coeffs, scale)
     if first.value:
         return ClassificationTrace((TraceStep((n,), first.value, True),), conjugate((n,)), (n,))
-    k = n - common
-    size = n + k - 1  # the width of every matrix the walk tests
+    k = n - len(divisor) + 1
     zero = Fraction(0)
     steps: list[TraceStep] = []
-    echelon: list[tuple[int, list[int]]] = []
-    held: Partition = (k,)  # the prefix whose row blocks 0..len(held) the echelon holds
     dead: Partition = (n,)  # the last prefix found dependent
     for gamma in iter_partitions(n):  # (n,) first: 0 by the resultant, and n > k
         if gamma[0] > k or gamma[: len(dead)] == dead:
@@ -113,18 +117,10 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
             continue
         if gamma[0] < k:
             break
-        depth = 1
-        while depth < len(held) and held[depth] == gamma[depth]:
-            depth += 1
-        del echelon[sum(gamma[1:depth], 2 * k - 1) :]  # keeps blocks 0..depth
-        held = gamma[:-1]
-        if len(held) > 1 and not echelon:  # level 2 comes next; level 1 needs no test
-            seed = block_rows(coeffs, 0, k - 1, size) + block_rows(coeffs, 1, k, size)
-            if not _extend_echelon(echelon, seed):
-                raise ArithmeticError("blocks 0..1 are dependent at g1 = k; engine bug")
-        for depth in range(depth, len(held)):
-            if not _extend_echelon(echelon, block_rows(coeffs, depth + 1, gamma[depth], size)):
-                held, dead = gamma[:depth], gamma[: depth + 1]
+        echelon: list[tuple[int, list[int]]] = []
+        for depth in range(1, len(gamma) - 1):  # level 1 spans G * P_(2k-1): no test
+            if not _extend_echelon(echelon, _reduced_rows(coeffs, divisor, depth + 1, gamma[depth])):
+                dead = gamma[: depth + 1]
                 steps.append(TraceStep(gamma, zero, False))
                 break
         else:

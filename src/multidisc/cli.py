@@ -124,6 +124,9 @@ def _cmd_discriminant(args) -> int:
         raise CliError("--format poly gives the generic discriminant and reads no --coeffs")
     if args.format != "poly" and args.cap is not None:
         raise CliError(f"--cap is read only by --format poly, not --format {args.format}")
+    cap = SYMBOLIC_CAP_DEFAULT if args.cap is None else args.cap
+    if cap < 1:
+        raise CliError("--cap must be at least 1")
     gamma = parse_gamma(args.gamma, n)
     poly = None
     if args.coeffs:
@@ -137,12 +140,10 @@ def _cmd_discriminant(args) -> int:
         print(str(disc_value(poly, gamma).value))
         return 0
     if args.format == "poly":
-        try:
-            cap = SYMBOLIC_CAP_DEFAULT if args.cap is None else args.cap
-            result = disc_symbolic(n, gamma, cap=cap)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        print(str(result.value))
+        if n > cap:
+            raise CliError(f"degree {n} exceeds the symbolic cap {cap}; pass --cap {n} "
+                           "if you accept the term growth")
+        print(str(disc_symbolic(n, gamma, cap=cap).value))
         return 0
     matrix = build_matrix(poly, gamma) if poly is not None else build_symbolic_matrix(n, gamma)
     if args.format == "latex":

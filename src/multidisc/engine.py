@@ -15,7 +15,7 @@ The matrix of gamma = (n) is the Sylvester matrix of F and F' (n - 1 rows
 of F above n rows of F'), so D_(n) is Res(F, F') up to the division by
 the leading coefficient.  It is computed by a subresultant polynomial
 remainder sequence over the integers (Collins 1967; Brown-Traub 1971) in
-O(n^2) integer operations, and the same sequence gives deg gcd(F, F').
+O(n^2) integer operations; the same sequence gives G = gcd(F, F').
 
 Every other numeric determinant is one Bareiss elimination over Python
 ints, on integer rows only: a rational polynomial is cleared to integers
@@ -261,8 +261,22 @@ def _exact(num: int, den: int) -> int:
     return q
 
 
-def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, int]:
-    """Res(a, b) and deg gcd(a, b) of two integer polynomials, by a subresultant PRS.
+def pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """lead(b)^(deg a - deg b + 1) * a mod b for descending integer lists, deg b >= 1.
+
+    One pass per term of a cancelled; the result keeps its leading zeros, so
+    it has len(b) - 1 entries (an ``a`` of lower degree than b is padded).
+    """
+    lead, tail, rem = b[0], b[1:], list(a)
+    for _ in range(len(a) - len(b) + 1):
+        top = rem[0]
+        head = [lead * x - top * y for x, y in zip(rem[1:], tail)]
+        rem = head + [lead * x for x in rem[len(b) :]]
+    return [0] * (len(b) - 1 - len(rem)) + rem
+
+
+def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int]]:
+    """Res(a, b) and G = gcd(a, b) of two integer polynomials, by a subresultant PRS.
 
     ``a`` and ``b`` are descending coefficient lists with nonzero leading
     coefficients, and Res(a, b) is the determinant of their Sylvester matrix:
@@ -274,9 +288,9 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, int]:
     divided by g * h^delta, where g is the leading coefficient of the divisor
     and h becomes g^delta / h^(delta - 1): the subresultant recurrence of
     Brown-Traub 1971, exact also when delta > 1 (see Ducos 2000).  The last
-    nonzero remainder is a multiple of gcd(a, b), so a zero resultant comes
-    with its degree and a nonzero one with 0.  Every division is exact, so a
-    remainder raises ArithmeticError.
+    nonzero remainder is a constant multiple of gcd(a, b): G is its primitive
+    part when the resultant is 0, and [1] otherwise.  Every division is exact,
+    so a remainder raises ArithmeticError.
     """
     if not a or not b or not a[0] or not b[0]:
         raise ValueError("nonzero leading coefficients required")
@@ -295,22 +309,18 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, int]:
         delta = da - db
         if da & db & 1:
             sign = -sign
-        # pseudo-remainder: lead(b)^(delta + 1) * a = q * b + r, one term per pass
-        lead, tail, rem = b[0], b[1:], a
-        for _ in range(delta + 1):
-            top = rem[0]
-            head = [lead * x - top * y for x, y in zip(rem[1:], tail)]
-            rem = head + [lead * x for x in rem[len(b) :]]
+        rem = pseudo_remainder(a, b)
         start = next((i for i, c in enumerate(rem) if c), None)
         if start is None:
-            return 0, db
+            content = gcd(*b)
+            return 0, [c // content for c in b]
         den = g * h**delta
         a, b = b, [_exact(c, den) for c in rem[start:]]
         g = a[0]
         if delta:
             h = _exact(g**delta, h ** (delta - 1))
     da = len(a) - 1
-    return sign * scale * _exact(b[0] ** da * h, h**da), 0
+    return sign * scale * _exact(b[0] ** da * h, h**da), [1]
 
 
 def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:
@@ -368,17 +378,17 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     return _rescaled(dp, ints, scale, gamma)
 
 
-def disc_resultant(ints: Sequence[int], scale: Fraction) -> tuple[DiscValue, int]:
-    """D_(n) of F = G / scale, and deg gcd(F, F'), for the cleared integer G.
+def disc_resultant(ints: Sequence[int], scale: Fraction) -> tuple[DiscValue, list[int]]:
+    """D_(n) of F, and G = gcd(F, F'), primitive and descending, for F = I / scale.
 
     ``ints`` and ``scale`` are what ``UniPoly.clear_denominators`` returns
-    for F, of degree n >= 1.  The matrix of gamma = (n) is the Sylvester
-    matrix of F and F', so its determinant is Res(F, F'), taken by
-    :func:`sylvester_resultant` on G.  The gcd degree is n minus the number
-    of distinct roots.
+    for F, of degree n >= 1; I has the ascending ``ints``.  The matrix of
+    gamma = (n) is the Sylvester matrix of F and F', so its determinant is
+    Res(F, F'), taken by :func:`sylvester_resultant` on I and I'.  The
+    degree of G, len(G) - 1, is n minus the number of distinct roots.
     """
-    res, common = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
-    return _rescaled(res, ints, scale, (len(ints) - 1,)), common
+    res, divisor = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
+    return _rescaled(res, ints, scale, (len(ints) - 1,)), divisor
 
 
 def _rescaled(dp: int, ints: Sequence[int], scale: Fraction, gamma: Partition) -> DiscValue:

@@ -99,11 +99,6 @@ def parse_root_spec(text: str) -> RootSpec:
     return RootSpec(tuple(roots), leading)
 
 
-def format_root_spec(spec: RootSpec) -> str:
-    body = ", ".join(f"{r}^{m}" for r, m in spec.roots)
-    return f"{spec.leading}; {body}"
-
-
 def _scaled_roots(spec: RootSpec) -> tuple[int, list[int]]:
     """Q, the lcm of the root denominators, and the integers P_j = Q * r_j."""
     q = lcm(*[r.denominator for r, _ in spec.roots])

@@ -140,8 +140,6 @@ class SymPoly:
         coefficient by c.  Raises ArithmeticError if a term is not divisible,
         and ValueError if the divisor has more than one term.
         """
-        if isinstance(divisor, int):
-            divisor = SymPoly.const(self.nvars, divisor)
         self._check_compatible(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")

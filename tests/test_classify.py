@@ -20,7 +20,7 @@ from multidisc import (
     squarefree_multiplicity,
 )
 from multidisc.classify import _extend_echelon, trace_json_dict
-from multidisc.engine import block_rows
+from multidisc.engine import block_rows, derivative_coeffs, pseudo_remainder, sylvester_resultant
 from multidisc.partitions import classification_order
 from multidisc.roots import random_root_spec
 
@@ -201,6 +201,40 @@ def test_first_two_blocks_are_dependent_iff_g1_exceeds_distinct_roots():
     assert cases == 968
 
 
+def test_prefix_rule_modulo_the_gcd_is_the_full_width_rule():
+    # at g1 = k the rows of blocks 0..1 span G * P_(2k-1), so blocks 0..j are
+    # independent exactly when the remainders mod G of blocks 2..j are; at
+    # j = len(gamma) both sides are square, and the rule is det != 0
+    cases = Counter()
+    for n in range(1, 10):
+        for mu in partitions_of(n):
+            k = len(mu)
+            for spec in (
+                RootSpec(tuple((i - 2, m) for i, m in enumerate(mu)), -2),
+                RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(5, 3)),
+            ):
+                coeffs = expand(spec).clear_denominators()[0]
+                divisor = sylvester_resultant(derivative_coeffs(coeffs, 0), derivative_coeffs(coeffs, 1))[1]
+                assert len(divisor) - 1 == n - k, spec
+                for order in (0, 1):
+                    assert not any(pseudo_remainder(derivative_coeffs(coeffs, order), divisor)), spec
+                size = n + k - 1
+                level_one = block_rows(coeffs, 0, k - 1, size) + block_rows(coeffs, 1, k, size)
+                assert _extend_echelon([], level_one), spec
+                for gamma in partitions_of(n):
+                    if gamma[0] != k:
+                        continue
+                    full, reduced = list(level_one), []
+                    for j in range(2, len(gamma) + 1):
+                        full += block_rows(coeffs, j, gamma[j - 1], size)
+                        reduced += CLASSIFY._reduced_rows(coeffs, divisor, j, gamma[j - 1])
+                        assert {len(row) for row in reduced} == {n - k}
+                        independent = _extend_echelon([], full)
+                        assert _extend_echelon([], reduced) == independent, (spec, gamma, j)
+                        cases[independent] += 1
+    assert cases == {True: 1380, False: 492}
+
+
 def _count_calls(monkeypatch, module, name, calls, record=None):
     """Count the calls of ``module.name`` in ``calls[name]``, its False results in ``calls[name, False]``."""
     original = getattr(module, name)
@@ -230,8 +264,8 @@ def test_squarefree_input_runs_one_resultant_and_no_matrix(monkeypatch):
 
 @pytest.mark.parametrize("mu", [(10, 10), (8, 7, 5), (15, 15), (8, 8), (6, 5, 5)])
 def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu):
-    # every prefix with g1 > k is decided by deg gcd(F, F') alone: its rows,
-    # of width n + g1 - 1, never reach the echelon
+    # every prefix with g1 > k is decided by deg gcd(F, F') alone, and at
+    # g1 = k only the remainders mod G, of width n - k, reach the echelon
     spec = RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3)
     poly = expand(spec)
     n, k = poly.degree, len(mu)
@@ -242,7 +276,7 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
     _count_calls(monkeypatch, ENGINE, "sylvester_resultant", calls)
     trace = classify_trace(poly)
     assert calls["sylvester_resultant"] == 1
-    assert calls["_extend_echelon"] and max(widths) == n + k - 1
+    assert calls["_extend_echelon"] and widths == {n - k}
     assert trace.result == mu and trace.delta[0] == k
     chain = partitions_of(n)
     assert [s.gamma for s in trace.steps] == chain[: chain.index(trace.delta) + 1]
@@ -255,21 +289,21 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
 @pytest.mark.parametrize(
     "mu, work",
     [
-        ((10, 10), (617, 9, 0, 1)),
-        ((8, 7, 5), (586, 8, 1, 1)),
-        ((15, 15), (5589, 14, 0, 1)),
-        ((6, 5, 5), (202, 5, 0, 1)),
+        ((10, 10), (617, 8, 0, 1)),
+        ((8, 7, 5), (586, 11, 1, 1)),
+        ((15, 15), (5589, 13, 0, 1)),
+        ((6, 5, 5), (202, 4, 0, 1)),
         ((4, 3, 3, 2, 2, 1), (71, 4, 1, 2)),
-        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 4, 2, 1)),
+        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 3, 2, 1)),
         ((2, 2, 2, 2, 1, 1), (8, 0, 0, 1)),
     ],
 )
 def test_walk_does_the_same_work(monkeypatch, mu, work):
     # (steps, echelon extensions, dependent ones, leaf determinants) for
-    # F = prod (x - i)^mu_i, i = 0, 1, 2, ...: each proper prefix the scan
-    # reaches is extended once, and nothing under a dependent one is tested;
-    # level 1 is one untested extension, made only before a level-2 test, so
-    # the two-part leaf (6, 4) of (2, 2, 2, 2, 1, 1) extends nothing
+    # F = prod (x - i)^mu_i, i = 0, 1, 2, ...: each gamma with g1 = k that the
+    # scan reaches tests its proper prefixes from level 2 on, one extension
+    # each, on a fresh echelon, and nothing under a dependent prefix is
+    # tested; the two-part leaf (6, 4) of (2, 2, 2, 2, 1, 1) extends nothing
     poly = expand(RootSpec(tuple((Fraction(i), m) for i, m in enumerate(mu)), 1))
     calls = Counter()
     _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", calls)
@@ -279,29 +313,6 @@ def test_walk_does_the_same_work(monkeypatch, mu, work):
     got = (len(trace.steps), calls["_extend_echelon"], calls["_extend_echelon", False],
            calls["disc_value"])
     assert got == work
-
-
-@pytest.mark.parametrize(
-    "mu", [(5,), (10, 10), (8, 7, 5), (4, 3, 3, 2, 2, 1), (3, 3, 3, 3, 2, 2, 2, 1, 1), (2, 2, 1, 1)]
-)
-def test_level_one_is_seeded_once_and_never_tested(monkeypatch, mu):
-    # blocks 0..1 at g1 = k are independent by the resultant's gcd degree:
-    # their 2k - 1 rows are the echelon's first extension, made only when a
-    # partition with three or more parts needs level 2, and every later
-    # extension adds one block of derivative order >= 2 above them
-    poly = expand(RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3))
-    n, k = poly.degree, len(mu)
-    coeffs, size = poly.clear_denominators()[0], n + k - 1
-    seed = block_rows(coeffs, 0, k - 1, size) + block_rows(coeffs, 1, k, size)
-    batches = []
-    _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", Counter(),
-                 lambda echelon, rows: batches.append((len(echelon), rows)))
-    trace = classify_trace(poly)
-    assert trace.result == mu
-    assert batches[:1] == ([(0, seed)] if len(trace.delta) > 2 else [])
-    for held, rows in batches[1:]:
-        assert held >= len(seed)
-        assert any(rows == block_rows(coeffs, j, len(rows), size) for j in range(2, n + 1))
 
 
 @pytest.mark.parametrize(

@@ -177,15 +177,10 @@ class TestClassify:
         [
             # (x - 1)^2 (x + 1) (x - 2)^2, k = 3: every g1 = 3 leaf forced to 0
             ("1,-5,7,1,-8,4", "disc_value", "no discriminant with g1 = k is nonzero"),
-            # (x - 1)^3: (1,1,1) seeds blocks 0..1, which the gcd degree makes independent
-            ("1,-3,3,-1", "_extend_echelon", "blocks 0..1 are dependent at g1 = k"),
         ],
     )
     def test_walk_fault_is_one_line(self, capsys, monkeypatch, coeffs, fault, message):
-        faults = {
-            "disc_value": lambda poly, gamma: DiscValue(Fraction(0), gamma, poly.degree),
-            "_extend_echelon": lambda echelon, rows: False,
-        }
+        faults = {"disc_value": lambda poly, gamma: DiscValue(Fraction(0), gamma, poly.degree)}
         # the package's classify function shadows the module of the same name
         monkeypatch.setattr(import_module("multidisc.classify"), fault, faults[fault])
         code, out, err = run_cli(capsys, "classify", "--coeffs", coeffs)
@@ -315,6 +310,18 @@ class TestDiscriminant:
         )
         assert code == 2
         assert "cap 6" in err
+        assert err == (
+            "error: degree 7 exceeds the symbolic cap 6; pass --cap 7 "
+            "if you accept the term growth\n"
+        )
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_rejected(self, capsys, cap):
+        # a cap below 1 admits no degree, so it is a usage error and not an over-cap one
+        code, out, err = run_cli(
+            capsys, "discriminant", "--n", "2", "--gamma", "2", "--format", "poly", "--cap", cap
+        )
+        assert (code, out, err) == (2, "", "error: --cap must be at least 1\n")
 
     def test_cap_override(self, capsys):
         code, out, _ = run_cli(

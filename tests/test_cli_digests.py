@@ -1,0 +1,71 @@
+"""CLI output pinned by digest: one sha256 of (exit code, stdout, stderr) per invocation.
+
+    PYTHONPATH=src python tests/test_cli_digests.py --write
+
+rewrites tests/cli_digests.json from the current code.  Do that only for an
+intended change of output, and name the invocations whose digest changed.
+``--help`` and argparse usage errors are left out: their text differs
+between Python versions.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from multidisc import RootSpec, expand, partitions_of
+
+from cli_reuse import run
+
+DIGESTS = Path(__file__).with_name("cli_digests.json")
+
+
+def _coeffs(mu, rational: bool) -> str:
+    """``--coeffs=`` of prod (x - i)^mu_i, or of -3/7 prod (x - (2i - 3)/5)^mu_i."""
+    if rational:
+        spec = RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(-3, 7))
+    else:
+        spec = RootSpec(tuple((i, m) for i, m in enumerate(mu)), 1)
+    return "--coeffs=" + ",".join(str(c) for c in expand(spec).descending_coeffs())
+
+
+def invocations() -> list[list[str]]:
+    calls = []
+    for n in range(1, 9):
+        for mu in partitions_of(n):
+            for rational in (False, True):
+                coeffs = _coeffs(mu, rational)
+                calls.extend(["classify", coeffs, *flags] for flags in ([], ["--trace"], ["--json"]))
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            for rational in (False, True):
+                coeffs = _coeffs(mu, rational)
+                for gamma in partitions_of(n):
+                    text = ",".join(map(str, gamma))
+                    calls.append(["discriminant", "--n", str(n), "--gamma", text, "--format", "value", coeffs])
+    calls += [["conditions", "--n", "5"], ["conditions", "--n", "5", "--json"], ["degree-table"]]
+    return calls
+
+
+def digests() -> dict[str, str]:
+    return {
+        " ".join(argv): hashlib.sha256(json.dumps(run(argv)).encode()).hexdigest()
+        for argv in invocations()
+    }
+
+
+def test_cli_output_matches_its_digests():
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    got = digests()
+    assert len(got) == len(expected) == 575
+    assert [argv for argv in got if got[argv] != expected.get(argv)] == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    DIGESTS.write_text(json.dumps(digests(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(invocations())} digests to {DIGESTS}")

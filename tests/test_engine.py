@@ -2,7 +2,7 @@ import gc
 import json
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -25,6 +25,7 @@ from multidisc.engine import (
     derivative_coeffs,
     det_fraction_free,
     det_minor_expansion,
+    pseudo_remainder,
     sylvester_resultant,
 )
 from multidisc.roots import random_root_spec
@@ -298,7 +299,8 @@ class TestSylvesterResultant:
             ints = [c.numerator for c in poly.coeffs]
             size = 2 * n - 1
             rows = block_rows(ints, 0, n - 1, size) + block_rows(ints, 1, n, size)
-            res, common = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
+            res, divisor = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
+            common = len(divisor) - 1
             assert res == det_fraction_free(rows), poly
             assert n - common == len(squarefree_multiplicity(poly)), poly
             assert (res == 0) == (common > 0)
@@ -332,15 +334,18 @@ class TestSylvesterResultant:
                 b = [c.numerator for c in (UniPoly.from_descending(b) * f).descending_coeffs()]
             content = rng.choice([1, 1, 6])
             a = [c * content for c in a]
-            res, common = sylvester_resultant(a, b)
+            res, divisor = sylvester_resultant(a, b)
             rows = _sylvester(a, b)
             if rows:
                 assert res == det_fraction_free(rows), (a, b)
-                assert common == len(rows) - _rank(rows), (a, b)
+                assert len(divisor) - 1 == len(rows) - _rank(rows), (a, b)
             else:
-                assert (res, common) == (1, 0)
-        assert sylvester_resultant([3], [5, 1]) == (3, 0)
-        assert sylvester_resultant([2, 0, 1], [-5]) == (25, 0)
+                assert (res, divisor) == (1, [1])
+            if len(divisor) > 1:  # G divides both, and is primitive
+                assert not any(pseudo_remainder(a, divisor) + pseudo_remainder(b, divisor))
+                assert gcd(*divisor) == 1
+        assert sylvester_resultant([3], [5, 1]) == (3, [1])
+        assert sylvester_resultant([2, 0, 1], [-5]) == (25, [1])
 
     def test_rejects_zero_leading_and_flags_inexact_division(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from multidisc import (
 from multidisc.engine import sylvester_resultant
 from multidisc.roots import (
     _root_side_disc,
-    format_root_spec,
     random_root_spec,
     squarefree_decomposition,
 )
@@ -66,7 +65,6 @@ class TestRootSpec:
         spec = parse_root_spec("-2; 1^2, -1/2^1, 7/3^3")
         assert spec.leading == -2
         assert spec.roots == ((Fraction(1), 2), (Fraction(-1, 2), 1), (Fraction(7, 3), 3))
-        assert parse_root_spec(format_root_spec(spec)) == spec
 
     def test_parse_defaults_multiplicity_to_one(self):
         spec = parse_root_spec("1; 4, 5^2")
@@ -104,8 +102,8 @@ def _cleared(poly):
 
 
 def _coprime(g, h):
-    res, common = sylvester_resultant(_cleared(g), _cleared(h))
-    return res != 0 and common == 0
+    res, divisor = sylvester_resultant(_cleared(g), _cleared(h))
+    return res != 0 and divisor == [1]
 
 
 def _reference_gcd(a, b):
