@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from importlib import import_module
+from math import gcd
 
 import pytest
 
@@ -19,8 +20,8 @@ from multidisc import (
     partitions_of,
     squarefree_multiplicity,
 )
-from multidisc.classify import _extend_echelon, trace_json_dict
-from multidisc.engine import block_rows, derivative_coeffs, pseudo_remainder, sylvester_resultant
+from multidisc.classify import trace_json_dict
+from multidisc.engine import block_rows
 from multidisc.partitions import classification_order
 from multidisc.roots import random_root_spec
 
@@ -183,6 +184,29 @@ def test_pruned_trace_equals_plain_scan_at_degree_16(mu):
     assert_trace_is_reference(expand(spec))
 
 
+def extend_echelon(echelon: list[tuple[int, list[int]]], rows) -> bool:
+    """Append integer ``rows`` to ``echelon``; False at the first dependent row.
+
+    The reference echelon: ``echelon`` holds (pivot column, row) pairs, each
+    row zero in the pivot columns of the rows stored before it.  A new row is
+    reduced fraction-free against them in that order and divided by its
+    content (Bareiss 1968); it reduces to zero exactly when it lies in the
+    span of the rows before it.
+    """
+    for row in rows:
+        for pivot, base in echelon:
+            factor = row[pivot]
+            if factor:
+                head = base[pivot]
+                row = [head * a - factor * b for a, b in zip(row, base)]
+        content = gcd(*row)
+        if not content:
+            return False
+        pivot = next(j for j, v in enumerate(row) if v)
+        echelon.append((pivot, [v // content for v in row]))
+    return True
+
+
 def test_first_two_blocks_are_dependent_iff_g1_exceeds_distinct_roots():
     # blocks 0..1 hold A*F + B*F' for deg A < g1 - 1 and deg B < g1; a
     # dependency A*F = -B*F' needs deg B >= n - deg gcd(F, F'), which is the
@@ -196,57 +220,80 @@ def test_first_two_blocks_are_dependent_iff_g1_exceeds_distinct_roots():
             for g1 in range(1, n):
                 size = n + g1 - 1
                 rows = block_rows(coeffs, 0, g1 - 1, size) + block_rows(coeffs, 1, g1, size)
-                assert _extend_echelon([], rows) == (g1 <= len(mu)), (mu, g1)
+                assert extend_echelon([], rows) == (g1 <= len(mu)), (mu, g1)
                 cases += 1
     assert cases == 968
 
 
-def test_prefix_rule_modulo_the_gcd_is_the_full_width_rule():
-    # at g1 = k the rows of blocks 0..1 span G * P_(2k-1), so blocks 0..j are
-    # independent exactly when the remainders mod G of blocks 2..j are; at
-    # j = len(gamma) both sides are square, and the rule is det != 0
+def test_degree_count_rule_is_the_full_width_rule():
+    # F^(i) vanishes to order m - i at a root of multiplicity m, so for i <= j
+    # every row of blocks 0..j is a multiple of G_j = prod (x - r)^max(m - j, 0)
+    # of degree below n + g1 - 1.  A gamma before delta first differs from it
+    # at a level j with g_j > delta_j, and there its rows outnumber the
+    # dimension n + g1 - 1 - deg G_j of that space; every prefix of delta is
+    # independent, the full matrix (det != 0) included
     cases = Counter()
     for n in range(1, 10):
         for mu in partitions_of(n):
-            k = len(mu)
+            delta = conjugate(mu)
             for spec in (
                 RootSpec(tuple((i - 2, m) for i, m in enumerate(mu)), -2),
                 RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(5, 3)),
             ):
                 coeffs = expand(spec).clear_denominators()[0]
-                divisor = sylvester_resultant(derivative_coeffs(coeffs, 0), derivative_coeffs(coeffs, 1))[1]
-                assert len(divisor) - 1 == n - k, spec
-                for order in (0, 1):
-                    assert not any(pseudo_remainder(derivative_coeffs(coeffs, order), divisor)), spec
-                size = n + k - 1
-                level_one = block_rows(coeffs, 0, k - 1, size) + block_rows(coeffs, 1, k, size)
-                assert _extend_echelon([], level_one), spec
                 for gamma in partitions_of(n):
-                    if gamma[0] != k:
-                        continue
-                    full, reduced = list(level_one), []
-                    for j in range(2, len(gamma) + 1):
-                        full += block_rows(coeffs, j, gamma[j - 1], size)
-                        reduced += CLASSIFY._reduced_rows(coeffs, divisor, j, gamma[j - 1])
-                        assert {len(row) for row in reduced} == {n - k}
-                        independent = _extend_echelon([], full)
-                        assert _extend_echelon([], reduced) == independent, (spec, gamma, j)
-                        cases[independent] += 1
-    assert cases == {True: 1380, False: 492}
+                    size = n + gamma[0] - 1
+                    rows = block_rows(coeffs, 0, gamma[0] - 1, size)
+                    if gamma == delta:
+                        echelon = []
+                        assert extend_echelon(echelon, rows), spec
+                        for j, part in enumerate(gamma, 1):
+                            rows = block_rows(coeffs, j, part, size)
+                            assert extend_echelon(echelon, rows), (spec, j)
+                            cases[True] += 1
+                        break
+                    j = next(j for j, (g, d) in enumerate(zip(gamma, delta), 1) if g != d)
+                    assert gamma[j - 1] > delta[j - 1], (spec, gamma)
+                    for i in range(1, j + 1):
+                        rows += block_rows(coeffs, i, gamma[i - 1], size)
+                    assert len(rows) > size - sum(max(m - j, 0) for m in mu), (spec, gamma)
+                    assert not extend_echelon([], rows), (spec, gamma)
+                    cases[False] += 1
+    assert cases == {True: 690, False: 1722}
+
+
+def test_trace_delta_is_the_conjugate_of_yun():
+    # the chain G_j = gcd(G_(j-1), G_(j-1)') and Yun's decomposition share no
+    # gcd code (``roots._prs_gcd`` is Yun's own), so each checks the other
+    for n in range(1, 13):
+        for mu in partitions_of(n):
+            for spec in (
+                RootSpec(tuple((i, m) for i, m in enumerate(mu)), 1),
+                RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(-3, 7)),
+            ):
+                poly = expand(spec)
+                delta = classify_trace(poly).delta
+                assert delta == conjugate(squarefree_multiplicity(poly)) == conjugate(mu), spec
+
+
+@pytest.mark.parametrize("mu", [(40,), (20, 20), (12, 12, 12)])
+def test_trace_delta_is_the_conjugate_of_yun_at_high_multiplicity(mu):
+    # too deep for the reference scan: p(40) = 37338 determinants
+    poly = expand(RootSpec(tuple((i + 1, m) for i, m in enumerate(mu)), 1))  # (x - 1)^40, ...
+    trace = classify_trace(poly)
+    assert trace.delta == conjugate(squarefree_multiplicity(poly)) == conjugate(mu)
+    assert all(not s.nonzero for s in trace.steps[:-1]) and trace.steps[-1].nonzero
 
 
 def _count_calls(monkeypatch, module, name, calls, record=None):
-    """Count the calls of ``module.name`` in ``calls[name]``, its False results in ``calls[name, False]``."""
+    """Count the calls of ``module.name`` in ``calls[name]``, passing their args to ``record``."""
     original = getattr(module, name)
 
     def counted(*args):
         calls[name] += 1
         if record is not None:
             record(*args)
-        result = original(*args)
-        if result is False:
-            calls[name, False] += 1
-        return result
+        return original(*args)
 
     monkeypatch.setattr(module, name, counted)
 
@@ -256,7 +303,8 @@ def test_squarefree_input_runs_one_resultant_and_no_matrix(monkeypatch):
     calls = Counter()
     for name in ("sylvester_resultant", "det_fraction_free", "build_matrix"):
         _count_calls(monkeypatch, ENGINE, name, calls)
-    _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", calls)
+    for name in ("sylvester_resultant", "disc_value"):
+        _count_calls(monkeypatch, CLASSIFY, name, calls)
     trace = classify_trace(poly)
     assert trace.result == (1,) * 28 and len(trace.steps) == 1
     assert calls == Counter(sylvester_resultant=1)
@@ -264,19 +312,21 @@ def test_squarefree_input_runs_one_resultant_and_no_matrix(monkeypatch):
 
 @pytest.mark.parametrize("mu", [(10, 10), (8, 7, 5), (15, 15), (8, 8), (6, 5, 5)])
 def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu):
-    # every prefix with g1 > k is decided by deg gcd(F, F') alone, and at
-    # g1 = k only the remainders mod G, of width n - k, reach the echelon
+    # the gcd chain takes m_1 resultants in all, Res(F, F') the first, and
+    # decides every step before delta; the only matrix eliminated is delta's,
+    # which starts at g1 = k and has order n + k - 1
     spec = RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3)
     poly = expand(spec)
     n, k = poly.degree, len(mu)
-    widths = set()
+    leaves, orders = [], []
     calls = Counter()
-    _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", calls,
-                 lambda echelon, rows: widths.update(len(row) for row in rows))
     _count_calls(monkeypatch, ENGINE, "sylvester_resultant", calls)
+    _count_calls(monkeypatch, CLASSIFY, "sylvester_resultant", calls)
+    _count_calls(monkeypatch, CLASSIFY, "disc_value", calls, lambda poly, gamma: leaves.append(gamma))
+    _count_calls(monkeypatch, ENGINE, "det_fraction_free", calls, lambda rows: orders.append(len(rows)))
     trace = classify_trace(poly)
-    assert calls["sylvester_resultant"] == 1
-    assert calls["_extend_echelon"] and widths == {n - k}
+    assert calls["sylvester_resultant"] == mu[0]
+    assert leaves == [trace.delta] and orders == [n + k - 1]
     assert trace.result == mu and trace.delta[0] == k
     chain = partitions_of(n)
     assert [s.gamma for s in trace.steps] == chain[: chain.index(trace.delta) + 1]
@@ -289,39 +339,36 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
 @pytest.mark.parametrize(
     "mu, work",
     [
-        ((10, 10), (617, 8, 0, 1)),
-        ((8, 7, 5), (586, 11, 1, 1)),
-        ((15, 15), (5589, 13, 0, 1)),
-        ((6, 5, 5), (202, 4, 0, 1)),
-        ((4, 3, 3, 2, 2, 1), (71, 4, 1, 2)),
-        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 3, 2, 1)),
-        ((2, 2, 2, 2, 1, 1), (8, 0, 0, 1)),
+        ((10, 10), (617, 10, 1)),
+        ((8, 7, 5), (586, 8, 1)),
+        ((15, 15), (5589, 15, 1)),
+        ((6, 5, 5), (202, 6, 1)),
+        ((4, 3, 3, 2, 2, 1), (71, 4, 1)),
+        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 3, 1)),
+        ((2, 2, 2, 2, 1, 1), (8, 2, 1)),
     ],
 )
 def test_walk_does_the_same_work(monkeypatch, mu, work):
-    # (steps, echelon extensions, dependent ones, leaf determinants) for
-    # F = prod (x - i)^mu_i, i = 0, 1, 2, ...: each gamma with g1 = k that the
-    # scan reaches tests its proper prefixes from level 2 on, one extension
-    # each, on a fresh echelon, and nothing under a dependent prefix is
-    # tested; the two-part leaf (6, 4) of (2, 2, 2, 2, 1, 1) extends nothing
+    # (steps, chain resultants, leaf determinants) for F = prod (x - i)^mu_i,
+    # i = 0, 1, 2, ...: one resultant per level of the gcd chain, m_1 in all,
+    # and one leaf, on delta
     poly = expand(RootSpec(tuple((Fraction(i), m) for i, m in enumerate(mu)), 1))
     calls = Counter()
-    _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", calls)
+    _count_calls(monkeypatch, ENGINE, "sylvester_resultant", calls)
+    _count_calls(monkeypatch, CLASSIFY, "sylvester_resultant", calls)
     _count_calls(monkeypatch, CLASSIFY, "disc_value", calls)
     trace = classify_trace(poly)
     assert trace.result == mu
-    got = (len(trace.steps), calls["_extend_echelon"], calls["_extend_echelon", False],
-           calls["disc_value"])
-    assert got == work
+    assert (len(trace.steps), calls["sylvester_resultant"], calls["disc_value"]) == work
 
 
 @pytest.mark.parametrize(
     "mu, leaves",
-    [((1,) * 6, 0), ((10, 10), 1), ((8, 7, 5), 1), ((4, 3, 3, 2, 2, 1), 2), ((2, 2, 1), 1)],
+    [((1,) * 6, 0), ((10, 10), 1), ((8, 7, 5), 1), ((4, 3, 3, 2, 2, 1), 1), ((2, 2, 1), 1)],
 )
 def test_classification_clears_its_input_once(monkeypatch, mu, leaves):
-    # one clearing feeds the first step and the walk's rows; each leaf
-    # ``disc_value`` takes the input polynomial and clears it once more
+    # one clearing feeds the first step, whose G_1 starts the gcd chain; the
+    # leaf ``disc_value`` takes the input polynomial and clears it once more
     spec = RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(-3, 7))
     calls = Counter()
     _count_calls(monkeypatch, UniPoly, "clear_denominators", calls)
@@ -330,13 +377,10 @@ def test_classification_clears_its_input_once(monkeypatch, mu, leaves):
     assert (calls["clear_denominators"], calls["disc_value"]) == (1 + leaves, leaves)
 
 
-def test_walk_takes_the_partitions_lazily(monkeypatch):
+def test_walk_takes_the_partitions_lazily():
     # p(60) = 966467 partitions, a few hundred MB as a list; this input
-    # breaks the chain at the second partition, (59, 1), a two-part leaf
-    # whose only proper prefix, level 1, the resultant decides
+    # breaks the chain at the second partition, (59, 1)
     poly = UniPoly([-1, 1]) ** 2 * UniPoly([-2] + [0] * 57 + [1])  # (x - 1)^2 (x^58 - 2)
-    calls = Counter()
-    _count_calls(monkeypatch, CLASSIFY, "_extend_echelon", calls)
     tracemalloc.start()
     try:
         trace = classify_trace(poly)
@@ -346,7 +390,6 @@ def test_walk_takes_the_partitions_lazily(monkeypatch):
     assert [s.gamma for s in trace.steps] == [(60,), (59, 1)]
     assert trace.result == (2,) + (1,) * 58
     assert peak < 16 * 2**20
-    assert calls["_extend_echelon"] == 0
 
 
 def test_leaf_values_are_shift_invariant_and_homogeneous():

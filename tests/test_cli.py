@@ -175,12 +175,17 @@ class TestClassify:
     @pytest.mark.parametrize(
         "coeffs, fault, message",
         [
-            # (x - 1)^2 (x + 1) (x - 2)^2, k = 3: every g1 = 3 leaf forced to 0
-            ("1,-5,7,1,-8,4", "disc_value", "no discriminant with g1 = k is nonzero"),
+            # (x - 1)^2 (x + 1) (x - 2)^2, delta = (3, 2): the leaf forced to 0,
+            # then an enumeration that never reaches delta
+            ("1,-5,7,1,-8,4", "disc_value", "no discriminant with gamma up to delta = (3, 2) is nonzero"),
+            ("1,-5,7,1,-8,4", "iter_partitions", "the partitions of 5 never reach delta = (3, 2)"),
         ],
     )
     def test_walk_fault_is_one_line(self, capsys, monkeypatch, coeffs, fault, message):
-        faults = {"disc_value": lambda poly, gamma: DiscValue(Fraction(0), gamma, poly.degree)}
+        faults = {
+            "disc_value": lambda poly, gamma: DiscValue(Fraction(0), gamma, poly.degree),
+            "iter_partitions": lambda n: iter([(n,)]),
+        }
         # the package's classify function shadows the module of the same name
         monkeypatch.setattr(import_module("multidisc.classify"), fault, faults[fault])
         code, out, err = run_cli(capsys, "classify", "--coeffs", coeffs)

@@ -34,7 +34,7 @@ def _coeffs(mu, rational: bool) -> str:
 
 def invocations() -> list[list[str]]:
     calls = []
-    for n in range(1, 9):
+    for n in range(1, 11):
         for mu in partitions_of(n):
             for rational in (False, True):
                 coeffs = _coeffs(mu, rational)
@@ -60,7 +60,7 @@ def digests() -> dict[str, str]:
 def test_cli_output_matches_its_digests():
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     got = digests()
-    assert len(got) == len(expected) == 575
+    assert len(got) == len(expected) == 1007
     assert [argv for argv in got if got[argv] != expected.get(argv)] == []
 
 
