@@ -23,7 +23,9 @@ once, at the input, and the determinant becomes a rational once, at the
 output.  A step leaves alone the rows that are zero in its pivot column;
 for them the full elimination would only scale the row by p_k / p_(k-1),
 and those factors telescope, so a row is caught up by one exact division
-later.  The symbolic matrices use a division-free cofactor expansion instead.
+later.  The symbolic matrices use a division-free cofactor expansion instead:
+the minors on the last k columns are built from those on the last k - 1, for
+the row sets the expansion can reach, so only two column levels are held.
 """
 
 from __future__ import annotations
@@ -261,20 +263,6 @@ def _exact(num: int, den: int) -> int:
     return q
 
 
-def pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """lead(b)^(deg a - deg b + 1) * a mod b for descending integer lists, deg b >= 1.
-
-    One pass per term of a cancelled; the result keeps its leading zeros, so
-    it has len(b) - 1 entries (an ``a`` of lower degree than b is padded).
-    """
-    lead, tail, rem = b[0], b[1:], list(a)
-    for _ in range(len(a) - len(b) + 1):
-        top = rem[0]
-        head = [lead * x - top * y for x, y in zip(rem[1:], tail)]
-        rem = head + [lead * x for x in rem[len(b) :]]
-    return [0] * (len(b) - 1 - len(rem)) + rem
-
-
 def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int]]:
     """Res(a, b) and G = gcd(a, b) of two integer polynomials, by a subresultant PRS.
 
@@ -309,7 +297,13 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[i
         delta = da - db
         if da & db & 1:
             sign = -sign
-        rem = pseudo_remainder(a, b)
+        # lead(b)^(delta + 1) * a mod b, one pass per term of a cancelled;
+        # it keeps its leading zeros, so it has len(b) - 1 entries
+        lead, tail, rem = b[0], b[1:], a
+        for _ in range(delta + 1):
+            top = rem[0]
+            head = [lead * x - top * y for x, y in zip(rem[1:], tail)]
+            rem = head + [lead * x for x in rem[len(b) :]]
         start = next((i for i, c in enumerate(rem) if c), None)
         if start is None:
             content = gcd(*b)
@@ -324,36 +318,37 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[i
 
 
 def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:
-    """Laplace expansion along columns, memoized on the surviving row set.
+    """Laplace expansion along columns, built one column level at a time.
 
-    Division-free, so it works over any commutative ring; it is the
-    determinant of the symbolic matrices, whose entries are single terms.
+    A first pass records, as bitmasks, the row sets that expanding columns
+    0..k-1 through nonzero entries can leave.  A second builds the minors of
+    exactly those sets on the last n - k columns, from the last column back,
+    holding only the current level and the one below it.  Division-free, so
+    it works over any commutative ring; it is the determinant of the symbolic
+    matrices, whose entries are single terms.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square nonempty matrix required")
-    return _expand(rows, tuple(range(n)), {})
-
-
-# Module level, not a closure over memo: a closure that calls itself is a
-# reference cycle, which keeps every minor alive until a full collection.
-def _expand(rows: Sequence[Sequence[Entry]], row_ids: tuple[int, ...], memo: dict) -> Entry:
-    col = len(rows) - len(row_ids)
-    if len(row_ids) == 1:
-        return rows[row_ids[0]][col]
-    cached = memo.get(row_ids)
-    if cached is not None:
-        return cached
-    total = rows[row_ids[0]][col] * 0
-    sign = 1
-    for pos, ri in enumerate(row_ids):
-        e = rows[ri][col]
-        if e:
-            sub = _expand(rows, row_ids[:pos] + row_ids[pos + 1 :], memo)
-            total = total + sign * (e * sub)
-        sign = -sign
-    memo[row_ids] = total
-    return total
+    levels = [{(1 << n) - 1}]
+    for col in range(n - 1):
+        nonzero = [r for r in range(n) if rows[r][col]]
+        levels.append({mask ^ 1 << r for mask in levels[-1] for r in nonzero if mask >> r & 1})
+    below = {mask: rows[mask.bit_length() - 1][n - 1] for mask in levels.pop()}
+    for col in range(n - 2, -1, -1):
+        level = {}
+        for mask in levels.pop():
+            row_ids = [r for r in range(n) if mask >> r & 1]
+            total = rows[row_ids[0]][col] * 0
+            sign = 1
+            for ri in row_ids:
+                e = rows[ri][col]
+                if e:
+                    total = total + sign * (e * below[mask ^ 1 << ri])
+                sign = -sign
+            level[mask] = total
+        below = level
+    return below[(1 << n) - 1]
 
 
 def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:

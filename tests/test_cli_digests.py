@@ -46,6 +46,11 @@ def invocations() -> list[list[str]]:
                 for gamma in partitions_of(n):
                     text = ",".join(map(str, gamma))
                     calls.append(["discriminant", "--n", str(n), "--gamma", text, "--format", "value", coeffs])
+    for n in range(1, 8):
+        cap = ["--cap", "7"] if n == 7 else []
+        for gamma in partitions_of(n):
+            text = ",".join(map(str, gamma))
+            calls.append(["discriminant", "--n", str(n), "--gamma", text, "--format", "poly", *cap])
     calls += [["conditions", "--n", "5"], ["conditions", "--n", "5", "--json"], ["degree-table"]]
     return calls
 
@@ -60,7 +65,7 @@ def digests() -> dict[str, str]:
 def test_cli_output_matches_its_digests():
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     got = digests()
-    assert len(got) == len(expected) == 1007
+    assert len(got) == len(expected) == 1051
     assert [argv for argv in got if got[argv] != expected.get(argv)] == []
 
 
