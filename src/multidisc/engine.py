@@ -26,6 +26,11 @@ and those factors telescope, so a row is caught up by one exact division
 later.  The symbolic matrices use a division-free cofactor expansion instead:
 the minors on the last k columns are built from those on the last k - 1, for
 the row sets the expansion can reach, so only two column levels are held.
+A minor is a dict from packed monomial to coefficient: each exponent vector is
+one int with a field of w bits per indeterminate, where w is the bit length of
+the sum of the rows' largest exponents.  No exponent of a minor exceeds that
+sum, so a monomial product is one integer addition that never carries from one
+field into the next.
 """
 
 from __future__ import annotations
@@ -323,32 +328,73 @@ def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:
     A first pass records, as bitmasks, the row sets that expanding columns
     0..k-1 through nonzero entries can leave.  A second builds the minors of
     exactly those sets on the last n - k columns, from the last column back,
-    holding only the current level and the one below it.  Division-free, so
-    it works over any commutative ring; it is the determinant of the symbolic
-    matrices, whose entries are single terms.
+    holding only the current level and the one below it.  Division-free; it
+    is the determinant of the symbolic matrices, whose entries are single
+    terms.
+
+    Every minor is a dict from packed monomial to coefficient: the exponent
+    of a_i sits in bits i*w .. i*w + w - 1 of one int, so a monomial product
+    is one integer addition.  ``bound`` is the sum over the rows of the
+    largest exponent in the row; a term of a minor is a product of one term
+    from each of its rows, so none of its exponents exceeds ``bound``, and
+    w = bound.bit_length() bits hold each one: adding two keys never carries
+    into the next field.  The entries are packed once on the way in and the
+    determinant unpacked once on the way out, a SymPoly, or a plain int when
+    no entry is a SymPoly.  SymPoly entries of different rings raise
+    ValueError, as SymPoly arithmetic does.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square nonempty matrix required")
+    rings = {e.nvars for row in rows for e in row if isinstance(e, SymPoly)}
+    if len(rings) > 1:
+        raise ValueError("operands live in different polynomial rings")
+    bound = sum(
+        max((max(exps) for e in row if isinstance(e, SymPoly) for exps in e.terms), default=0)
+        for row in rows
+    )
+    width = bound.bit_length()
+    packed = [[_packed(e, width) for e in row] for row in rows]
     levels = [{(1 << n) - 1}]
     for col in range(n - 1):
-        nonzero = [r for r in range(n) if rows[r][col]]
+        nonzero = [r for r in range(n) if packed[r][col]]
         levels.append({mask ^ 1 << r for mask in levels[-1] for r in nonzero if mask >> r & 1})
-    below = {mask: rows[mask.bit_length() - 1][n - 1] for mask in levels.pop()}
+    below = {mask: packed[mask.bit_length() - 1][n - 1] for mask in levels.pop()}
     for col in range(n - 2, -1, -1):
         level = {}
         for mask in levels.pop():
-            row_ids = [r for r in range(n) if mask >> r & 1]
-            total = rows[row_ids[0]][col] * 0
+            acc: dict[int, int] = {}
             sign = 1
-            for ri in row_ids:
-                e = rows[ri][col]
-                if e:
-                    total = total + sign * (e * below[mask ^ 1 << ri])
+            for r in range(n):
+                if not mask >> r & 1:
+                    continue
+                entry = packed[r][col]
+                if entry:
+                    minor = below[mask ^ 1 << r].items()
+                    for k1, c1 in entry.items():
+                        c1 *= sign
+                        for k2, c2 in minor:
+                            k = k1 + k2
+                            acc[k] = acc.get(k, 0) + c1 * c2
                 sign = -sign
-            level[mask] = total
+            level[mask] = {k: c for k, c in acc.items() if c}
         below = level
-    return below[(1 << n) - 1]
+    det = below[(1 << n) - 1]
+    if not rings:
+        return det.get(0, 0)
+    (nvars,) = rings
+    field = (1 << width) - 1
+    shifts = [i * width for i in range(nvars)]
+    return SymPoly(nvars, {tuple(k >> s & field for s in shifts): c for k, c in det.items()})
+
+
+def _packed(entry: Entry, width: int) -> dict[int, int]:
+    """``entry`` as a dict from packed monomial to coefficient; a non-SymPoly is a constant."""
+    if isinstance(entry, SymPoly):
+        return {
+            sum(e << i * width for i, e in enumerate(exps)): c for exps, c in entry.terms.items()
+        }
+    return {0: entry} if entry else {}
 
 
 def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:

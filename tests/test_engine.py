@@ -141,7 +141,8 @@ class TestDeterminants:
                     expected = perm_det(rows)
                     got = det_fraction_free(rows)
                     assert got == expected and type(got) is int
-                    assert det_minor_expansion(rows) == expected
+                    got = det_minor_expansion(rows)
+                    assert got == expected and type(got) is int
 
     def test_larger_matrices_against_minor_expansion(self):
         rng = random.Random(77)
@@ -246,9 +247,50 @@ class TestDeterminants:
         finally:
             gc.enable()
 
+    def test_minor_expansion_rejects_mixed_rings(self):
+        a = SymPoly.variable(2, 0)
+        b = SymPoly.variable(3, 0)
+        with pytest.raises(ValueError, match="different polynomial rings"):
+            det_minor_expansion([[a, 0], [0, b]])
+        with pytest.raises(ValueError, match="different polynomial rings"):
+            det_minor_expansion([[a, b], [1, 1]])
+        # an int entry is a constant of whatever ring the SymPoly entries share
+        assert det_minor_expansion([[a, 1], [2, a]]) == perm_det([[a, 1], [2, a]])
+
+    def test_minor_expansion_order_one(self):
+        assert type(det_minor_expansion([[0]])) is int
+        a1 = SymPoly.variable(3, 1)
+        for entry in (a1, a1 * 5 + 2, SymPoly.zero(3)):
+            got = det_minor_expansion([[entry]])
+            assert isinstance(got, SymPoly) and got == entry
+
+    def test_minor_expansion_packing_boundary(self):
+        # the row maxima 3 and 4 (and 1, 2, 4) sum to 7 = 2**3 - 1, so x^7 fills
+        # the 3-bit field of its variable; a field one bit narrower would carry
+        # into the next variable, or past the last one
+        nv = 3
+        for idx in (0, nv - 1):
+            other = SymPoly.variable(nv, 1 if idx == 0 else 0)
+
+            def exps(e):
+                return tuple(e if i == idx else 0 for i in range(nv))
+
+            def x(e):
+                return SymPoly.monomial(nv, 1, exps(e))
+
+            cases = [
+                [[x(3), 0], [0, x(4)]],
+                [[x(3), other * 2], [other * -3, x(4) + other * 5]],
+                [[x(1), other, 0], [0, x(2), other * 4 + 1], [other, 0, x(4) - 2]],
+            ]
+            for rows in cases:
+                got = det_minor_expansion(rows)
+                assert got == perm_det(rows) and got.terms[exps(7)] == 1
+
     def test_minor_expansion_holds_two_column_levels(self):
-        # the 13 x 13 generic matrix of gamma = (7): keeping every minor to
-        # the end peaks at about 9 MB, two column levels at about 4 MB
+        # the 13 x 13 generic matrix of gamma = (7): keeping every minor to the
+        # end peaked at about 9 MB, two column levels of SymPoly minors at
+        # 3.6 MB, and the same two levels as dicts on packed int keys at 1.9 MB
         rows = build_symbolic_matrix(7, (7,)).entries
         tracemalloc.start()
         try:
@@ -256,7 +298,7 @@ class TestDeterminants:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert peak < 3 * 2**20
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -499,7 +541,7 @@ class TestDiscSymbolic:
 
     def test_degree_six_agreement_with_concrete_engine(self):
         rng = random.Random(808)
-        for n in (6, 7):
+        for n in (6, 7, 8):
             for gamma in partitions_of(n):
                 d = disc_symbolic(n, gamma, cap=n)
                 for _ in range(2):
@@ -511,10 +553,10 @@ class TestDiscSymbolic:
     def test_max_degree_is_the_single_determinant_bound(self):
         # the abstract's claim, computed: over every gamma of n the largest
         # total degree of D_gamma is d_hy22, reached at the classical gamma = (n)
-        table = {row.n: row.d_hy22 for row in degree_table(7)}
-        for n in range(2, 8):
+        table = {row.n: row.d_hy22 for row in degree_table(8)}
+        for n in range(2, 9):
             degrees = {
-                gamma: disc_symbolic(n, gamma, cap=7).value.total_degree
+                gamma: disc_symbolic(n, gamma, cap=8).value.total_degree
                 for gamma in partitions_of(n)
             }
             worst = max(degrees.values())
