@@ -61,7 +61,10 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
     deg G_j = 0, so the chain costs m_1 resultants for a largest multiplicity
     m_1, and delta_j = deg G_(j-1) - deg G_j.  Every partition before delta is
     a zero step by the row count of the module docstring, and delta alone
-    runs ``disc_value`` on the input polynomial.  An enumeration that never
+    runs ``disc_value`` on the input polynomial.  delta starts at g1 = k, so
+    ``disc_value`` takes it through G = gcd(F, F'), which it computes again:
+    lc(G)^(2k-1) * Res(F/G, F'/G) times a determinant of order n - k, in
+    place of the elimination at width n + k - 1.  An enumeration that never
     reaches delta, or D_delta = 0, is an engine fault.
     """
     if poly.is_zero or poly.degree < 1:

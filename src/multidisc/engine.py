@@ -17,6 +17,25 @@ the leading coefficient.  It is computed by a subresultant polynomial
 remainder sequence over the integers (Collins 1967; Brown-Traub 1971) in
 O(n^2) integer operations; the same sequence gives G = gcd(F, F').
 
+When g1 = k, the number of distinct roots of F, the determinant goes through
+G = gcd(F, F'), of degree n - k (Collins 1967; Brown-Traub 1971).  Write
+every row in the basis G * x^(2k-2), ..., G * x^0, x^(n-k-1), ..., x^0 of
+the polynomials of degree below n + k - 1.  G * x^i has its leading term
+lc(G) * x^(n-k+i) in the column of x^(n-k+i), and the columns run down from
+x^(n+k-2), so the change of basis is triangular with determinant
+lc(G)^(2k-1).  The rows of blocks 0 and 1 are F * x^i (i < k - 1) and
+F' * x^i (i < k), multiples of G: their coordinates are the Sylvester matrix
+of F/G and F'/G on the G * x^i, and 0 on the x^j.  A row x^s * F^(i) of a
+block i >= 2 has coordinates x^s * F^(i) mod G on the x^j.  So the matrix
+of coordinates is block triangular, and
+
+    det M_gamma = lc(G)^(2k-1) * Res(F/G, F'/G) * det R_gamma,
+
+R_gamma the (n - k)-square matrix of the remainders x^s * F^(i) mod G,
+i >= 2, block by block with the shifts descending.  One resultant of degree
+k and one determinant of order n - k replace the elimination at width
+n + k - 1.
+
 Every other numeric determinant is one Bareiss elimination over Python
 ints, on integer rows only: a rational polynomial is cleared to integers
 once, at the input, and the determinant becomes a rational once, at the
@@ -403,8 +422,11 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     The polynomial is cleared once to integer coefficients
     (``UniPoly.clear_denominators``) and the determinant runs over plain
     integers: D_(n) is Res(F, F') by a subresultant PRS (:func:`disc_resultant`),
-    and every other gamma runs the Bareiss elimination of the matrix stacked
-    from the integer coefficients.  The one rational is built at the exit:
+    which also gives G = gcd(F, F') and so the number k of distinct roots.  A
+    gamma with g1 = k runs the reduction through G of the module docstring
+    (one more resultant and a determinant of order n - k), and every other
+    gamma runs the Bareiss elimination of the matrix stacked from the integer
+    coefficients, at order n + g1 - 1.  The one rational is built at the exit:
     the determinant rescaled through its homogeneity degree n + g1 - 1 and
     divided by the leading coefficient.
     """
@@ -413,9 +435,13 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     n = poly.degree
     gamma = as_partition(gamma, n)
     ints, scale = poly.clear_denominators()
+    first, divisor = disc_resultant(ints, scale)
     if gamma == (n,):
-        return disc_resultant(ints, scale)[0]
-    dp = det_fraction_free(_build(ints, gamma, symbolic=False).entries)
+        return first
+    if gamma[0] == len(ints) - len(divisor):
+        dp = _reduced_det(ints, divisor, gamma)
+    else:
+        dp = det_fraction_free(_build(ints, gamma, symbolic=False).entries)
     return _rescaled(dp, ints, scale, gamma)
 
 
@@ -430,6 +456,70 @@ def disc_resultant(ints: Sequence[int], scale: Fraction) -> tuple[DiscValue, lis
     """
     res, divisor = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
     return _rescaled(res, ints, scale, (len(ints) - 1,)), divisor
+
+
+def _reduced_det(ints: Sequence[int], divisor: list[int], gamma: Partition) -> int:
+    """det M_gamma for g1 = k, as lc(G)^(2k-1) * Res(F/G, F'/G) * det R_gamma.
+
+    F has the ascending ``ints`` and G = gcd(F, F') the descending primitive
+    ``divisor`` of degree n - k; the identity is the module docstring's.  The
+    rows of R_gamma, x^s * F^(i) mod G for i >= 2, are integer multiples of
+    the remainders.  The first row of block i is the pseudo-remainder of
+    F^(i), and row s + 1 is x * (row s) reduced once; every pseudo-division
+    pass with a nonzero top term multiplies the row by lc(G), and each row is
+    then divided by its content.  A row built from a reduced row carries that
+    row's factors, so the factor of a row is the running product over its
+    block.  The determinant of the integer rows is brought back through
+    these factors in one exact division; a remainder raises ArithmeticError.
+    """
+    lead, tail = divisor[0], divisor[1:]
+    width = len(tail)
+    quotient = _exact_quotient(derivative_coeffs(ints, 0), divisor)
+    res = sylvester_resultant(quotient, _exact_quotient(derivative_coeffs(ints, 1), divisor))[0]
+    rows: list[list[int]] = []
+    contents, powers = 1, 0  # det R_int = det R * lc(G)^powers / contents
+    for order, count in enumerate(gamma[1:], start=2):
+        row = derivative_coeffs(ints, order)
+        row = [0] * (width + 1 - len(row)) + row
+        content, power = 1, 0
+        block = []
+        for s in range(count):
+            if s:
+                row = row + [0]
+            for _ in range(len(row) - width):
+                top = row[0]
+                if top:
+                    row = [lead * x - top * y for x, y in zip(row[1:], tail)] + [
+                        lead * x for x in row[width + 1 :]
+                    ]
+                    power += 1
+                else:
+                    row = row[1:]
+            divide = gcd(*row) or 1
+            row = [x // divide for x in row]
+            content *= divide
+            contents *= content
+            powers += power
+            block.append(row)
+        rows.extend(reversed(block))
+    k = len(ints) - len(divisor)
+    return _exact(lead ** (2 * k - 1) * res * det_fraction_free(rows) * contents, lead**powers)
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for descending integer lists, b dividing a; a remainder raises ArithmeticError."""
+    rem = list(a)
+    lead, tail = b[0], b[1:]
+    quotient = []
+    for i in range(len(a) - len(b) + 1):
+        q = _exact(rem[i], lead)
+        quotient.append(q)
+        if q:
+            for j, y in enumerate(tail, i + 1):
+                rem[j] -= q * y
+    if any(rem[len(quotient) :]):
+        _inexact()
+    return quotient
 
 
 def _rescaled(dp: int, ints: Sequence[int], scale: Fraction, gamma: Partition) -> DiscValue:

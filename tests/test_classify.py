@@ -313,8 +313,9 @@ def test_squarefree_input_runs_one_resultant_and_no_matrix(monkeypatch):
 @pytest.mark.parametrize("mu", [(10, 10), (8, 7, 5), (15, 15), (8, 8), (6, 5, 5)])
 def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu):
     # the gcd chain takes m_1 resultants in all, Res(F, F') the first, and
-    # decides every step before delta; the only matrix eliminated is delta's,
-    # which starts at g1 = k and has order n + k - 1
+    # decides every step before delta; delta starts at g1 = k, so its leaf
+    # takes two more, one for G = gcd(F, F') and one for Res(F/G, F'/G), and
+    # eliminates only the remainder matrix R_delta, of order n - k
     spec = RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3)
     poly = expand(spec)
     n, k = poly.degree, len(mu)
@@ -325,8 +326,8 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
     _count_calls(monkeypatch, CLASSIFY, "disc_value", calls, lambda poly, gamma: leaves.append(gamma))
     _count_calls(monkeypatch, ENGINE, "det_fraction_free", calls, lambda rows: orders.append(len(rows)))
     trace = classify_trace(poly)
-    assert calls["sylvester_resultant"] == mu[0]
-    assert leaves == [trace.delta] and orders == [n + k - 1]
+    assert calls["sylvester_resultant"] == mu[0] + 2
+    assert leaves == [trace.delta] and orders == [n - k]
     assert trace.result == mu and trace.delta[0] == k
     chain = partitions_of(n)
     assert [s.gamma for s in trace.steps] == chain[: chain.index(trace.delta) + 1]
@@ -339,19 +340,20 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
 @pytest.mark.parametrize(
     "mu, work",
     [
-        ((10, 10), (617, 10, 1)),
-        ((8, 7, 5), (586, 8, 1)),
-        ((15, 15), (5589, 15, 1)),
-        ((6, 5, 5), (202, 6, 1)),
-        ((4, 3, 3, 2, 2, 1), (71, 4, 1)),
-        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 3, 1)),
-        ((2, 2, 2, 2, 1, 1), (8, 2, 1)),
+        ((10, 10), (617, 12, 1)),
+        ((8, 7, 5), (586, 10, 1)),
+        ((15, 15), (5589, 17, 1)),
+        ((6, 5, 5), (202, 8, 1)),
+        ((4, 3, 3, 2, 2, 1), (71, 6, 1)),
+        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 5, 1)),
+        ((2, 2, 2, 2, 1, 1), (8, 4, 1)),
     ],
 )
 def test_walk_does_the_same_work(monkeypatch, mu, work):
-    # (steps, chain resultants, leaf determinants) for F = prod (x - i)^mu_i,
+    # (steps, resultants, leaf determinants) for F = prod (x - i)^mu_i,
     # i = 0, 1, 2, ...: one resultant per level of the gcd chain, m_1 in all,
-    # and one leaf, on delta
+    # and one leaf, on delta, which takes two more: G = gcd(F, F') again and
+    # Res(F/G, F'/G)
     poly = expand(RootSpec(tuple((Fraction(i), m) for i, m in enumerate(mu)), 1))
     calls = Counter()
     _count_calls(monkeypatch, ENGINE, "sylvester_resultant", calls)

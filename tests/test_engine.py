@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import gcd, prod
@@ -8,10 +9,13 @@ from math import gcd, prod
 import pytest
 
 from multidisc import (
+    RootSpec,
     SymPoly,
     UniPoly,
     build_matrix,
     build_symbolic_matrix,
+    classify_trace,
+    conjugate,
     d_hy22,
     degree_table,
     disc_symbolic,
@@ -21,6 +25,7 @@ from multidisc import (
     squarefree_multiplicity,
 )
 from multidisc.engine import (
+    _build,
     _exact,
     block_rows,
     derivative_coeffs,
@@ -487,6 +492,106 @@ class TestDiscValue:
         assert disc_value(poly, (5,)).value == 0
         expected = disc_value(QUINTIC, (3, 2)).value * Fraction(3, 7) ** (5 + 3 - 2)
         assert disc_value(poly, (3, 2)).value == expected
+
+
+def _bareiss_value(poly, gamma):
+    """D_gamma by the Bareiss elimination of the full matrix, rescaled by hand."""
+    ints, scale = poly.clear_denominators()
+    dp = det_fraction_free(_build(ints, gamma, symbolic=False).entries)
+    return Fraction(dp, ints[-1]) / scale ** (poly.degree + gamma[0] - 2)
+
+
+def _many_roots(n):
+    """(x - 1)^2 (x - 2) ... (x - (n - 1)): k = n - 1 distinct roots, delta = (n - 1, 1)."""
+    return expand(RootSpec(((1, 2),) + tuple((i, 1) for i in range(2, n)), 1))
+
+
+class TestReducedLeaf:
+    """disc_value at g1 = k goes through G = gcd(F, F'); every other gamma is Bareiss."""
+
+    def test_reduction_equals_bareiss_for_every_gamma_with_g1_equal_k(self):
+        cases = {True: 0, False: 0}
+        for n in range(1, 11):
+            for mu in partitions_of(n):
+                k = len(mu)
+                roots = [Fraction(2 * i - 3, 5) for i in range(k)]
+                for lead in (1, -2, Fraction(5, 3), Fraction(-3, 7)):
+                    poly = expand(RootSpec(tuple(zip(roots, mu)), lead))
+                    delta = conjugate(mu)
+                    for gamma in partitions_of(n):
+                        if gamma[0] == k:
+                            value = disc_value(poly, gamma).value
+                            assert value == _bareiss_value(poly, gamma), (mu, lead, gamma)
+                            if gamma >= delta:  # 0 before delta by the row count
+                                assert (value != 0) == (gamma == delta), (mu, lead, gamma)
+                            cases[value != 0] += 1
+        assert cases == {True: 1392, False: 904}
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            expand(RootSpec(((1, 20), (2, 20)), 1)),
+            expand(RootSpec(((1, 12), (2, 12), (3, 12)), 1)),
+            UniPoly([-1, 1]) ** 30,
+            _many_roots(40),
+        ],
+        ids=["(20,20)", "(12,12,12)", "(x-1)^30", "many-roots-40"],
+    )
+    def test_reduction_equals_bareiss_at_high_degree(self, poly):
+        n = poly.degree
+        k = len(squarefree_multiplicity(poly))
+        gammas = [gamma for gamma in partitions_of(n) if gamma[0] == k]
+        values = [disc_value(poly, gamma).value for gamma in gammas]
+        assert values == [_bareiss_value(poly, gamma) for gamma in gammas]
+        assert values[-1] != 0  # the last gamma with g1 = k is delta or after it
+
+    def test_many_root_input_at_degree_60(self):
+        # the full matrix of delta = (59, 1) has order 118; R_delta has order 1
+        trace = classify_trace(_many_roots(60))
+        assert trace.delta == (59, 1)
+        assert trace.result == (2,) + (1,) * 58
+
+    def test_routing(self, monkeypatch):
+        # g1 = k runs one determinant of order n - k; every other gamma but (n)
+        # runs one Bareiss at its full order n + g1 - 1, so the selftest's checks
+        # that D_gamma = 0 for g1 > k never go through the reduction
+        engine = sys.modules["multidisc.engine"]
+        orders = []
+        calls = {"res": 0}
+        det, res = engine.det_fraction_free, engine.sylvester_resultant
+
+        def counted_det(rows):
+            orders.append(len(rows))
+            return det(rows)
+
+        def counted_res(a, b):
+            calls["res"] += 1
+            return res(a, b)
+
+        monkeypatch.setattr(engine, "det_fraction_free", counted_det)
+        monkeypatch.setattr(engine, "sylvester_resultant", counted_res)
+        for mu in [(1, 1, 1, 1, 1), (3, 2), (2, 2, 1), (4, 1, 1), (6,), (3, 3, 1, 1)]:
+            poly = expand(RootSpec(tuple((i - 1, m) for i, m in enumerate(mu)), 2))
+            n, k = poly.degree, len(mu)
+            for gamma in partitions_of(n):
+                orders.clear()
+                calls["res"] = 0
+                disc_value(poly, gamma)
+                if gamma == (n,):
+                    assert (orders, calls["res"]) == ([], 1), (mu, gamma)
+                elif gamma[0] == k:
+                    assert (orders, calls["res"]) == ([n - k], 2), (mu, gamma)
+                else:
+                    assert (orders, calls["res"]) == ([n + gamma[0] - 1], 1), (mu, gamma)
+
+    def test_inexact_division_is_an_engine_fault(self, monkeypatch):
+        # a divisor that does not divide F means a wrong G: the exact
+        # quotient F/G raises rather than return a wrong value
+        engine = sys.modules["multidisc.engine"]
+        poly = expand(RootSpec(((1, 2), (2, 1)), 1))
+        monkeypatch.setattr(engine, "disc_resultant", lambda ints, scale: (None, [1, -3]))
+        with pytest.raises(ArithmeticError):
+            disc_value(poly, (2, 1))
 
 
 class TestDiscSymbolic:
