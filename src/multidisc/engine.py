@@ -481,7 +481,7 @@ def _reduced_det(ints: Sequence[int], divisor: list[int], gamma: Partition) -> i
     for order, count in enumerate(gamma[1:], start=2):
         row = derivative_coeffs(ints, order)
         row = [0] * (width + 1 - len(row)) + row
-        content, power = 1, 0
+        row_content, row_power = 1, 0  # carried from row to row in the block
         block = []
         for s in range(count):
             if s:
@@ -492,14 +492,14 @@ def _reduced_det(ints: Sequence[int], divisor: list[int], gamma: Partition) -> i
                     row = [lead * x - top * y for x, y in zip(row[1:], tail)] + [
                         lead * x for x in row[width + 1 :]
                     ]
-                    power += 1
+                    row_power += 1
                 else:
                     row = row[1:]
             divide = gcd(*row) or 1
             row = [x // divide for x in row]
-            content *= divide
-            contents *= content
-            powers += power
+            row_content *= divide
+            contents *= row_content
+            powers += row_power
             block.append(row)
         rows.extend(reversed(block))
     k = len(ints) - len(divisor)

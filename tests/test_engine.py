@@ -538,12 +538,11 @@ class TestReducedLeaf:
         ids=["(20,20)", "(12,12,12)", "(x-1)^30", "many-roots-40"],
     )
     def test_reduction_equals_bareiss_at_high_degree(self, poly):
-        n = poly.degree
-        k = len(squarefree_multiplicity(poly))
-        gammas = [gamma for gamma in partitions_of(n) if gamma[0] == k]
+        delta = conjugate(squarefree_multiplicity(poly))
+        gammas = [gamma for gamma in partitions_of(poly.degree) if gamma[0] == delta[0]]
         values = [disc_value(poly, gamma).value for gamma in gammas]
         assert values == [_bareiss_value(poly, gamma) for gamma in gammas]
-        assert values[-1] != 0  # the last gamma with g1 = k is delta or after it
+        assert values[gammas.index(delta)] != 0
 
     def test_many_root_input_at_degree_60(self):
         # the full matrix of delta = (59, 1) has order 118; R_delta has order 1
