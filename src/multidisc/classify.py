@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .engine import derivative_coeffs, disc_resultant, disc_value, sylvester_resultant
-from .partitions import Partition, classification_order, conjugate, iter_partitions
+from .partitions import Partition, as_partition, classification_order, conjugate, iter_partitions
 from .unipoly import UniPoly
 
 
@@ -44,15 +45,40 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class ClassificationTrace:
-    """Evaluation trail: zero steps, then exactly one nonzero step."""
+    """Evaluation trail: zero steps, then exactly one nonzero step.
 
-    steps: tuple[TraceStep, ...]
+    Only the breaking partition and its value are held.  The zero steps are
+    the partitions of n before delta, walked by ``zero_steps`` each time it
+    is called; ``steps`` expands them once, on first use.
+    """
+
     result: Partition  # the multiplicity vector
     delta: Partition  # the partition whose discriminant broke the chain
+    value: Fraction  # D_delta, nonzero
+
+    def zero_steps(self) -> Iterator[Partition]:
+        """The partitions before delta, in the classification order.
+
+        An enumeration that never reaches delta is an engine fault.
+        """
+        n = sum(self.delta)
+        for gamma in iter_partitions(n):
+            if gamma == self.delta:
+                return
+            yield gamma
+        raise ArithmeticError(f"the partitions of {n} never reach delta = {self.delta}; engine bug")
+
+    @cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        zero = Fraction(0)
+        return (
+            *(TraceStep(gamma, zero, False) for gamma in self.zero_steps()),
+            TraceStep(self.delta, self.value, True),
+        )
 
 
 def classify_trace(poly: UniPoly) -> ClassificationTrace:
-    """Full short-circuit evaluation trail for the classification chain.
+    """Short-circuit classification: the breaking partition delta and D_delta.
 
     The first partition, gamma = (n), comes from Res(F, F') by
     ``disc_resultant`` on the input cleared to integers once, which also
@@ -60,40 +86,37 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
     G_j = gcd(G_(j-1), G_(j-1)') from ``sylvester_resultant``, until
     deg G_j = 0, so the chain costs m_1 resultants for a largest multiplicity
     m_1, and delta_j = deg G_(j-1) - deg G_j.  Every partition before delta is
-    a zero step by the row count of the module docstring, and delta alone
+    a zero step by the row count of the module docstring, and none is
+    enumerated here: the trace's ``steps`` walks them on demand.  delta alone
     runs ``disc_value`` on the input polynomial.  delta starts at g1 = k, so
-    ``disc_value`` takes it through G = gcd(F, F'), which it computes again:
-    lc(G)^(2k-1) * Res(F/G, F'/G) times a determinant of order n - k, in
-    place of the elimination at width n + k - 1.  An enumeration that never
-    reaches delta, or D_delta = 0, is an engine fault.
+    ``disc_value`` takes it through G = gcd(F, F'), whose PRS it runs again
+    for G and psc_(n-k)(F, F'), and a determinant of order n - k, in place of
+    the elimination at width n + k - 1.  A chain whose delta is not a
+    partition of n, or D_delta = 0, is an engine fault.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
     n = poly.degree
-    first, divisor = disc_resultant(*poly.clear_denominators())
+    first, divisor, _ = disc_resultant(*poly.clear_denominators())
     if first.value:
-        return ClassificationTrace((TraceStep((n,), first.value, True),), conjugate((n,)), (n,))
+        return ClassificationTrace(conjugate((n,)), (n,), first.value)
     levels = [n - len(divisor) + 1]
     while len(divisor) > 1:
         below = sylvester_resultant(divisor, derivative_coeffs(divisor[::-1], 1))[1]
         levels.append(len(divisor) - len(below))
         divisor = below
-    delta = tuple(levels)
-    zero = Fraction(0)
-    steps: list[TraceStep] = []
-    for gamma in iter_partitions(n):
-        if gamma == delta:
-            break
-        steps.append(TraceStep(gamma, zero, False))
-    else:
-        raise ArithmeticError(f"the partitions of {n} never reach delta = {delta}; engine bug")
+    try:
+        delta = as_partition(levels, n)
+    except ValueError:
+        raise ArithmeticError(
+            f"the gcd chain gives delta = {tuple(levels)}, not a partition of {n}; engine bug"
+        ) from None
     value = disc_value(poly, delta).value
     if not value:
         raise ArithmeticError(
             f"no discriminant with gamma up to delta = {delta} is nonzero; engine bug"
         )
-    steps.append(TraceStep(delta, value, True))
-    return ClassificationTrace(tuple(steps), conjugate(delta), delta)
+    return ClassificationTrace(conjugate(delta), delta, value)
 
 
 def classify(poly: UniPoly) -> Partition:
@@ -115,17 +138,15 @@ def conditions(n: int) -> Iterator[tuple[Partition, list[Partition], Partition]]
 
 
 def trace_json_dict(poly: UniPoly, trace: ClassificationTrace) -> dict:
-    """JSON-ready trace: all numbers as strings to keep them exact."""
+    """JSON-ready trace: all numbers as strings to keep them exact.
+
+    The steps are built from ``trace.zero_steps()``, so no ``TraceStep`` is made.
+    """
+    steps = [{"gamma": list(gamma), "value": "0", "nonzero": False} for gamma in trace.zero_steps()]
+    steps.append({"gamma": list(trace.delta), "value": str(trace.value), "nonzero": True})
     return {
         "input": ",".join(str(c) for c in poly.descending_coeffs()),
         "n": poly.degree,
-        "steps": [
-            {
-                "gamma": list(step.gamma),
-                "value": str(step.value),
-                "nonzero": step.nonzero,
-            }
-            for step in trace.steps
-        ],
+        "steps": steps,
         "multiplicity": list(trace.result),
     }

@@ -81,9 +81,10 @@ def _print_classification(args, poly: UniPoly) -> None:
         print(_json_dumps(trace_json_dict(poly, trace)))
         return
     if args.trace:
-        for step in trace.steps:
-            tag = f"{step.value} (nonzero)" if step.nonzero else "0"
-            print(f"D({_format_partition(step.gamma)}) = {tag}")
+        # built whole first, so an engine fault in the walk prints no step
+        lines = [f"D({_format_partition(gamma)}) = 0" for gamma in trace.zero_steps()]
+        lines.append(f"D({_format_partition(trace.delta)}) = {trace.value} (nonzero)")
+        print("\n".join(lines))
     print(_format_partition(trace.result))
 
 

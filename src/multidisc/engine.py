@@ -32,9 +32,32 @@ of coordinates is block triangular, and
     det M_gamma = lc(G)^(2k-1) * Res(F/G, F'/G) * det R_gamma,
 
 R_gamma the (n - k)-square matrix of the remainders x^s * F^(i) mod G,
-i >= 2, block by block with the shifts descending.  One resultant of degree
-k and one determinant of order n - k replace the elimination at width
-n + k - 1.
+i >= 2, block by block with the shifts descending.
+
+The first factor is psc_(n-k)(F, F'), and the PRS that finds G ends at it.
+For a and b of degrees m and l, the principal subresultant coefficient
+psc_j(a, b) is the determinant of the first m + l - 2j columns of l - j rows
+x^i * a above m - j rows x^i * b; psc_0 is Res(a, b).  At (a, b) = (F, F')
+and j = n - k these are the rows of blocks 0 and 1 and their first 2k - 1
+columns.  On those columns the change of basis is its triangular block of
+determinant lc(G)^(2k-1), and the coordinates are still the Sylvester matrix
+of F/G and F'/G, so
+
+    psc_(n-k)(F, F') = lc(G)^(2k-1) * Res(F/G, F'/G).
+
+In the PRS of ``sylvester_resultant``, with degrees d_0 = m, d_1 = l, d_2,
+..., let the remainder b of degree d_i follow a of degree d_i + delta.  By
+the fundamental theorem of subresultants (Brown-Traub 1971), the value
+lc(b)^delta / h^(delta - 1), the h of the next step, is (-1)^s * psc_(d_i)
+of the primitive inputs, s = sum over j <= i of (d_(j-1) - d_i) * (d_j - d_i).
+At d_i = 0 this is the resultant, and s is the resultant's sign rule, one
+d_(j-1) * d_j per step.  At the zero remainder d_i = d = deg G, and s is the
+same rule on the degrees lowered by d.  Either sum is even when every degree
+drops by one, as in the sequence of a generic input.  psc_j is homogeneous
+of degree l - j in the entries of a and m - j in those of b, so the contents
+come back as cont(a)^(l - d) * cont(b)^(m - d).  One PRS of degree n thus
+gives D_(n), G and the factor, and one determinant of order n - k replaces
+the elimination at width n + k - 1.
 
 Every other numeric determinant is one Bareiss elimination over Python
 ints, on integer rows only: a rational polynomial is cleared to integers
@@ -287,40 +310,40 @@ def _exact(num: int, den: int) -> int:
     return q
 
 
-def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int]]:
-    """Res(a, b) and G = gcd(a, b) of two integer polynomials, by a subresultant PRS.
+def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], int]:
+    """Res(a, b), G = gcd(a, b) and psc_d(a, b), d = deg G, by a subresultant PRS.
 
-    ``a`` and ``b`` are descending coefficient lists with nonzero leading
-    coefficients, and Res(a, b) is the determinant of their Sylvester matrix:
-    deg b rows of a above deg a rows of b.  This is Cohen, GTM 138, Algorithm
-    3.3.7.  The contents are taken out first and come back as
-    cont(a)^deg(b) * cont(b)^deg(a).  Res(a, b) = (-1)^(deg a * deg b) Res(b, a),
-    so a swap and every pseudo-division step flip the sign when both degrees
-    are odd.  The pseudo-remainder of a step whose degree drops by delta is
-    divided by g * h^delta, where g is the leading coefficient of the divisor
-    and h becomes g^delta / h^(delta - 1): the subresultant recurrence of
-    Brown-Traub 1971, exact also when delta > 1 (see Ducos 2000).  The last
-    nonzero remainder is a constant multiple of gcd(a, b): G is its primitive
-    part when the resultant is 0, and [1] otherwise.  Every division is exact,
-    so a remainder raises ArithmeticError.
+    ``a`` and ``b`` are integer descending coefficient lists with nonzero
+    leading coefficients, of degrees m and l.  Res(a, b) is the determinant of
+    their Sylvester matrix: l rows of a above m rows of b.  psc_d(a, b) is the
+    determinant of the first m + l - 2d columns of l - d rows of a above m - d
+    rows of b; when G = [1] it is Res(a, b).  This is Cohen, GTM 138, Algorithm
+    3.3.7, stopped at the first zero remainder.  The contents are taken out
+    first and come back as cont(a)^(l - d) * cont(b)^(m - d).  The
+    pseudo-remainder of a step whose degree drops by delta is divided by
+    g * h^delta, where g is the leading coefficient of the divisor and h becomes
+    g^delta / h^(delta - 1): the subresultant recurrence of Brown-Traub 1971,
+    exact also when delta > 1 (see Ducos 2000).  The last nonzero remainder b,
+    of degree d, is a constant multiple of G, and lc(b)^delta / h^(delta - 1)
+    is psc_d up to the sign (-1)^sum (d_(i-1) - d) * (d_i - d) over the degree
+    sequence m, l, ... of the remainders, m, l, m, ... when m < l (the module
+    docstring).  G is the primitive part of b, and [1] when d = 0.  Every
+    division is exact, so a remainder raises ArithmeticError.
     """
     if not a or not b or not a[0] or not b[0]:
         raise ValueError("nonzero leading coefficients required")
+    m, l = len(a) - 1, len(b) - 1
     ca, cb = gcd(*a), gcd(*b)
-    scale = ca ** (len(b) - 1) * cb ** (len(a) - 1)
     a = [c // ca for c in a]
     b = [c // cb for c in b]
-    sign = 1
-    if len(a) < len(b):
+    degrees = [m, l]
+    if m < l:
+        # the sequence goes on with a, the remainder of a by b
         a, b = b, a
-        if (len(a) - 1) & (len(b) - 1) & 1:
-            sign = -1
+        degrees.append(m)
     g = h = 1
     while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da & db & 1:
-            sign = -sign
+        delta = len(a) - len(b)
         # lead(b)^(delta + 1) * a mod b, one pass per term of a cancelled;
         # it keeps its leading zeros, so it has len(b) - 1 entries
         lead, tail, rem = b[0], b[1:], a
@@ -330,15 +353,22 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[i
             rem = head + [lead * x for x in rem[len(b) :]]
         start = next((i for i, c in enumerate(rem) if c), None)
         if start is None:
-            content = gcd(*b)
-            return 0, [c // content for c in b]
+            break
         den = g * h**delta
         a, b = b, [_exact(c, den) for c in rem[start:]]
+        degrees.append(len(b) - 1)
         g = a[0]
         if delta:
             h = _exact(g**delta, h ** (delta - 1))
-    da = len(a) - 1
-    return sign * scale * _exact(b[0] ** da * h, h**da), [1]
+    d = len(b) - 1
+    delta = len(a) - len(b)
+    psc = ca ** (l - d) * cb ** (m - d) * _exact(b[0] ** delta * h, h**delta)
+    if sum((x - d) * (y - d) for x, y in zip(degrees, degrees[1:])) & 1:
+        psc = -psc
+    if d:
+        content = gcd(*b)
+        return 0, [c // content for c in b], psc
+    return psc, [1], psc
 
 
 def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:
@@ -422,60 +452,62 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     The polynomial is cleared once to integer coefficients
     (``UniPoly.clear_denominators``) and the determinant runs over plain
     integers: D_(n) is Res(F, F') by a subresultant PRS (:func:`disc_resultant`),
-    which also gives G = gcd(F, F') and so the number k of distinct roots.  A
-    gamma with g1 = k runs the reduction through G of the module docstring
-    (one more resultant and a determinant of order n - k), and every other
-    gamma runs the Bareiss elimination of the matrix stacked from the integer
-    coefficients, at order n + g1 - 1.  The one rational is built at the exit:
-    the determinant rescaled through its homogeneity degree n + g1 - 1 and
-    divided by the leading coefficient.
+    which also gives G = gcd(F, F'), and so the number k of distinct roots, and
+    psc_(n-k)(F, F').  A gamma with g1 = k runs the reduction through G of the
+    module docstring (no further resultant, and a determinant of order n - k),
+    and every other gamma runs the Bareiss elimination of the matrix stacked
+    from the integer coefficients, at order n + g1 - 1.  The one rational is
+    built at the exit: the determinant rescaled through its homogeneity degree
+    n + g1 - 1 and divided by the leading coefficient.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
     n = poly.degree
     gamma = as_partition(gamma, n)
     ints, scale = poly.clear_denominators()
-    first, divisor = disc_resultant(ints, scale)
+    first, divisor, psc = disc_resultant(ints, scale)
     if gamma == (n,):
         return first
     if gamma[0] == len(ints) - len(divisor):
-        dp = _reduced_det(ints, divisor, gamma)
+        dp = _reduced_det(ints, divisor, psc, gamma)
     else:
         dp = det_fraction_free(_build(ints, gamma, symbolic=False).entries)
     return _rescaled(dp, ints, scale, gamma)
 
 
-def disc_resultant(ints: Sequence[int], scale: Fraction) -> tuple[DiscValue, list[int]]:
-    """D_(n) of F, and G = gcd(F, F'), primitive and descending, for F = I / scale.
+def disc_resultant(ints: Sequence[int], scale: Fraction) -> tuple[DiscValue, list[int], int]:
+    """D_(n) of F, G = gcd(F, F'), primitive and descending, and psc_(n-k)(I, I').
 
     ``ints`` and ``scale`` are what ``UniPoly.clear_denominators`` returns
     for F, of degree n >= 1; I has the ascending ``ints``.  The matrix of
     gamma = (n) is the Sylvester matrix of F and F', so its determinant is
     Res(F, F'), taken by :func:`sylvester_resultant` on I and I'.  The
-    degree of G, len(G) - 1, is n minus the number of distinct roots.
+    degree of G, len(G) - 1, is n - k for k distinct roots, and the
+    principal subresultant coefficient is the factor lc(G)^(2k-1) *
+    Res(I/G, I'/G) of the reduction in the module docstring.
     """
-    res, divisor = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
-    return _rescaled(res, ints, scale, (len(ints) - 1,)), divisor
+    res, divisor, psc = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
+    return _rescaled(res, ints, scale, (len(ints) - 1,)), divisor, psc
 
 
-def _reduced_det(ints: Sequence[int], divisor: list[int], gamma: Partition) -> int:
-    """det M_gamma for g1 = k, as lc(G)^(2k-1) * Res(F/G, F'/G) * det R_gamma.
+def _reduced_det(ints: Sequence[int], divisor: list[int], psc: int, gamma: Partition) -> int:
+    """det M_gamma for g1 = k, as psc_(n-k)(F, F') * det R_gamma.
 
-    F has the ascending ``ints`` and G = gcd(F, F') the descending primitive
-    ``divisor`` of degree n - k; the identity is the module docstring's.  The
-    rows of R_gamma, x^s * F^(i) mod G for i >= 2, are integer multiples of
-    the remainders.  The first row of block i is the pseudo-remainder of
-    F^(i), and row s + 1 is x * (row s) reduced once; every pseudo-division
-    pass with a nonzero top term multiplies the row by lc(G), and each row is
-    then divided by its content.  A row built from a reduced row carries that
-    row's factors, so the factor of a row is the running product over its
-    block.  The determinant of the integer rows is brought back through
-    these factors in one exact division; a remainder raises ArithmeticError.
+    F has the ascending ``ints``, G = gcd(F, F') the descending primitive
+    ``divisor`` of degree n - k, and ``psc`` is psc_(n-k)(F, F') =
+    lc(G)^(2k-1) * Res(F/G, F'/G), from the PRS that found G; the identity is
+    the module docstring's.  The rows of R_gamma, x^s * F^(i) mod G for
+    i >= 2, are integer multiples of the remainders.  The first row of block i
+    is the pseudo-remainder of F^(i), and row s + 1 is x * (row s) reduced
+    once; every pseudo-division pass with a nonzero top term multiplies the
+    row by lc(G), and each row is then divided by its content.  A row built
+    from a reduced row carries that row's factors, so the factor of a row is
+    the running product over its block.  The determinant of the integer rows
+    is brought back through these factors in one exact division; a remainder,
+    which a ``divisor`` other than G can leave, raises ArithmeticError.
     """
     lead, tail = divisor[0], divisor[1:]
     width = len(tail)
-    quotient = _exact_quotient(derivative_coeffs(ints, 0), divisor)
-    res = sylvester_resultant(quotient, _exact_quotient(derivative_coeffs(ints, 1), divisor))[0]
     rows: list[list[int]] = []
     contents, powers = 1, 0  # det R_int = det R * lc(G)^powers / contents
     for order, count in enumerate(gamma[1:], start=2):
@@ -502,24 +534,7 @@ def _reduced_det(ints: Sequence[int], divisor: list[int], gamma: Partition) -> i
             powers += row_power
             block.append(row)
         rows.extend(reversed(block))
-    k = len(ints) - len(divisor)
-    return _exact(lead ** (2 * k - 1) * res * det_fraction_free(rows) * contents, lead**powers)
-
-
-def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """a / b for descending integer lists, b dividing a; a remainder raises ArithmeticError."""
-    rem = list(a)
-    lead, tail = b[0], b[1:]
-    quotient = []
-    for i in range(len(a) - len(b) + 1):
-        q = _exact(rem[i], lead)
-        quotient.append(q)
-        if q:
-            for j, y in enumerate(tail, i + 1):
-                rem[j] -= q * y
-    if any(rem[len(quotient) :]):
-        _inexact()
-    return quotient
+    return _exact(psc * det_fraction_free(rows) * contents, lead**powers)
 
 
 def _rescaled(dp: int, ints: Sequence[int], scale: Fraction, gamma: Partition) -> DiscValue:

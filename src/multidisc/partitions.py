@@ -32,8 +32,10 @@ def iter_partitions(n: int) -> Iterator[Partition]:
     The first is ``(n,)`` and the last is ``(1,) * n``.  Each successor
     lowers the last part above 1 by one and refills the remainder, the
     trailing ones included, greedily with parts no larger than the lowered
-    one (Knuth, TAOCP 4A, 7.2.1.4).  ``n`` is checked here, at the call, so a
-    bad ``n`` raises before the first partition is asked for.
+    one; a last part 2 just becomes 1 + 1.  The trailing ones are counted by
+    index, not walked one by one (Knuth, TAOCP 4A, 7.2.1.4, Algorithm P).
+    ``n`` is checked here, at the call, so a bad ``n`` raises before the first
+    partition is asked for.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -41,20 +43,29 @@ def iter_partitions(n: int) -> Iterator[Partition]:
 
 
 def _descending(n: int) -> Iterator[Partition]:
-    parts = [n]
+    # parts[1..m] is the partition and q the index of its last part above 1,
+    # 0 when there is none; parts[0] = 0 ends the walk
+    parts = [0] * (n + 1)
+    m, rest = 1, n
     while True:
-        yield tuple(parts)
-        rest = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            rest += 1
-        if not parts:
+        parts[m] = rest
+        q = m - (rest == 1)
+        yield tuple(parts[1 : m + 1])
+        while parts[q] == 2:  # a last 2 becomes 1 + 1
+            parts[q] = 1
+            q -= 1
+            m += 1
+            parts[m] = 1
+            yield tuple(parts[1 : m + 1])
+        if not q:
             return
-        part = parts.pop() - 1
-        parts.append(part)
-        rest += 1
-        while rest > 0:
-            parts.append(min(part, rest))
+        part = parts[q] - 1
+        parts[q] = part
+        rest = m - q + 1
+        m = q + 1
+        while rest > part:
+            parts[m] = part
+            m += 1
             rest -= part
 
 

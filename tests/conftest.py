@@ -60,6 +60,14 @@ def random_int_poly(rng: random.Random, n: int, bound: int = 9) -> UniPoly:
     return UniPoly(coeffs + [lead])
 
 
+def reference_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd by the Euclidean algorithm over the rationals."""
+    while not b.is_zero:
+        _, r = divmod(a, b)
+        a, b = b, r
+    return a * (1 / a.leading)
+
+
 def shift_poly(poly: UniPoly, offset) -> UniPoly:
     """Substitute x + offset for x (Horner over polynomials)."""
     base = UniPoly([Fraction(offset), 1])

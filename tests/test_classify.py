@@ -314,7 +314,7 @@ def test_squarefree_input_runs_one_resultant_and_no_matrix(monkeypatch):
 def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu):
     # the gcd chain takes m_1 resultants in all, Res(F, F') the first, and
     # decides every step before delta; delta starts at g1 = k, so its leaf
-    # takes two more, one for G = gcd(F, F') and one for Res(F/G, F'/G), and
+    # takes one more, for G = gcd(F, F') and psc_(n-k)(F, F') together, and
     # eliminates only the remainder matrix R_delta, of order n - k
     spec = RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3)
     poly = expand(spec)
@@ -326,7 +326,7 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
     _count_calls(monkeypatch, CLASSIFY, "disc_value", calls, lambda poly, gamma: leaves.append(gamma))
     _count_calls(monkeypatch, ENGINE, "det_fraction_free", calls, lambda rows: orders.append(len(rows)))
     trace = classify_trace(poly)
-    assert calls["sylvester_resultant"] == mu[0] + 2
+    assert calls["sylvester_resultant"] == mu[0] + 1
     assert leaves == [trace.delta] and orders == [n - k]
     assert trace.result == mu and trace.delta[0] == k
     chain = partitions_of(n)
@@ -340,20 +340,20 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
 @pytest.mark.parametrize(
     "mu, work",
     [
-        ((10, 10), (617, 12, 1)),
-        ((8, 7, 5), (586, 10, 1)),
-        ((15, 15), (5589, 17, 1)),
-        ((6, 5, 5), (202, 8, 1)),
-        ((4, 3, 3, 2, 2, 1), (71, 6, 1)),
-        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 5, 1)),
-        ((2, 2, 2, 2, 1, 1), (8, 4, 1)),
+        ((10, 10), (617, 11, 1)),
+        ((8, 7, 5), (586, 9, 1)),
+        ((15, 15), (5589, 16, 1)),
+        ((6, 5, 5), (202, 7, 1)),
+        ((4, 3, 3, 2, 2, 1), (71, 5, 1)),
+        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 4, 1)),
+        ((2, 2, 2, 2, 1, 1), (8, 3, 1)),
     ],
 )
 def test_walk_does_the_same_work(monkeypatch, mu, work):
     # (steps, resultants, leaf determinants) for F = prod (x - i)^mu_i,
     # i = 0, 1, 2, ...: one resultant per level of the gcd chain, m_1 in all,
-    # and one leaf, on delta, which takes two more: G = gcd(F, F') again and
-    # Res(F/G, F'/G)
+    # and one leaf, on delta, which takes one more: the PRS of F and F' again,
+    # for G = gcd(F, F') and psc_(n-k)(F, F')
     poly = expand(RootSpec(tuple((Fraction(i), m) for i, m in enumerate(mu)), 1))
     calls = Counter()
     _count_calls(monkeypatch, ENGINE, "sylvester_resultant", calls)
@@ -392,6 +392,50 @@ def test_walk_takes_the_partitions_lazily():
     assert [s.gamma for s in trace.steps] == [(60,), (59, 1)]
     assert trace.result == (2,) + (1,) * 58
     assert peak < 16 * 2**20
+
+
+DEEP = {
+    "(x-1)^60": UniPoly([-1, 1]) ** 60,  # delta = (1,) * 60, the last of p(60) = 966467
+    "(20,20)": expand(RootSpec(((1, 20), (2, 20)), 1)),  # delta = (2,) * 20
+}
+
+
+@pytest.mark.parametrize("name", list(DEEP))
+def test_classify_never_walks_the_partitions(monkeypatch, name):
+    # the zero steps before delta are only walked when they are asked for
+    def walked(n):
+        raise AssertionError("classify walked the partitions")
+
+    monkeypatch.setattr(CLASSIFY, "iter_partitions", walked)
+    poly = DEEP[name]
+    tracemalloc.start()
+    try:
+        mu = classify(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mu == squarefree_multiplicity(poly)
+    assert peak < 2**19  # 0.16 MB for (x - 1)^60 on CPython 3.11
+
+
+def test_steps_are_expanded_on_demand_and_match_the_reference():
+    polys = [
+        QUINTIC,
+        expand(RootSpec(((Fraction(-1, 2), 3), (2, 3), (0, 2)), Fraction(5, 3))),
+        UniPoly([-1, 1]) ** 9,
+        UniPoly.from_descending([1, 0, 0, 0, 1, 1]),
+    ]
+    for poly in polys:
+        trace = classify_trace(poly)
+        assert "steps" not in vars(trace)
+        assert [(s.gamma, s.value, s.nonzero) for s in trace.steps] == reference_trace(poly)
+        assert trace.steps is trace.steps
+        assert list(trace.zero_steps()) == [s.gamma for s in trace.steps[:-1]]
+        assert (trace.delta, trace.value) == (trace.steps[-1].gamma, trace.steps[-1].value)
+        assert trace_json_dict(poly, trace)["steps"] == [
+            {"gamma": list(s.gamma), "value": str(s.value), "nonzero": s.nonzero}
+            for s in trace.steps
+        ]
 
 
 def test_leaf_values_are_shift_invariant_and_homogeneous():

@@ -176,21 +176,36 @@ class TestClassify:
         "coeffs, fault, message",
         [
             # (x - 1)^2 (x + 1) (x - 2)^2, delta = (3, 2): the leaf forced to 0,
-            # then an enumeration that never reaches delta
+            # then an enumeration that never reaches delta, which only the
+            # step output walks
             ("1,-5,7,1,-8,4", "disc_value", "no discriminant with gamma up to delta = (3, 2) is nonzero"),
             ("1,-5,7,1,-8,4", "iter_partitions", "the partitions of 5 never reach delta = (3, 2)"),
+            # a wrong G_1 = x^3 + 1 gives the levels 5 - 3 = 2, then 3 - 0 = 3
+            ("1,-5,7,1,-8,4", "disc_resultant", "the gcd chain gives delta = (2, 3), not a partition of 5"),
         ],
     )
     def test_walk_fault_is_one_line(self, capsys, monkeypatch, coeffs, fault, message):
         faults = {
             "disc_value": lambda poly, gamma: DiscValue(Fraction(0), gamma, poly.degree),
             "iter_partitions": lambda n: iter([(n,)]),
+            "disc_resultant": lambda ints, scale: (DiscValue(Fraction(0), (5,), 5), [1, 0, 0, 1], 0),
         }
+        outputs = {"iter_partitions": [["--json"], ["--trace"]]}.get(fault, [[]])
         # the package's classify function shadows the module of the same name
         monkeypatch.setattr(import_module("multidisc.classify"), fault, faults[fault])
-        code, out, err = run_cli(capsys, "classify", "--coeffs", coeffs)
-        assert (code, out) == (3, "")
-        assert err == f"error: internal arithmetic error: {message}; engine bug\n"
+        for flags in outputs:
+            code, out, err = run_cli(capsys, "classify", *flags, "--coeffs", coeffs)
+            assert (code, out) == (3, ""), flags
+            assert err == f"error: internal arithmetic error: {message}; engine bug\n"
+
+    def test_plain_classify_never_walks_the_partitions(self, capsys, monkeypatch):
+        # (x - 1)^60 breaks the chain at the last of p(60) = 966467 partitions
+        def walked(n):
+            raise AssertionError("classify walked the partitions")
+
+        monkeypatch.setattr(import_module("multidisc.classify"), "iter_partitions", walked)
+        coeffs = ",".join(str(c) for c in (UniPoly([-1, 1]) ** 60).descending_coeffs())
+        assert run_cli(capsys, "classify", "--coeffs", coeffs) == (0, "60\n", "")
 
     def test_usage_shows_json_and_trace_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
@@ -35,7 +36,7 @@ from multidisc.engine import (
 )
 from multidisc.roots import random_root_spec
 
-from conftest import det_rational, perm_det, random_int_poly, shift_poly
+from conftest import det_rational, perm_det, random_int_poly, reference_gcd, shift_poly
 
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
@@ -358,7 +359,7 @@ class TestSylvesterResultant:
             ints = [c.numerator for c in poly.coeffs]
             size = 2 * n - 1
             rows = block_rows(ints, 0, n - 1, size) + block_rows(ints, 1, n, size)
-            res, divisor = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
+            res, divisor, _ = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
             common = len(divisor) - 1
             assert res == det_fraction_free(rows), poly
             assert n - common == len(squarefree_multiplicity(poly)), poly
@@ -393,7 +394,7 @@ class TestSylvesterResultant:
                 b = [c.numerator for c in (UniPoly.from_descending(b) * f).descending_coeffs()]
             content = rng.choice([1, 1, 6])
             a = [c * content for c in a]
-            res, divisor = sylvester_resultant(a, b)
+            res, divisor, _ = sylvester_resultant(a, b)
             rows = _sylvester(a, b)
             if rows:
                 assert res == det_fraction_free(rows), (a, b)
@@ -405,8 +406,8 @@ class TestSylvesterResultant:
                 assert not divmod(UniPoly.from_descending(a), g)[1], (a, b)
                 assert not divmod(UniPoly.from_descending(b), g)[1], (a, b)
                 assert gcd(*divisor) == 1
-        assert sylvester_resultant([3], [5, 1]) == (3, [1])
-        assert sylvester_resultant([2, 0, 1], [-5]) == (25, [1])
+        assert sylvester_resultant([3], [5, 1]) == (3, [1], 3)
+        assert sylvester_resultant([2, 0, 1], [-5]) == (25, [1], 25)
 
     def test_rejects_zero_leading_and_flags_inexact_division(self):
         with pytest.raises(ValueError):
@@ -416,6 +417,101 @@ class TestSylvesterResultant:
         with pytest.raises(ArithmeticError, match="non-exact"):
             _exact(7, 2)
         assert _exact(-12, 4) == -3
+
+
+def _leading_columns_det(a, b, d):
+    """psc_d(a, b) by its definition: the determinant of the first m + l - 2d
+    columns of l - d rows of ``a`` above m - d rows of ``b``, both descending,
+    of degrees m and l."""
+    m, l = len(a) - 1, len(b) - 1
+    size = m + l - 2 * d
+    if not size:
+        return 1
+    rows = [[0] * i + list(a) + [0] * (l - d - 1 - i) for i in range(l - d)] + [
+        [0] * i + list(b) + [0] * (m - d - 1 - i) for i in range(m - d)
+    ]
+    return det_fraction_free([row[:size] for row in rows])
+
+
+def _descending_ints(poly):
+    assert all(c.denominator == 1 for c in poly.coeffs)
+    return [c.numerator for c in poly.descending_coeffs()]
+
+
+def _leaf_factor(poly):
+    """lc(G)^(2k-1) * Res(F/G, F'/G) for F = ``poly`` cleared to integers, with
+    no PRS: G = gcd(F, F') by Euclid over the rationals, made a primitive
+    integer polynomial, and the resultant by Bareiss on the Sylvester matrix."""
+    f = UniPoly(poly.clear_denominators()[0])
+    g = UniPoly(reference_gcd(f, f.derivative()).clear_denominators()[0])
+    (a, r), (b, s) = divmod(f, g), divmod(f.derivative(), g)
+    assert r.is_zero and s.is_zero
+    k = f.degree - g.degree
+    res = det_fraction_free(_sylvester(_descending_ints(a), _descending_ints(b)))
+    return g.leading.numerator ** (2 * k - 1) * res
+
+
+def _psc(poly):
+    ints = poly.clear_denominators()[0]
+    return sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))[2]
+
+
+class TestPrincipalSubresultant:
+    """The third value of sylvester_resultant, psc_d(a, b) for d = deg gcd(a, b)."""
+
+    def test_is_the_leaf_factor_on_dense_rational_inputs(self):
+        count = 0
+        for n in range(1, 10):
+            for mu in partitions_of(n):
+                roots = [Fraction(2 * i - 3, 5) for i in range(len(mu))]
+                for lead in (1, Fraction(-3, 7)):
+                    poly = expand(RootSpec(tuple(zip(roots, mu)), lead))
+                    assert _psc(poly) == _leaf_factor(poly), (mu, lead)
+                    count += 1
+        assert count == 192
+
+    def test_is_the_leaf_factor_on_sparse_inputs(self):
+        # products of powers of c * x^j + e: their PRS drops the degree by
+        # more than one, where the sign of psc needs the degrees lowered by d
+        rng = random.Random(2754)
+        cases = Counter()
+        for _ in range(300):
+            poly = UniPoly([1])
+            for _ in range(rng.randint(1, 2)):
+                j = rng.randint(1, 4)
+                c, e = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([-3, -2, -1, 1, 2, 3])
+                poly = poly * UniPoly([e] + [0] * (j - 1) + [c]) ** rng.randint(1, 3)
+            if poly.degree > 14:
+                continue
+            assert _psc(poly) == _leaf_factor(poly), poly
+            cases[len(squarefree_multiplicity(poly)) < poly.degree] += 1
+        assert cases[True] > 100 and cases[False] > 20
+
+    def test_is_the_leading_columns_determinant_of_general_pairs(self):
+        # unequal degrees in either order and equal ones, with and without a
+        # common factor; on a coprime pair psc is the resultant
+        rng = random.Random(6262)
+        coprime = 0
+
+        def sparse(leads, degree):
+            return [rng.choice(leads)] + [rng.choice([0, rng.randint(-5, 5)]) for _ in range(degree)]
+
+        for _ in range(300):
+            a = sparse([-4, -1, 2, 3, 6], rng.randint(0, 6))
+            b = sparse([-3, 1, 4, 10], rng.randint(0, 6))
+            if rng.random() < 0.5:
+                f = UniPoly.from_descending(sparse([1, 2, -3], rng.randint(1, 3)))
+                a = _descending_ints(UniPoly.from_descending(a) * f)
+                b = _descending_ints(UniPoly.from_descending(b) * f)
+            a = [c * rng.choice([1, 1, 6]) for c in a]
+            res, divisor, psc = sylvester_resultant(a, b)
+            assert psc == _leading_columns_det(a, b, len(divisor) - 1), (a, b)
+            if divisor == [1]:
+                assert psc == res, (a, b)
+                coprime += 1
+            else:
+                assert res == 0 and psc, (a, b)
+        assert 50 < coprime < 250
 
 
 class TestDiscValue:
@@ -551,8 +647,9 @@ class TestReducedLeaf:
         assert trace.result == (2,) + (1,) * 58
 
     def test_routing(self, monkeypatch):
-        # g1 = k runs one determinant of order n - k; every other gamma but (n)
-        # runs one Bareiss at its full order n + g1 - 1, so the selftest's checks
+        # every gamma runs the one PRS of F and F'; g1 = k reads psc_(n-k)(F, F')
+        # off it and runs one determinant of order n - k, and every other gamma
+        # but (n) runs one Bareiss at its full order n + g1 - 1, so the selftest's checks
         # that D_gamma = 0 for g1 > k never go through the reduction
         engine = sys.modules["multidisc.engine"]
         orders = []
@@ -579,17 +676,25 @@ class TestReducedLeaf:
                 if gamma == (n,):
                     assert (orders, calls["res"]) == ([], 1), (mu, gamma)
                 elif gamma[0] == k:
-                    assert (orders, calls["res"]) == ([n - k], 2), (mu, gamma)
+                    assert (orders, calls["res"]) == ([n - k], 1), (mu, gamma)
                 else:
                     assert (orders, calls["res"]) == ([n + gamma[0] - 1], 1), (mu, gamma)
 
     def test_inexact_division_is_an_engine_fault(self, monkeypatch):
-        # a divisor that does not divide F means a wrong G: the exact
-        # quotient F/G raises rather than return a wrong value
+        # a divisor that is not G = gcd(F, F') = x - 1: the remainder of F''
+        # by 8x - 1 is -29/4, so psc * det R = -2 * -29/4 is no integer, and
+        # the final exact division raises rather than return a wrong value
         engine = sys.modules["multidisc.engine"]
         poly = expand(RootSpec(((1, 2), (2, 1)), 1))
-        monkeypatch.setattr(engine, "disc_resultant", lambda ints, scale: (None, [1, -3]))
-        with pytest.raises(ArithmeticError):
+        real = engine.disc_resultant
+
+        def wrong_gcd(ints, scale):
+            first, _, psc = real(ints, scale)
+            assert psc == -2
+            return first, [8, -1], psc
+
+        monkeypatch.setattr(engine, "disc_resultant", wrong_gcd)
+        with pytest.raises(ArithmeticError, match="non-exact"):
             disc_value(poly, (2, 1))
 
 

@@ -76,9 +76,14 @@ def test_partitions_of_rejects_nonpositive():
 
 
 def test_iter_partitions_is_partitions_of_one_at_a_time():
+    # p(n) valid partitions, strictly descending: exactly the partitions of
+    # n in the classification order
     for n in range(1, 21):
-        assert list(iter_partitions(n)) == partitions_of(n)
-        assert sum(1 for _ in iter_partitions(n)) == partition_count(n)
+        got = list(iter_partitions(n))
+        assert got == partitions_of(n)
+        assert len(got) == partition_count(n)
+        assert all(as_partition(p, n) == p for p in got)
+        assert all(a > b for a, b in zip(got, got[1:]))
 
 
 def test_iter_partitions_rejects_bad_n_at_the_call():

@@ -23,7 +23,7 @@ from multidisc.roots import (
     squarefree_decomposition,
 )
 
-from conftest import det_rational, random_int_poly, sqf_list_inputs
+from conftest import det_rational, random_int_poly, reference_gcd, sqf_list_inputs
 
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
@@ -102,16 +102,8 @@ def _cleared(poly):
 
 
 def _coprime(g, h):
-    res, divisor = sylvester_resultant(_cleared(g), _cleared(h))
+    res, divisor, _ = sylvester_resultant(_cleared(g), _cleared(h))
     return res != 0 and divisor == [1]
-
-
-def _reference_gcd(a, b):
-    # monic gcd by the Euclidean algorithm over the rationals
-    while not b.is_zero:
-        _, r = divmod(a, b)
-        a, b = b, r
-    return a * (1 / a.leading)
 
 
 def _reference_quo(a, b):
@@ -125,14 +117,14 @@ def _reference_squarefree(poly):
     lead = poly.leading
     f = poly * (1 / lead)
     df = f.derivative()
-    u = _reference_gcd(f, df)
+    u = reference_gcd(f, df)
     v = _reference_quo(f, u)
     w = _reference_quo(df, u)
     factors = []
     i = 1
     while v.degree > 0:
         z = w - v.derivative()
-        h = _reference_gcd(v, z) if not z.is_zero else v
+        h = reference_gcd(v, z) if not z.is_zero else v
         if h.degree > 0:
             factors.append((h, i))
         v = _reference_quo(v, h)
