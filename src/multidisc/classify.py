@@ -89,10 +89,12 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
     a zero step by the row count of the module docstring, and none is
     enumerated here: the trace's ``steps`` walks them on demand.  delta alone
     runs ``disc_value`` on the input polynomial.  delta starts at g1 = k, so
-    ``disc_value`` takes it through G = gcd(F, F'), whose PRS it runs again
-    for G and psc_(n-k)(F, F'), and a determinant of order n - k, in place of
-    the elimination at width n + k - 1.  A chain whose delta is not a
-    partition of n, or D_delta = 0, is an engine fault.
+    ``disc_value`` takes it through G = gcd(F, F'), with G and
+    psc_(n-k)(F, F') read from the memo of ``disc_resultant`` that the first
+    step filled, and a determinant of order n - k, in place of the
+    elimination at width n + k - 1: the whole classification runs m_1
+    resultants.  A chain whose delta is not a partition of n, or
+    D_delta = 0, is an engine fault.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")

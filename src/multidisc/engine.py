@@ -79,6 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, perm
 from typing import Sequence, Union
 
@@ -453,12 +454,15 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     (``UniPoly.clear_denominators``) and the determinant runs over plain
     integers: D_(n) is Res(F, F') by a subresultant PRS (:func:`disc_resultant`),
     which also gives G = gcd(F, F'), and so the number k of distinct roots, and
-    psc_(n-k)(F, F').  A gamma with g1 = k runs the reduction through G of the
-    module docstring (no further resultant, and a determinant of order n - k),
-    and every other gamma runs the Bareiss elimination of the matrix stacked
-    from the integer coefficients, at order n + g1 - 1.  The one rational is
-    built at the exit: the determinant rescaled through its homogeneity degree
-    n + g1 - 1 and divided by the leading coefficient.
+    psc_(n-k)(F, F').  ``disc_resultant`` keeps its last result, so a run of
+    calls on one polynomial, such as a classification's leaf after its first
+    step or the selftest's sweep over every gamma, pays for that PRS once.  A
+    gamma with g1 = k runs the reduction through G of the module docstring (no
+    further resultant, and a determinant of order n - k), and every other
+    gamma runs the Bareiss elimination of the matrix stacked from the integer
+    coefficients, at order n + g1 - 1.  The one rational is built at the exit:
+    the determinant rescaled through its homogeneity degree n + g1 - 1 and
+    divided by the leading coefficient.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
@@ -475,7 +479,10 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     return _rescaled(dp, ints, scale, gamma)
 
 
-def disc_resultant(ints: Sequence[int], scale: Fraction) -> tuple[DiscValue, list[int], int]:
+@lru_cache(maxsize=1)
+def disc_resultant(
+    ints: tuple[int, ...], scale: Fraction
+) -> tuple[DiscValue, tuple[int, ...], int]:
     """D_(n) of F, G = gcd(F, F'), primitive and descending, and psc_(n-k)(I, I').
 
     ``ints`` and ``scale`` are what ``UniPoly.clear_denominators`` returns
@@ -485,12 +492,19 @@ def disc_resultant(ints: Sequence[int], scale: Fraction) -> tuple[DiscValue, lis
     degree of G, len(G) - 1, is n - k for k distinct roots, and the
     principal subresultant coefficient is the factor lc(G)^(2k-1) *
     Res(I/G, I'/G) of the reduction in the module docstring.
+
+    The last result is memoized, keyed by value on ``(ints, scale)``: a
+    classification's first step and its leaf, and any run of ``disc_value``
+    calls on one polynomial, share one degree-n PRS.  The pair determines F,
+    and so the result, and every part of the result is immutable (G is a
+    tuple), so the memo cannot change an answer.  ``ints`` must be hashable:
+    a list raises TypeError.
     """
     res, divisor, psc = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
-    return _rescaled(res, ints, scale, (len(ints) - 1,)), divisor, psc
+    return _rescaled(res, ints, scale, (len(ints) - 1,)), tuple(divisor), psc
 
 
-def _reduced_det(ints: Sequence[int], divisor: list[int], psc: int, gamma: Partition) -> int:
+def _reduced_det(ints: Sequence[int], divisor: Sequence[int], psc: int, gamma: Partition) -> int:
     """det M_gamma for g1 = k, as psc_(n-k)(F, F') * det R_gamma.
 
     F has the ascending ``ints``, G = gcd(F, F') the descending primitive

@@ -11,8 +11,23 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from multidisc import UniPoly, expand
+from multidisc.engine import disc_resultant
 from multidisc.roots import random_root_spec
+
+
+@pytest.fixture(autouse=True)
+def fresh_resultant_memo():
+    """Empty the one-entry memo of ``disc_resultant`` around every test.
+
+    A test that patches ``sylvester_resultant`` must see the PRS run, not an
+    entry an earlier test left, and must not leave its own entry behind.
+    """
+    disc_resultant.cache_clear()
+    yield
+    disc_resultant.cache_clear()
 
 
 def perm_det(rows):

@@ -314,8 +314,9 @@ def test_squarefree_input_runs_one_resultant_and_no_matrix(monkeypatch):
 def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu):
     # the gcd chain takes m_1 resultants in all, Res(F, F') the first, and
     # decides every step before delta; delta starts at g1 = k, so its leaf
-    # takes one more, for G = gcd(F, F') and psc_(n-k)(F, F') together, and
-    # eliminates only the remainder matrix R_delta, of order n - k
+    # reads G = gcd(F, F') and psc_(n-k)(F, F') from the first step's memo,
+    # takes no resultant, and eliminates only the remainder matrix R_delta,
+    # of order n - k
     spec = RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3)
     poly = expand(spec)
     n, k = poly.degree, len(mu)
@@ -326,7 +327,7 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
     _count_calls(monkeypatch, CLASSIFY, "disc_value", calls, lambda poly, gamma: leaves.append(gamma))
     _count_calls(monkeypatch, ENGINE, "det_fraction_free", calls, lambda rows: orders.append(len(rows)))
     trace = classify_trace(poly)
-    assert calls["sylvester_resultant"] == mu[0] + 1
+    assert calls["sylvester_resultant"] == mu[0]
     assert leaves == [trace.delta] and orders == [n - k]
     assert trace.result == mu and trace.delta[0] == k
     chain = partitions_of(n)
@@ -340,20 +341,20 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
 @pytest.mark.parametrize(
     "mu, work",
     [
-        ((10, 10), (617, 11, 1)),
-        ((8, 7, 5), (586, 9, 1)),
-        ((15, 15), (5589, 16, 1)),
-        ((6, 5, 5), (202, 7, 1)),
-        ((4, 3, 3, 2, 2, 1), (71, 5, 1)),
-        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 4, 1)),
-        ((2, 2, 2, 2, 1, 1), (8, 3, 1)),
+        ((10, 10), (617, 10, 1)),
+        ((8, 7, 5), (586, 8, 1)),
+        ((15, 15), (5589, 15, 1)),
+        ((6, 5, 5), (202, 6, 1)),
+        ((4, 3, 3, 2, 2, 1), (71, 4, 1)),
+        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 3, 1)),
+        ((2, 2, 2, 2, 1, 1), (8, 2, 1)),
     ],
 )
 def test_walk_does_the_same_work(monkeypatch, mu, work):
     # (steps, resultants, leaf determinants) for F = prod (x - i)^mu_i,
     # i = 0, 1, 2, ...: one resultant per level of the gcd chain, m_1 in all,
-    # and one leaf, on delta, which takes one more: the PRS of F and F' again,
-    # for G = gcd(F, F') and psc_(n-k)(F, F')
+    # and one leaf, on delta, which takes none: G = gcd(F, F') and
+    # psc_(n-k)(F, F') come from the memo of the first step's PRS
     poly = expand(RootSpec(tuple((Fraction(i), m) for i, m in enumerate(mu)), 1))
     calls = Counter()
     _count_calls(monkeypatch, ENGINE, "sylvester_resultant", calls)

@@ -32,6 +32,7 @@ from multidisc.engine import (
     derivative_coeffs,
     det_fraction_free,
     det_minor_expansion,
+    disc_resultant,
     sylvester_resultant,
 )
 from multidisc.roots import random_root_spec
@@ -640,17 +641,32 @@ class TestReducedLeaf:
         assert values == [_bareiss_value(poly, gamma) for gamma in gammas]
         assert values[gammas.index(delta)] != 0
 
-    def test_many_root_input_at_degree_60(self):
-        # the full matrix of delta = (59, 1) has order 118; R_delta has order 1
+    def test_many_root_input_at_degree_60(self, monkeypatch):
+        # the full matrix of delta = (59, 1) has order 118; R_delta has order 1.
+        # Two resultants in all: Res(F, F') with G_1 of degree 1, then
+        # gcd(G_1, G_1'); the leaf reads G_1 and its psc from the memo
+        calls = {"res": 0}
+        for name in ("multidisc.engine", "multidisc.classify"):
+            module = sys.modules[name]
+            res = module.sylvester_resultant
+
+            def counted_res(a, b, res=res):
+                calls["res"] += 1
+                return res(a, b)
+
+            monkeypatch.setattr(module, "sylvester_resultant", counted_res)
         trace = classify_trace(_many_roots(60))
         assert trace.delta == (59, 1)
         assert trace.result == (2,) + (1,) * 58
+        assert calls["res"] == 2
 
     def test_routing(self, monkeypatch):
-        # every gamma runs the one PRS of F and F'; g1 = k reads psc_(n-k)(F, F')
-        # off it and runs one determinant of order n - k, and every other gamma
-        # but (n) runs one Bareiss at its full order n + g1 - 1, so the selftest's checks
-        # that D_gamma = 0 for g1 > k never go through the reduction
+        # the first gamma on a polynomial runs the one PRS of F and F', and
+        # every later gamma on it reads that PRS from the memo; g1 = k reads
+        # psc_(n-k)(F, F') off it and runs one determinant of order n - k, and
+        # every other gamma but (n) runs one Bareiss at its full order
+        # n + g1 - 1, so the selftest's checks that D_gamma = 0 for g1 > k
+        # never go through the reduction
         engine = sys.modules["multidisc.engine"]
         orders = []
         calls = {"res": 0}
@@ -669,16 +685,17 @@ class TestReducedLeaf:
         for mu in [(1, 1, 1, 1, 1), (3, 2), (2, 2, 1), (4, 1, 1), (6,), (3, 3, 1, 1)]:
             poly = expand(RootSpec(tuple((i - 1, m) for i, m in enumerate(mu)), 2))
             n, k = poly.degree, len(mu)
-            for gamma in partitions_of(n):
+            for first, gamma in enumerate(partitions_of(n)):
                 orders.clear()
                 calls["res"] = 0
                 disc_value(poly, gamma)
+                prs = 0 if first else 1
                 if gamma == (n,):
-                    assert (orders, calls["res"]) == ([], 1), (mu, gamma)
+                    assert (orders, calls["res"]) == ([], prs), (mu, gamma)
                 elif gamma[0] == k:
-                    assert (orders, calls["res"]) == ([n - k], 1), (mu, gamma)
+                    assert (orders, calls["res"]) == ([n - k], prs), (mu, gamma)
                 else:
-                    assert (orders, calls["res"]) == ([n + gamma[0] - 1], 1), (mu, gamma)
+                    assert (orders, calls["res"]) == ([n + gamma[0] - 1], prs), (mu, gamma)
 
     def test_inexact_division_is_an_engine_fault(self, monkeypatch):
         # a divisor that is not G = gcd(F, F') = x - 1: the remainder of F''
@@ -696,6 +713,53 @@ class TestReducedLeaf:
         monkeypatch.setattr(engine, "disc_resultant", wrong_gcd)
         with pytest.raises(ArithmeticError, match="non-exact"):
             disc_value(poly, (2, 1))
+
+
+class TestResultantMemo:
+    """disc_resultant keeps its last result, keyed by value on (ints, scale)."""
+
+    POLY = expand(RootSpec(((1, 3), (-2, 2), (Fraction(1, 3), 1)), 3))  # delta = (3, 2, 1)
+    SQUAREFREE = UniPoly([5, -2, 0, 1, 0, 0, 3])  # 3x^6 + x^3 - 2x + 5, D_(6) != 0
+    OTHER = expand(RootSpec(((2, 2), (-1, 2), (0, 2)), Fraction(-5, 2)))  # delta = (3, 3)
+
+    def test_a_multiple_shares_ints_but_not_the_value(self):
+        # P and c * P clear to the same ints with scales that differ by 1/c,
+        # and D_gamma is homogeneous of degree n + g1 - 2, so a memo keyed on
+        # ints alone would hand c * P the D_(n) of P
+        c = 7
+        for poly in (self.SQUAREFREE, self.POLY):
+            multiple = poly * c
+            ints, scale = poly.clear_denominators()
+            assert multiple.clear_denominators() == (ints, scale / c)
+            n = poly.degree
+            for gamma in partitions_of(n):
+                value = disc_value(poly, gamma).value
+                scaled = disc_value(multiple, gamma).value
+                assert scaled == c ** (n + gamma[0] - 2) * value, gamma
+        assert disc_value(self.SQUAREFREE, (6,)).value != 0
+
+    def test_interleaved_polynomials_give_the_cleared_values(self):
+        cases = [(p, gamma) for p in (self.POLY, self.OTHER) for gamma in partitions_of(p.degree)]
+        expected = {}
+        for poly, gamma in cases:
+            disc_resultant.cache_clear()
+            expected[poly, gamma] = disc_value(poly, gamma).value
+        disc_resultant.cache_clear()
+        order = [
+            (poly, gamma)
+            for gamma in partitions_of(self.POLY.degree)
+            for poly in (self.POLY, self.OTHER, self.POLY)
+        ]
+        assert [disc_value(*case).value for case in order] == [expected[case] for case in order]
+        assert disc_resultant.cache_info().hits > 0
+
+    def test_the_memoized_gcd_is_a_tuple(self):
+        ints, scale = self.POLY.clear_denominators()
+        first = disc_resultant(ints, scale)
+        assert isinstance(first[1], tuple) and len(first[1]) == 4  # deg G = n - k = 3
+        assert disc_resultant(ints, scale) is first
+        with pytest.raises(TypeError, match="unhashable"):
+            disc_resultant(list(ints), scale)
 
 
 class TestDiscSymbolic:
