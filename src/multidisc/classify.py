@@ -6,22 +6,22 @@ the scan; the multiplicity vector is the conjugate of the partition that
 produced it.  The scan always terminates because the final discriminant
 equals prod(i^i) * an^(n-1), which cannot vanish.
 
-On a concrete input the scan runs one determinant past the first step.  Let
-G_0 = F and G_j = gcd(G_(j-1), G_(j-1)'), so that
+On a concrete input the gcd chain finds delta, and only D_delta is
+evaluated.  Let G_0 = F and G_j = gcd(G_(j-1), G_(j-1)'), so that
 G_j = prod (x - r)^max(m - j, 0) over the roots r of multiplicity m, and
 delta_j = deg G_(j-1) - deg G_j counts the roots of multiplicity at least j:
-delta is the conjugate of the multiplicity vector.  The first step,
-D_(n) = Res(F, F') / an by a subresultant PRS, gives G_1, and one more PRS
-per level gives the rest (Collins 1967; Brown-Traub 1971).  A partition gamma
-before delta first differs from it at a level j with g_j > delta_j.  The rows
-of blocks 0..j are multiples of G_j of degree below n + g1 - 1, so they lie
-in a space of dimension n + g1 - 1 - deg G_j, and they outnumber it:
-D_gamma = 0 by this row count alone.  At level 1 this is the rule g1 > k for
-k distinct roots.  The chain decides which of the non-nested discriminants
-vanish on the input and does not change them; Yun's decomposition
-(``roots``) stays an independent oracle of delta.  Vanishing is not monotone
-along the order (x^4 - x has D(3,1) = 0 but D(2,2) != 0), so no scan may
-bisect on the values.
+delta is the conjugate of the multiplicity vector.  The subresultant PRS of
+F and F' gives G_1, and one more PRS per level gives the rest (Collins 1967;
+Brown-Traub 1971).  A partition gamma before delta first differs from it at
+a level j with g_j > delta_j.  The rows of blocks 0..j are multiples of G_j
+of degree below n + g1 - 1, so they lie in a space of dimension
+n + g1 - 1 - deg G_j, and they outnumber it: D_gamma = 0 by this row count
+alone.  At level 1 this is the rule g1 > k for k distinct roots, by which
+``engine.disc_value`` returns 0 with no determinant.  The chain decides which
+of the non-nested discriminants vanish on the input and does not change
+them; Yun's decomposition (``roots``) stays an independent oracle of delta.
+Vanishing is not monotone along the order (x^4 - x has D(3,1) = 0 but
+D(2,2) != 0), so no scan may bisect on the values.
 """
 
 from __future__ import annotations
@@ -80,31 +80,28 @@ class ClassificationTrace:
 def classify_trace(poly: UniPoly) -> ClassificationTrace:
     """Short-circuit classification: the breaking partition delta and D_delta.
 
-    The first partition, gamma = (n), comes from Res(F, F') by
-    ``disc_resultant`` on the input cleared to integers once, which also
-    gives G_1 = gcd(F, F').  Each further level j takes
-    G_j = gcd(G_(j-1), G_(j-1)') from ``sylvester_resultant``, until
-    deg G_j = 0, so the chain costs m_1 resultants for a largest multiplicity
-    m_1, and delta_j = deg G_(j-1) - deg G_j.  Every partition before delta is
-    a zero step by the row count of the module docstring, and none is
-    enumerated here: the trace's ``steps`` walks them on demand.  delta alone
-    runs ``disc_value`` on the input polynomial.  delta starts at g1 = k, so
-    ``disc_value`` takes it through G = gcd(F, F'), with G and
-    psc_(n-k)(F, F') read from the memo of ``disc_resultant`` that the first
-    step filled, and a determinant of order n - k, in place of the
-    elimination at width n + k - 1: the whole classification runs m_1
-    resultants.  A chain whose delta is not a partition of n, or
-    D_delta = 0, is an engine fault.
+    ``disc_resultant`` clears the input to integers once and runs the
+    subresultant PRS of F and F', which gives G_1 = gcd(F, F').  Each further
+    level j takes G_j = gcd(G_(j-1), G_(j-1)') from ``sylvester_resultant``,
+    until deg G_j = 0, so the chain costs m_1 resultants for a largest
+    multiplicity m_1, and delta_j = deg G_(j-1) - deg G_j; a squarefree input
+    has G_1 = 1, no further level and delta = (n).  Every partition before
+    delta is a zero step by the row count of the module docstring, and none
+    is enumerated here: the trace's ``steps`` walks them on demand.  Every
+    input then runs ``disc_value`` on delta alone.  delta starts at g1 = k,
+    so ``disc_value`` reads G and psc_(n-k)(F, F') from the memo of
+    ``disc_resultant`` that the chain filled and runs one determinant of
+    order n - k, none for a squarefree input: the whole classification clears
+    the input once and runs m_1 resultants.  A chain whose delta is not a
+    partition of n, or D_delta = 0, is an engine fault.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
     n = poly.degree
-    first, divisor, _ = disc_resultant(*poly.clear_denominators())
-    if first.value:
-        return ClassificationTrace(conjugate((n,)), (n,), first.value)
+    divisor = disc_resultant(poly)[2]
     levels = [n - len(divisor) + 1]
     while len(divisor) > 1:
-        below = sylvester_resultant(divisor, derivative_coeffs(divisor[::-1], 1))[1]
+        below = sylvester_resultant(divisor, derivative_coeffs(divisor[::-1], 1))[0]
         levels.append(len(divisor) - len(below))
         divisor = below
     try:

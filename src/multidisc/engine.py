@@ -11,14 +11,20 @@ with every row right-aligned to a common width n + g1 - 1: column j holds
 the coefficient of x^(size-1-j), so the serialized matrices reproduce the
 familiar staircase layout with blanks in the lower-left/upper-right.
 
-The matrix of gamma = (n) is the Sylvester matrix of F and F' (n - 1 rows
-of F above n rows of F'), so D_(n) is Res(F, F') up to the division by
-the leading coefficient.  It is computed by a subresultant polynomial
-remainder sequence over the integers (Collins 1967; Brown-Traub 1971) in
-O(n^2) integer operations; the same sequence gives G = gcd(F, F').
+A concrete D_gamma takes one of three routes, chosen by g1 against k, the
+number of distinct roots of F.  k comes from G = gcd(F, F'), of degree
+n - k, which a subresultant polynomial remainder sequence over the integers
+finds in O(n^2) integer operations (Collins 1967; Brown-Traub 1971).  The
+2 * g1 - 1 rows of blocks 0 and 1 are multiples of G of degree below
+n + g1 - 1, a space of dimension g1 + k - 1, so g1 > k gives D_gamma = 0 by
+this row count alone (the ``classify`` module docstring).  g1 = k goes
+through G, as below, and g1 < k runs a Bareiss elimination of the full
+matrix.  The matrix of gamma = (n) is the Sylvester matrix of F and F'
+(n - 1 rows of F above n rows of F'), so D_(n) is Res(F, F') up to the
+division by the leading coefficient; for a squarefree F, k = n and (n) is
+the case g1 = k.
 
-When g1 = k, the number of distinct roots of F, the determinant goes through
-G = gcd(F, F'), of degree n - k (Collins 1967; Brown-Traub 1971).  Write
+When g1 = k, the determinant goes through G.  Write
 every row in the basis G * x^(2k-2), ..., G * x^0, x^(n-k-1), ..., x^0 of
 the polynomials of degree below n + k - 1.  G * x^i has its leading term
 lc(G) * x^(n-k+i) in the column of x^(n-k+i), and the columns run down from
@@ -56,11 +62,12 @@ same rule on the degrees lowered by d.  Either sum is even when every degree
 drops by one, as in the sequence of a generic input.  psc_j is homogeneous
 of degree l - j in the entries of a and m - j in those of b, so the contents
 come back as cont(a)^(l - d) * cont(b)^(m - d).  One PRS of degree n thus
-gives D_(n), G and the factor, and one determinant of order n - k replaces
-the elimination at width n + k - 1.
+gives G and the factor, and one determinant of order n - k replaces the
+elimination at width n + k - 1.  For a squarefree F, R_(n) is empty and the
+factor is Res(F, F') itself.
 
-Every other numeric determinant is one Bareiss elimination over Python
-ints, on integer rows only: a rational polynomial is cleared to integers
+Every other numeric determinant, of R_gamma or of a gamma with g1 < k, is
+one Bareiss elimination over Python ints, on integer rows only: a rational polynomial is cleared to integers
 once, at the input, and the determinant becomes a rational once, at the
 output.  A step leaves alone the rows that are zero in its pivot column;
 for them the full elimination would only scale the row by p_k / p_(k-1),
@@ -79,7 +86,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, perm
 from typing import Sequence, Union
 
@@ -311,18 +317,33 @@ def _exact(num: int, den: int) -> int:
     return q
 
 
-def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], int]:
-    """Res(a, b), G = gcd(a, b) and psc_d(a, b), d = deg G, by a subresultant PRS.
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """lc(b)^(len(a) - len(b) + 1) * a mod b, for descending integer lists.
+
+    One pass per term of ``a`` cancelled, each a multiplication by lc(b), also
+    when the term is already zero: the subresultant PRS divides by the full
+    power.  The result keeps its leading zeros, so it has len(b) - 1 entries.
+    """
+    lead, tail, rem = b[0], b[1:], a
+    for _ in range(len(a) - len(b) + 1):
+        top = rem[0]
+        head = [lead * x - top * y for x, y in zip(rem[1:], tail)]
+        rem = head + [lead * x for x in rem[len(b) :]]
+    return rem
+
+
+def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
+    """G = gcd(a, b) and psc_d(a, b), d = deg G, by a subresultant PRS.
 
     ``a`` and ``b`` are integer descending coefficient lists with nonzero
-    leading coefficients, of degrees m and l.  Res(a, b) is the determinant of
-    their Sylvester matrix: l rows of a above m rows of b.  psc_d(a, b) is the
-    determinant of the first m + l - 2d columns of l - d rows of a above m - d
-    rows of b; when G = [1] it is Res(a, b).  This is Cohen, GTM 138, Algorithm
-    3.3.7, stopped at the first zero remainder.  The contents are taken out
-    first and come back as cont(a)^(l - d) * cont(b)^(m - d).  The
-    pseudo-remainder of a step whose degree drops by delta is divided by
-    g * h^delta, where g is the leading coefficient of the divisor and h becomes
+    leading coefficients, of degrees m and l.  psc_d(a, b) is the determinant
+    of the first m + l - 2d columns of l - d rows of a above m - d rows of b;
+    when G = [1] it is Res(a, b), the determinant of their Sylvester matrix,
+    and otherwise Res(a, b) = 0.  This is Cohen, GTM 138, Algorithm 3.3.7,
+    stopped at the first zero remainder.  The contents are taken out first
+    and come back as cont(a)^(l - d) * cont(b)^(m - d).  The pseudo-remainder
+    of a step whose degree drops by delta is divided by g * h^delta, where g
+    is the leading coefficient of the divisor and h becomes
     g^delta / h^(delta - 1): the subresultant recurrence of Brown-Traub 1971,
     exact also when delta > 1 (see Ducos 2000).  The last nonzero remainder b,
     of degree d, is a constant multiple of G, and lc(b)^delta / h^(delta - 1)
@@ -345,13 +366,7 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[i
     g = h = 1
     while len(b) > 1:
         delta = len(a) - len(b)
-        # lead(b)^(delta + 1) * a mod b, one pass per term of a cancelled;
-        # it keeps its leading zeros, so it has len(b) - 1 entries
-        lead, tail, rem = b[0], b[1:], a
-        for _ in range(delta + 1):
-            top = rem[0]
-            head = [lead * x - top * y for x, y in zip(rem[1:], tail)]
-            rem = head + [lead * x for x in rem[len(b) :]]
+        rem = _prem(a, b)
         start = next((i for i, c in enumerate(rem) if c), None)
         if start is None:
             break
@@ -366,10 +381,10 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[i
     psc = ca ** (l - d) * cb ** (m - d) * _exact(b[0] ** delta * h, h**delta)
     if sum((x - d) * (y - d) for x, y in zip(degrees, degrees[1:])) & 1:
         psc = -psc
-    if d:
-        content = gcd(*b)
-        return 0, [c // content for c in b], psc
-    return psc, [1], psc
+    if not d:
+        return [1], psc
+    content = gcd(*b)
+    return [c // content for c in b], psc
 
 
 def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:
@@ -450,58 +465,73 @@ def _packed(entry: Entry, width: int) -> dict[int, int]:
 def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     """Exact multiplicity discriminant of a concrete polynomial.
 
-    The polynomial is cleared once to integer coefficients
-    (``UniPoly.clear_denominators``) and the determinant runs over plain
-    integers: D_(n) is Res(F, F') by a subresultant PRS (:func:`disc_resultant`),
-    which also gives G = gcd(F, F'), and so the number k of distinct roots, and
-    psc_(n-k)(F, F').  ``disc_resultant`` keeps its last result, so a run of
-    calls on one polynomial, such as a classification's leaf after its first
-    step or the selftest's sweep over every gamma, pays for that PRS once.  A
-    gamma with g1 = k runs the reduction through G of the module docstring (no
-    further resultant, and a determinant of order n - k), and every other
-    gamma runs the Bareiss elimination of the matrix stacked from the integer
-    coefficients, at order n + g1 - 1.  The one rational is built at the exit:
-    the determinant rescaled through its homogeneity degree n + g1 - 1 and
-    divided by the leading coefficient.
+    :func:`disc_resultant` clears the polynomial once to integer coefficients
+    and runs the subresultant PRS of F and F', which gives G = gcd(F, F'), so
+    the number k = n - deg G of distinct roots, and psc_(n-k)(F, F').  It keeps
+    its last result, so a run of calls on one polynomial, such as a
+    classification's leaf after its first step or the selftest's sweep over
+    every gamma, pays for that PRS and that clearing once.  gamma takes one of
+    three routes, by g1 against k:
+
+    - g1 > k: 0, by the row count of the module docstring; no determinant
+      runs.
+    - g1 = k: psc_(n-k)(F, F') * det R_gamma, the reduction through G of the
+      module docstring, with a determinant of order n - k.  For a squarefree
+      F, gamma = (n) is this case with R empty, and the determinant is
+      Res(F, F').
+    - g1 < k: the Bareiss elimination of the matrix stacked from the integer
+      coefficients, at order n + g1 - 1.
+
+    The one rational is built at the exit: the determinant rescaled through
+    its homogeneity degree n + g1 - 1 and divided by the leading coefficient.
     """
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
     n = poly.degree
     gamma = as_partition(gamma, n)
-    ints, scale = poly.clear_denominators()
-    first, divisor, psc = disc_resultant(ints, scale)
-    if gamma == (n,):
-        return first
-    if gamma[0] == len(ints) - len(divisor):
+    ints, scale, divisor, psc = disc_resultant(poly)
+    k = n + 1 - len(divisor)
+    if gamma[0] > k:
+        dp = 0
+    elif gamma[0] == k:
         dp = _reduced_det(ints, divisor, psc, gamma)
     else:
         dp = det_fraction_free(_build(ints, gamma, symbolic=False).entries)
-    return _rescaled(dp, ints, scale, gamma)
+    # dp is the determinant for scale * poly, homogeneous of degree n + g1 - 1
+    value = Fraction(dp, ints[-1]) / scale ** (n + gamma[0] - 2)
+    return DiscValue(value, gamma, n)
 
 
-@lru_cache(maxsize=1)
-def disc_resultant(
-    ints: tuple[int, ...], scale: Fraction
-) -> tuple[DiscValue, tuple[int, ...], int]:
-    """D_(n) of F, G = gcd(F, F'), primitive and descending, and psc_(n-k)(I, I').
+# the last call of disc_resultant as one (poly.coeffs, result) pair, so that a
+# reader on another thread sees a matching key and result or a miss
+_last_resultant: tuple = (None, None)
 
-    ``ints`` and ``scale`` are what ``UniPoly.clear_denominators`` returns
-    for F, of degree n >= 1; I has the ascending ``ints``.  The matrix of
-    gamma = (n) is the Sylvester matrix of F and F', so its determinant is
-    Res(F, F'), taken by :func:`sylvester_resultant` on I and I'.  The
-    degree of G, len(G) - 1, is n - k for k distinct roots, and the
-    principal subresultant coefficient is the factor lc(G)^(2k-1) *
-    Res(I/G, I'/G) of the reduction in the module docstring.
 
-    The last result is memoized, keyed by value on ``(ints, scale)``: a
-    classification's first step and its leaf, and any run of ``disc_value``
-    calls on one polynomial, share one degree-n PRS.  The pair determines F,
-    and so the result, and every part of the result is immutable (G is a
-    tuple), so the memo cannot change an answer.  ``ints`` must be hashable:
-    a list raises TypeError.
+def disc_resultant(poly: UniPoly) -> tuple[tuple[int, ...], Fraction, tuple[int, ...], int]:
+    """(ints, scale, G, psc): F cleared, G = gcd(F, F'), and psc_(n-k)(I, I').
+
+    ``ints`` and ``scale`` are what ``UniPoly.clear_denominators`` returns for
+    F, of degree n >= 1, and I has the ascending ``ints``.  G, primitive and
+    descending, and psc come from :func:`sylvester_resultant` on I and I'.
+    The degree of G, len(G) - 1, is n - k for k distinct roots, and psc is the
+    factor lc(G)^(2k-1) * Res(I/G, I'/G) of the reduction in the module
+    docstring; it is Res(I, I') when G = (1,).
+
+    The last result is memoized, keyed on the identity of the immutable
+    ``poly.coeffs`` tuple, which the memo holds: a classification's first step
+    and its leaf, and any run of ``disc_value`` calls on one polynomial, share
+    one clearing and one degree-n PRS.  The tuple determines F, and every part
+    of the result is immutable, so the memo cannot change an answer.
     """
-    res, divisor, psc = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
-    return _rescaled(res, ints, scale, (len(ints) - 1,)), tuple(divisor), psc
+    global _last_resultant
+    coeffs, result = _last_resultant
+    if coeffs is poly.coeffs:
+        return result
+    ints, scale = poly.clear_denominators()
+    divisor, psc = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
+    result = ints, scale, tuple(divisor), psc
+    _last_resultant = poly.coeffs, result
+    return result
 
 
 def _reduced_det(ints: Sequence[int], divisor: Sequence[int], psc: int, gamma: Partition) -> int:
@@ -512,16 +542,16 @@ def _reduced_det(ints: Sequence[int], divisor: Sequence[int], psc: int, gamma: P
     lc(G)^(2k-1) * Res(F/G, F'/G), from the PRS that found G; the identity is
     the module docstring's.  The rows of R_gamma, x^s * F^(i) mod G for
     i >= 2, are integer multiples of the remainders.  The first row of block i
-    is the pseudo-remainder of F^(i), and row s + 1 is x * (row s) reduced
-    once; every pseudo-division pass with a nonzero top term multiplies the
-    row by lc(G), and each row is then divided by its content.  A row built
-    from a reduced row carries that row's factors, so the factor of a row is
-    the running product over its block.  The determinant of the integer rows
-    is brought back through these factors in one exact division; a remainder,
-    which a ``divisor`` other than G can leave, raises ArithmeticError.
+    is the pseudo-remainder of F^(i), and row s + 1 is that of x * (row s);
+    each pass of :func:`_prem` multiplies the row by lc(G), and each row is
+    then divided by its content.  A row built from a reduced row carries that
+    row's factors, so the factor of a row is the running product over its
+    block.  The determinant of the integer rows is brought back through these
+    factors in one exact division; a remainder, which a ``divisor`` other than
+    G can leave, raises ArithmeticError.  R_gamma is empty when gamma = (n),
+    and its determinant is then 1.
     """
-    lead, tail = divisor[0], divisor[1:]
-    width = len(tail)
+    width = len(divisor) - 1
     rows: list[list[int]] = []
     contents, powers = 1, 0  # det R_int = det R * lc(G)^powers / contents
     for order, count in enumerate(gamma[1:], start=2):
@@ -532,15 +562,8 @@ def _reduced_det(ints: Sequence[int], divisor: Sequence[int], psc: int, gamma: P
         for s in range(count):
             if s:
                 row = row + [0]
-            for _ in range(len(row) - width):
-                top = row[0]
-                if top:
-                    row = [lead * x - top * y for x, y in zip(row[1:], tail)] + [
-                        lead * x for x in row[width + 1 :]
-                    ]
-                    row_power += 1
-                else:
-                    row = row[1:]
+            row_power += len(row) - width
+            row = _prem(row, divisor)
             divide = gcd(*row) or 1
             row = [x // divide for x in row]
             row_content *= divide
@@ -548,15 +571,8 @@ def _reduced_det(ints: Sequence[int], divisor: Sequence[int], psc: int, gamma: P
             powers += row_power
             block.append(row)
         rows.extend(reversed(block))
-    return _exact(psc * det_fraction_free(rows) * contents, lead**powers)
-
-
-def _rescaled(dp: int, ints: Sequence[int], scale: Fraction, gamma: Partition) -> DiscValue:
-    # dp is the determinant for G = scale * poly with the ascending ``ints``,
-    # homogeneous of degree n + g1 - 1
-    n = len(ints) - 1
-    value = Fraction(dp, ints[-1]) / scale ** (n + gamma[0] - 2)
-    return DiscValue(value, gamma, n)
+    det = det_fraction_free(rows) if rows else 1
+    return _exact(psc * det * contents, divisor[0] ** powers)
 
 
 def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT) -> DiscValue:

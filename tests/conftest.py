@@ -13,8 +13,7 @@ from itertools import permutations
 
 import pytest
 
-from multidisc import UniPoly, expand
-from multidisc.engine import disc_resultant
+from multidisc import UniPoly, engine, expand
 from multidisc.roots import random_root_spec
 
 
@@ -25,9 +24,9 @@ def fresh_resultant_memo():
     A test that patches ``sylvester_resultant`` must see the PRS run, not an
     entry an earlier test left, and must not leave its own entry behind.
     """
-    disc_resultant.cache_clear()
+    engine._last_resultant = (None, None)
     yield
-    disc_resultant.cache_clear()
+    engine._last_resultant = (None, None)
 
 
 def perm_det(rows):

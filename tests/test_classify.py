@@ -307,7 +307,9 @@ def test_squarefree_input_runs_one_resultant_and_no_matrix(monkeypatch):
         _count_calls(monkeypatch, CLASSIFY, name, calls)
     trace = classify_trace(poly)
     assert trace.result == (1,) * 28 and len(trace.steps) == 1
-    assert calls == Counter(sylvester_resultant=1)
+    # the leaf is delta = (n) at g1 = k = n: psc_0(F, F') = Res(F, F') from
+    # the first PRS, times the determinant of an empty remainder matrix
+    assert calls == Counter(sylvester_resultant=1, disc_value=1)
 
 
 @pytest.mark.parametrize("mu", [(10, 10), (8, 7, 5), (15, 15), (8, 8), (6, 5, 5)])
@@ -366,18 +368,22 @@ def test_walk_does_the_same_work(monkeypatch, mu, work):
 
 
 @pytest.mark.parametrize(
-    "mu, leaves",
+    "mu, determinants",
     [((1,) * 6, 0), ((10, 10), 1), ((8, 7, 5), 1), ((4, 3, 3, 2, 2, 1), 1), ((2, 2, 1), 1)],
 )
-def test_classification_clears_its_input_once(monkeypatch, mu, leaves):
-    # one clearing feeds the first step, whose G_1 starts the gcd chain; the
-    # leaf ``disc_value`` takes the input polynomial and clears it once more
+def test_classification_clears_its_input_once(monkeypatch, mu, determinants):
+    # one clearing feeds the first PRS, whose G_1 starts the gcd chain; the
+    # leaf ``disc_value`` runs on every input and reads the cleared integers
+    # from the memo of ``disc_resultant``.  Its remainder matrix is empty for
+    # a squarefree input, so no determinant runs there
     spec = RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(-3, 7))
     calls = Counter()
     _count_calls(monkeypatch, UniPoly, "clear_denominators", calls)
     _count_calls(monkeypatch, CLASSIFY, "disc_value", calls)
+    _count_calls(monkeypatch, ENGINE, "det_fraction_free", calls)
     assert classify_trace(expand(spec)).result == mu
-    assert (calls["clear_denominators"], calls["disc_value"]) == (1 + leaves, leaves)
+    assert (calls["clear_denominators"], calls["disc_value"]) == (1, 1)
+    assert calls["det_fraction_free"] == determinants
 
 
 def test_walk_takes_the_partitions_lazily():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import multidisc
-from multidisc import disc_value, UniPoly
+from multidisc import conjugate, disc_value, partitions_of, UniPoly
 from multidisc.cli import main, run_selftest
 from multidisc.engine import DiscValue
 
@@ -188,7 +188,7 @@ class TestClassify:
         faults = {
             "disc_value": lambda poly, gamma: DiscValue(Fraction(0), gamma, poly.degree),
             "iter_partitions": lambda n: iter([(n,)]),
-            "disc_resultant": lambda ints, scale: (DiscValue(Fraction(0), (5,), 5), [1, 0, 0, 1], 0),
+            "disc_resultant": lambda poly: ((), Fraction(1), (1, 0, 0, 1), 0),
         }
         outputs = {"iter_partitions": [["--json"], ["--trace"]]}.get(fault, [[]])
         # the package's classify function shadows the module of the same name
@@ -445,6 +445,30 @@ class TestSelftest:
         checked, failures = run_selftest(4, 2, 11, quiet=True)
         assert failures == []
         assert checked > 0
+
+    def test_row_count_zeros_meet_an_elimination(self, monkeypatch):
+        # disc_value gives D_lambda = 0 for g1 > k with no determinant, so the
+        # sweep checks each such lambda before conj(mu) with one Bareiss
+        # elimination of its full matrix, of order n + g1 - 1
+        cli_module = import_module("multidisc.cli")
+        orders = []
+        det = cli_module.det_fraction_free
+
+        def counted_det(rows):
+            orders.append(len(rows))
+            return det(rows)
+
+        monkeypatch.setattr(cli_module, "det_fraction_free", counted_det)
+        checked, failures = run_selftest(6, 1, 5, quiet=True)
+        assert failures == [] and checked > 0
+        expected = [
+            n + lam[0] - 1
+            for n in range(1, 7)
+            for mu in partitions_of(n)
+            for lam in partitions_of(n)
+            if lam > conjugate(mu) and lam[0] > len(mu)
+        ]
+        assert orders == expected and len(orders) == 80
 
     def test_progress_goes_to_stderr(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--max-n", "2", "--trials", "2")

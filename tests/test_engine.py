@@ -360,12 +360,13 @@ class TestSylvesterResultant:
             ints = [c.numerator for c in poly.coeffs]
             size = 2 * n - 1
             rows = block_rows(ints, 0, n - 1, size) + block_rows(ints, 1, n, size)
-            res, divisor, _ = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
+            divisor, psc = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
             common = len(divisor) - 1
-            assert res == det_fraction_free(rows), poly
+            det = det_fraction_free(rows)
+            # psc is Res(F, F') when G = [1], and Res(F, F') = 0 otherwise
+            assert det == (0 if common else psc) and psc != 0, poly
             assert n - common == len(squarefree_multiplicity(poly)), poly
-            assert (res == 0) == (common > 0)
-            assert disc_value(poly, (n,)).value == Fraction(res, ints[-1])
+            assert disc_value(poly, (n,)).value == Fraction(det, ints[-1])
 
     def test_rational_input_rescales_like_the_matrix(self):
         rng = random.Random(4242)
@@ -395,20 +396,20 @@ class TestSylvesterResultant:
                 b = [c.numerator for c in (UniPoly.from_descending(b) * f).descending_coeffs()]
             content = rng.choice([1, 1, 6])
             a = [c * content for c in a]
-            res, divisor, _ = sylvester_resultant(a, b)
+            divisor, psc = sylvester_resultant(a, b)
             rows = _sylvester(a, b)
             if rows:
-                assert res == det_fraction_free(rows), (a, b)
+                assert det_fraction_free(rows) == (psc if divisor == [1] else 0), (a, b)
                 assert len(divisor) - 1 == len(rows) - _rank(rows), (a, b)
             else:
-                assert (res, divisor) == (1, [1])
+                assert (divisor, psc) == ([1], 1)
             if len(divisor) > 1:  # G divides both, and is primitive
                 g = UniPoly.from_descending(divisor)
                 assert not divmod(UniPoly.from_descending(a), g)[1], (a, b)
                 assert not divmod(UniPoly.from_descending(b), g)[1], (a, b)
                 assert gcd(*divisor) == 1
-        assert sylvester_resultant([3], [5, 1]) == (3, [1], 3)
-        assert sylvester_resultant([2, 0, 1], [-5]) == (25, [1], 25)
+        assert sylvester_resultant([3], [5, 1]) == ([1], 3)
+        assert sylvester_resultant([2, 0, 1], [-5]) == ([1], 25)
 
     def test_rejects_zero_leading_and_flags_inexact_division(self):
         with pytest.raises(ValueError):
@@ -454,11 +455,11 @@ def _leaf_factor(poly):
 
 def _psc(poly):
     ints = poly.clear_denominators()[0]
-    return sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))[2]
+    return sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))[1]
 
 
 class TestPrincipalSubresultant:
-    """The third value of sylvester_resultant, psc_d(a, b) for d = deg gcd(a, b)."""
+    """The second value of sylvester_resultant, psc_d(a, b) for d = deg gcd(a, b)."""
 
     def test_is_the_leaf_factor_on_dense_rational_inputs(self):
         count = 0
@@ -505,8 +506,10 @@ class TestPrincipalSubresultant:
                 a = _descending_ints(UniPoly.from_descending(a) * f)
                 b = _descending_ints(UniPoly.from_descending(b) * f)
             a = [c * rng.choice([1, 1, 6]) for c in a]
-            res, divisor, psc = sylvester_resultant(a, b)
+            divisor, psc = sylvester_resultant(a, b)
             assert psc == _leading_columns_det(a, b, len(divisor) - 1), (a, b)
+            rows = _sylvester(a, b)
+            res = det_fraction_free(rows) if rows else 1
             if divisor == [1]:
                 assert psc == res, (a, b)
                 coprime += 1
@@ -604,7 +607,8 @@ def _many_roots(n):
 
 
 class TestReducedLeaf:
-    """disc_value at g1 = k goes through G = gcd(F, F'); every other gamma is Bareiss."""
+    """disc_value routes on g1 against k: 0 for g1 > k, the reduction through
+    G = gcd(F, F') for g1 = k, and the Bareiss elimination for g1 < k."""
 
     def test_reduction_equals_bareiss_for_every_gamma_with_g1_equal_k(self):
         cases = {True: 0, False: 0}
@@ -662,11 +666,10 @@ class TestReducedLeaf:
 
     def test_routing(self, monkeypatch):
         # the first gamma on a polynomial runs the one PRS of F and F', and
-        # every later gamma on it reads that PRS from the memo; g1 = k reads
-        # psc_(n-k)(F, F') off it and runs one determinant of order n - k, and
-        # every other gamma but (n) runs one Bareiss at its full order
-        # n + g1 - 1, so the selftest's checks that D_gamma = 0 for g1 > k
-        # never go through the reduction
+        # every later gamma on it reads that PRS from the memo; g1 > k runs no
+        # determinant, g1 = k reads psc_(n-k)(F, F') off the PRS and runs one
+        # determinant of order n - k (none for gamma = (n) on a squarefree F),
+        # and g1 < k runs one Bareiss at its full order n + g1 - 1
         engine = sys.modules["multidisc.engine"]
         orders = []
         calls = {"res": 0}
@@ -690,12 +693,13 @@ class TestReducedLeaf:
                 calls["res"] = 0
                 disc_value(poly, gamma)
                 prs = 0 if first else 1
-                if gamma == (n,):
-                    assert (orders, calls["res"]) == ([], prs), (mu, gamma)
+                if gamma[0] > k:
+                    expected = []
                 elif gamma[0] == k:
-                    assert (orders, calls["res"]) == ([n - k], prs), (mu, gamma)
+                    expected = [n - k] if n > k else []
                 else:
-                    assert (orders, calls["res"]) == ([n + gamma[0] - 1], prs), (mu, gamma)
+                    expected = [n + gamma[0] - 1]
+                assert (orders, calls["res"]) == (expected, prs), (mu, gamma)
 
     def test_inexact_division_is_an_engine_fault(self, monkeypatch):
         # a divisor that is not G = gcd(F, F') = x - 1: the remainder of F''
@@ -705,18 +709,44 @@ class TestReducedLeaf:
         poly = expand(RootSpec(((1, 2), (2, 1)), 1))
         real = engine.disc_resultant
 
-        def wrong_gcd(ints, scale):
-            first, _, psc = real(ints, scale)
+        def wrong_gcd(poly):
+            ints, scale, _, psc = real(poly)
             assert psc == -2
-            return first, [8, -1], psc
+            return ints, scale, (8, -1), psc
 
         monkeypatch.setattr(engine, "disc_resultant", wrong_gcd)
         with pytest.raises(ArithmeticError, match="non-exact"):
             disc_value(poly, (2, 1))
 
+    def test_row_count_route_runs_no_determinant(self, monkeypatch):
+        # every gamma with g1 > k is 0 by the row count at level 1, and the
+        # Bareiss elimination of its full matrix agrees
+        engine = sys.modules["multidisc.engine"]
+        calls = []
+        det = engine.det_fraction_free
+
+        def counted_det(rows):
+            calls.append(len(rows))
+            return det(rows)
+
+        monkeypatch.setattr(engine, "det_fraction_free", counted_det)
+        checked = 0
+        for n in range(1, 9):
+            for mu in partitions_of(n):
+                k = len(mu)
+                poly = expand(RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), -2))
+                for gamma in partitions_of(n):
+                    if gamma[0] > k:
+                        calls.clear()
+                        assert disc_value(poly, gamma).value == 0, (mu, gamma)
+                        assert calls == [], (mu, gamma)
+                        assert _bareiss_value(poly, gamma) == 0, (mu, gamma)
+                        checked += 1
+        assert checked == 373
+
 
 class TestResultantMemo:
-    """disc_resultant keeps its last result, keyed by value on (ints, scale)."""
+    """disc_resultant keeps its last result, keyed on the identity of poly.coeffs."""
 
     POLY = expand(RootSpec(((1, 3), (-2, 2), (Fraction(1, 3), 1)), 3))  # delta = (3, 2, 1)
     SQUAREFREE = UniPoly([5, -2, 0, 1, 0, 0, 3])  # 3x^6 + x^3 - 2x + 5, D_(6) != 0
@@ -738,28 +768,52 @@ class TestResultantMemo:
                 assert scaled == c ** (n + gamma[0] - 2) * value, gamma
         assert disc_value(self.SQUAREFREE, (6,)).value != 0
 
-    def test_interleaved_polynomials_give_the_cleared_values(self):
-        cases = [(p, gamma) for p in (self.POLY, self.OTHER) for gamma in partitions_of(p.degree)]
+    def test_interleaved_polynomials_give_the_cleared_values(self, monkeypatch):
+        # P, c * P and another polynomial in turn: a call hits the memo only
+        # right after a call on the same polynomial, and every value equals
+        # the one computed with an empty memo
+        engine = sys.modules["multidisc.engine"]
+        multiple = self.POLY * 7
+        gammas = partitions_of(self.POLY.degree)
         expected = {}
-        for poly, gamma in cases:
-            disc_resultant.cache_clear()
-            expected[poly, gamma] = disc_value(poly, gamma).value
-        disc_resultant.cache_clear()
+        for poly in (self.POLY, multiple, self.OTHER):
+            for gamma in gammas:
+                engine._last_resultant = (None, None)
+                expected[poly, gamma] = disc_value(poly, gamma).value
+        engine._last_resultant = (None, None)
+        calls = {"res": 0}
+        res = engine.sylvester_resultant
+
+        def counted_res(a, b):
+            calls["res"] += 1
+            return res(a, b)
+
+        monkeypatch.setattr(engine, "sylvester_resultant", counted_res)
         order = [
             (poly, gamma)
-            for gamma in partitions_of(self.POLY.degree)
-            for poly in (self.POLY, self.OTHER, self.POLY)
+            for gamma in gammas
+            for poly in (self.POLY, multiple, multiple, self.OTHER, self.POLY)
         ]
         assert [disc_value(*case).value for case in order] == [expected[case] for case in order]
-        assert disc_resultant.cache_info().hits > 0
+        # four misses for the first gamma, then three for each (P hits after P)
+        assert calls["res"] == 4 + 3 * (len(gammas) - 1)
 
     def test_the_memoized_gcd_is_a_tuple(self):
-        ints, scale = self.POLY.clear_denominators()
-        first = disc_resultant(ints, scale)
-        assert isinstance(first[1], tuple) and len(first[1]) == 4  # deg G = n - k = 3
-        assert disc_resultant(ints, scale) is first
-        with pytest.raises(TypeError, match="unhashable"):
-            disc_resultant(list(ints), scale)
+        first = disc_resultant(self.POLY)
+        ints, scale, divisor, psc = first
+        assert (ints, scale) == self.POLY.clear_denominators()
+        assert isinstance(divisor, tuple) and len(divisor) == 4  # deg G = n - k = 3
+        assert disc_resultant(self.POLY) is first
+        # an equal polynomial with its own coefficient tuple misses, and gives
+        # an equal result
+        equal = UniPoly(self.POLY.coeffs)
+        assert equal == self.POLY and equal.coeffs is not self.POLY.coeffs
+        again = disc_resultant(equal)
+        assert again == first and again is not first
+        # the memo holds its key, so a freed input's tuple cannot be mistaken
+        # for a later one's
+        for c in range(1, 30):
+            assert disc_resultant(UniPoly([c, 0, 1]))[3] == 4 * c
 
 
 class TestDiscSymbolic:

@@ -102,8 +102,8 @@ def _cleared(poly):
 
 
 def _coprime(g, h):
-    res, divisor, _ = sylvester_resultant(_cleared(g), _cleared(h))
-    return res != 0 and divisor == [1]
+    divisor, psc = sylvester_resultant(_cleared(g), _cleared(h))
+    return psc != 0 and divisor == [1]
 
 
 def _reference_quo(a, b):
