@@ -51,6 +51,12 @@ def invocations() -> list[list[str]]:
         for gamma in partitions_of(n):
             text = ",".join(map(str, gamma))
             calls.append(["discriminant", "--n", str(n), "--gamma", text, "--format", "poly", *cap])
+    for n in range(1, 6):
+        for gamma in partitions_of(n):
+            text = ",".join(map(str, gamma))
+            for coeffs in ([], [_coeffs(gamma, False)], [_coeffs(gamma, True)]):
+                for fmt in ("matrix", "latex"):
+                    calls.append(["discriminant", "--n", str(n), "--gamma", text, "--format", fmt, *coeffs])
     calls += [["conditions", "--n", "5"], ["conditions", "--n", "5", "--json"], ["degree-table"]]
     return calls
 
@@ -65,7 +71,7 @@ def digests() -> dict[str, str]:
 def test_cli_output_matches_its_digests():
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     got = digests()
-    assert len(got) == len(expected) == 1073
+    assert len(got) == len(expected) == 1181
     assert [argv for argv in got if got[argv] != expected.get(argv)] == []
 
 
