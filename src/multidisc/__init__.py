@@ -1,11 +1,16 @@
 """Exact classification of complex-root multiplicity structures.
 
-Everything runs in exact rational (or integer/symbolic) arithmetic: the
-library builds square coefficient matrices from a polynomial and its
-derivatives, evaluates their determinants fraction-free, and reads the
-multiplicity vector of the complex roots off the first nonvanishing
-determinant in a fixed partition order.  Parametric discriminants,
-root-side cross-check formulas, a squarefree-decomposition oracle, and
+For every partition gamma of n, the library builds a square coefficient
+matrix from a polynomial and its derivatives; its determinant is the
+discriminant D_gamma.  The multiplicity vector of the complex roots is the
+conjugate of delta, the first partition in a fixed order whose
+discriminant is nonzero.  A classification finds delta from the gcd chain
+G_j = gcd(G_(j-1), G_(j-1)'), one subresultant remainder sequence per
+level, and evaluates D_delta alone; it enumerates no partition.  All
+arithmetic is exact: integer determinants by fraction-free elimination,
+with rationals only at the input and the output, and parametric
+discriminants in Z[a0..an] by a division-free cofactor expansion.
+Root-side cross-check formulas, a squarefree-decomposition oracle, and
 degree bookkeeping for competing condition systems round out the toolkit.
 """
 

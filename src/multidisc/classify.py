@@ -1,18 +1,19 @@
-"""Multiplicity classification by scanning discriminants in conjugate order.
+"""Multiplicity classification by the first nonzero discriminant in conjugate order.
 
-The discriminants are taken along the classification order (partition
-conjugates, lexicographically decreasing).  The first nonzero value stops
-the scan; the multiplicity vector is the conjugate of the partition that
-produced it.  The scan always terminates because the final discriminant
-equals prod(i^i) * an^(n-1), which cannot vanish.
+The classification order lists the partitions of n lexicographically
+decreasing; they are the conjugates of the multiplicity vectors.  The
+multiplicity vector is the conjugate of delta, the first partition in this
+order whose discriminant is nonzero.  delta exists, because the last
+discriminant, of (1, ..., 1), equals prod(i^i) * an^(n-1), which cannot
+vanish.
 
-On a concrete input the gcd chain finds delta, and only D_delta is
-evaluated.  Let G_0 = F and G_j = gcd(G_(j-1), G_(j-1)'), so that
-G_j = prod (x - r)^max(m - j, 0) over the roots r of multiplicity m, and
-delta_j = deg G_(j-1) - deg G_j counts the roots of multiplicity at least j:
-delta is the conjugate of the multiplicity vector.  The subresultant PRS of
-F and F' gives G_1, and one more PRS per level gives the rest (Collins 1967;
-Brown-Traub 1971).  A partition gamma before delta first differs from it at
+No partition is evaluated to find delta: on a concrete input the gcd
+chain finds it, and only D_delta is evaluated.  Let G_0 = F and
+G_j = gcd(G_(j-1), G_(j-1)'), so that G_j = prod (x - r)^max(m - j, 0) over
+the roots r of multiplicity m, and delta_j = deg G_(j-1) - deg G_j counts
+the roots of multiplicity at least j: delta is the conjugate of the
+multiplicity vector.  The subresultant PRS of F and F' gives G_1, and one
+more PRS per level gives the rest (Collins 1967; Brown-Traub 1971).  A partition gamma before delta first differs from it at
 a level j with g_j > delta_j.  The rows of blocks 0..j are multiples of G_j
 of degree below n + g1 - 1, so they lie in a space of dimension
 n + g1 - 1 - deg G_j, and they outnumber it: D_gamma = 0 by this row count
@@ -40,7 +41,10 @@ from .unipoly import UniPoly
 class TraceStep:
     gamma: Partition
     value: Fraction
-    nonzero: bool
+
+    @property
+    def nonzero(self) -> bool:
+        return self.value != 0
 
 
 @dataclass(frozen=True)
@@ -52,9 +56,13 @@ class ClassificationTrace:
     is called; ``steps`` expands them once, on first use.
     """
 
-    result: Partition  # the multiplicity vector
     delta: Partition  # the partition whose discriminant broke the chain
     value: Fraction  # D_delta, nonzero
+
+    @property
+    def result(self) -> Partition:
+        """The multiplicity vector, the conjugate of delta."""
+        return conjugate(self.delta)
 
     def zero_steps(self) -> Iterator[Partition]:
         """The partitions before delta, in the classification order.
@@ -72,8 +80,8 @@ class ClassificationTrace:
     def steps(self) -> tuple[TraceStep, ...]:
         zero = Fraction(0)
         return (
-            *(TraceStep(gamma, zero, False) for gamma in self.zero_steps()),
-            TraceStep(self.delta, self.value, True),
+            *(TraceStep(gamma, zero) for gamma in self.zero_steps()),
+            TraceStep(self.delta, self.value),
         )
 
 
@@ -115,7 +123,7 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
         raise ArithmeticError(
             f"no discriminant with gamma up to delta = {delta} is nonzero; engine bug"
         )
-    return ClassificationTrace(conjugate(delta), delta, value)
+    return ClassificationTrace(delta, value)
 
 
 def classify(poly: UniPoly) -> Partition:

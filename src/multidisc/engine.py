@@ -100,15 +100,10 @@ Entry = Union[int, Fraction, SymPoly]
 
 @dataclass(frozen=True)
 class DiscMatrix:
-    """Square discriminant matrix plus the provenance of every row."""
+    """Square discriminant matrix; gamma fixes its layout and the row of every entry."""
 
     entries: tuple[tuple[Entry, ...], ...]
     gamma: Partition
-    gamma0: int
-    size: int
-    row_provenance: tuple[tuple[int, int], ...]  # (derivative order, shift power)
-    n: int
-    symbolic: bool
 
     def blocks(self) -> list[tuple[int, list[int]]]:
         """Row indices grouped by derivative order.
@@ -116,31 +111,33 @@ class DiscMatrix:
         The order-0 block is always present, with an empty row list when
         gamma starts at 1, so serialized output shows the full block layout.
         """
-        grouped: list[tuple[int, list[int]]] = [(0, [])]
-        for idx, (order, _) in enumerate(self.row_provenance):
-            if order != grouped[-1][0]:
-                grouped.append((order, []))
-            grouped[-1][1].append(idx)
+        grouped, start = [], 0
+        for order, count in enumerate(_block_sizes(self.gamma)):
+            grouped.append((order, list(range(start, start + count))))
+            start += count
         return grouped
 
     def to_json_dict(self) -> dict:
-        if self.symbolic:
+        symbolic = isinstance(self.entries[0][0], SymPoly)
+        if symbolic:
             entries = [
                 [[[str(c), list(e)] for e, c in entry.sorted_terms()] for entry in row]
                 for row in self.entries
             ]
         else:
             entries = [[str(e) for e in row] for row in self.entries]
+        blocks = self.blocks()
         return {
-            "n": self.n,
+            "n": sum(self.gamma),
             "gamma": list(self.gamma),
-            "gamma0": self.gamma0,
-            "size": self.size,
-            "symbolic": self.symbolic,
-            "blocks": [
-                {"derivative": order, "rows": rows} for order, rows in self.blocks()
+            "gamma0": self.gamma[0] - 1,
+            "size": len(self.entries),
+            "symbolic": symbolic,
+            "blocks": [{"derivative": order, "rows": rows} for order, rows in blocks],
+            # (derivative order, shift power) of every row, the shifts descending
+            "row_provenance": [
+                [order, shift] for order, rows in blocks for shift in range(len(rows) - 1, -1, -1)
             ],
-            "row_provenance": [list(p) for p in self.row_provenance],
             "entries": entries,
         }
 
@@ -160,7 +157,7 @@ class DiscMatrix:
             if idx in boundaries:
                 line += r"\hline"
             lines.append(line)
-        header = r"\left|\begin{array}{" + "c" * self.size + "}"
+        header = r"\left|\begin{array}{" + "c" * len(self.entries) + "}"
         return "\n".join([header, *lines, r"\end{array}\right|"])
 
 
@@ -182,7 +179,6 @@ class DiscValue:
 
     value: Union[Fraction, SymPoly]
     gamma: Partition
-    n: int
 
 
 def derivative_coeffs(coeffs: Sequence[Entry], order: int) -> list[Entry]:
@@ -205,32 +201,34 @@ def block_rows(coeffs: Sequence[Entry], order: int, count: int, size: int) -> li
     ]
 
 
-def _build(coeffs: Sequence[Entry], gamma: Sequence[int], symbolic: bool) -> DiscMatrix:
+def _block_sizes(gamma: Partition) -> tuple[int, ...]:
+    """The number of rows of each derivative order 0, 1, ..., s: (g1 - 1, *gamma)."""
+    return (gamma[0] - 1, *gamma)
+
+
+def _build(coeffs: Sequence[Entry], gamma: Sequence[int]) -> DiscMatrix:
     """The discriminant matrix of the polynomial with ascending ``coeffs``."""
     n = len(coeffs) - 1
     gamma = as_partition(gamma, n)
-    gamma0 = gamma[0] - 1
-    size = n + gamma0
-    rows = []
-    prov = []
-    for order, count in [(0, gamma0)] + list(enumerate(gamma, start=1)):
-        rows.extend(tuple(row) for row in block_rows(coeffs, order, count, size))
-        prov.extend((order, shift) for shift in range(count - 1, -1, -1))
-    return DiscMatrix(tuple(rows), gamma, gamma0, size, tuple(prov), n, symbolic)
+    blocks = [
+        block_rows(coeffs, order, count, n + gamma[0] - 1)
+        for order, count in enumerate(_block_sizes(gamma))
+    ]
+    return DiscMatrix(tuple(tuple(row) for block in blocks for row in block), gamma)
 
 
 def build_matrix(poly: UniPoly, gamma: Sequence[int]) -> DiscMatrix:
     """Concrete discriminant matrix for a polynomial of degree >= 1."""
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
-    return _build(poly.coeffs, gamma, symbolic=False)
+    return _build(poly.coeffs, gamma)
 
 
 def build_symbolic_matrix(n: int, gamma: Sequence[int]) -> DiscMatrix:
     """Discriminant matrix of the generic degree-n polynomial, entries in Z[a0..an]."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    return _build([SymPoly.variable(n + 1, d) for d in range(n + 1)], gamma, symbolic=True)
+    return _build([SymPoly.variable(n + 1, d) for d in range(n + 1)], gamma)
 
 
 def det_fraction_free(rows: Sequence[Sequence[int]]) -> int:
@@ -387,7 +385,7 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], 
     return [c // content for c in b], psc
 
 
-def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:
+def det_minor_expansion(rows: Sequence[Sequence[SymPoly]]) -> SymPoly:
     """Laplace expansion along columns, built one column level at a time.
 
     A first pass records, as bitmasks, the row sets that expanding columns
@@ -404,20 +402,22 @@ def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:
     from each of its rows, so none of its exponents exceeds ``bound``, and
     w = bound.bit_length() bits hold each one: adding two keys never carries
     into the next field.  The entries are packed once on the way in and the
-    determinant unpacked once on the way out, a SymPoly, or a plain int when
-    no entry is a SymPoly.  SymPoly entries of different rings raise
-    ValueError, as SymPoly arithmetic does.
+    determinant unpacked once on the way out.
+
+    Every entry must be a SymPoly; any other entry (int, Fraction) raises
+    TypeError, as :func:`det_fraction_free` is the determinant of the
+    integers.  Entries of different rings raise ValueError, as SymPoly
+    arithmetic does.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square nonempty matrix required")
-    rings = {e.nvars for row in rows for e in row if isinstance(e, SymPoly)}
+    if not all(isinstance(e, SymPoly) for row in rows for e in row):
+        raise TypeError("det_minor_expansion takes SymPoly entries only")
+    rings = {e.nvars for row in rows for e in row}
     if len(rings) > 1:
         raise ValueError("operands live in different polynomial rings")
-    bound = sum(
-        max((max(exps) for e in row if isinstance(e, SymPoly) for exps in e.terms), default=0)
-        for row in rows
-    )
+    bound = sum(max((max(exps) for e in row for exps in e.terms), default=0) for row in rows)
     width = bound.bit_length()
     packed = [[_packed(e, width) for e in row] for row in rows]
     levels = [{(1 << n) - 1}]
@@ -445,21 +445,15 @@ def det_minor_expansion(rows: Sequence[Sequence[Entry]]) -> Entry:
             level[mask] = {k: c for k, c in acc.items() if c}
         below = level
     det = below[(1 << n) - 1]
-    if not rings:
-        return det.get(0, 0)
     (nvars,) = rings
     field = (1 << width) - 1
     shifts = [i * width for i in range(nvars)]
     return SymPoly(nvars, {tuple(k >> s & field for s in shifts): c for k, c in det.items()})
 
 
-def _packed(entry: Entry, width: int) -> dict[int, int]:
-    """``entry`` as a dict from packed monomial to coefficient; a non-SymPoly is a constant."""
-    if isinstance(entry, SymPoly):
-        return {
-            sum(e << i * width for i, e in enumerate(exps)): c for exps, c in entry.terms.items()
-        }
-    return {0: entry} if entry else {}
+def _packed(entry: SymPoly, width: int) -> dict[int, int]:
+    """``entry`` as a dict from packed monomial to coefficient."""
+    return {sum(e << i * width for i, e in enumerate(exps)): c for exps, c in entry.terms.items()}
 
 
 def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
@@ -496,10 +490,10 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     elif gamma[0] == k:
         dp = _reduced_det(ints, divisor, psc, gamma)
     else:
-        dp = det_fraction_free(_build(ints, gamma, symbolic=False).entries)
+        dp = det_fraction_free(_build(ints, gamma).entries)
     # dp is the determinant for scale * poly, homogeneous of degree n + g1 - 1
     value = Fraction(dp, ints[-1]) / scale ** (n + gamma[0] - 2)
-    return DiscValue(value, gamma, n)
+    return DiscValue(value, gamma)
 
 
 # the last call of disc_resultant as one (poly.coeffs, result) pair, so that a
@@ -591,4 +585,4 @@ def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT)
     matrix = build_symbolic_matrix(n, gamma)
     dp = det_minor_expansion(matrix.entries)
     value = dp.exact_divide(SymPoly.variable(n + 1, n))
-    return DiscValue(value, matrix.gamma, n)
+    return DiscValue(value, matrix.gamma)

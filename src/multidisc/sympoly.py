@@ -60,6 +60,14 @@ class SymPoly:
         exps[index] = 1
         return cls(nvars, {tuple(exps): 1})
 
+    def _new(self, terms: dict[tuple[int, ...], int]) -> "SymPoly":
+        """A polynomial of this ring on ``terms`` as they are: every exponent
+        vector must fit the ring and every coefficient be nonzero."""
+        result = object.__new__(SymPoly)
+        result.nvars = self.nvars
+        result.terms = terms
+        return result
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -91,16 +99,12 @@ class SymPoly:
                 out[exps] = s
             else:
                 out.pop(exps, None)
-        result = SymPoly(self.nvars)
-        result.terms = out
-        return result
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymPoly":
-        result = SymPoly(self.nvars)
-        result.terms = {e: -c for e, c in self.terms.items()}
-        return result
+        return self._new({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "SymPoly":
         if isinstance(other, int):
@@ -111,10 +115,7 @@ class SymPoly:
 
     def __mul__(self, other) -> "SymPoly":
         if isinstance(other, int):
-            result = SymPoly(self.nvars)
-            if other:
-                result.terms = {e: c * other for e, c in self.terms.items()}
-            return result
+            return self._new({e: c * other for e, c in self.terms.items()} if other else {})
         if not isinstance(other, SymPoly):
             return NotImplemented
         self._check_compatible(other)
@@ -127,9 +128,7 @@ class SymPoly:
                     out[exps] = s
                 else:
                     del out[exps]
-        result = SymPoly(self.nvars)
-        result.terms = out
-        return result
+        return self._new(out)
 
     __rmul__ = __mul__
 
@@ -155,9 +154,7 @@ class SymPoly:
                     f"not exactly divisible: term {exps}:{coeff} by {d_exps}:{d_coeff}"
                 )
             quot[q_exps] = q_coeff
-        result = SymPoly(self.nvars)
-        result.terms = quot
-        return result
+        return self._new(quot)
 
     def evaluate(self, values) -> Fraction | int:
         """Substitute one value per indeterminate (a0 first)."""

@@ -186,7 +186,7 @@ class TestClassify:
     )
     def test_walk_fault_is_one_line(self, capsys, monkeypatch, coeffs, fault, message):
         faults = {
-            "disc_value": lambda poly, gamma: DiscValue(Fraction(0), gamma, poly.degree),
+            "disc_value": lambda poly, gamma: DiscValue(Fraction(0), gamma),
             "iter_partitions": lambda n: iter([(n,)]),
             "disc_resultant": lambda poly: ((), Fraction(1), (1, 0, 0, 1), 0),
         }

@@ -51,17 +51,18 @@ def _a(idx, nvars):
 class TestMatrixLayout:
     def test_quintic_gamma_32_block_structure(self):
         m = build_symbolic_matrix(5, (3, 2))
-        assert m.size == 7
-        assert m.gamma0 == 2
-        assert m.row_provenance == (
-            (0, 1),
-            (0, 0),
-            (1, 2),
-            (1, 1),
-            (1, 0),
-            (2, 1),
-            (2, 0),
-        )
+        layout = m.to_json_dict()
+        assert len(m.entries) == layout["size"] == 7
+        assert (layout["n"], layout["gamma0"], layout["symbolic"]) == (5, 2, True)
+        assert layout["row_provenance"] == [
+            [0, 1],
+            [0, 0],
+            [1, 2],
+            [1, 1],
+            [1, 0],
+            [2, 1],
+            [2, 0],
+        ]
         assert m.blocks() == [(0, [0, 1]), (1, [2, 3, 4]), (2, [5, 6])]
         # second-derivative rows carry 5*4 a5, 4*3 a4, 3*2 a3, 2*1 a2
         nv = 6
@@ -73,20 +74,22 @@ class TestMatrixLayout:
 
     def test_all_ones_gamma_has_empty_order_zero_block(self):
         m = build_symbolic_matrix(5, (1, 1, 1, 1, 1))
-        assert m.size == 5
-        assert m.gamma0 == 0
-        assert m.row_provenance == ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0))
+        layout = m.to_json_dict()
+        assert len(m.entries) == layout["size"] == 5
+        assert layout["gamma0"] == 0
+        assert layout["row_provenance"] == [[1, 0], [2, 0], [3, 0], [4, 0], [5, 0]]
         assert m.blocks()[0] == (0, [])
 
     def test_degree_one_matrix(self):
         m = build_matrix(UniPoly([0, Fraction(7)], ), (1,))
-        assert m.size == 1
         assert m.entries == ((Fraction(7),),)
+        layout = m.to_json_dict()
+        assert (layout["n"], layout["size"], layout["symbolic"]) == (1, 1, False)
 
     def test_staircase_right_alignment(self):
         # first row of the gamma=(5) matrix is F*x^3: a5..a0 then three blanks
         m = build_matrix(QUINTIC, (5,))
-        assert m.size == 9
+        assert len(m.entries) == 9
         first = [str(e) for e in m.entries[0]]
         assert first == ["1", "-5", "7", "1", "-8", "4", "0", "0", "0"]
 
@@ -95,9 +98,9 @@ class TestMatrixLayout:
             poly = UniPoly([1] * n + [1])
             for gamma in partitions_of(n):
                 m = build_matrix(poly, gamma)
-                assert m.size == n + gamma[0] - 1
-                assert len(m.entries) == m.size
-                assert all(len(row) == m.size for row in m.entries)
+                size = n + gamma[0] - 1
+                assert len(m.entries) == m.to_json_dict()["size"] == size
+                assert all(len(row) == size for row in m.entries)
 
     def test_rows_match_shifted_derivatives(self):
         # the definition of row (order, shift): the coefficients of F^(order) * x^shift
@@ -111,9 +114,10 @@ class TestMatrixLayout:
             for poly in (integer, rational):
                 for gamma in partitions_of(n):
                     m = build_matrix(poly, gamma)
-                    for row, (order, shift) in zip(m.entries, m.row_provenance):
+                    size = len(m.entries)
+                    for row, (order, shift) in zip(m.entries, m.to_json_dict()["row_provenance"]):
                         p = poly.derivative(order).mul_power(shift)
-                        assert row == tuple(p.coeff(m.size - 1 - j) for j in range(m.size))
+                        assert row == tuple(p.coeff(size - 1 - j) for j in range(size))
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -129,6 +133,11 @@ class TestMatrixLayout:
 def _sparse_rows(rng, size, density, entry):
     """A size x size matrix whose entries are ``entry()`` with probability density, else 0."""
     return [[entry() if rng.random() < density else 0 for _ in range(size)] for _ in range(size)]
+
+
+def _constants(rows):
+    """An integer matrix as constants of the one-variable ring, for det_minor_expansion."""
+    return [[SymPoly.const(1, e) for e in row] for row in rows]
 
 
 class TestDeterminants:
@@ -148,19 +157,20 @@ class TestDeterminants:
                     expected = perm_det(rows)
                     got = det_fraction_free(rows)
                     assert got == expected and type(got) is int
-                    got = det_minor_expansion(rows)
-                    assert got == expected and type(got) is int
+                    assert det_minor_expansion(_constants(rows)) == SymPoly.const(1, expected)
 
     def test_larger_matrices_against_minor_expansion(self):
         rng = random.Random(77)
         for _ in range(4):
             rows = [[rng.randint(-6, 6) for _ in range(8)] for _ in range(8)]
-            assert det_fraction_free(rows) == det_minor_expansion(rows)
+            assert det_fraction_free(rows) == det_rational(rows)
         for density in (0.7, 0.4, 0.2):
             for size in range(8, 13):
                 for _ in range(3):
                     rows = _sparse_rows(rng, size, density, lambda: rng.randint(-30, 30))
-                    assert det_fraction_free(rows) == det_minor_expansion(rows)
+                    expected = det_rational(rows)
+                    assert det_fraction_free(rows) == expected
+                    assert det_minor_expansion(_constants(rows)) == SymPoly.const(1, int(expected))
 
     def test_discriminant_matrices_match_sympy_berkowitz(self):
         # orders 14..23, above the reach of perm_det and det_minor_expansion
@@ -258,14 +268,25 @@ class TestDeterminants:
         a = SymPoly.variable(2, 0)
         b = SymPoly.variable(3, 0)
         with pytest.raises(ValueError, match="different polynomial rings"):
-            det_minor_expansion([[a, 0], [0, b]])
+            det_minor_expansion([[a, SymPoly.zero(2)], [SymPoly.zero(3), b]])
         with pytest.raises(ValueError, match="different polynomial rings"):
-            det_minor_expansion([[a, b], [1, 1]])
-        # an int entry is a constant of whatever ring the SymPoly entries share
-        assert det_minor_expansion([[a, 1], [2, a]]) == perm_det([[a, 1], [2, a]])
+            det_minor_expansion([[a, b], [b, a]])
+
+    def test_minor_expansion_rejects_non_symbolic_entries(self):
+        # the integers have one determinant, det_fraction_free; a constant of
+        # the ring is a SymPoly.const
+        a = SymPoly.variable(2, 0)
+        for bad in (0, 1, Fraction(1, 2)):
+            with pytest.raises(TypeError, match="SymPoly entries only"):
+                det_minor_expansion([[a, bad], [a * 2, a]])
+        with pytest.raises(TypeError, match="SymPoly entries only"):
+            det_minor_expansion([[0]])
+        with pytest.raises(TypeError, match="SymPoly entries only"):
+            det_minor_expansion([[1, 2], [3, 4]])
+        one, two = SymPoly.const(2, 1), SymPoly.const(2, 2)
+        assert det_minor_expansion([[a, one], [two, a]]) == perm_det([[a, one], [two, a]])
 
     def test_minor_expansion_order_one(self):
-        assert type(det_minor_expansion([[0]])) is int
         a1 = SymPoly.variable(3, 1)
         for entry in (a1, a1 * 5 + 2, SymPoly.zero(3)):
             got = det_minor_expansion([[entry]])
@@ -285,10 +306,11 @@ class TestDeterminants:
             def x(e):
                 return SymPoly.monomial(nv, 1, exps(e))
 
+            zero = SymPoly.zero(nv)
             cases = [
-                [[x(3), 0], [0, x(4)]],
+                [[x(3), zero], [zero, x(4)]],
                 [[x(3), other * 2], [other * -3, x(4) + other * 5]],
-                [[x(1), other, 0], [0, x(2), other * 4 + 1], [other, 0, x(4) - 2]],
+                [[x(1), other, zero], [zero, x(2), other * 4 + 1], [other, zero, x(4) - 2]],
             ]
             for rows in cases:
                 got = det_minor_expansion(rows)
@@ -544,7 +566,7 @@ class TestDiscValue:
                 rows = [[e.numerator for e in row] for row in m.entries]
                 dp = det_fraction_free(rows)
                 # the staircase layout skips rows in most elimination steps
-                assert dp == det_minor_expansion(rows)
+                assert dp == det_rational(rows)
                 assert dp % poly.leading.numerator == 0
 
     def test_homogeneity_scaling(self):
@@ -597,7 +619,7 @@ class TestDiscValue:
 def _bareiss_value(poly, gamma):
     """D_gamma by the Bareiss elimination of the full matrix, rescaled by hand."""
     ints, scale = poly.clear_denominators()
-    dp = det_fraction_free(_build(ints, gamma, symbolic=False).entries)
+    dp = det_fraction_free(_build(ints, gamma).entries)
     return Fraction(dp, ints[-1]) / scale ** (poly.degree + gamma[0] - 2)
 
 
@@ -843,9 +865,10 @@ class TestDiscSymbolic:
         for n in range(1, 7):
             for gamma in partitions_of(n):
                 matrix = build_symbolic_matrix(n, gamma)
+                size = len(matrix.entries)
                 expected[gamma] = (
-                    sum(order - shift for order, shift in matrix.row_provenance)
-                    + matrix.size * (matrix.size - 1) // 2
+                    sum(order - shift for order, shift in matrix.to_json_dict()["row_provenance"])
+                    + size * (size - 1) // 2
                     - n
                 )
                 weights = {
