@@ -35,7 +35,13 @@ from .engine import (
     disc_value,
 )
 from .partitions import as_partition, conjugate, partitions_of
-from .roots import expand, random_root_spec, squarefree_decomposition, squarefree_multiplicity
+from .roots import (
+    _root_side_disc,
+    expand,
+    random_root_spec,
+    squarefree_decomposition,
+    squarefree_multiplicity,
+)
 from .unipoly import UniPoly, parse_rational
 
 
@@ -190,9 +196,11 @@ def run_selftest(max_n: int, trials: int, seed: int, quiet: bool = False) -> tup
 
     For every spec: the squarefree oracle gives its multiplicity vector, and
     its factors rebuild the polynomial as lead * prod g_i^i; the classifier
-    agrees; and, in the classification order, each discriminant before the
-    conjugate of the multiplicity vector vanishes and that one does not; the
-    walk stops there.  Where g1 > k, ``disc_value`` gives 0 by a row count
+    agrees; the classifier's leaf value D_delta equals the signed root-side
+    determinant, which is built from the roots and shares no code with the
+    coefficient matrices; and, in the classification order, each
+    discriminant before the conjugate of the multiplicity vector vanishes
+    and that one does not; the walk stops there.  Where g1 > k, ``disc_value`` gives 0 by a row count
     alone, so the same property also checks that the Bareiss elimination of
     the full matrix is 0.
 
@@ -226,6 +234,10 @@ def run_selftest(max_n: int, trials: int, seed: int, quiet: bool = False) -> tup
                 check(rebuilt == poly, f"{label}: squarefree factors do not rebuild the polynomial")
                 trace = classify_trace(poly)
                 check(trace.result == mu, f"{label}: classified as {trace.result}")
+                check(
+                    _root_side_disc(spec, trace.delta) == trace.value,
+                    f"{label}: root side disagrees with D({trace.delta})",
+                )
                 bar_mu = conjugate(mu)
                 # the classification filled the memo, so this clears nothing
                 ints = disc_resultant(poly)[0]

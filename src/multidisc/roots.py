@@ -22,11 +22,15 @@ F = leading * Q^-n * K(Q x) for the monic integer K = prod (x - P_j)^m_j.
 So F^(d)(r_j) = leading * Q^(d-n) * K^(d)(P_j), and the values K^(d)(P_j)
 come from one Taylor shift of K per distinct root (repeated synthetic
 division; von zur Gathen and Gerhard, "Fast algorithms for Taylor
-shifts", 1997).  The entry (x^k F^(i))^(l)(r_j) follows from these by the
-Leibniz rule as an integer times leading * Q^(i-k-n) (a row factor) and
-Q^l (a column factor), so the determinant runs on integer rows, the
-difference product on the integers P_j, and one exact division at the
-end gives the rational value; no Fraction entry is built.
+shifts", 1997).  The entry (x^k F^(i))^(l)(r_j) is leading * Q^(i-k-n)
+(a row factor) times Q^l (a column factor) times the integer
+E(k, l) = (y^k K^(i))^(l)(P_j).  As y'' = 0, the Leibniz rule gives
+(y g)^(l) = y g^(l) + l g^(l-1), so E(k, l) = P_j E(k-1, l) + l E(k-1, l-1)
+with E(0, l) = K^(i+l)(P_j): each row of a block is built from the row
+above it, one product and one sum per entry.  The determinant runs on
+these integer rows, the difference product on the integers P_j, and one
+exact division at the end gives the rational value; no Fraction entry is
+built.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm
+from math import factorial, gcd, lcm
 
 from .engine import det_fraction_free
 from .partitions import Partition, as_partition
@@ -127,7 +131,9 @@ def expand(spec: RootSpec) -> UniPoly:
     """
     q, points = _scaled_roots(spec)
     coeffs = _monic_product(points, [m for _, m in spec.roots])
-    return UniPoly(spec.leading * Fraction(c, q ** (spec.n - e)) for e, c in enumerate(coeffs))
+    num, den = spec.leading.numerator, spec.leading.denominator
+    # one normalization per coefficient, not one for K_e / Q^(n-e) and one for the product
+    return UniPoly(Fraction(num * c, den * q ** (spec.n - e)) for e, c in enumerate(coeffs))
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -284,12 +290,18 @@ def _root_side_disc(spec: RootSpec, gamma: Partition) -> Fraction:
     with every m_j = 1 it is +1 and this is the distinct-roots formula.
 
     With r_j = P_j / Q and K as in :func:`expand`, F^(d)(r_j) =
-    leading * Q^(d-n) * K^(d)(P_j), and by the Leibniz rule the entry is
-    leading * Q^(i-k-n) * Q^l times the integer
-    sum_t C(l, t) * k!/(k-t)! * P_j^(k-t) * K^(i+l-t)(P_j).
-    So ``det_fraction_free`` runs on those integers, the difference product
-    runs on the P_j, and leading and the powers of Q are put back as
-    exponents in the one Fraction returned.
+    leading * Q^(d-n) * K^(d)(P_j), and the entry is leading * Q^(i-k-n) *
+    Q^l times the integer E(k, l) = (y^k K^(i))^(l)(P_j).  As y'' = 0, the
+    Leibniz rule gives (y g)^(l) = y g^(l) + l g^(l-1), so within block i
+
+        E(k, l) = P_j * E(k-1, l) + l * E(k-1, l-1),   E(0, l) = K^(i+l)(P_j).
+
+    Row 0 is read off the Taylor values, each later row is built from the
+    one above it (the left neighbour is the same root at l - 1), and the
+    block is reversed so that k runs descending.  So ``det_fraction_free``
+    runs on those integers, the difference product runs on the P_j, and
+    leading and the powers of Q are put back as exponents in the one
+    Fraction returned.
     """
     q, points = _scaled_roots(spec)
     mults = [m for _, m in spec.roots]
@@ -307,20 +319,19 @@ def _root_side_disc(spec: RootSpec, gamma: Partition) -> Fraction:
         for r, mr in zip(points[j + 1 :], mults[j + 1 :]):
             denom *= (p - r) ** (m * mr)
             q_exp += m * mr
+    # (P_j, l) per column; at l = 0 the left neighbour belongs to another root
+    # and its factor l is 0
+    cols = [(p, ell) for p, m in zip(points, mults) for ell in range(m)]
     rows = []
     for i, gi in enumerate(gamma, start=1):
-        for k in range(gi - 1, -1, -1):
+        row = [v for vals, m in zip(values, mults) for v in vals[i : i + m]]
+        block = []
+        for k in range(gi):
+            if k:
+                row = [p * e + ell * left for (p, ell), e, left in zip(cols, row, [0, *row])]
             q_exp += i - k - n
-            row = []
-            for p, m, vals in zip(points, mults, values):
-                row.extend(
-                    sum(
-                        comb(ell, t) * perm(k, t) * p ** (k - t) * vals[i + ell - t]
-                        for t in range(min(ell, k) + 1)
-                    )
-                    for ell in range(m)
-                )
-            rows.append(row)
+            block.append(row)
+        rows.extend(reversed(block))
     numer = det_fraction_free(rows)
     if pairs % 2:
         numer = -numer

@@ -31,7 +31,8 @@ class UniPoly:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        # Fraction(Fraction) rebuilds an equal value; an immutable one is kept as given
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

@@ -428,6 +428,21 @@ class TestTaylorShiftRows:
                 gammas = {conjugate(mu), *rng.sample(partitions, 2)}
                 _assert_matches_reference(spec, sorted(gammas))
 
+    @pytest.mark.parametrize("n", range(9, 15))
+    def test_high_multiplicity_at_verify_degrees(self, n):
+        # A root of multiplicity m runs the row recurrence to l = m - 1, up to
+        # 13 here.  Every D_gamma before conj(mu) is 0, and at conj(mu) each
+        # pivot's left neighbour E(k - 1, l - 1) is 0, so the term
+        # l * E(k - 1, l - 1) shows only in the gammas after conj(mu): for
+        # (n - 2, 1, 1) at gamma = (2, 2, 1, ...), with l = n - 3, up to 11.
+        rng = random.Random(2900 + n)
+        pool = MIXED_ROOTS + [Fraction(k, 2) for k in range(-9, 10, 2)]
+        partitions = partitions_of(n)
+        for mu in ((n,), (n - 1, 1), ((n + 1) // 2, n // 2), (n - 2, 1, 1)):
+            leading = rng.choice([Fraction(-3, 7), Fraction(2), Fraction(5, 4)])
+            spec = _spec(zip(rng.sample(pool, len(mu)), mu), leading)
+            _assert_matches_reference(spec, partitions[partitions.index(conjugate(mu)) :])
+
     def test_common_denominator_and_zero_root(self):
         spec = _spec([(Fraction(1, 3), 2), (Fraction(-2, 5), 1), (Fraction(7, 4), 3), (0, 1)],
                      Fraction(-3, 7))

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -24,6 +25,14 @@ def test_zero_polynomial_has_no_degree():
 def test_trailing_zeros_are_normalized():
     assert UniPoly([1, 2, 0, 0]) == UniPoly([1, 2])
     assert UniPoly([0, 0]).is_zero
+
+
+def test_fraction_coefficients_are_kept_and_others_converted():
+    half = Fraction(1, 2)
+    poly = UniPoly([half, 3, True, Decimal("0.25"), Fraction(0), 0])
+    assert poly.coeffs[0] is half
+    assert poly.coeffs == (half, 3, 1, Fraction(1, 4))
+    assert all(type(c) is Fraction for c in poly.coeffs)
 
 
 def test_derivative_order_zero_is_identity():
