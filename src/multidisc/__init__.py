@@ -31,7 +31,6 @@ from .roots import (
     disc_from_distinct_roots,
     disc_from_multiple_roots_abs,
     expand,
-    parse_root_spec,
     squarefree_multiplicity,
 )
 from .sympoly import SymPoly
@@ -63,7 +62,6 @@ __all__ = [
     "disc_symbolic",
     "disc_value",
     "expand",
-    "parse_root_spec",
     "partitions_of",
     "squarefree_multiplicity",
 ]

@@ -16,10 +16,20 @@ from .partitions import as_partition, partitions_of
 
 @dataclass(frozen=True)
 class DegreeRow:
+    """One row of the degree table: n and the nested system's maximum over
+    the multiplicity vectors of n.  The two linear systems' maxima depend on
+    n alone, and are read from :func:`d_hy21` and :func:`d_hy22`."""
+
     n: int
     d_yhz: int
-    d_hy21: int
-    d_hy22: int
+
+    @property
+    def d_hy21(self) -> int:
+        return d_hy21((self.n,))
+
+    @property
+    def d_hy22(self) -> int:
+        return d_hy22((self.n,))
 
 
 def d_yhz(mu) -> int:
@@ -70,7 +80,7 @@ def degree_table(max_n: int) -> list[DegreeRow]:
     rows = []
     for n in range(3, max_n + 1):
         worst = max(d_yhz(mu) for mu in partitions_of(n))
-        rows.append(DegreeRow(n, worst, 2 * n - 1, 2 * n - 2))
+        rows.append(DegreeRow(n, worst))
     return rows
 
 

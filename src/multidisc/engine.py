@@ -572,10 +572,11 @@ def _reduced_det(ints: Sequence[int], divisor: Sequence[int], psc: int, gamma: P
 def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT) -> DiscValue:
     """Parametric discriminant as an integer polynomial in a0..an.
 
-    The determinant of the generic matrix, by division-free cofactor
-    expansion, is exactly divisible by the monomial an; the quotient is
-    returned.  Term counts blow up quickly, so degrees above ``cap`` are
-    rejected.
+    Every nonzero entry in the first column of the generic matrix is c * an,
+    so dividing that column by the monomial an divides the determinant by
+    it: the division-free cofactor expansion of the divided matrix is
+    D_gamma itself, with no pass over its terms afterwards.  Term counts
+    blow up quickly, so degrees above ``cap`` are rejected.
     """
     if n > cap:
         raise ValueError(
@@ -583,6 +584,6 @@ def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT)
             "if you accept the term growth"
         )
     matrix = build_symbolic_matrix(n, gamma)
-    dp = det_minor_expansion(matrix.entries)
-    value = dp.exact_divide(SymPoly.variable(n + 1, n))
-    return DiscValue(value, matrix.gamma)
+    an = SymPoly.variable(n + 1, n)
+    rows = [(row[0].exact_divide(an), *row[1:]) for row in matrix.entries]
+    return DiscValue(det_minor_expansion(rows), matrix.gamma)

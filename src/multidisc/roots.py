@@ -42,7 +42,7 @@ from math import factorial, gcd, lcm
 
 from .engine import det_fraction_free
 from .partitions import Partition, as_partition
-from .unipoly import UniPoly, parse_rational
+from .unipoly import UniPoly
 
 
 @dataclass(frozen=True)
@@ -73,34 +73,6 @@ class RootSpec:
     def multiplicities(self) -> Partition:
         """Multiplicity vector: the multiplicities sorted weakly decreasing."""
         return tuple(sorted((m for _, m in self.roots), reverse=True))
-
-
-def parse_root_spec(text: str) -> RootSpec:
-    """Parse "leading; r1^m1, r2^m2, ..." with rationals written as p/q.
-
-    A bare root without ^m means multiplicity 1.  Decimals such as 0.5 are
-    read exactly; exponent notation such as 1e5 is rejected.
-    """
-    head, sep, tail = text.partition(";")
-    if not sep:
-        raise ValueError("expected 'leading; r1^m1, r2^m2, ...'")
-    try:
-        leading = parse_rational(head.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad leading coefficient {head.strip()!r}") from exc
-    roots = []
-    for item in tail.split(","):
-        item = item.strip()
-        if not item:
-            raise ValueError("empty root entry")
-        base, sep, mult = item.partition("^")
-        try:
-            root = parse_rational(base.strip())
-            m = int(mult) if sep else 1
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad root entry {item!r}") from exc
-        roots.append((root, m))
-    return RootSpec(tuple(roots), leading)
 
 
 def _scaled_roots(spec: RootSpec) -> tuple[int, list[int]]:

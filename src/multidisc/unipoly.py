@@ -9,7 +9,7 @@ that ``degree`` is never silently queried on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, perm
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -60,33 +60,6 @@ class UniPoly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def coeff(self, i: int) -> Fraction:
-        """Coefficient of x^i, zero beyond the degree."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def derivative(self, order: int = 1) -> "UniPoly":
-        """Formal derivative of the given order; zero when order exceeds degree."""
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        if order == 0:
-            return self
-        if order >= len(self.coeffs):
-            return UniPoly()
-        return UniPoly(
-            self.coeffs[i] * perm(i, order)
-            for i in range(order, len(self.coeffs))
-        )
-
-    def mul_power(self, k: int) -> "UniPoly":
-        """Multiply by x^k (shift coefficients up by k)."""
-        if k < 0:
-            raise ValueError("power must be nonnegative")
-        if self.is_zero or k == 0:
-            return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
 
     def eval(self, point: Scalar) -> Fraction:
         """Exact Horner evaluation."""

@@ -1,8 +1,11 @@
 """Shared helpers for the test suite.
 
-The determinant oracles here are deliberately naive (permutation expansion,
-and Gaussian elimination over the rationals) so they share no code path
-with the fraction-free elimination they check.
+The Fraction polynomial helpers (``coeff``, ``derivative``, ``mul_power``)
+build the reference rows and root-side values the library is checked
+against; the library itself never needs them.  The determinant oracles
+here are deliberately naive (permutation expansion, and Gaussian
+elimination over the rationals) so they share no code path with the
+fraction-free elimination they check.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import perm
 
 import pytest
 
@@ -72,6 +76,33 @@ def random_int_poly(rng: random.Random, n: int, bound: int = 9) -> UniPoly:
     coeffs = [rng.randint(-bound, bound) for _ in range(n)]
     lead = rng.choice([c for c in range(-bound, bound + 1) if c])
     return UniPoly(coeffs + [lead])
+
+
+def coeff(poly: UniPoly, i: int) -> Fraction:
+    """Coefficient of x^i, zero beyond the degree."""
+    if 0 <= i < len(poly.coeffs):
+        return poly.coeffs[i]
+    return Fraction(0)
+
+
+def derivative(poly: UniPoly, order: int = 1) -> UniPoly:
+    """Formal derivative of the given order; zero when order exceeds degree."""
+    if order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if order == 0:
+        return poly
+    if order >= len(poly.coeffs):
+        return UniPoly()
+    return UniPoly(poly.coeffs[i] * perm(i, order) for i in range(order, len(poly.coeffs)))
+
+
+def mul_power(poly: UniPoly, k: int) -> UniPoly:
+    """Multiply by x^k (shift coefficients up by k)."""
+    if k < 0:
+        raise ValueError("power must be nonnegative")
+    if poly.is_zero or k == 0:
+        return poly
+    return UniPoly((Fraction(0),) * k + poly.coeffs)
 
 
 def reference_gcd(a: UniPoly, b: UniPoly) -> UniPoly:

@@ -37,7 +37,16 @@ from multidisc.engine import (
 )
 from multidisc.roots import random_root_spec
 
-from conftest import det_rational, perm_det, random_int_poly, reference_gcd, shift_poly
+from conftest import (
+    coeff,
+    derivative,
+    det_rational,
+    mul_power,
+    perm_det,
+    random_int_poly,
+    reference_gcd,
+    shift_poly,
+)
 
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
@@ -116,8 +125,8 @@ class TestMatrixLayout:
                     m = build_matrix(poly, gamma)
                     size = len(m.entries)
                     for row, (order, shift) in zip(m.entries, m.to_json_dict()["row_provenance"]):
-                        p = poly.derivative(order).mul_power(shift)
-                        assert row == tuple(p.coeff(size - 1 - j) for j in range(size))
+                        p = mul_power(derivative(poly, order), shift)
+                        assert row == tuple(coeff(p, size - 1 - j) for j in range(size))
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -467,8 +476,8 @@ def _leaf_factor(poly):
     no PRS: G = gcd(F, F') by Euclid over the rationals, made a primitive
     integer polynomial, and the resultant by Bareiss on the Sylvester matrix."""
     f = UniPoly(poly.clear_denominators()[0])
-    g = UniPoly(reference_gcd(f, f.derivative()).clear_denominators()[0])
-    (a, r), (b, s) = divmod(f, g), divmod(f.derivative(), g)
+    g = UniPoly(reference_gcd(f, derivative(f)).clear_denominators()[0])
+    (a, r), (b, s) = divmod(f, g), divmod(derivative(f), g)
     assert r.is_zero and s.is_zero
     k = f.degree - g.degree
     res = det_fraction_free(_sylvester(_descending_ints(a), _descending_ints(b)))
@@ -843,6 +852,21 @@ class TestDiscSymbolic:
         d = disc_symbolic(5, (1, 1, 1, 1, 1))
         assert len(d.value.terms) == 1
         assert d.value == SymPoly.monomial(6, 86400000, (0, 0, 0, 0, 0, 4))
+
+    def test_divides_the_first_column_not_the_determinant(self, monkeypatch):
+        # an leaves through the n + g1 - 1 entries of the first column, each
+        # one term or zero; no division runs over the determinant's terms
+        dividends = []
+        exact_divide = SymPoly.exact_divide
+
+        def recorded(self, divisor):
+            dividends.append(len(self.terms))
+            return exact_divide(self, divisor)
+
+        monkeypatch.setattr(SymPoly, "exact_divide", recorded)
+        disc_symbolic(6, (6,))
+        assert len(dividends) == 11
+        assert max(dividends) <= 1
 
     def test_total_degree_is_homogeneity_degree(self):
         for n in range(1, 6):
