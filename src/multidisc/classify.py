@@ -33,6 +33,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .engine import derivative_coeffs, disc_resultant, disc_value, sylvester_resultant
+# classification_order is kept for perfbench/tracing.py's wrap; ROADMAP item 1 drops both
 from .partitions import Partition, as_partition, classification_order, conjugate, iter_partitions
 from .unipoly import UniPoly
 
@@ -136,11 +137,12 @@ def conditions(n: int) -> Iterator[tuple[Partition, list[Partition], Partition]]
     and the single partition whose discriminant must not.
 
     Row k lists the k partitions before its own, so all rows together grow as
-    p(n)^2; they are yielded one at a time, and each list is the row's own.
+    p(n)^2.  The rows come from the lazy walk of ``iter_partitions``, one at a
+    time, so the first needs none of the others; each list is the row's own.
     """
     zero: list[Partition] = []
-    for mu, gamma in classification_order(n):
-        yield mu, list(zero), gamma
+    for gamma in iter_partitions(n):
+        yield conjugate(gamma), list(zero), gamma
         zero.append(gamma)
 
 

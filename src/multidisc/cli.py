@@ -102,7 +102,7 @@ def _cmd_classify(args) -> int:
         _print_classification(args, parse_coeffs(args.coeffs))
         return 0
     try:
-        with open(args.file, encoding="utf-8") as handle:
+        with open(args.file, encoding="utf-8-sig") as handle:
             lines = [line.strip() for line in handle]
     except OSError as exc:
         raise CliError(f"cannot read {args.file}: {exc}") from None

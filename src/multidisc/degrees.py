@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import as_partition, partitions_of
+from .partitions import as_partition, iter_partitions
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def degree_table(max_n: int) -> list[DegreeRow]:
         raise ValueError("max_n must be at least 3")
     rows = []
     for n in range(3, max_n + 1):
-        worst = max(d_yhz(mu) for mu in partitions_of(n))
+        worst = max(d_yhz(mu) for mu in iter_partitions(n))
         rows.append(DegreeRow(n, worst))
     return rows
 

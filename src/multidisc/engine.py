@@ -55,13 +55,11 @@ In the PRS of ``sylvester_resultant``, with degrees d_0 = m, d_1 = l, d_2,
 ..., let the remainder b of degree d_i follow a of degree d_i + delta.  By
 the fundamental theorem of subresultants (Brown-Traub 1971), the value
 lc(b)^delta / h^(delta - 1), the h of the next step, is (-1)^s * psc_(d_i)
-of the primitive inputs, s = sum over j <= i of (d_(j-1) - d_i) * (d_j - d_i).
+of the inputs, s = sum over j <= i of (d_(j-1) - d_i) * (d_j - d_i).
 At d_i = 0 this is the resultant, and s is the resultant's sign rule, one
 d_(j-1) * d_j per step.  At the zero remainder d_i = d = deg G, and s is the
 same rule on the degrees lowered by d.  Either sum is even when every degree
-drops by one, as in the sequence of a generic input.  psc_j is homogeneous
-of degree l - j in the entries of a and m - j in those of b, so the contents
-come back as cont(a)^(l - d) * cont(b)^(m - d).  One PRS of degree n thus
+drops by one, as in the sequence of a generic input.  One PRS of degree n thus
 gives G and the factor, and one determinant of order n - k replaces the
 elimination at width n + k - 1.  For a squarefree F, R_(n) is empty and the
 factor is Res(F, F') itself.
@@ -338,24 +336,20 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], 
     of the first m + l - 2d columns of l - d rows of a above m - d rows of b;
     when G = [1] it is Res(a, b), the determinant of their Sylvester matrix,
     and otherwise Res(a, b) = 0.  This is Cohen, GTM 138, Algorithm 3.3.7,
-    stopped at the first zero remainder.  The contents are taken out first
-    and come back as cont(a)^(l - d) * cont(b)^(m - d).  The pseudo-remainder
-    of a step whose degree drops by delta is divided by g * h^delta, where g
-    is the leading coefficient of the divisor and h becomes
-    g^delta / h^(delta - 1): the subresultant recurrence of Brown-Traub 1971,
-    exact also when delta > 1 (see Ducos 2000).  The last nonzero remainder b,
-    of degree d, is a constant multiple of G, and lc(b)^delta / h^(delta - 1)
-    is psc_d up to the sign (-1)^sum (d_(i-1) - d) * (d_i - d) over the degree
-    sequence m, l, ... of the remainders, m, l, m, ... when m < l (the module
+    stopped at the first zero remainder.  The pseudo-remainder of a step
+    whose degree drops by delta is divided by g * h^delta, where g is the
+    leading coefficient of the divisor and h becomes g^delta / h^(delta - 1):
+    the subresultant recurrence of Brown-Traub 1971, exact also when
+    delta > 1 (see Ducos 2000).  The last nonzero remainder b, of degree d, is
+    a constant multiple of G, and lc(b)^delta / h^(delta - 1) is psc_d up to
+    the sign (-1)^sum (d_(i-1) - d) * (d_i - d) over the degree sequence
+    m, l, ... of the remainders, m, l, m, ... when m < l (the module
     docstring).  G is the primitive part of b, and [1] when d = 0.  Every
     division is exact, so a remainder raises ArithmeticError.
     """
     if not a or not b or not a[0] or not b[0]:
         raise ValueError("nonzero leading coefficients required")
     m, l = len(a) - 1, len(b) - 1
-    ca, cb = gcd(*a), gcd(*b)
-    a = [c // ca for c in a]
-    b = [c // cb for c in b]
     degrees = [m, l]
     if m < l:
         # the sequence goes on with a, the remainder of a by b
@@ -376,7 +370,7 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], 
             h = _exact(g**delta, h ** (delta - 1))
     d = len(b) - 1
     delta = len(a) - len(b)
-    psc = ca ** (l - d) * cb ** (m - d) * _exact(b[0] ** delta * h, h**delta)
+    psc = _exact(b[0] ** delta * h, h**delta)
     if sum((x - d) * (y - d) for x, y in zip(degrees, degrees[1:])) & 1:
         psc = -psc
     if not d:

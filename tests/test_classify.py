@@ -526,16 +526,17 @@ def test_conditions_are_chain_prefixes():
 
 
 def test_conditions_yields_one_row_at_a_time():
-    # p(35) = 14883 rows listing 110 million partitions in all; the first row
-    # must come without building the others
-    tracemalloc.start()
-    try:
-        mu, zero, nonzero = next(iter(conditions(35)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (mu, zero, nonzero) == ((1,) * 35, [], (35,))
-    assert peak < 16 * 2**20
+    # p(35) = 14883 and p(50) = 204226 rows, listing 110 million and 21 billion
+    # partitions in all; the first row must come without enumerating the others
+    for n in (35, 50):
+        tracemalloc.start()
+        try:
+            mu, zero, nonzero = next(iter(conditions(n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (mu, zero, nonzero) == ((1,) * n, [], (n,))
+        assert peak < 2**20, (n, peak)
 
 
 def test_trace_json_schema_and_round_trip():

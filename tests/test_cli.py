@@ -100,6 +100,12 @@ class TestClassify:
         assert code == 0
         assert out.splitlines() == ["2,2,1", "1", "2"]
 
+    def test_batch_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        # editors on Windows save UTF-8 with a leading U+FEFF; it is not part of line 1
+        batch = tmp_path / "polys.txt"
+        batch.write_bytes(b"\xef\xbb\xbf1,2,1\n1,0\n")
+        assert run_cli(capsys, "classify", "--file", str(batch)) == (0, "2\n1\n", "")
+
     def test_batch_file_json_lines(self, capsys, tmp_path):
         batch = tmp_path / "polys.txt"
         batch.write_text("1,0\n1,2,1\n", encoding="utf-8")

@@ -57,6 +57,15 @@ def invocations() -> list[list[str]]:
             for coeffs in ([], [_coeffs(gamma, False)], [_coeffs(gamma, True)]):
                 for fmt in ("matrix", "latex"):
                     calls.append(["discriminant", "--n", str(n), "--gamma", text, "--format", fmt, *coeffs])
+    # PRSs that drop a degree by more than one step, so psc takes the sign
+    # rule: x^4 - x at (4), 3x^6 - 10x^3 + 3 at (6), 2x^7 - 2x^4 - 2x^3 + 2 at (6,1)
+    for n, gamma, coeffs in (
+        (4, "4", "--coeffs=1,0,0,-1,0"),
+        (6, "6", "--coeffs=3,0,0,-10,0,0,3"),
+        (7, "6,1", "--coeffs=2,0,0,-2,-2,0,0,2"),
+    ):
+        calls.append(["classify", coeffs, "--json"])
+        calls.append(["discriminant", "--n", str(n), "--gamma", gamma, "--format", "value", coeffs])
     calls += [["conditions", "--n", "5"], ["conditions", "--n", "5", "--json"], ["degree-table"]]
     # past Table 1, the rows the paper does not print
     calls.append(["degree-table", "--max-n", "12"])
@@ -73,7 +82,7 @@ def digests() -> dict[str, str]:
 def test_cli_output_matches_its_digests():
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     got = digests()
-    assert len(got) == len(expected) == 1182
+    assert len(got) == len(expected) == 1188
     assert [argv for argv in got if got[argv] != expected.get(argv)] == []
 
 

@@ -537,6 +537,7 @@ class TestPrincipalSubresultant:
                 a = _descending_ints(UniPoly.from_descending(a) * f)
                 b = _descending_ints(UniPoly.from_descending(b) * f)
             a = [c * rng.choice([1, 1, 6]) for c in a]
+            b = [c * rng.choice([1, 1, 10]) for c in b]
             divisor, psc = sylvester_resultant(a, b)
             assert psc == _leading_columns_det(a, b, len(divisor) - 1), (a, b)
             rows = _sylvester(a, b)
