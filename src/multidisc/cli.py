@@ -23,7 +23,7 @@ import random
 import sys
 
 from .classify import classify_trace, conditions, trace_json_dict
-from .degrees import degree_table_csv
+from .degrees import degree_table
 from .engine import (
     SYMBOLIC_CAP_DEFAULT,
     _build,
@@ -187,7 +187,11 @@ def _cmd_conditions(args) -> int:
 def _cmd_degree_table(args) -> int:
     if args.max_n < 3:
         raise CliError("--max-n must be at least 3")
-    sys.stdout.write(degree_table_csv(args.max_n))
+    # each row is flushed as it is made: the partitions of n grow as p(n),
+    # and the rows are too short to fill the output buffer on their own
+    print("n,d_yhz,d_hy21,d_hy22")
+    for row in degree_table(args.max_n):
+        print(f"{row.n},{row.d_yhz},{row.d_hy21},{row.d_hy22}", flush=True)
     return 0
 
 

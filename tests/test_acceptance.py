@@ -141,7 +141,7 @@ def test_criterion_6_multiple_roots_identity_abs():
 
 
 def test_criterion_7_degree_table_reproduction():
-    rows = degree_table(9)
+    rows = list(degree_table(9))
     assert [r.d_yhz for r in rows] == [5, 9, 15, 27, 45, 81, 135]
     assert [r.d_hy21 for r in rows] == [5, 7, 9, 11, 13, 15, 17]
     assert [r.d_hy22 for r in rows] == [4, 6, 8, 10, 12, 14, 16]

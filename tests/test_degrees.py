@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from multidisc import (
@@ -9,7 +11,9 @@ from multidisc import (
     disc_symbolic,
     partitions_of,
 )
-from multidisc.degrees import degree_table_csv
+from multidisc.partitions import iter_partitions
+
+from nested_system import check
 
 TABLE_1 = {
     3: (5, 5, 4),
@@ -38,7 +42,7 @@ def test_linear_systems_are_functions_of_n_only():
 
 
 def test_reference_table_reproduced_exactly():
-    rows = degree_table(9)
+    rows = list(degree_table(9))
     assert [r.n for r in rows] == list(range(3, 10))
     for row in rows:
         assert (row.d_yhz, row.d_hy21, row.d_hy22) == TABLE_1[row.n]
@@ -48,7 +52,7 @@ def test_degree_ten_row_against_brute_force():
     partitions = partitions_of(10)
     assert len(partitions) == 42
     brute = max(d_yhz(mu) for mu in partitions)
-    row = degree_table(10)[-1]
+    row = list(degree_table(10))[-1]
     assert row == DegreeRow(10, brute)
     assert (row.d_hy21, row.d_hy22) == (19, 18)
 
@@ -61,12 +65,40 @@ def test_lower_bound_inequality():
             assert d_yhz(mu) >= 2 * n + 3 ** mu[1] - 4 * mu[1]
 
 
-def test_near_equal_top_parts_branch_is_integral():
-    # mu1 = mu2 + 1 goes through a rational factor that must always clear
-    for n in range(2, 13):
-        for mu in partitions_of(n):
-            if len(mu) > 1 and mu[0] == mu[1] + 1:
-                assert isinstance(d_yhz(mu), int)
+def _transcribed_d_yhz(mu):
+    """The paper's closed form, as transcribed before the level rule replaced it."""
+    n = sum(mu)
+    if len(mu) == 1:
+        return 2 * n - 1
+    mu1, mu2 = mu[0], mu[1]
+    m = [sum(1 for p in mu if p >= j) for j in range(1, mu2 + 1)]
+    product = Fraction(1)
+    for mj in m:
+        product *= 2 * mj - 1
+    if mu1 == mu2:
+        factor = Fraction(1)
+    elif mu1 == mu2 + 1:
+        factor = 1 + Fraction(2, 2 * m[-1] - 1)
+    else:
+        factor = Fraction(2 * (mu1 - mu2) - 1)
+    value = product * factor
+    assert value.denominator == 1, mu
+    return int(value)
+
+
+def test_level_rule_equals_the_transcribed_formula():
+    count = 0
+    for n in range(1, 26):
+        for mu in iter_partitions(n):
+            assert d_yhz(mu) == _transcribed_d_yhz(mu), mu
+            count += 1
+    assert count == 9295
+
+
+def test_d_yhz_is_the_degree_of_the_nested_system():
+    # on a seeded line, the nested gcd system reaches degree d_yhz(mu) for
+    # every mu; the CI runs n = 9 and 10 through the same script
+    assert [check(n) for n in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
 
 
 def test_invariant_relations_between_columns():
@@ -75,18 +107,10 @@ def test_invariant_relations_between_columns():
         assert row.d_yhz >= row.d_hy21
 
 
-def test_csv_format():
-    csv = degree_table_csv(9)
-    lines = csv.splitlines()
-    assert lines[0] == "n,d_yhz,d_hy21,d_hy22"
-    assert lines[1] == "3,5,5,4"
-    assert lines[-1] == "9,135,17,16"
-    assert csv.endswith("\n")
-
-
 def test_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        degree_table(2)
+    for max_n in (2, 4.0, "5", None, True):
+        with pytest.raises(ValueError):
+            degree_table(max_n)
     with pytest.raises(ValueError):
         d_yhz((1, 2))  # not weakly decreasing
 
