@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import multidisc
-from multidisc import conjugate, disc_value, partitions_of, UniPoly
+from multidisc import classify_trace, conditions, disc_value, UniPoly
 from multidisc.cli import main, run_selftest
 from multidisc.engine import DiscValue
 
@@ -255,6 +257,57 @@ class TestClassify:
             assert "expected one argument" in err
 
 
+def _wide_coeffs() -> list[int]:
+    # squarefree of degree 30: D_(30) has more digits than the interpreter's
+    # default bound on int-to-str conversion
+    rng = random.Random(5)
+    return [rng.randint(10**79, 10**80) for _ in range(31)]
+
+
+class TestLongNumbers:
+    @pytest.mark.parametrize("mode", ["--json", "--trace", "value"])
+    def test_results_of_any_size_print(self, capsys, mode):
+        coeffs = _wide_coeffs()
+        text = ",".join(map(str, coeffs))
+        if mode == "value":
+            argv = ["discriminant", "--n", "30", "--gamma", "30", "--format", "value"]
+        else:
+            argv = ["classify", mode]
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, *argv, "--coeffs", text)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            value = str(classify_trace(UniPoly.from_descending(coeffs)).value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(value) > sys.int_info.default_max_str_digits
+        if mode == "--json":
+            assert json.loads(out)["steps"] == [{"gamma": [30], "nonzero": True, "value": value}]
+        elif mode == "--trace":
+            assert out == f"D(30) = {value} (nonzero)\n{','.join(['1'] * 30)}\n"
+        else:
+            assert out == value + "\n"
+
+    def test_a_coefficient_over_the_digit_limit_is_rejected(self, capsys, tmp_path):
+        # parsing is quadratic in the length, so the bound stays on input
+        assert run_cli(capsys, "classify", "--coeffs", "1," + "7" * 4300) == (0, "1\n", "")
+        message = "coefficient 2 has 4301 digits; the limit is 4300"
+        limit = sys.get_int_max_str_digits()
+        # the bound is the interpreter's default, whatever the current one is
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, err = run_cli(capsys, "classify", "--coeffs", "1,-" + "7" * 4301)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        batch = tmp_path / "polys.txt"
+        batch.write_text("1," + "7" * 4301 + "\n1,0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify", "--file", str(batch))
+        assert (code, out, err) == (2, "1\n", f"error: line 1: {message}\n")
+
+
 class TestDiscriminant:
     def test_poly_format_all_ones(self, capsys):
         code, out, _ = run_cli(
@@ -470,9 +523,9 @@ class TestSelftest:
         expected = [
             n + lam[0] - 1
             for n in range(1, 7)
-            for mu in partitions_of(n)
-            for lam in partitions_of(n)
-            if lam > conjugate(mu) and lam[0] > len(mu)
+            for mu, zero, _ in conditions(n)
+            for lam in zero
+            if lam[0] > len(mu)
         ]
         assert orders == expected and len(orders) == 80
 
@@ -530,6 +583,39 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     assert exc.value.code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["discriminant", "--n", "5", "--gamma", "3,x", "--format", "matrix"],
+         "malformed partition '3,x'"),
+        (["discriminant", "--n", "x", "--gamma", "1", "--format", "matrix"], "bad degree 'x'"),
+        (["discriminant", "--n", "0", "--gamma", "1", "--format", "matrix"],
+         "degree must be at least 1"),
+        # the last two are the library's own checks, of conditions and degree_table
+        (["conditions", "--n", "0"], "n must be a positive integer, got 0"),
+        (["degree-table", "--max-n", "2"], "max_n must be an integer of at least 3, got 2"),
+    ],
+)
+def test_rejected_input_exits_2_with_one_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_interrupt_exits_130_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(multidisc.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multidisc.cli", "conditions", "--n", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.readline()  # the p(40) = 37,338 rows are under way
+    proc.send_signal(signal.SIGINT)
+    # communicate drains stdout, so the final flush of its buffer cannot block
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130
+    assert b"Traceback" not in err and err.count(b"\n") <= 1
 
 
 def test_kept_parser_matches_a_fresh_parser():

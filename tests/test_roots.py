@@ -22,6 +22,7 @@ from multidisc.roots import (
     squarefree_decomposition,
 )
 
+from closed_form import DEEP, check
 from conftest import (
     derivative,
     det_rational,
@@ -493,3 +494,24 @@ def test_random_int_poly_helper_contract():
     rng = random.Random(1)
     poly = random_int_poly(rng, 5)
     assert poly.degree == 5
+
+
+class TestClosedForm:
+    """tests/closed_form.py against the classification's D_delta."""
+
+    @pytest.mark.parametrize("lead", [Fraction(-3, 7), Fraction(4)])
+    def test_every_mu_to_degree_12(self, lead):
+        rng = random.Random(f"closed-form/{lead}")
+        pool = [Fraction(a, 3) for a in range(-15, 16)]
+        specs = []
+        for n in range(1, 13):
+            for mu in partitions_of(n):
+                pairs = list(zip(rng.sample(pool, len(mu)), mu))
+                rng.shuffle(pairs)  # the closed form orders the roots itself
+                specs.append(RootSpec(tuple(pairs), lead))
+        assert check(specs) == 271
+
+    def test_deep_inputs_to_degree_60(self):
+        # (20,20), the 57 roots of degree 59, prod (x - i)^3 and prod (x - i)^2
+        # at degree 60; the script tests/closed_form.py runs degree 59-80
+        assert check(spec for spec in DEEP if spec.n <= 60) == 4
