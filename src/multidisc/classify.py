@@ -28,6 +28,7 @@ D(2,2) != 0), so no scan may bisect on the values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -139,9 +140,16 @@ def conditions(n: int) -> Iterator[tuple[Partition, list[Partition], Partition]]
     Row k lists the k partitions before its own, so all rows together grow as
     p(n)^2.  The rows come from the lazy walk of ``iter_partitions``, one at a
     time, so the first needs none of the others; each list is the row's own.
+    ``iter_partitions`` checks ``n`` here, at the call.
     """
+    return _condition_rows(iter_partitions(n))
+
+
+def _condition_rows(
+    walk: Iterator[Partition],
+) -> Iterator[tuple[Partition, list[Partition], Partition]]:
     zero: list[Partition] = []
-    for gamma in iter_partitions(n):
+    for gamma in walk:
         yield conjugate(gamma), list(zero), gamma
         zero.append(gamma)
 
@@ -152,10 +160,18 @@ def trace_json_dict(poly: UniPoly, trace: ClassificationTrace) -> dict:
     The steps are built from ``trace.zero_steps()``, so no ``TraceStep`` is made.
     """
     steps = [{"gamma": list(gamma), "value": "0", "nonzero": False} for gamma in trace.zero_steps()]
-    steps.append({"gamma": list(trace.delta), "value": str(trace.value), "nonzero": True})
+    steps.append({"gamma": list(trace.delta), "value": _text(trace.value), "nonzero": True})
     return {
-        "input": ",".join(str(c) for c in poly.descending_coeffs()),
+        "input": ",".join(_text(c) for c in poly.descending_coeffs()),
         "n": poly.degree,
         "steps": steps,
         "multiplicity": list(trace.result),
     }
+
+
+def _text(value: Fraction) -> str:
+    """``str(value)``, also past the interpreter's bound on int-to-str
+    conversion (4300 digits by default), which a D_delta can pass: Decimal
+    converts an int exactly and is not bound by it."""
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"

@@ -78,6 +78,24 @@ one int with a field of w bits per indeterminate, where w is the bit length of
 the sum of the rows' largest exponents.  No exponent of a minor exceeds that
 sum, so a monomial product is one integer addition that never carries from one
 field into the next.
+
+Only part of the symbolic D_gamma is expanded; translation invariance gives
+the rest.  F(x + t) has coefficients a(t) with a_n(t) = a_n, and row
+x^k * F^(i)(x + t) of its matrix is the shift P(x) -> P(x + t) of
+(x - t)^k * F^(i)(x), a unitriangular combination of the rows x^k' * F^(i)(x),
+k' <= k, of the same block.  The shift is unitriangular on coefficient
+vectors, so D_gamma(a(t)) = D_gamma(a) (for gamma = (n), the classical
+invariance; Gelfand-Kapranov-Zelevinsky 1994).  At t = 0, da_i/dt =
+(i + 1) * a_(i+1), so L = sum_i (i + 1) * a_(i+1) * d/da_i kills D_gamma.
+Write D = sum_j D_j * a_(n-1)^j with every D_j free of a_(n-1), and L'' for
+the terms of L with i < n - 2.  The coefficient of a_(n-1)^j in L * D = 0 is
+
+    L'' D_j + (n - 1) * dD_(j-1)/da_(n-2) + n * (j + 1) * a_n * D_(j+1) = 0,
+
+so D_(j+1) is an exact quotient of D_(j-1) and D_j alone, and D_0, the
+determinant with every a_(n-1) set to 0, fixes D.  Two successive zero D_j
+make every later one 0, and D is homogeneous of degree n + g1 - 2, so no D_j
+with j above that degree is nonzero.
 """
 
 from __future__ import annotations
@@ -85,6 +103,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, perm
+from operator import lshift
 from typing import Sequence, Union
 
 from .partitions import Partition, as_partition
@@ -411,9 +430,11 @@ def det_minor_expansion(rows: Sequence[Sequence[SymPoly]]) -> SymPoly:
     rings = {e.nvars for row in rows for e in row}
     if len(rings) > 1:
         raise ValueError("operands live in different polynomial rings")
+    (nvars,) = rings
     bound = sum(max((max(exps) for e in row for exps in e.terms), default=0) for row in rows)
     width = bound.bit_length()
-    packed = [[_packed(e, width) for e in row] for row in rows]
+    shifts = [i * width for i in range(nvars)]
+    packed = [[_packed(e, shifts) for e in row] for row in rows]
     levels = [{(1 << n) - 1}]
     for col in range(n - 1):
         nonzero = [r for r in range(n) if packed[r][col]]
@@ -438,16 +459,19 @@ def det_minor_expansion(rows: Sequence[Sequence[SymPoly]]) -> SymPoly:
                 sign = -sign
             level[mask] = {k: c for k, c in acc.items() if c}
         below = level
-    det = below[(1 << n) - 1]
-    (nvars,) = rings
+    return _unpacked(below[(1 << n) - 1], shifts, width)
+
+
+def _packed(entry: SymPoly, shifts: list[int]) -> dict[int, int]:
+    """``entry`` as a dict from packed monomial to coefficient, a_i at bit shifts[i]."""
+    return {sum(map(lshift, exps, shifts)): c for exps, c in entry.terms.items()}
+
+
+def _unpacked(terms: dict[int, int], shifts: list[int], width: int) -> SymPoly:
+    """The SymPoly of the packed ``terms``, a_i in the ``width`` bits at shifts[i]."""
     field = (1 << width) - 1
-    shifts = [i * width for i in range(nvars)]
-    return SymPoly(nvars, {tuple(k >> s & field for s in shifts): c for k, c in det.items()})
-
-
-def _packed(entry: SymPoly, width: int) -> dict[int, int]:
-    """``entry`` as a dict from packed monomial to coefficient."""
-    return {sum(e << i * width for i, e in enumerate(exps)): c for exps, c in entry.terms.items()}
+    exps = {tuple(k >> s & field for s in shifts): c for k, c in terms.items()}
+    return SymPoly(len(shifts), exps)
 
 
 def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
@@ -568,9 +592,11 @@ def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT)
 
     Every nonzero entry in the first column of the generic matrix is c * an,
     so dividing that column by the monomial an divides the determinant by
-    it: the division-free cofactor expansion of the divided matrix is
-    D_gamma itself, with no pass over its terms afterwards.  Term counts
-    blow up quickly, so degrees above ``cap`` are rejected.
+    it.  With every entry that holds a(n-1) set to 0, the division-free
+    cofactor expansion of the divided matrix is D_0, and the translation
+    recurrence of the module docstring rebuilds D_gamma from it (see
+    :func:`_translation_rebuild`).  Term counts blow up quickly, so degrees
+    above ``cap`` are rejected.
     """
     if n > cap:
         raise ValueError(
@@ -579,5 +605,61 @@ def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT)
         )
     matrix = build_symbolic_matrix(n, gamma)
     an = SymPoly.variable(n + 1, n)
-    rows = [(row[0].exact_divide(an), *row[1:]) for row in matrix.entries]
-    return DiscValue(det_minor_expansion(rows), matrix.gamma)
+    zero = SymPoly.zero(n + 1)
+    hold = (0,) * (n - 1) + (1, 0)  # the exponents of a(n-1)
+    rows = [
+        [zero if hold in e.terms else e for e in (row[0].exact_divide(an), *row[1:])]
+        for row in matrix.entries
+    ]
+    degree = n + matrix.gamma[0] - 2
+    width = degree.bit_length()
+    shifts = [i * width for i in range(n + 1)]
+    terms = _translation_rebuild(_packed(det_minor_expansion(rows), shifts), n, degree, width)
+    return DiscValue(_unpacked(terms, shifts, width), matrix.gamma)
+
+
+def _translation_rebuild(base: dict[int, int], n: int, degree: int, width: int) -> dict[int, int]:
+    """D = sum_j D_j * a(n-1)^j from D_0 = ``base``, by the recurrence
+
+        D_(j+1) = -[(n - 1) * dD_(j-1)/da(n-2) + L'' D_j] / (n * (j + 1) * an)
+
+    of the module docstring, with D_(-1) = 0.  Keys are packed as in
+    :func:`det_minor_expansion`, ``width`` bits per field; D is homogeneous
+    of degree ``degree``, so no exponent of a numerator or of D exceeds it,
+    and a field of ``degree.bit_length()`` bits never carries.  It stops when
+    two successive D_j are 0 or at j = ``degree``, which is 0 for n = 1.
+    Every quotient must be exact, so a remainder, or a term free of an,
+    raises ArithmeticError.
+    """
+    field = (1 << width) - 1
+    unit = [1 << i * width for i in range(n + 1)]
+    # the terms of L'': (offset of a_i, key change a_i -> a_(i+1), factor i + 1)
+    moves = [(i * width, unit[i + 1] - unit[i], i + 1) for i in range(n - 2)]
+    result = dict(base)
+    prev: dict[int, int] = {}
+    cur = base
+    for j in range(degree):
+        if not (prev or cur):
+            break
+        acc: dict[int, int] = {}
+        for k, c in prev.items():
+            e = k >> (n - 2) * width & field
+            if e:
+                k -= unit[n - 2]
+                acc[k] = acc.get(k, 0) + (n - 1) * e * c
+        for k, c in cur.items():
+            for shift, step, factor in moves:
+                e = k >> shift & field
+                if e:
+                    key = k + step
+                    acc[key] = acc.get(key, 0) + factor * e * c
+        den, lift, nxt = n * (j + 1), (j + 1) * unit[n - 1] - unit[n], {}
+        for k, c in acc.items():
+            if c:
+                q, r = divmod(-c, den)
+                if r or not k >> n * width & field:
+                    raise ArithmeticError("non-exact division in the translation recurrence")
+                nxt[k - unit[n]] = q
+                result[k + lift] = q
+        prev, cur = cur, nxt
+    return result

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -537,6 +538,51 @@ def test_conditions_yields_one_row_at_a_time():
             tracemalloc.stop()
         assert (mu, zero, nonzero) == ((1,) * n, [], (n,))
         assert peak < 2**20, (n, peak)
+
+
+def test_conditions_rejects_bad_n_at_the_call():
+    # a plain generator function would raise only at the first next()
+    for bad in [0, -3, True, 2.0, "x"]:
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            conditions(bad)
+
+
+def test_trace_json_dict_under_the_default_int_bound():
+    # D_delta of this squarefree degree-30 input has over 4300 digits, so
+    # str() of it raises under the interpreter's default bound; the dict is
+    # built anyway, and the bound is left as it was
+    rng = random.Random(5)
+    poly = UniPoly.from_descending([rng.randint(10**79, 10**80) for _ in range(31)])
+    trace = classify_trace(poly)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(trace.value)
+        text = trace_json_dict(poly, trace)["steps"][-1]["value"]
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert len(text) > 4300
+        assert text == str(trace.value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_trace_json_dict_writes_long_rationals_and_signs_whole():
+    # the input's coefficients are written as exactly as the value
+    for value in (Fraction(-(10**5000) - 7, 3**2000), Fraction(10**3000 + 1), Fraction(-12, 5)):
+        poly = UniPoly([value, 1])
+        trace = CLASSIFY.ClassificationTrace((1,), value)
+        data = trace_json_dict(poly, trace)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert data["steps"][-1]["value"] == str(value)
+            assert data["input"] == f"1,{value}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_trace_json_schema_and_round_trip():

@@ -28,6 +28,7 @@ from multidisc import (
 from multidisc.engine import (
     _build,
     _exact,
+    _translation_rebuild,
     block_rows,
     derivative_coeffs,
     det_fraction_free,
@@ -47,6 +48,7 @@ from conftest import (
     reference_gcd,
     shift_poly,
 )
+from symbolic_invariants import check as check_invariants, weight
 
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
@@ -848,6 +850,14 @@ class TestResultantMemo:
             assert disc_resultant(UniPoly([c, 0, 1]))[3] == 4 * c
 
 
+def full_expansion(n, gamma):
+    """D_gamma from the expansion of the whole generic matrix, its first
+    column divided by an: the reference for the translation recurrence."""
+    an = SymPoly.variable(n + 1, n)
+    rows = [(row[0].exact_divide(an), *row[1:]) for row in build_symbolic_matrix(n, gamma).entries]
+    return det_minor_expansion(rows)
+
+
 class TestDiscSymbolic:
     def test_all_ones_closed_form_single_term(self):
         d = disc_symbolic(5, (1, 1, 1, 1, 1))
@@ -868,6 +878,50 @@ class TestDiscSymbolic:
         disc_symbolic(6, (6,))
         assert len(dividends) == 11
         assert max(dividends) <= 1
+
+    def test_rebuild_matches_the_full_expansion(self):
+        # the translation recurrence against the expansion of the whole
+        # divided matrix, a(n-1) kept, for every gamma with n <= 6
+        for n in range(1, 7):
+            for gamma in partitions_of(n):
+                assert disc_symbolic(n, gamma).value == full_expansion(n, gamma), (n, gamma)
+
+    def test_recurrence_runs_past_a_zero_coefficient(self):
+        # at (2,1,1,1) D has no a4^4 part but an a4^5 part, so a stop at the
+        # first zero D_j would drop -27648*a4^5
+        full = full_expansion(5, (2, 1, 1, 1))
+        assert sorted({exps[4] for exps in full.terms}) == [0, 1, 2, 3, 5]
+        assert full.terms[(0, 0, 0, 0, 5, 0)] == -27648
+        assert disc_symbolic(5, (2, 1, 1, 1)).value == full
+
+    def test_degrees_one_and_two_have_no_lowering_part(self):
+        # L'' has no term for n <= 2; for n = 1, a(n-1) is a0 and D_(1) = 1
+        assert disc_symbolic(1, (1,)).value == SymPoly.const(2, 1)
+        a0, a1, a2 = (SymPoly.variable(3, i) for i in range(3))
+        assert disc_symbolic(2, (2,)).value == 4 * a0 * a2 - a1 * a1
+        assert disc_symbolic(2, (1, 1)).value == 4 * a2
+
+    def test_expands_one_matrix_free_of_a_n_minus_1(self, monkeypatch):
+        # det_minor_expansion is called through the module, once, on the
+        # divided matrix with every entry holding a(n-1) set to 0
+        calls = []
+
+        def recorded(rows):
+            calls.append(rows)
+            return det_minor_expansion(rows)
+
+        monkeypatch.setattr(sys.modules["multidisc.engine"], "det_minor_expansion", recorded)
+        value = disc_symbolic(6, (3, 2, 1)).value
+        assert len(calls) == 1
+        assert not any(exps[5] for row in calls[0] for e in row for exps in e.terms)
+        assert value == full_expansion(6, (3, 2, 1))
+
+    def test_recurrence_raises_on_a_remainder(self):
+        # D_0 = a0 or a0*a2 at n = 2 is no D_0 of an invariant polynomial:
+        # D_2 needs 1 / (4 a2) and a2 / (4 a2) respectively; keys have 2-bit fields
+        for base in ({1: 1}, {1 + (1 << 4): 1}):
+            with pytest.raises(ArithmeticError, match="translation recurrence"):
+                _translation_rebuild(base, 2, 2, 2)
 
     def test_total_degree_is_homogeneity_degree(self):
         for n in range(1, 6):
@@ -901,6 +955,7 @@ class TestDiscSymbolic:
                     for exps in disc_symbolic(n, gamma).value.terms
                 }
                 assert weights == {expected[gamma]}, (n, gamma)
+                assert weight(gamma) == expected[gamma], (n, gamma)
         assert (expected[(3, 2)], expected[(2, 2, 1)], expected[(5,)]) == (18, 17, 20)
 
     def test_specialization_matches_concrete_engine(self):
@@ -952,6 +1007,10 @@ class TestDiscSymbolic:
                 for exps, c in value.terms.items()
             )
             assert sympy.expand(ours - expected) == 0
+
+    def test_invariants_to_degree_seven(self):
+        # tests/symbolic_invariants.py, which a CI step runs at n = 9
+        assert [check_invariants(n) for n in range(1, 8)] == [1, 2, 3, 5, 7, 11, 15]
 
     def test_cap_is_enforced_and_overridable(self):
         with pytest.raises(ValueError, match="cap 6"):
