@@ -555,15 +555,13 @@ def test_trace_json_dict_under_the_default_int_bound():
     poly = UniPoly.from_descending([rng.randint(10**79, 10**80) for _ in range(31)])
     trace = classify_trace(poly)
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
         with pytest.raises(ValueError, match="Exceeds the limit"):
             str(trace.value)
         text = trace_json_dict(poly, trace)["steps"][-1]["value"]
         assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
-    finally:
         sys.set_int_max_str_digits(0)
-    try:
         assert len(text) > 4300
         assert text == str(trace.value)
     finally:

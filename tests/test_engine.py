@@ -894,7 +894,7 @@ class TestDiscSymbolic:
         assert full.terms[(0, 0, 0, 0, 5, 0)] == -27648
         assert disc_symbolic(5, (2, 1, 1, 1)).value == full
 
-    def test_degrees_one_and_two_have_no_lowering_part(self):
+    def test_degrees_one_and_two_where_l2_is_empty(self):
         # L'' has no term for n <= 2; for n = 1, a(n-1) is a0 and D_(1) = 1
         assert disc_symbolic(1, (1,)).value == SymPoly.const(2, 1)
         a0, a1, a2 = (SymPoly.variable(3, i) for i in range(3))
