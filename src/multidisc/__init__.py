@@ -15,9 +15,8 @@ degree bookkeeping for competing condition systems round out the toolkit.
 """
 
 from .classify import ClassificationTrace, TraceStep, classify, classify_trace, conditions
-from .degrees import DegreeRow, d_hy21, d_hy22, d_yhz, degree_table
+from .degrees import DegreeRow, d_yhz, degree_table
 from .engine import (
-    SYMBOLIC_CAP_DEFAULT,
     DiscMatrix,
     DiscValue,
     build_matrix,
@@ -43,7 +42,6 @@ __all__ = [
     "DiscValue",
     "Partition",
     "RootSpec",
-    "SYMBOLIC_CAP_DEFAULT",
     "SymPoly",
     "TraceStep",
     "UniPoly",
@@ -53,8 +51,6 @@ __all__ = [
     "classify_trace",
     "conditions",
     "conjugate",
-    "d_hy21",
-    "d_hy22",
     "d_yhz",
     "degree_table",
     "disc_from_distinct_roots",

@@ -28,7 +28,6 @@ import sys
 from .classify import classify_trace, conditions, trace_json_dict
 from .degrees import degree_table
 from .engine import (
-    SYMBOLIC_CAP_DEFAULT,
     _build,
     build_matrix,
     build_symbolic_matrix,
@@ -48,6 +47,9 @@ from .roots import (
 from .unipoly import UniPoly, parse_rational
 
 
+# --format poly stops above this degree unless --cap raises it: the term
+# count of the parametric discriminant grows quickly with the degree
+SYMBOLIC_CAP_DEFAULT = 6
 # argparse reads a separate "-3/7,1/7" as an option
 _NEGATIVE_FIRST = "a negative first coefficient needs the = form: --coeffs=-3/7,1/7"
 # the interpreter's default bound, read from a constant so that no earlier
@@ -162,7 +164,7 @@ def _cmd_discriminant(args) -> int:
         if n > cap:
             raise CliError(f"degree {n} exceeds the symbolic cap {cap}; pass --cap {n} "
                            "if you accept the term growth")
-        print(str(disc_symbolic(n, gamma, cap=cap).value))
+        print(str(disc_symbolic(n, gamma).value))
         return 0
     matrix = build_matrix(poly, gamma) if poly is not None else build_symbolic_matrix(n, gamma)
     if args.format == "latex":

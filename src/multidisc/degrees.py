@@ -18,18 +18,19 @@ from .partitions import as_partition, conjugate, iter_partitions
 class DegreeRow:
     """One row of the degree table: n and the nested system's maximum over
     the multiplicity vectors of n.  The two linear systems' maxima depend on
-    n alone, and are read from :func:`d_hy21` and :func:`d_hy22`."""
+    n alone: 2n - 1 for the sum-of-determinants system and 2n - 2 for the
+    single-determinant system."""
 
     n: int
     d_yhz: int
 
     @property
     def d_hy21(self) -> int:
-        return d_hy21((self.n,))
+        return 2 * self.n - 1
 
     @property
     def d_hy22(self) -> int:
-        return d_hy22((self.n,))
+        return 2 * self.n - 2
 
 
 def d_yhz(mu) -> int:
@@ -67,16 +68,6 @@ def _nested_max(delta) -> int:
         factor *= 2 * part - 1
         rest -= part
     return best
-
-
-def d_hy21(mu) -> int:
-    """Maximum degree in the sum-of-determinants condition system: 2n-1."""
-    return 2 * sum(as_partition(mu)) - 1
-
-
-def d_hy22(mu) -> int:
-    """Maximum degree in the single-determinant condition system: 2n-2."""
-    return 2 * sum(as_partition(mu)) - 2
 
 
 def degree_table(max_n: int) -> Iterator[DegreeRow]:

@@ -110,8 +110,6 @@ from .partitions import Partition, as_partition
 from .sympoly import SymPoly
 from .unipoly import UniPoly
 
-SYMBOLIC_CAP_DEFAULT = 6
-
 Entry = Union[int, Fraction, SymPoly]
 
 
@@ -242,9 +240,13 @@ def build_matrix(poly: UniPoly, gamma: Sequence[int]) -> DiscMatrix:
 
 
 def build_symbolic_matrix(n: int, gamma: Sequence[int]) -> DiscMatrix:
-    """Discriminant matrix of the generic degree-n polynomial, entries in Z[a0..an]."""
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    """Discriminant matrix of the generic degree-n polynomial, entries in Z[a0..an].
+
+    ``n`` is checked here, at the call: a bool, a float such as 2.0 or a
+    string is not read as a degree.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"degree must be an integer of at least 1, got {n!r}")
     return _build([SymPoly.variable(n + 1, d) for d in range(n + 1)], gamma)
 
 
@@ -468,10 +470,16 @@ def _packed(entry: SymPoly, shifts: list[int]) -> dict[int, int]:
 
 
 def _unpacked(terms: dict[int, int], shifts: list[int], width: int) -> SymPoly:
-    """The SymPoly of the packed ``terms``, a_i in the ``width`` bits at shifts[i]."""
+    """The SymPoly of the packed ``terms``, a_i in the ``width`` bits at shifts[i].
+
+    The result is built as it is, with no pass of the validating constructor:
+    no field carries into the next, so distinct keys unpack to distinct
+    tuples of ``len(shifts)`` exponents, and the expansion and the
+    translation recurrence store only nonzero coefficients.
+    """
     field = (1 << width) - 1
     exps = {tuple(k >> s & field for s in shifts): c for k, c in terms.items()}
-    return SymPoly(len(shifts), exps)
+    return SymPoly.zero(len(shifts))._new(exps)
 
 
 def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
@@ -587,7 +595,7 @@ def _reduced_det(ints: Sequence[int], divisor: Sequence[int], psc: int, gamma: P
     return _exact(psc * det * contents, divisor[0] ** powers)
 
 
-def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT) -> DiscValue:
+def disc_symbolic(n: int, gamma: Sequence[int]) -> DiscValue:
     """Parametric discriminant as an integer polynomial in a0..an.
 
     Every nonzero entry in the first column of the generic matrix is c * an,
@@ -595,14 +603,8 @@ def disc_symbolic(n: int, gamma: Sequence[int], cap: int = SYMBOLIC_CAP_DEFAULT)
     it.  With every entry that holds a(n-1) set to 0, the division-free
     cofactor expansion of the divided matrix is D_0, and the translation
     recurrence of the module docstring rebuilds D_gamma from it (see
-    :func:`_translation_rebuild`).  Term counts blow up quickly, so degrees
-    above ``cap`` are rejected.
+    :func:`_translation_rebuild`).
     """
-    if n > cap:
-        raise ValueError(
-            f"degree {n} exceeds the symbolic cap {cap}; raise cap= explicitly "
-            "if you accept the term growth"
-        )
     matrix = build_symbolic_matrix(n, gamma)
     an = SymPoly.variable(n + 1, n)
     zero = SymPoly.zero(n + 1)

@@ -171,8 +171,6 @@ class SymPoly:
         return total
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = SymPoly.const(self.nvars, other)
         return (
             isinstance(other, SymPoly)
             and self.nvars == other.nvars

@@ -52,7 +52,7 @@ def check(n: int, seed: int = 9) -> int:
     rng = random.Random(seed * 1000 + n)
     count = 0
     for gamma in partitions_of(n):
-        value = disc_symbolic(n, gamma, cap=n).value
+        value = disc_symbolic(n, gamma).value
         degree, w = n + gamma[0] - 2, weight(gamma)
         for exps in value.terms:
             assert sum(exps) == degree, f"{gamma}: term {exps} is not of degree {degree}"

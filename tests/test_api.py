@@ -10,4 +10,4 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     ]
     assert sorted(multidisc.__all__) == sorted(public)
-    assert len(multidisc.__all__) == 27
+    assert len(multidisc.__all__) == 24

@@ -4,8 +4,6 @@ import pytest
 
 from multidisc import (
     DegreeRow,
-    d_hy21,
-    d_hy22,
     d_yhz,
     degree_table,
     disc_symbolic,
@@ -34,11 +32,10 @@ def test_nested_system_examples():
 
 
 def test_linear_systems_are_functions_of_n_only():
-    for mu in [(5,), (3, 2), (2, 2, 1), (1, 1, 1, 1, 1)]:
-        assert d_hy21(mu) == 9
-        assert d_hy22(mu) == 8
-    assert (d_hy21((2, 1)), d_hy22((2, 1))) == (5, 4)
-    assert (d_hy21((9,)), d_hy22((9,))) == (17, 16)
+    for n in range(1, 31):
+        for d in (0, 10**6):
+            row = DegreeRow(n, d)
+            assert (row.d_hy21, row.d_hy22) == (2 * n - 1, 2 * n - 2)
 
 
 def test_reference_table_reproduced_exactly():
@@ -119,4 +116,4 @@ def test_engine_degrees_peak_at_table_value():
     # worst case over the partitions equals the table column for small n
     for n in range(3, 6):
         worst = max(disc_symbolic(n, g).value.total_degree for g in partitions_of(n))
-        assert worst == d_hy22((n,)) == 2 * n - 2
+        assert worst == 2 * n - 2

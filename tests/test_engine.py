@@ -17,7 +17,6 @@ from multidisc import (
     build_symbolic_matrix,
     classify_trace,
     conjugate,
-    d_hy22,
     degree_table,
     disc_symbolic,
     disc_value,
@@ -973,7 +972,7 @@ class TestDiscSymbolic:
         rng = random.Random(808)
         for n in (6, 7, 8):
             for gamma in partitions_of(n):
-                d = disc_symbolic(n, gamma, cap=n)
+                d = disc_symbolic(n, gamma)
                 for _ in range(2):
                     vec = [rng.randint(-5, 5) for _ in range(n)]
                     vec.append(rng.choice([c for c in range(-4, 5) if c]))
@@ -982,15 +981,15 @@ class TestDiscSymbolic:
 
     def test_max_degree_is_the_single_determinant_bound(self):
         # the abstract's claim, computed: over every gamma of n the largest
-        # total degree of D_gamma is d_hy22, reached at the classical gamma = (n)
+        # total degree of D_gamma is 2n - 2, reached at the classical gamma = (n)
         table = {row.n: row.d_hy22 for row in degree_table(8)}
         for n in range(2, 9):
             degrees = {
-                gamma: disc_symbolic(n, gamma, cap=8).value.total_degree
+                gamma: disc_symbolic(n, gamma).value.total_degree
                 for gamma in partitions_of(n)
             }
             worst = max(degrees.values())
-            assert worst == d_hy22((n,)) == degrees[(n,)]
+            assert worst == 2 * n - 2 == degrees[(n,)]
             if n >= 3:
                 assert worst == table[n]
 
@@ -1012,14 +1011,15 @@ class TestDiscSymbolic:
         # tests/symbolic_invariants.py, which a CI step runs at n = 9
         assert [check_invariants(n) for n in range(1, 8)] == [1, 2, 3, 5, 7, 11, 15]
 
-    def test_cap_is_enforced_and_overridable(self):
-        with pytest.raises(ValueError, match="cap 6"):
-            disc_symbolic(7, (7,))
-        with pytest.raises(ValueError, match="cap 3"):
-            disc_symbolic(4, (4,), cap=3)
-        # explicit higher cap unlocks the computation
-        d = disc_symbolic(7, (1,) * 7, cap=7)
-        assert len(d.value.terms) == 1
+    def test_library_has_no_degree_cap(self):
+        # only the CLI caps --format poly; the library computes D_(7) as asked
+        assert len(disc_symbolic(7, (7,)).value.terms) == 1103
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "3", 0, -1])
+    def test_degree_is_checked_at_the_call(self, n):
+        for entry in (build_symbolic_matrix, disc_symbolic):
+            with pytest.raises(ValueError, match="degree must be an integer of at least 1"):
+                entry(n, (1,))
 
 
 class TestSerialization:

@@ -8,8 +8,6 @@ from multidisc import (
     build_matrix,
     build_symbolic_matrix,
     conjugate,
-    d_hy21,
-    d_hy22,
     d_yhz,
     disc_from_distinct_roots,
     disc_from_multiple_roots_abs,
@@ -160,8 +158,6 @@ def test_non_integer_parts_are_rejected_not_truncated():
         lambda parts: disc_from_multiple_roots_abs(repeated, parts),
         lambda parts: disc_from_distinct_roots(distinct, parts),
         d_yhz,
-        d_hy21,
-        d_hy22,
         conjugate,
     ]
     for parts in [(3.5, 2.5), (3.2, 2.1), (3.0, 2), (2.5,), (4, True), (True,) * 5]:

@@ -101,3 +101,12 @@ def test_evaluate_matches_hand_expansion():
 def test_incompatible_rings_rejected():
     with pytest.raises(ValueError):
         SymPoly.variable(3, 0) + SymPoly.variable(4, 0)
+
+
+def test_never_equal_to_an_int():
+    # equal objects must hash alike, and a SymPoly does not hash as an int
+    for value in (0, 1, 5, -7):
+        const = SymPoly.const(2, value)
+        assert const != value and value != const
+        assert value not in {const} and const not in {value}
+    assert SymPoly.zero(3) != 0
