@@ -70,9 +70,15 @@ once, at the input, and the determinant becomes a rational once, at the
 output.  A step leaves alone the rows that are zero in its pivot column;
 for them the full elimination would only scale the row by p_k / p_(k-1),
 and those factors telescope, so a row is caught up by one exact division
-later.  The symbolic matrices use a division-free cofactor expansion instead:
-the minors on the last k columns are built from those on the last k - 1, for
-the row sets the expansion can reach, so only two column levels are held.
+later.  The symbolic matrices use a division-free cofactor expansion instead.
+It expands the trailing columns n - 1 down to 1 through their nonzero entries
+to find the row sets it can reach, then builds the minors of those sets on
+the leading columns 0..k from those on columns 0..k - 1, so only two column
+levels are held.  That direction follows the sparsity of the symbolic
+matrices: after the division of the first column by an and with the entries
+that hold a(n-1) set to 0 (below), the leading columns are nearly constant,
+and minors built on them have few terms: D_0 of gamma = (9) takes 0.77 M term
+products this way and 3.23 M with the minors built on the trailing columns.
 A minor is a dict from packed monomial to coefficient: each exponent vector is
 one int with a field of w bits per indeterminate, where w is the bit length of
 the sum of the rows' largest exponents.  No exponent of a minor exceeds that
@@ -403,12 +409,20 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], 
 def det_minor_expansion(rows: Sequence[Sequence[SymPoly]]) -> SymPoly:
     """Laplace expansion along columns, built one column level at a time.
 
-    A first pass records, as bitmasks, the row sets that expanding columns
-    0..k-1 through nonzero entries can leave.  A second builds the minors of
-    exactly those sets on the last n - k columns, from the last column back,
-    holding only the current level and the one below it.  Division-free; it
-    is the determinant of the symbolic matrices, whose entries are single
-    terms.
+    A forward pass expands columns n-1 down to 1 through their nonzero
+    entries and records, as bitmasks, the row sets each step can leave.  It
+    drops a set that holds a row with no nonzero entry in the columns left
+    to it, 0..k: ``lead[k]`` holds the rows that have one, and every minor
+    of such a set is 0.  A build pass then makes the minors of exactly the
+    recorded sets on columns 0..k from those on columns 0..k-1, from column
+    0 up, holding only the current level and the one below it.  Row r of the
+    set m stands at place popcount(m & ((1 << r) - 1)) among its rows, so
+    its entry in column k has the sign (-1)^(that place + k).  The build
+    loops over the nonzero rows of each column only and stores only nonzero
+    minors: a missing minor reads as 0, and a missing full set gives the
+    zero polynomial.  Division-free, on any SymPoly entries; it is the
+    determinant of the symbolic matrices, whose leading columns are the
+    sparse ones (the module docstring).
 
     Every minor is a dict from packed monomial to coefficient: the exponent
     of a_i sits in bits i*w .. i*w + w - 1 of one int, so a monomial product
@@ -427,41 +441,60 @@ def det_minor_expansion(rows: Sequence[Sequence[SymPoly]]) -> SymPoly:
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square nonempty matrix required")
-    if not all(isinstance(e, SymPoly) for row in rows for e in row):
-        raise TypeError("det_minor_expansion takes SymPoly entries only")
-    rings = {e.nvars for row in rows for e in row}
-    if len(rings) > 1:
-        raise ValueError("operands live in different polynomial rings")
-    (nvars,) = rings
-    bound = sum(max((max(exps) for e in row for exps in e.terms), default=0) for row in rows)
+    nvars = None
+    bound = 0
+    for row in rows:
+        top = 0
+        for e in row:
+            if not isinstance(e, SymPoly):
+                raise TypeError("det_minor_expansion takes SymPoly entries only")
+            if e.nvars != nvars:
+                if nvars is not None:
+                    raise ValueError("operands live in different polynomial rings")
+                nvars = e.nvars
+            for exps in e.terms:
+                top = max(top, *exps)
+        bound += top
     width = bound.bit_length()
     shifts = [i * width for i in range(nvars)]
     packed = [[_packed(e, shifts) for e in row] for row in rows]
-    levels = [{(1 << n) - 1}]
-    for col in range(n - 1):
-        nonzero = [r for r in range(n) if packed[r][col]]
-        levels.append({mask ^ 1 << r for mask in levels[-1] for r in nonzero if mask >> r & 1})
-    below = {mask: packed[mask.bit_length() - 1][n - 1] for mask in levels.pop()}
-    for col in range(n - 2, -1, -1):
+    # nonzero[k]: the rows with a nonzero entry in column k; lead[k]: the rows
+    # with one in some column 0..k, so a row set outside lead[k] has no
+    # nonzero minor on columns 0..k
+    nonzero = [[r for r in range(n) if packed[r][k]] for k in range(n)]
+    lead = [0] * n
+    seen = 0
+    for k in range(n):
+        for r in nonzero[k]:
+            seen |= 1 << r
+        lead[k] = seen
+    full = (1 << n) - 1
+    levels = [{full} if lead[n - 1] == full else set()]
+    for k in range(n - 1, 0, -1):
+        drop = full & ~lead[k - 1]
+        reached = {mask ^ 1 << r for mask in levels[-1] for r in nonzero[k] if mask >> r & 1}
+        levels.append({mask for mask in reached if not mask & drop})
+    below = {mask: packed[mask.bit_length() - 1][0] for mask in levels.pop()}
+    for k in range(1, n):
+        column = [(1 << r, (1 << r) - 1, packed[r][k].items()) for r in nonzero[k]]
         level = {}
         for mask in levels.pop():
             acc: dict[int, int] = {}
-            sign = 1
-            for r in range(n):
-                if not mask >> r & 1:
-                    continue
-                entry = packed[r][col]
-                if entry:
-                    minor = below[mask ^ 1 << r].items()
-                    for k1, c1 in entry.items():
-                        c1 *= sign
-                        for k2, c2 in minor:
-                            k = k1 + k2
-                            acc[k] = acc.get(k, 0) + c1 * c2
-                sign = -sign
-            level[mask] = {k: c for k, c in acc.items() if c}
+            for bit, low, entry in column:
+                if mask & bit:
+                    minor = below.get(mask ^ bit)
+                    if minor:
+                        sign = -1 if ((mask & low).bit_count() + k) & 1 else 1
+                        for k1, c1 in entry:
+                            c1 *= sign
+                            for k2, c2 in minor.items():
+                                key = k1 + k2
+                                acc[key] = acc.get(key, 0) + c1 * c2
+            acc = {key: c for key, c in acc.items() if c}
+            if acc:
+                level[mask] = acc
         below = level
-    return _unpacked(below[(1 << n) - 1], shifts, width)
+    return _unpacked(below.get(full, {}), shifts, width)
 
 
 def _packed(entry: SymPoly, shifts: list[int]) -> dict[int, int]:
@@ -478,7 +511,7 @@ def _unpacked(terms: dict[int, int], shifts: list[int], width: int) -> SymPoly:
     translation recurrence store only nonzero coefficients.
     """
     field = (1 << width) - 1
-    exps = {tuple(k >> s & field for s in shifts): c for k, c in terms.items()}
+    exps = {tuple([k >> s & field for s in shifts]): c for k, c in terms.items()}
     return SymPoly.zero(len(shifts))._new(exps)
 
 

@@ -12,6 +12,11 @@ from fractions import Fraction
 from typing import Mapping
 
 
+def _is_int(value) -> bool:
+    # a bool is not an exponent or a coefficient, although it is an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _term_key(exps: tuple[int, ...]) -> tuple:
     # graded lex, highest-index variable strongest
     return (sum(exps), exps[::-1])
@@ -32,8 +37,10 @@ class SymPoly:
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            if len(exps) != nvars or not all(_is_int(e) and e >= 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for {nvars} variables")
+            if not _is_int(coeff):
+                raise ValueError(f"coefficient {coeff!r} of {exps!r} is not an int")
             if coeff:
                 clean[exps] = clean.get(exps, 0) + coeff
                 if not clean[exps]:
@@ -183,40 +190,34 @@ class SymPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def _format_term(self, exps: tuple[int, ...], coeff: int, latex: bool) -> str:
-        factors = []
-        for idx in range(self.nvars - 1, -1, -1):
-            e = exps[idx]
-            if not e:
-                continue
-            name = f"a_{{{idx}}}" if latex else f"a{idx}"
-            if e == 1:
-                factors.append(name)
-            elif latex:
-                factors.append(f"{name}^{{{e}}}")
-            else:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            return str(coeff)
-        joined = "".join(factors) if latex else "*".join(factors)
-        if coeff == 1:
-            return joined
-        if coeff == -1:
-            return f"-{joined}"
-        return f"{coeff}{joined}" if latex else f"{coeff}*{joined}"
-
     def _render(self, latex: bool) -> str:
         if self.is_zero:
             return "0"
+        if latex:
+            names, hat, close, times = [f"a_{{{i}}}" for i in range(self.nvars)], "^{", "}", ""
+        else:
+            names, hat, close, times = [f"a{i}" for i in range(self.nvars)], "^", "", "*"
+        order = range(self.nvars - 1, -1, -1)
         parts = []
         for exps, coeff in self.sorted_terms():
-            text = self._format_term(exps, coeff, latex)
-            if not parts:
-                parts.append(text)
-            elif text.startswith("-"):
-                parts.append(f"- {text[1:]}")
+            joined = times.join(
+                [
+                    names[i] if exps[i] == 1 else f"{names[i]}{hat}{exps[i]}{close}"
+                    for i in order
+                    if exps[i]
+                ]
+            )
+            if not joined:
+                text = str(coeff)
+            elif coeff == 1:
+                text = joined
+            elif coeff == -1:
+                text = f"-{joined}"
             else:
-                parts.append(f"+ {text}")
+                text = f"{coeff}{times}{joined}"
+            if parts:
+                text = f"- {text[1:]}" if coeff < 0 else f"+ {text}"
+            parts.append(text)
         return " ".join(parts)
 
     def __str__(self) -> str:

@@ -251,6 +251,48 @@ class TestDeterminants:
             ]
             assert det_minor_expansion(rows) == perm_det(rows)
 
+    def test_minor_expansion_on_sparse_multi_term_matrices(self):
+        # orders 1..6, odd and even, so the sign (-1)^(place + column) of the
+        # build pass meets both parities of each; every matrix is checked as
+        # drawn, with one row zero, with one column zero, and with two rows
+        # that are zero in every column before a random one, so their row sets
+        # leave the forward pass early
+        rng = random.Random(3607)
+        nv = 3
+
+        def entry():
+            terms = {
+                tuple(rng.randint(0, 2) for _ in range(nv)): rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+                for _ in range(rng.randint(1, 3))
+            }
+            return SymPoly(nv, terms)
+
+        zero = SymPoly.zero(nv)
+        nonzero = [0, 0]
+        for size in range(1, 7):
+            for _ in range(4):
+                drawn = [[entry() if rng.random() < 0.6 else zero for _ in range(size)] for _ in range(size)]
+                variants = [drawn, [list(row) for row in drawn], [list(row) for row in drawn]]
+                variants[1][rng.randrange(size)] = [zero] * size
+                col = rng.randrange(size)
+                for row in variants[2]:
+                    row[col] = zero
+                trailing = [list(row) for row in drawn]
+                for r in rng.sample(range(size), min(2, size)):
+                    start = rng.randrange(1, size) if size > 1 else 0
+                    trailing[r][:start] = [zero] * start
+                    trailing[r][start:] = [entry() for _ in range(size - start)]
+                variants.append(trailing)
+                for rows in variants:
+                    got = det_minor_expansion(rows)
+                    assert got == perm_det(rows), (size, rows)
+                    nonzero[rows is trailing] += not got.is_zero
+                assert det_minor_expansion(variants[1]).is_zero
+                assert det_minor_expansion(variants[2]).is_zero
+        # 19 of the 24 matrices as drawn and 14 of the 24 with trailing rows
+        # have a nonzero determinant, so the expansion is not checked on zeros alone
+        assert min(nonzero) >= 10
+
     def test_symbolic_zero_pivot_column_falls_back(self):
         nv = 2
         zero = SymPoly.zero(nv)
@@ -329,7 +371,8 @@ class TestDeterminants:
     def test_minor_expansion_holds_two_column_levels(self):
         # the 13 x 13 generic matrix of gamma = (7): keeping every minor to the
         # end peaked at about 9 MB, two column levels of SymPoly minors at
-        # 3.6 MB, and the same two levels as dicts on packed int keys at 1.9 MB
+        # 3.6 MB, the same two levels as dicts on packed int keys at 1.9 MB,
+        # and those levels built on the leading columns at 1.0 MB
         rows = build_symbolic_matrix(7, (7,)).entries
         tracemalloc.start()
         try:
@@ -914,6 +957,17 @@ class TestDiscSymbolic:
         assert len(calls) == 1
         assert not any(exps[5] for row in calls[0] for e in row for exps in e.terms)
         assert value == full_expansion(6, (3, 2, 1))
+
+    def test_degree_seven_peaks_below_0_6_mb(self):
+        # D_0 of gamma = (7), its minors built on the leading columns, and the
+        # rebuild peaked at 0.34 MB; the minors on the trailing columns at 1.0 MB
+        tracemalloc.start()
+        try:
+            disc_symbolic(7, (7,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 2**20
 
     def test_recurrence_raises_on_a_remainder(self):
         # D_0 = a0 or a0*a2 at n = 2 is no D_0 of an invariant polynomial:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -110,3 +111,18 @@ def test_never_equal_to_an_int():
         assert const != value and value != const
         assert value not in {const} and const not in {value}
     assert SymPoly.zero(3) != 0
+
+
+def test_exponents_and_coefficients_must_be_ints():
+    # a float or bool exponent or coefficient is rejected at the call: 1.5
+    # printed as a0^1.5 and broke the packing of det_minor_expansion, True was
+    # stored as the exponent, and 2.5 printed as 2.5*a0 in the integer ring
+    for exps in ((1.5, 0), (1.0, 0), (True, 0), (0, False)):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            SymPoly(2, {exps: 1})
+    for coeff in (2.5, 2.0, True, False, Fraction(1, 2), Fraction(4)):
+        with pytest.raises(ValueError, match="is not an int"):
+            SymPoly(2, {(1, 0): coeff})
+    with pytest.raises(ValueError, match="is not an int"):
+        SymPoly.const(2, 0.5)
+    assert SymPoly(2, {(1, 0): 2, (0, 3): -1}).terms == {(1, 0): 2, (0, 3): -1}
