@@ -171,7 +171,13 @@ def trace_json_dict(poly: UniPoly, trace: ClassificationTrace) -> dict:
 
 def _text(value: Fraction) -> str:
     """``str(value)``, also past the interpreter's bound on int-to-str
-    conversion (4300 digits by default), which a D_delta can pass: Decimal
-    converts an int exactly and is not bound by it."""
+    conversion (4300 digits by default), which a D_delta can pass.  A value
+    within the bound is written by str() itself; above it str() raises
+    ValueError, and the text is built from Decimal, which converts an int
+    exactly and is not bound by it."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
     text = str(Decimal(value.numerator))
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"

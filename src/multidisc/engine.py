@@ -59,7 +59,10 @@ of the inputs, s = sum over j <= i of (d_(j-1) - d_i) * (d_j - d_i).
 At d_i = 0 this is the resultant, and s is the resultant's sign rule, one
 d_(j-1) * d_j per step.  At the zero remainder d_i = d = deg G, and s is the
 same rule on the degrees lowered by d.  Either sum is even when every degree
-drops by one, as in the sequence of a generic input.  One PRS of degree n thus
+drops by one, as in the sequence of a generic input.  Such a normal step,
+delta = 1, is the common one, so it has its own path: the pseudo-remainder
+lc(b)^2 * a mod b is one pass over the coefficients, and past the first step
+h = g = lc(a), so the step divides by lc(a)^2.  One PRS of degree n thus
 gives G and the factor, and one determinant of order n - k replaces the
 elimination at width n + k - 1.  For a squarefree F, R_(n) is empty and the
 factor is Res(F, F') itself.
@@ -343,11 +346,22 @@ def _exact(num: int, den: int) -> int:
 def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """lc(b)^(len(a) - len(b) + 1) * a mod b, for descending integer lists.
 
-    One pass per term of ``a`` cancelled, each a multiplication by lc(b), also
-    when the term is already zero: the subresultant PRS divides by the full
-    power.  The result keeps its leading zeros, so it has len(b) - 1 entries.
+    A step whose degree drops by one, every step of a generic PRS, is one
+    pass: with l = lc(b), it is l^2 * a - (q1 * x + q0) * b for q1 = l * a0
+    and q0 = l * a1 - a0 * b1, whose first two terms cancel, so the term of
+    x^i below them is l^2 * a_(i+2) - q0 * b_(i+1) - q1 * b_(i+2), with
+    b_(len(b)) = 0.  Any other drop runs one pass per term of ``a``
+    cancelled, each a multiplication by lc(b), also when the term is already
+    zero: the subresultant PRS divides by the full power.  The result keeps
+    its leading zeros, so it has len(b) - 1 entries.
     """
-    lead, tail, rem = b[0], b[1:], a
+    lead = b[0]
+    if len(a) - len(b) == 1:
+        q1 = lead * a[0]
+        q0 = lead * a[1] - a[0] * b[1]
+        l2 = lead * lead
+        return [l2 * x - q0 * y - q1 * z for x, y, z in zip(a[2:], b[1:], [*b[2:], 0])]
+    tail, rem = b[1:], a
     for _ in range(len(a) - len(b) + 1):
         top = rem[0]
         head = [lead * x - top * y for x, y in zip(rem[1:], tail)]
@@ -367,12 +381,15 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], 
     whose degree drops by delta is divided by g * h^delta, where g is the
     leading coefficient of the divisor and h becomes g^delta / h^(delta - 1):
     the subresultant recurrence of Brown-Traub 1971, exact also when
-    delta > 1 (see Ducos 2000).  The last nonzero remainder b, of degree d, is
+    delta > 1 (see Ducos 2000).  At delta = 1, the normal step of a generic
+    input, that h is g itself, and the pseudo-remainder comes from the one
+    pass of :func:`_prem`.  The last nonzero remainder b, of degree d, is
     a constant multiple of G, and lc(b)^delta / h^(delta - 1) is psc_d up to
     the sign (-1)^sum (d_(i-1) - d) * (d_i - d) over the degree sequence
     m, l, ... of the remainders, m, l, m, ... when m < l (the module
     docstring).  G is the primitive part of b, and [1] when d = 0.  Every
-    division is exact, so a remainder raises ArithmeticError.
+    division is exact, and each quotient of a remainder's coefficients is
+    checked in the loop that makes it, so a remainder raises ArithmeticError.
     """
     if not a or not b or not a[0] or not b[0]:
         raise ValueError("nonzero leading coefficients required")
@@ -386,14 +403,22 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], 
     while len(b) > 1:
         delta = len(a) - len(b)
         rem = _prem(a, b)
-        start = next((i for i, c in enumerate(rem) if c), None)
+        start = 0 if rem[0] else next((i for i, c in enumerate(rem) if c), None)
         if start is None:
             break
         den = g * h**delta
-        a, b = b, [_exact(c, den) for c in rem[start:]]
+        quotients = []
+        for c in rem[start:]:
+            q, r = divmod(c, den)
+            if r:
+                _inexact()
+            quotients.append(q)
+        a, b = b, quotients
         degrees.append(len(b) - 1)
         g = a[0]
-        if delta:
+        if delta == 1:
+            h = g
+        elif delta:
             h = _exact(g**delta, h ** (delta - 1))
     d = len(b) - 1
     delta = len(a) - len(b)

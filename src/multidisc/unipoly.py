@@ -17,7 +17,14 @@ Scalar = Union[int, Fraction]
 
 def parse_rational(text: str) -> Fraction:
     """Fraction(text) without exponent notation: "1e100000" alone would start
-    large-integer work before any check could see its size."""
+    large-integer work before any check could see its size.
+
+    A plain integer, decimal digits with an optional "-" before them, goes
+    straight to int(), which reads exactly the tokens of that form that
+    Fraction's pattern reads, with the same value; every other token goes
+    through Fraction."""
+    if text.isdecimal() or text[:1] == "-" and text[1:].isdecimal():
+        return Fraction(int(text))
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not accepted: {text!r}")
     return Fraction(text)

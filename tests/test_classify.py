@@ -583,6 +583,23 @@ def test_trace_json_dict_writes_long_rationals_and_signs_whole():
             sys.set_int_max_str_digits(limit)
 
 
+def test_text_past_the_int_bound_is_the_unbounded_text():
+    # str() raises above the bound, and the Decimal text that replaces it is
+    # the text str() gives with no bound
+    values = [Fraction(-(7**800)), Fraction(3**1400 + 1, 10**700 + 3), Fraction(-5, 10**650)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = [str(value) for value in values]
+        sys.set_int_max_str_digits(640)
+        for value, text in zip(values, want):
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                str(value)
+            assert CLASSIFY._text(value) == text
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_trace_json_schema_and_round_trip():
     trace = classify_trace(QUINTIC)
     data = trace_json_dict(QUINTIC, trace)

@@ -27,6 +27,7 @@ from multidisc import (
 from multidisc.engine import (
     _build,
     _exact,
+    _prem,
     _translation_rebuild,
     block_rows,
     derivative_coeffs,
@@ -494,6 +495,46 @@ class TestSylvesterResultant:
         with pytest.raises(ArithmeticError, match="non-exact"):
             _exact(7, 2)
         assert _exact(-12, 4) == -3
+
+    def test_pseudo_remainder_is_the_rational_remainder(self):
+        # lc(b)^(delta + 1) * a mod b by division over the rationals, padded
+        # with leading zeros to len(b) - 1 entries; delta = 1 is the one-pass
+        # step, the others the loop, and a zero top term of a is still a pass
+        rng = random.Random(4343)
+        cases = Counter()
+        for _ in range(400):
+            b = [rng.choice([-6, -2, 1, 3, 7])] + [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+            delta = rng.randint(0, 3)
+            a = [rng.choice([-5, 2, 4])] + [rng.randint(-9, 9) for _ in range(len(b) - 1 + delta)]
+            zero_top = rng.random() < 0.3
+            if zero_top:
+                a[0] = 0
+            _, rem = divmod(UniPoly.from_descending(a) * b[0] ** (delta + 1), UniPoly.from_descending(b))
+            want = [0] * (len(b) - 1 - len(rem.coeffs)) + list(rem.descending_coeffs())
+            assert _prem(a, b) == want, (a, b)
+            cases[delta, zero_top] += 1
+        assert len(cases) == 8
+
+    def test_a_remainder_in_a_quotient_raises(self, monkeypatch):
+        # one coefficient of the second pseudo-remainder off by one: that step
+        # divides it by lc(F')^2 = 18^2, which leaves a remainder, and the
+        # division loop raises rather than go on with a wrong sequence
+        engine = sys.modules["multidisc.engine"]
+        a = [3, -1, 4, 1, -5, 9, 2]
+        b = derivative_coeffs(a[::-1], 1)
+        assert sylvester_resultant(a, b)[0] == [1]
+        real, steps = engine._prem, []
+
+        def perturbed(a, b):
+            rem = real(a, b)
+            steps.append(rem)
+            if len(steps) == 2:
+                rem[-1] += 1
+            return rem
+
+        monkeypatch.setattr(engine, "_prem", perturbed)
+        with pytest.raises(ArithmeticError, match="non-exact"):
+            sylvester_resultant(a, b)
 
 
 def _leading_columns_det(a, b, d):

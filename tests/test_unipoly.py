@@ -145,3 +145,27 @@ def test_parse_rational_is_exact_and_rejects_exponents():
             parse_rational(text)
     with pytest.raises(ZeroDivisionError):
         parse_rational("1/0")
+
+
+def test_parse_rational_reads_what_fraction_reads():
+    # plain integers skip Fraction's pattern; every token gives the value and
+    # the type that Fraction gives, or ValueError where Fraction raises it or
+    # the token has an exponent
+    def reference(text):
+        if "e" in text or "E" in text:
+            raise ValueError("exponent notation")
+        return Fraction(text)
+
+    tokens = [str(k) for k in range(-1000, 1001)]
+    # an Arabic-Indic three is a decimal digit, a superscript two is not
+    tokens += ["\u0663", "0003", "-0", "+3", "1_0", " 12 ", "\u00b2", "-", "--3", "-+3"]
+    tokens += ["1e5", "-1E2", "3/6", ""]
+    for text in tokens:
+        try:
+            want = reference(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_rational(text)
+            continue
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == want, text
