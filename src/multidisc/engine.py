@@ -460,8 +460,8 @@ def det_minor_expansion(rows: Sequence[Sequence[SymPoly]]) -> SymPoly:
 
     Every entry must be a SymPoly; any other entry (int, Fraction) raises
     TypeError, as :func:`det_fraction_free` is the determinant of the
-    integers.  Entries of different rings raise ValueError, as SymPoly
-    arithmetic does.
+    integers.  Entries of different rings raise ValueError, as
+    :meth:`SymPoly.exact_divide` does.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
@@ -537,7 +537,7 @@ def _unpacked(terms: dict[int, int], shifts: list[int], width: int) -> SymPoly:
     """
     field = (1 << width) - 1
     exps = {tuple([k >> s & field for s in shifts]): c for k, c in terms.items()}
-    return SymPoly.zero(len(shifts))._new(exps)
+    return SymPoly(len(shifts))._new(exps)
 
 
 def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
@@ -665,7 +665,7 @@ def disc_symbolic(n: int, gamma: Sequence[int]) -> DiscValue:
     """
     matrix = build_symbolic_matrix(n, gamma)
     an = SymPoly.variable(n + 1, n)
-    zero = SymPoly.zero(n + 1)
+    zero = SymPoly(n + 1)
     hold = (0,) * (n - 1) + (1, 0)  # the exponents of a(n-1)
     rows = [
         [zero if hold in e.terms else e for e in (row[0].exact_divide(an), *row[1:])]

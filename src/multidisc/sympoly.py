@@ -1,9 +1,10 @@
-"""Sparse multivariate polynomials over the integers in a0..an.
+"""The type of a parametric discriminant: a sparse integer polynomial in a0..an.
 
 Terms map an exponent tuple (one slot per indeterminate a0..an) to a
-nonzero arbitrary-precision integer coefficient.  Serialization uses a
-fixed graded lexicographic order with an > a(n-1) > ... > a0, so output
-is reproducible.
+nonzero integer coefficient.  :mod:`multidisc.engine` computes on packed dicts
+of its own, so a SymPoly is no ring: it holds the entries of a symbolic matrix
+and the result, scales by an int, divides by a single term, evaluates,
+compares and prints in the graded lex order an > a(n-1) > ... > a0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from typing import Mapping
 def _is_int(value) -> bool:
     # a bool is not an exponent or a coefficient, although it is an int
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_nvars(nvars) -> None:
+    if not _is_int(nvars) or nvars < 1:
+        raise ValueError(f"nvars must be an integer of at least 1, got {nvars!r}")
 
 
 def _term_key(exps: tuple[int, ...]) -> tuple:
@@ -31,8 +37,7 @@ class SymPoly:
     terms: dict[tuple[int, ...], int]
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        if nvars < 1:
-            raise ValueError("need at least one indeterminate")
+        _check_nvars(nvars)
         self.nvars = nvars
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in (terms or {}).items():
@@ -48,21 +53,10 @@ class SymPoly:
         self.terms = clean
 
     @classmethod
-    def zero(cls, nvars: int) -> "SymPoly":
-        return cls(nvars)
-
-    @classmethod
-    def const(cls, nvars: int, value: int) -> "SymPoly":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def monomial(cls, nvars: int, coeff: int, exps: tuple[int, ...]) -> "SymPoly":
-        return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
     def variable(cls, nvars: int, index: int) -> "SymPoly":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range")
+        _check_nvars(nvars)
+        if not _is_int(index) or not 0 <= index < nvars:
+            raise ValueError(f"variable index must be an integer in 0..{nvars - 1}, got {index!r}")
         exps = [0] * nvars
         exps[index] = 1
         return cls(nvars, {tuple(exps): 1})
@@ -79,74 +73,25 @@ class SymPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("total degree of the zero polynomial is undefined")
-        return max(sum(e) for e in self.terms)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in decreasing graded-lex order."""
         return [(e, self.terms[e]) for e in sorted(self.terms, key=_term_key, reverse=True)]
 
-    def _check_compatible(self, other: "SymPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("operands live in different polynomial rings")
-
-    def __add__(self, other) -> "SymPoly":
-        if isinstance(other, int):
-            other = SymPoly.const(self.nvars, other)
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            s = out.get(exps, 0) + coeff
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return self._new(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SymPoly":
-        return self._new({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "SymPoly":
-        if isinstance(other, int):
-            other = SymPoly.const(self.nvars, other)
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "SymPoly":
-        if isinstance(other, int):
-            return self._new({e: c * other for e, c in self.terms.items()} if other else {})
-        if not isinstance(other, SymPoly):
+        if not isinstance(other, int):
             return NotImplemented
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exps, 0) + c1 * c2
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        return self._new(out)
-
-    __rmul__ = __mul__
+        return self._new({e: c * other for e, c in self.terms.items()} if other else {})
 
     def exact_divide(self, divisor: "SymPoly") -> "SymPoly":
         """Exact quotient by a single term c * a^e in Z[a0..an].
 
         One pass shifts every exponent vector down by e and divides every
         coefficient by c.  Raises ArithmeticError if a term is not divisible,
-        and ValueError if the divisor has more than one term.
+        and ValueError if the divisor has more than one term or lives in
+        another ring.
         """
-        self._check_compatible(divisor)
+        if self.nvars != divisor.nvars:
+            raise ValueError("operands live in different polynomial rings")
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if len(divisor.terms) > 1:

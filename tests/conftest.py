@@ -5,7 +5,9 @@ build the reference rows and root-side values the library is checked
 against; the library itself never needs them.  The determinant oracles
 here are deliberately naive (permutation expansion, and Gaussian
 elimination over the rationals) so they share no code path with the
-fraction-free elimination they check.
+fraction-free elimination they check; over SymPoly entries the expansion
+sums and multiplies the term dicts itself, sharing no code with the packed
+cofactor expansion.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import perm
 
 import pytest
 
-from multidisc import UniPoly, engine, expand
+from multidisc import SymPoly, UniPoly, engine, expand
 from multidisc.roots import random_root_spec
 
 
@@ -33,21 +35,53 @@ def fresh_resultant_memo():
     engine._last_resultant = (None, None)
 
 
+def _signed_permutations(n):
+    """Each permutation of range(n) with its sign, from the parity of its inversions."""
+    for cols in permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if cols[i] > cols[j])
+        yield (-1 if inv % 2 else 1), cols
+
+
 def perm_det(rows):
     """Determinant by explicit permutation expansion; fine up to ~7x7."""
-    n = len(rows)
     total = 0
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # count inversions for the parity
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j])
-        sign = -1 if inv % 2 else 1
+    for sign, cols in _signed_permutations(len(rows)):
         prod = sign
-        for i in range(n):
-            prod = prod * rows[i][perm[i]]
+        for row, j in zip(rows, cols):
+            prod = prod * row[j]
         total = total + prod
     return total
+
+
+def terms_sum(p: dict, q: dict) -> dict:
+    """Sum of two term dicts, exponent tuple -> nonzero int coefficient."""
+    out = dict(p)
+    for exps, c in q.items():
+        out[exps] = out.get(exps, 0) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def terms_product(p: dict, q: dict) -> dict:
+    """Product of two term dicts, every term of p times every term of q."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            out[exps] = out.get(exps, 0) + c1 * c2
+    return {exps: c for exps, c in out.items() if c}
+
+
+def sym_perm_det(rows) -> SymPoly:
+    """Determinant of a matrix of SymPoly entries of one ring by permutation
+    expansion, with the sum and product of term dicts above."""
+    nvars = rows[0][0].nvars
+    total: dict = {}
+    for sign, cols in _signed_permutations(len(rows)):
+        prod = {(0,) * nvars: sign}
+        for row, j in zip(rows, cols):
+            prod = terms_product(prod, row[j].terms)
+        total = terms_sum(total, prod)
+    return SymPoly(nvars, total)
 
 
 def det_rational(rows) -> Fraction:

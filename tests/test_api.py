@@ -1,6 +1,12 @@
+import importlib.util
+from pathlib import Path
 from types import ModuleType
 
 import multidisc
+import multidisc.cli  # noqa: F401 - the tracer wraps names in every module of the package
+from multidisc import SymPoly
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def test_all_lists_exactly_the_public_names():
@@ -11,3 +17,26 @@ def test_all_lists_exactly_the_public_names():
     ]
     assert sorted(multidisc.__all__) == sorted(public)
     assert len(multidisc.__all__) == 24
+
+
+def test_sympoly_lists_exactly_the_kept_names():
+    # the type of a symbolic result: no ring arithmetic beyond int scaling
+    public = {name for name in dir(SymPoly) if not name.startswith("_")}
+    assert public == {
+        "nvars", "terms", "variable", "is_zero", "sorted_terms", "exact_divide", "evaluate", "to_latex",
+    }
+    assert {"__add__", "__radd__", "__sub__", "__neg__", "__rmul__"}.isdisjoint(vars(SymPoly))
+
+
+def test_every_benchmark_wrap_target_exists():
+    # the benchmark's tracer patches library names from outside; a renamed or
+    # deleted one would leave its span, and the metrics that read it, silent
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == set()
+    finally:
+        tracer.uninstall()
