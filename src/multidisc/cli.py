@@ -38,6 +38,7 @@ from .engine import (
 )
 from .partitions import as_partition
 from .roots import (
+    RootSpec,
     _root_side_disc,
     expand,
     random_root_spec,
@@ -209,11 +210,13 @@ def run_selftest(max_n: int, trials: int, seed: int, quiet: bool = False) -> tup
 
     For every row (mu, zero, nonzero) of ``conditions(n)`` and every trial,
     a seeded spec with multiplicity vector mu is checked: the squarefree
-    oracle gives mu, and its factors rebuild the polynomial as
-    lead * prod g_i^i; the classifier agrees; the classifier's leaf value
-    D_delta equals the signed root-side determinant, which is built from the
-    roots and shares no code with the coefficient matrices; and the row
-    holds, D_lambda = 0 for every lambda in ``zero`` and D_nonzero != 0.
+    oracle gives mu, and its decomposition is (lead, [(g_i, i), ...]) with
+    each g_i the monic product of (x - r) over the roots r of multiplicity
+    i, expanded from the roots; the classifier agrees; the classifier's
+    leaf value D_delta equals the signed root-side determinant, which is
+    built from the roots and shares no code with the coefficient matrices;
+    and the row holds, D_lambda = 0 for every lambda in ``zero`` and
+    D_nonzero != 0.
     Where g1 > k, ``disc_value`` gives 0 by a row count alone, so the same
     property also checks that the Bareiss elimination of the full matrix is 0.
 
@@ -239,11 +242,14 @@ def run_selftest(max_n: int, trials: int, seed: int, quiet: bool = False) -> tup
                     squarefree_multiplicity(poly) == mu,
                     f"{label}: squarefree oracle disagrees",
                 )
-                lead, factors = squarefree_decomposition(poly)
-                rebuilt = UniPoly([lead])
-                for g, i in factors:
-                    rebuilt = rebuilt * g**i
-                check(rebuilt == poly, f"{label}: squarefree factors do not rebuild the polynomial")
+                expected = [
+                    (expand(RootSpec([(r, 1) for r, m in spec.roots if m == i], 1)), i)
+                    for i in sorted(set(mu))
+                ]
+                check(
+                    squarefree_decomposition(poly) == (spec.leading, expected),
+                    f"{label}: squarefree factors do not match the roots",
+                )
                 trace = classify_trace(poly)
                 check(trace.result == mu, f"{label}: classified as {trace.result}")
                 check(
@@ -374,7 +380,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull so the interpreter's
         # final flush of the unwritten buffer cannot fail a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""The input type: dense univariate polynomials with exact rational coefficients.
 
 Coefficients are :class:`fractions.Fraction` values: always reduced,
 positive denominator, arbitrary precision.  ``UniPoly`` stores them
 ascending by power; the zero polynomial is the empty coefficient tuple so
-that ``degree`` is never silently queried on it.
+that ``degree`` is never silently queried on it.  Every computation clears
+a ``UniPoly`` to integers once, with :meth:`UniPoly.clear_denominators`,
+and runs on those, so the type holds a value and has no ring arithmetic.
 """
 
 from __future__ import annotations
@@ -86,54 +88,6 @@ class UniPoly:
         content = gcd(*ints)
         return tuple(v // content for v in ints), Fraction(den_lcm, content)
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return UniPoly(summed)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(c * other for c in self.coeffs)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "UniPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = UniPoly([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -162,22 +116,3 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                body = f"{mag}x" if i == 1 else f"{mag}x^{i}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)

@@ -1,9 +1,10 @@
 """Shared helpers for the test suite.
 
-The Fraction polynomial helpers (``coeff``, ``derivative``, ``mul_power``)
-build the reference rows and root-side values the library is checked
-against; the library itself never needs them.  The determinant oracles
-here are deliberately naive (permutation expansion, and Gaussian
+The Fraction polynomial helpers (``coeff``, ``derivative``, ``mul_power``,
+``product``, ``scaled``, ``difference``) build the reference rows,
+root-side values and test inputs the library is checked against; the
+library itself never needs them, and ``UniPoly`` has no arithmetic.  The
+determinant oracles here are deliberately naive (permutation expansion, and Gaussian
 elimination over the rationals) so they share no code path with the
 fraction-free elimination they check; over SymPoly entries the expansion
 sums and multiplies the term dicts itself, sharing no code with the packed
@@ -139,12 +140,34 @@ def mul_power(poly: UniPoly, k: int) -> UniPoly:
     return UniPoly((Fraction(0),) * k + poly.coeffs)
 
 
+def product(*polys: UniPoly) -> UniPoly:
+    """Product of the given polynomials by schoolbook convolution; 1 for none."""
+    out = [Fraction(1)]
+    for poly in polys:
+        acc = [Fraction(0)] * (len(out) + len(poly.coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(poly.coeffs):
+                acc[i + j] += a * b
+        out = acc
+    return UniPoly(out)
+
+
+def scaled(poly: UniPoly, c) -> UniPoly:
+    """c * poly for a scalar c."""
+    return UniPoly(c * a for a in poly.coeffs)
+
+
+def difference(a: UniPoly, b: UniPoly) -> UniPoly:
+    """a - b."""
+    return UniPoly(coeff(a, i) - coeff(b, i) for i in range(max(len(a.coeffs), len(b.coeffs))))
+
+
 def reference_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd by the Euclidean algorithm over the rationals."""
     while not b.is_zero:
         _, r = divmod(a, b)
         a, b = b, r
-    return a * (1 / a.leading)
+    return scaled(a, 1 / a.leading)
 
 
 def shift_poly(poly: UniPoly, offset) -> UniPoly:
@@ -152,7 +175,7 @@ def shift_poly(poly: UniPoly, offset) -> UniPoly:
     base = UniPoly([Fraction(offset), 1])
     acc = UniPoly()
     for c in reversed(poly.coeffs):
-        acc = acc * base + UniPoly([c])
+        acc = difference(product(acc, base), UniPoly([-c]))
     return acc
 
 

@@ -26,7 +26,7 @@ from multidisc import (
 )
 from multidisc.roots import _root_side_disc, random_root_spec
 
-from conftest import random_int_poly, shift_poly
+from conftest import random_int_poly, scaled, shift_poly
 
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
@@ -174,7 +174,7 @@ def test_criterion_9_invariance_under_scaling_and_shift(sweep_specs):
             poly = expand(spec)
             c = Fraction(rng.choice([2, -3, 5, 7, -11]), rng.choice([1, 2, 3, 4]))
             t = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
-            assert classify(poly * c) == mu, (mu, c, spec)
+            assert classify(scaled(poly, c)) == mu, (mu, c, spec)
             assert classify(shift_poly(poly, t)) == mu, (mu, t, spec)
             checked += 2
     print(f"PASS criterion 9: {checked} invariance checks (scaling and shift)")

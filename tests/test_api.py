@@ -4,7 +4,7 @@ from types import ModuleType
 
 import multidisc
 import multidisc.cli  # noqa: F401 - the tracer wraps names in every module of the package
-from multidisc import SymPoly
+from multidisc import SymPoly, UniPoly
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -26,6 +26,17 @@ def test_sympoly_lists_exactly_the_kept_names():
         "nvars", "terms", "variable", "is_zero", "sorted_terms", "exact_divide", "evaluate", "to_latex",
     }
     assert {"__add__", "__radd__", "__sub__", "__neg__", "__rmul__"}.isdisjoint(vars(SymPoly))
+
+
+def test_unipoly_lists_exactly_the_kept_names():
+    # the input type, cleared to integers once: no ring arithmetic, no printing
+    public = {name for name in dir(UniPoly) if not name.startswith("_")}
+    assert public == {
+        "coeffs", "from_descending", "descending_coeffs", "is_zero", "degree", "leading",
+        "clear_denominators", "eval",
+    }
+    removed = {"__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__pow__", "__str__"}
+    assert removed.isdisjoint(vars(UniPoly))
 
 
 def test_every_benchmark_wrap_target_exists():

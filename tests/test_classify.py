@@ -26,7 +26,7 @@ from multidisc.engine import block_rows
 from multidisc.partitions import classification_order
 from multidisc.roots import random_root_spec
 
-from conftest import random_int_poly, shift_poly, sqf_list_inputs
+from conftest import product, random_int_poly, scaled, shift_poly, sqf_list_inputs
 
 # the package's classify function shadows the module of the same name
 CLASSIFY = import_module("multidisc.classify")
@@ -51,7 +51,7 @@ def test_reference_quintic_trace():
 
 def test_single_root_full_chain():
     for n in range(1, 7):
-        poly = UniPoly([-1, 1]) ** n  # (x-1)^n
+        poly = expand(RootSpec(((1, n),), 1))  # (x-1)^n
         trace = classify_trace(poly)
         assert trace.result == (n,)
         # every earlier discriminant vanishes, so the chain runs to the end
@@ -69,7 +69,7 @@ def test_squarefree_quintic_single_step():
 
 
 def test_expanded_product_with_mult_32():
-    poly = (UniPoly([-1, 1]) ** 2) * (UniPoly([-2, 1]) ** 3)
+    poly = expand(RootSpec(((1, 2), (2, 3)), 1))
     trace = classify_trace(poly)
     assert trace.result == (3, 2)
     assert trace.delta == (2, 2, 1) == conjugate((3, 2))
@@ -84,7 +84,7 @@ def test_rejects_constant_and_zero():
 
 
 def test_trace_values_match_disc_value_for_rational_input():
-    poly = QUINTIC * Fraction(2, 3)
+    poly = scaled(QUINTIC, Fraction(2, 3))
     trace = classify_trace(poly)
     for step in trace.steps:
         assert step.value == disc_value(poly, step.gamma).value
@@ -150,7 +150,7 @@ def test_pruned_trace_equals_plain_scan_up_to_degree_8():
         for mu in partitions_of(n):
             poly = expand(random_root_spec(rng, mu))
             assert_trace_is_reference(poly)
-            assert_trace_is_reference(poly * Fraction(-7, 3))
+            assert_trace_is_reference(scaled(poly, Fraction(-7, 3)))
 
 
 def test_pruned_trace_equals_plain_scan_property():
@@ -390,7 +390,7 @@ def test_classification_clears_its_input_once(monkeypatch, mu, determinants):
 def test_walk_takes_the_partitions_lazily():
     # p(60) = 966467 partitions, a few hundred MB as a list; this input
     # breaks the chain at the second partition, (59, 1)
-    poly = UniPoly([-1, 1]) ** 2 * UniPoly([-2] + [0] * 57 + [1])  # (x - 1)^2 (x^58 - 2)
+    poly = product(expand(RootSpec(((1, 2),), 1)), UniPoly([-2] + [0] * 57 + [1]))  # (x - 1)^2 (x^58 - 2)
     tracemalloc.start()
     try:
         trace = classify_trace(poly)
@@ -403,7 +403,7 @@ def test_walk_takes_the_partitions_lazily():
 
 
 DEEP = {
-    "(x-1)^60": UniPoly([-1, 1]) ** 60,  # delta = (1,) * 60, the last of p(60) = 966467
+    "(x-1)^60": expand(RootSpec(((1, 60),), 1)),  # delta = (1,) * 60, the last of p(60) = 966467
     "(20,20)": expand(RootSpec(((1, 20), (2, 20)), 1)),  # delta = (2,) * 20
 }
 
@@ -430,7 +430,7 @@ def test_steps_are_expanded_on_demand_and_match_the_reference():
     polys = [
         QUINTIC,
         expand(RootSpec(((Fraction(-1, 2), 3), (2, 3), (0, 2)), Fraction(5, 3))),
-        UniPoly([-1, 1]) ** 9,
+        expand(RootSpec(((1, 9),), 1)),
         UniPoly.from_descending([1, 0, 0, 0, 1, 1]),
     ]
     for poly in polys:
@@ -470,7 +470,7 @@ def test_leaf_values_are_shift_invariant_and_homogeneous():
         for gamma in partitions_of(n):
             value = disc_value(poly, gamma).value
             assert disc_value(shift_poly(poly, t), gamma).value == value
-            assert disc_value(poly * c, gamma).value == c ** (n + gamma[0] - 2) * value
+            assert disc_value(scaled(poly, c), gamma).value == c ** (n + gamma[0] - 2) * value
 
     check()
 
@@ -502,7 +502,7 @@ def test_scaling_and_shift_invariance():
         poly = expand(random_root_spec(rng, mu))
         c = Fraction(rng.choice([2, -3, 5, 7]), rng.choice([1, 2, 3]))
         t = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
-        assert classify(poly * c) == mu
+        assert classify(scaled(poly, c)) == mu
         assert classify(shift_poly(poly, t)) == mu
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import multidisc
-from multidisc import classify_trace, conditions, disc_value, UniPoly
+from multidisc import RootSpec, classify_trace, conditions, disc_value, expand, UniPoly
 from multidisc.cli import main, run_selftest
 from multidisc.engine import DiscValue
 
@@ -167,6 +167,27 @@ class TestClassify:
         assert proc.wait(timeout=60) == 141
         assert err == b""
 
+    def test_closed_pipe_leaves_no_open_descriptor(self, monkeypatch):
+        # in-process, as a caller that keeps running after main returns
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            fd = real_open(*args, **kwargs)
+            opened.append(fd)
+            return fd
+
+        real_open = os.open
+        monkeypatch.setattr(import_module("multidisc.cli").os, "open", recording_open)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["classify", "--coeffs", "1,-5,7,1,-8,4"]) == 141
+            monkeypatch.undo()
+        assert len(opened) == 1
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
+
     def test_engine_arithmetic_error_is_one_line(self, capsys, monkeypatch):
         def broken(poly):
             raise ArithmeticError("non-exact integer division in fraction-free elimination")
@@ -212,7 +233,7 @@ class TestClassify:
             raise AssertionError("classify walked the partitions")
 
         monkeypatch.setattr(import_module("multidisc.classify"), "iter_partitions", walked)
-        coeffs = ",".join(str(c) for c in (UniPoly([-1, 1]) ** 60).descending_coeffs())
+        coeffs = ",".join(str(c) for c in expand(RootSpec(((1, 60),), 1)).descending_coeffs())
         assert run_cli(capsys, "classify", "--coeffs", coeffs) == (0, "60\n", "")
 
     def test_usage_shows_json_and_trace_exclusive(self, capsys):
@@ -528,6 +549,23 @@ class TestSelftest:
             if lam[0] > len(mu)
         ]
         assert orders == expected and len(orders) == 80
+
+    def test_factor_check_catches_swapped_multiplicities(self, monkeypatch):
+        # the right factors under swapped multiplicity labels: the check pins
+        # each g_i to the roots of multiplicity i
+        cli_module = import_module("multidisc.cli")
+        decompose = cli_module.squarefree_decomposition
+
+        def swapped(poly):
+            lead, factors = decompose(poly)
+            if len(factors) > 1:
+                (g, i), (h, j) = factors[:2]
+                factors = [(g, j), (h, i), *factors[2:]]
+            return lead, factors
+
+        monkeypatch.setattr(cli_module, "squarefree_decomposition", swapped)
+        _, failures = run_selftest(4, 1, 0, quiet=True)
+        assert failures and all("squarefree factors" in failure for failure in failures)
 
     def test_progress_goes_to_stderr(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--max-n", "2", "--trials", "2")

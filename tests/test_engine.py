@@ -44,8 +44,10 @@ from conftest import (
     det_rational,
     mul_power,
     perm_det,
+    product,
     random_int_poly,
     reference_gcd,
+    scaled,
     shift_poly,
     sym_perm_det,
 )
@@ -425,7 +427,7 @@ def _resultant_inputs(rng):
         yield random_int_poly(rng, n, bound=40)
         mu = rng.choice(partitions_of(n))
         cleared = UniPoly(expand(random_root_spec(rng, mu)).clear_denominators()[0])
-        yield cleared * rng.choice([-6, 4, 15])
+        yield scaled(cleared, rng.choice([-6, 4, 15]))
         yield UniPoly([1] + [0] * (n - 1) + [1])  # x^n + 1
         if n > 1:
             yield UniPoly([0, -1] + [0] * (n - 2) + [1])  # x^n - x
@@ -456,7 +458,7 @@ class TestSylvesterResultant:
                 + [Fraction(rng.choice([-5, 2, 7]), rng.randint(1, 6))]
             )
             if n % 3 == 0:  # a repeated root, so the value is 0
-                poly = poly * UniPoly([Fraction(1, 3), -2]) ** 2
+                poly = product(poly, *[UniPoly([Fraction(1, 3), -2])] * 2)
             m = poly.degree
             size = 2 * m - 1
             rows = block_rows(poly.coeffs, 0, m - 1, size) + block_rows(poly.coeffs, 1, m, size)
@@ -472,8 +474,8 @@ class TestSylvesterResultant:
             b = [rng.choice([-3, 1, 4, 10])] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 7))]
             if rng.random() < 0.4:
                 f = UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [3])
-                a = [c.numerator for c in (UniPoly.from_descending(a) * f).descending_coeffs()]
-                b = [c.numerator for c in (UniPoly.from_descending(b) * f).descending_coeffs()]
+                a = [c.numerator for c in product(UniPoly.from_descending(a), f).descending_coeffs()]
+                b = [c.numerator for c in product(UniPoly.from_descending(b), f).descending_coeffs()]
             content = rng.choice([1, 1, 6])
             a = [c * content for c in a]
             divisor, psc = sylvester_resultant(a, b)
@@ -513,7 +515,7 @@ class TestSylvesterResultant:
             zero_top = rng.random() < 0.3
             if zero_top:
                 a[0] = 0
-            _, rem = divmod(UniPoly.from_descending(a) * b[0] ** (delta + 1), UniPoly.from_descending(b))
+            _, rem = divmod(scaled(UniPoly.from_descending(a), b[0] ** (delta + 1)), UniPoly.from_descending(b))
             want = [0] * (len(b) - 1 - len(rem.coeffs)) + list(rem.descending_coeffs())
             assert _prem(a, b) == want, (a, b)
             cases[delta, zero_top] += 1
@@ -602,7 +604,7 @@ class TestPrincipalSubresultant:
             for _ in range(rng.randint(1, 2)):
                 j = rng.randint(1, 4)
                 c, e = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([-3, -2, -1, 1, 2, 3])
-                poly = poly * UniPoly([e] + [0] * (j - 1) + [c]) ** rng.randint(1, 3)
+                poly = product(poly, *[UniPoly([e] + [0] * (j - 1) + [c])] * rng.randint(1, 3))
             if poly.degree > 14:
                 continue
             assert _psc(poly) == _leaf_factor(poly), poly
@@ -623,8 +625,8 @@ class TestPrincipalSubresultant:
             b = sparse([-3, 1, 4, 10], rng.randint(0, 6))
             if rng.random() < 0.5:
                 f = UniPoly.from_descending(sparse([1, 2, -3], rng.randint(1, 3)))
-                a = _descending_ints(UniPoly.from_descending(a) * f)
-                b = _descending_ints(UniPoly.from_descending(b) * f)
+                a = _descending_ints(product(UniPoly.from_descending(a), f))
+                b = _descending_ints(product(UniPoly.from_descending(b), f))
             a = [c * rng.choice([1, 1, 6]) for c in a]
             b = [c * rng.choice([1, 1, 10]) for c in b]
             divisor, psc = sylvester_resultant(a, b)
@@ -676,8 +678,7 @@ class TestDiscValue:
             poly = random_int_poly(rng, n)
             c = Fraction(rng.choice([2, -3, 5]), rng.choice([1, 2, 7]))
             base = disc_value(poly, gamma).value
-            scaled = disc_value(poly * c, gamma).value
-            assert scaled == c ** (n + gamma[0] - 2) * base
+            assert disc_value(scaled(poly, c), gamma).value == c ** (n + gamma[0] - 2) * base
         # gamma = (n) at the classify workloads' degrees, on the resultant path;
         # D_(n) is also invariant under a shift of x
         for n in range(20, 31, 2):
@@ -686,7 +687,7 @@ class TestDiscValue:
             t = Fraction(rng.randint(-4, 4), rng.choice([1, 3]))
             base = disc_value(poly, (n,)).value
             assert base != 0
-            assert disc_value(poly * c, (n,)).value == c ** (2 * n - 2) * base
+            assert disc_value(scaled(poly, c), (n,)).value == c ** (2 * n - 2) * base
             assert disc_value(shift_poly(poly, t), (n,)).value == base
 
     def test_classical_discriminant_at_workload_degrees_matches_sympy(self):
@@ -709,7 +710,7 @@ class TestDiscValue:
                 assert sympy.Rational(value.numerator, value.denominator) == expected
 
     def test_rational_coefficients_supported(self):
-        poly = QUINTIC * Fraction(3, 7)
+        poly = scaled(QUINTIC, Fraction(3, 7))
         assert disc_value(poly, (5,)).value == 0
         expected = disc_value(QUINTIC, (3, 2)).value * Fraction(3, 7) ** (5 + 3 - 2)
         assert disc_value(poly, (3, 2)).value == expected
@@ -754,7 +755,7 @@ class TestReducedLeaf:
         [
             expand(RootSpec(((1, 20), (2, 20)), 1)),
             expand(RootSpec(((1, 12), (2, 12), (3, 12)), 1)),
-            UniPoly([-1, 1]) ** 30,
+            expand(RootSpec(((1, 30),), 1)),
             _many_roots(40),
         ],
         ids=["(20,20)", "(12,12,12)", "(x-1)^30", "many-roots-40"],
@@ -879,14 +880,13 @@ class TestResultantMemo:
         # ints alone would hand c * P the D_(n) of P
         c = 7
         for poly in (self.SQUAREFREE, self.POLY):
-            multiple = poly * c
+            multiple = scaled(poly, c)
             ints, scale = poly.clear_denominators()
             assert multiple.clear_denominators() == (ints, scale / c)
             n = poly.degree
             for gamma in partitions_of(n):
                 value = disc_value(poly, gamma).value
-                scaled = disc_value(multiple, gamma).value
-                assert scaled == c ** (n + gamma[0] - 2) * value, gamma
+                assert disc_value(multiple, gamma).value == c ** (n + gamma[0] - 2) * value, gamma
         assert disc_value(self.SQUAREFREE, (6,)).value != 0
 
     def test_interleaved_polynomials_give_the_cleared_values(self, monkeypatch):
@@ -894,7 +894,7 @@ class TestResultantMemo:
         # right after a call on the same polynomial, and every value equals
         # the one computed with an empty memo
         engine = sys.modules["multidisc.engine"]
-        multiple = self.POLY * 7
+        multiple = scaled(self.POLY, 7)
         gammas = partitions_of(self.POLY.degree)
         expected = {}
         for poly in (self.POLY, multiple, self.OTHER):

@@ -26,9 +26,12 @@ from closed_form import DEEP, check
 from conftest import (
     derivative,
     det_rational,
+    difference,
     mul_power,
+    product,
     random_int_poly,
     reference_gcd,
+    scaled,
     sqf_list_inputs,
 )
 
@@ -96,7 +99,7 @@ def _reference_quo(a, b):
 def _reference_squarefree(poly):
     """Yun's algorithm on monic Fraction polynomials, Euclid over Q for each gcd."""
     lead = poly.leading
-    f = poly * (1 / lead)
+    f = scaled(poly, 1 / lead)
     df = derivative(f)
     u = reference_gcd(f, df)
     v = _reference_quo(f, u)
@@ -104,7 +107,7 @@ def _reference_squarefree(poly):
     factors = []
     i = 1
     while v.degree > 0:
-        z = w - derivative(v)
+        z = difference(w, derivative(v))
         h = reference_gcd(v, z) if not z.is_zero else v
         if h.degree > 0:
             factors.append((h, i))
@@ -146,10 +149,10 @@ def _seeded_sqf_inputs():
         UniPoly([-6, 0, 6]),  # content 6
         UniPoly([1, -3, 3, -1]),  # negative leading coefficient, (1 - x)^3
         UniPoly([1, Fraction(1, 2)]),  # x/2 + 1
-        UniPoly([-1, 1]) ** 30,  # a pure power
+        expand(_spec([(1, 30)])),  # a pure power
         UniPoly([0] * 7 + [7]),  # c * x^n
         UniPoly([0] * 12 + [Fraction(-3, 4)]),
-        UniPoly([Fraction(-9, 2), 0, 1]) ** 4,  # empty factors for i = 1..3
+        product(*[UniPoly([Fraction(-9, 2), 0, 1])] * 4),  # empty factors for i = 1..3
         UniPoly.from_descending([1, 0, 0, 0, 1, 1]),  # already squarefree
     ]
     return polys
@@ -177,7 +180,7 @@ class TestIntegerYun:
         assert lead == Fraction(1, 2) and [(g.coeffs, i) for g, i in factors] == [((2, 1), 1)]
 
     def test_pure_powers_and_empty_low_factors(self):
-        lead, factors = squarefree_decomposition(UniPoly([-1, 1]) ** 30)
+        lead, factors = squarefree_decomposition(expand(_spec([(1, 30)])))
         assert lead == 1 and [(g.coeffs, i) for g, i in factors] == [((-1, 1), 30)]
         lead, factors = squarefree_decomposition(UniPoly([0] * 7 + [7]))
         assert lead == 7 and [(g.coeffs, i) for g, i in factors] == [((0, 1), 7)]
@@ -226,10 +229,7 @@ class TestSquarefreeOracle:
             mu = rng.choice(partitions_of(n))
             poly = expand(random_root_spec(rng, mu))
             lead, factors = squarefree_decomposition(poly)
-            rebuilt = UniPoly([lead])
-            for g, i in factors:
-                rebuilt = rebuilt * g**i
-            assert rebuilt == poly
+            assert scaled(product(*[g for g, i in factors for _ in range(i)]), lead) == poly
             for idx, (g, _) in enumerate(factors):
                 # squarefree: coprime with its own derivative
                 assert _coprime(g, derivative(g))
@@ -307,10 +307,9 @@ class TestMultipleRootsFormula:
 
 
 def _reference_expand(spec):
-    acc = UniPoly([spec.leading])
-    for root, mult in spec.roots:
-        acc = acc * UniPoly([-root, 1]) ** mult
-    return acc
+    # one linear factor at a time, sharing no code with expand
+    linear = [UniPoly([-root, 1]) for root, mult in spec.roots for _ in range(mult)]
+    return scaled(product(*linear), spec.leading)
 
 
 def _reference_distinct(spec, gamma):
