@@ -84,9 +84,13 @@ and minors built on them have few terms: D_0 of gamma = (9) takes 0.77 M term
 products this way and 3.23 M with the minors built on the trailing columns.
 A minor is a dict from packed monomial to coefficient: each exponent vector is
 one int with a field of w bits per indeterminate, where w is the bit length of
-the sum of the rows' largest exponents.  No exponent of a minor exceeds that
-sum, so a monomial product is one integer addition that never carries from one
-field into the next.
+a bound on every exponent, the sum of the rows' largest exponents.  So a
+monomial product is one integer addition that never carries from one field
+into the next.  The symbolic matrix is built packed from the start, its first
+column already divided by an and its a(n-1) entries already 0: every entry is
+one term of degree at most 1, so the bound is at most the order n + g1 - 1 of
+the matrix, whose bit length serves the expansion and the recurrence below
+alike, and one SymPoly is built, at the exit.
 
 Only part of the symbolic D_gamma is expanded; translation invariance gives
 the rest.  F(x + t) has coefficients a(t) with a_n(t) = a_n, and row
@@ -217,8 +221,13 @@ def block_rows(coeffs: Sequence[Entry], order: int, count: int, size: int) -> li
     with size - 1 - (n - order + k) zeros before it and k after it; F has the
     ascending ``coeffs``, and the entries live in whatever ring those do.
     """
-    zero = coeffs[0] * 0
-    desc = derivative_coeffs(coeffs, order)
+    return _staircase(derivative_coeffs(coeffs, order), coeffs[0] * 0, count, size)
+
+
+def _staircase(desc: list, zero, count: int, size: int) -> list[list]:
+    """The rows desc * x^k, k = count - 1 down to 0, of width ``size``: the
+    descending list ``desc`` with size - len(desc) - k entries ``zero``
+    before it and k after it.  The rows share ``desc``'s entries and ``zero``."""
     return [
         [zero] * (size - len(desc) - shift) + desc + [zero] * shift
         for shift in range(count - 1, -1, -1)
@@ -254,9 +263,15 @@ def build_symbolic_matrix(n: int, gamma: Sequence[int]) -> DiscMatrix:
     ``n`` is checked here, at the call: a bool, a float such as 2.0 or a
     string is not read as a degree.
     """
+    gamma = _symbolic_gamma(n, gamma)
+    return _build([SymPoly.variable(n + 1, d) for d in range(n + 1)], gamma)
+
+
+def _symbolic_gamma(n: int, gamma: Sequence[int]) -> Partition:
+    """``gamma`` as a partition of the generic degree ``n``, or ValueError."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"degree must be an integer of at least 1, got {n!r}")
-    return _build([SymPoly.variable(n + 1, d) for d in range(n + 1)], gamma)
+    return as_partition(gamma, n)
 
 
 def det_fraction_free(rows: Sequence[Sequence[int]]) -> int:
@@ -432,36 +447,22 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], 
 
 
 def det_minor_expansion(rows: Sequence[Sequence[SymPoly]]) -> SymPoly:
-    """Laplace expansion along columns, built one column level at a time.
+    """Division-free determinant of a square matrix of SymPoly entries.
 
-    A forward pass expands columns n-1 down to 1 through their nonzero
-    entries and records, as bitmasks, the row sets each step can leave.  It
-    drops a set that holds a row with no nonzero entry in the columns left
-    to it, 0..k: ``lead[k]`` holds the rows that have one, and every minor
-    of such a set is 0.  A build pass then makes the minors of exactly the
-    recorded sets on columns 0..k from those on columns 0..k-1, from column
-    0 up, holding only the current level and the one below it.  Row r of the
-    set m stands at place popcount(m & ((1 << r) - 1)) among its rows, so
-    its entry in column k has the sign (-1)^(that place + k).  The build
-    loops over the nonzero rows of each column only and stores only nonzero
-    minors: a missing minor reads as 0, and a missing full set gives the
-    zero polynomial.  Division-free, on any SymPoly entries; it is the
-    determinant of the symbolic matrices, whose leading columns are the
-    sparse ones (the module docstring).
-
-    Every minor is a dict from packed monomial to coefficient: the exponent
-    of a_i sits in bits i*w .. i*w + w - 1 of one int, so a monomial product
-    is one integer addition.  ``bound`` is the sum over the rows of the
-    largest exponent in the row; a term of a minor is a product of one term
-    from each of its rows, so none of its exponents exceeds ``bound``, and
-    w = bound.bit_length() bits hold each one: adding two keys never carries
-    into the next field.  The entries are packed once on the way in and the
-    determinant unpacked once on the way out.
+    The entries are packed once on the way in, the determinant is
+    :func:`_packed_det` of the packed rows, and it is unpacked once on the
+    way out.  The exponent of a_i sits in bits i*w .. i*w + w - 1 of one
+    int.  ``bound`` is the sum over the rows of the largest exponent in the
+    row; a term of a minor is a product of one term from each of its rows,
+    so none of its exponents exceeds ``bound``, and w = bound.bit_length()
+    bits hold each one: adding two keys never carries into the next field.
 
     Every entry must be a SymPoly; any other entry (int, Fraction) raises
     TypeError, as :func:`det_fraction_free` is the determinant of the
     integers.  Entries of different rings raise ValueError, as
-    :meth:`SymPoly.exact_divide` does.
+    :meth:`SymPoly.exact_divide` does.  The symbolic discriminant packs its
+    matrix itself and calls :func:`_packed_det` directly
+    (:func:`disc_symbolic`).
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
@@ -483,10 +484,39 @@ def det_minor_expansion(rows: Sequence[Sequence[SymPoly]]) -> SymPoly:
     width = bound.bit_length()
     shifts = [i * width for i in range(nvars)]
     packed = [[_packed(e, shifts) for e in row] for row in rows]
+    return _unpacked(_packed_det(packed), shifts, width)
+
+
+def _packed_det(rows: list[list[dict[int, int]]]) -> dict[int, int]:
+    """Laplace expansion along columns, built one column level at a time.
+
+    Every entry of the square ``rows``, and the determinant returned, is a
+    dict from packed monomial to nonzero coefficient, and a monomial product
+    is one integer addition of keys.  The caller picks the field width so
+    that no sum of keys carries from one field into the next; nothing here
+    unpacks a key.  An entry may be shared between places of the matrix: no
+    entry is changed.
+
+    A forward pass expands columns n-1 down to 1 through their nonzero
+    entries and records, as bitmasks, the row sets each step can leave.  It
+    drops a set that holds a row with no nonzero entry in the columns left
+    to it, 0..k: ``lead[k]`` holds the rows that have one, and every minor
+    of such a set is 0.  A build pass then makes the minors of exactly the
+    recorded sets on columns 0..k from those on columns 0..k-1, from column
+    0 up, holding only the current level and the one below it.  Row r of the
+    set m stands at place popcount(m & ((1 << r) - 1)) among its rows, so
+    its entry in column k has the sign (-1)^(that place + k).  The build
+    loops over the nonzero rows of each column only and stores only nonzero
+    minors: a missing minor reads as 0, and a missing full set gives the
+    empty dict, the zero polynomial.  It is the determinant of the symbolic
+    matrices, whose leading columns are the sparse ones (the module
+    docstring).
+    """
+    n = len(rows)
     # nonzero[k]: the rows with a nonzero entry in column k; lead[k]: the rows
     # with one in some column 0..k, so a row set outside lead[k] has no
     # nonzero minor on columns 0..k
-    nonzero = [[r for r in range(n) if packed[r][k]] for k in range(n)]
+    nonzero = [[r for r in range(n) if rows[r][k]] for k in range(n)]
     lead = [0] * n
     seen = 0
     for k in range(n):
@@ -499,9 +529,9 @@ def det_minor_expansion(rows: Sequence[Sequence[SymPoly]]) -> SymPoly:
         drop = full & ~lead[k - 1]
         reached = {mask ^ 1 << r for mask in levels[-1] for r in nonzero[k] if mask >> r & 1}
         levels.append({mask for mask in reached if not mask & drop})
-    below = {mask: packed[mask.bit_length() - 1][0] for mask in levels.pop()}
+    below = {mask: rows[mask.bit_length() - 1][0] for mask in levels.pop()}
     for k in range(1, n):
-        column = [(1 << r, (1 << r) - 1, packed[r][k].items()) for r in nonzero[k]]
+        column = [(1 << r, (1 << r) - 1, rows[r][k].items()) for r in nonzero[k]]
         level = {}
         for mask in levels.pop():
             acc: dict[int, int] = {}
@@ -519,7 +549,7 @@ def det_minor_expansion(rows: Sequence[Sequence[SymPoly]]) -> SymPoly:
             if acc:
                 level[mask] = acc
         below = level
-    return _unpacked(below.get(full, {}), shifts, width)
+    return below.get(full, {})
 
 
 def _packed(entry: SymPoly, shifts: list[int]) -> dict[int, int]:
@@ -656,26 +686,41 @@ def _reduced_det(ints: Sequence[int], divisor: Sequence[int], psc: int, gamma: P
 def disc_symbolic(n: int, gamma: Sequence[int]) -> DiscValue:
     """Parametric discriminant as an integer polynomial in a0..an.
 
-    Every nonzero entry in the first column of the generic matrix is c * an,
-    so dividing that column by the monomial an divides the determinant by
-    it.  With every entry that holds a(n-1) set to 0, the division-free
-    cofactor expansion of the divided matrix is D_0, and the translation
-    recurrence of the module docstring rebuilds D_gamma from it (see
-    :func:`_translation_rebuild`).
+    ``n`` and ``gamma`` are checked as :func:`build_symbolic_matrix` checks
+    them.  Every nonzero entry in the first column of the generic matrix is
+    c * an, so dividing that column by the monomial an divides the
+    determinant by it.  With every entry that holds a(n-1) set to 0, the
+    division-free cofactor expansion of the divided matrix is D_0, and the
+    translation recurrence of the module docstring rebuilds D_gamma from it
+    (see :func:`_translation_rebuild`).
+
+    The matrix is built packed, in the row layout of :func:`block_rows`:
+    the entry of block ``order`` in the column of a_d is {a_d: perm(d, order)}
+    with a_d the key 1 << d*w, the a(n-1) entries are {}, and a nonzero entry
+    of the first column is {0: c}, already divided by an.  The expansion
+    (:func:`_packed_det`) and the recurrence run on packed dicts, and the
+    one SymPoly is built at the exit.  Both use the field width
+    w = size.bit_length(), size = n + g1 - 1 the order of the matrix.  That
+    width is wide enough for the expansion: every entry is one term with
+    exponents at most 1, so the largest exponent of a row is at most 1, and
+    the expansion's bound, the sum of these over the rows, is at most size.
+    It is wide enough for the recurrence: D is homogeneous of degree
+    n + g1 - 2 = size - 1, and no exponent of a numerator exceeds that
+    degree, so no field of w bits carries.
     """
-    matrix = build_symbolic_matrix(n, gamma)
-    an = SymPoly.variable(n + 1, n)
-    zero = SymPoly(n + 1)
-    hold = (0,) * (n - 1) + (1, 0)  # the exponents of a(n-1)
-    rows = [
-        [zero if hold in e.terms else e for e in (row[0].exact_divide(an), *row[1:])]
-        for row in matrix.entries
-    ]
-    degree = n + matrix.gamma[0] - 2
-    width = degree.bit_length()
-    shifts = [i * width for i in range(n + 1)]
-    terms = _translation_rebuild(_packed(det_minor_expansion(rows), shifts), n, degree, width)
-    return DiscValue(_unpacked(terms, shifts, width), matrix.gamma)
+    gamma = _symbolic_gamma(n, gamma)
+    size = n + gamma[0] - 1
+    width = size.bit_length()
+    rows: list[list[dict[int, int]]] = []
+    for order, count in enumerate(_block_sizes(gamma)):
+        desc = [
+            {1 << d * width: perm(d, order)} if d != n - 1 else {} for d in range(n, order - 1, -1)
+        ]
+        rows += _staircase(desc, {}, count, size)
+    for row in rows:
+        row[0] = {0: c for c in row[0].values()}  # c * an divided by an
+    terms = _translation_rebuild(_packed_det(rows), n, size - 1, width)
+    return DiscValue(_unpacked(terms, [i * width for i in range(n + 1)], width), gamma)
 
 
 def _translation_rebuild(base: dict[int, int], n: int, degree: int, width: int) -> dict[int, int]:
@@ -684,12 +729,12 @@ def _translation_rebuild(base: dict[int, int], n: int, degree: int, width: int) 
         D_(j+1) = -[(n - 1) * dD_(j-1)/da(n-2) + L'' D_j] / (n * (j + 1) * an)
 
     of the module docstring, with D_(-1) = 0.  Keys are packed as in
-    :func:`det_minor_expansion`, ``width`` bits per field; D is homogeneous
-    of degree ``degree``, so no exponent of a numerator or of D exceeds it,
-    and a field of ``degree.bit_length()`` bits never carries.  It stops when
-    two successive D_j are 0 or at j = ``degree``, which is 0 for n = 1.
-    Every quotient must be exact, so a remainder, or a term free of an,
-    raises ArithmeticError.
+    :func:`disc_symbolic`, ``width`` bits per field; D is homogeneous of
+    degree ``degree``, so no exponent of a numerator or of D exceeds it, and
+    a field of at least ``degree.bit_length()`` bits never carries.  It
+    stops when two successive D_j are 0 or at j = ``degree``, which is 0 for
+    n = 1.  Every quotient must be exact, so a remainder, or a term free of
+    an, raises ArithmeticError.
     """
     field = (1 << width) - 1
     unit = [1 << i * width for i in range(n + 1)]

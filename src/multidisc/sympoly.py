@@ -10,6 +10,7 @@ compares and prints in the graded lex order an > a(n-1) > ... > a0.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping
 
 
@@ -21,11 +22,6 @@ def _is_int(value) -> bool:
 def _check_nvars(nvars) -> None:
     if not _is_int(nvars) or nvars < 1:
         raise ValueError(f"nvars must be an integer of at least 1, got {nvars!r}")
-
-
-def _term_key(exps: tuple[int, ...]) -> tuple:
-    # graded lex, highest-index variable strongest
-    return (sum(exps), exps[::-1])
 
 
 class SymPoly:
@@ -74,8 +70,15 @@ class SymPoly:
         return not self.terms
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in decreasing graded-lex order."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=_term_key, reverse=True)]
+        """Terms in decreasing graded-lex order: by total degree, then by the
+        exponents read from a(nvars-1) down to a0.
+
+        Two sorts with C-level keys: the exponents read backwards, then a
+        stable sort by total degree, which keeps that order within a degree.
+        """
+        exps = sorted(self.terms, key=itemgetter(*range(self.nvars - 1, -1, -1)), reverse=True)
+        exps.sort(key=sum, reverse=True)
+        return [(e, self.terms[e]) for e in exps]
 
     def __mul__(self, other) -> "SymPoly":
         if not isinstance(other, int):
@@ -143,15 +146,18 @@ class SymPoly:
         else:
             names, hat, close, times = [f"a{i}" for i in range(self.nvars)], "^", "", "*"
         order = range(self.nvars - 1, -1, -1)
+        powers = [{1: name} for name in names]  # the text of a_i^e, made once per call
         parts = []
         for exps, coeff in self.sorted_terms():
-            joined = times.join(
-                [
-                    names[i] if exps[i] == 1 else f"{names[i]}{hat}{exps[i]}{close}"
-                    for i in order
-                    if exps[i]
-                ]
-            )
+            factors = []
+            for i in order:
+                e = exps[i]
+                if e:
+                    text = powers[i].get(e)
+                    if text is None:
+                        text = powers[i][e] = f"{names[i]}{hat}{e}{close}"
+                    factors.append(text)
+            joined = times.join(factors)
             if not joined:
                 text = str(coeff)
             elif coeff == 1:

@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/symbolic_invariants.py 9
 
-The digests pin the bytes of ``disc_symbolic`` for n <= 8 only, and the
-D_(9) check pins bytes that the code itself recorded.  For every gamma of
+The digests pin the bytes of ``disc_symbolic`` for n <= 8 and at (8, 1) of
+n = 9 only, and the D_(9) and D_(10) checks pin bytes that the code itself
+recorded.  For every gamma of
 each given n, this checks D_gamma = disc_symbolic(n, gamma) against facts
 that do not come from its own output:
 
@@ -21,11 +22,11 @@ that do not come from its own output:
 * At one seeded integer point it equals ``disc_value``, which takes the
   concrete route: the row count, the reduction through gcd(F, F') or Bareiss.
 * D_(n) has as many terms as the classical discriminant of degree n, OEIS
-  A007878, for n = 3..9.
+  A007878, for n = 3..10.
 
 L * D = 0, the translation invariance, is not checked: ``disc_symbolic``
 builds D from it.  It needs no pytest; tests/test_engine.py runs it for
-n <= 7, and a CI step for n = 9.
+n <= 7, and CI steps for n = 9 and n = 10.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from math import comb
 from multidisc import UniPoly, disc_symbolic, disc_value, partitions_of
 
 # terms of the classical discriminant of degree n (OEIS A007878)
-A007878 = {3: 5, 4: 16, 5: 59, 6: 246, 7: 1103, 8: 5247, 9: 26059}
+A007878 = {3: 5, 4: 16, 5: 59, 6: 246, 7: 1103, 8: 5247, 9: 26059, 10: 133881}
 
 
 def weight(gamma) -> int:

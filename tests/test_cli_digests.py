@@ -51,6 +51,8 @@ def invocations() -> list[list[str]]:
         for gamma in partitions_of(n):
             text = ",".join(map(str, gamma))
             calls.append(["discriminant", "--n", str(n), "--gamma", text, "--format", "poly", *cap])
+    # order 16, the first whose packed fields take 5 bits
+    calls.append(["discriminant", "--n", "9", "--gamma", "8,1", "--format", "poly", "--cap", "9"])
     for n in range(1, 6):
         for gamma in partitions_of(n):
             text = ",".join(map(str, gamma))
@@ -83,7 +85,7 @@ def digests() -> dict[str, str]:
 def test_cli_output_matches_its_digests():
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     got = digests()
-    assert len(got) == len(expected) == 1189
+    assert len(got) == len(expected) == 1190
     assert [argv for argv in got if got[argv] != expected.get(argv)] == []
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import sys
@@ -27,6 +28,8 @@ from multidisc import (
 from multidisc.engine import (
     _build,
     _exact,
+    _packed,
+    _packed_det,
     _prem,
     _translation_rebuild,
     block_rows,
@@ -945,6 +948,68 @@ def full_expansion(n, gamma):
     return det_minor_expansion(rows)
 
 
+def _packed_run(monkeypatch, n, gamma):
+    """The rows of the one _packed_det call of disc_symbolic(n, gamma), which
+    runs with SymPoly.exact_divide barred; the checks every packed run meets."""
+    width = (n + gamma[0] - 1).bit_length()
+    calls, divided = [], []
+
+    def barred(self, divisor):
+        divided.append(self)
+        raise AssertionError("disc_symbolic divided a SymPoly")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SymPoly, "exact_divide", barred)
+        patch.setattr(
+            sys.modules["multidisc.engine"], "_packed_det", lambda rows: calls.append(rows) or _packed_det(rows)
+        )
+        value = disc_symbolic(n, gamma).value
+    assert len(calls) == 1 and divided == []
+    (rows,) = calls
+    keys = [key for row in rows for entry in row for key in entry]
+    # no key has an a(n-1) field, and every key of the first column is the monomial 1
+    assert keys and not any(key >> (n - 1) * width & (1 << width) - 1 for key in keys)
+    assert all(key == 0 for row in rows for key in row[0])
+    assert value == full_expansion(n, gamma)
+    return rows
+
+
+# sha256 of disc_symbolic(n, gamma).value.to_latex() for every gamma with
+# n <= 6, recorded before the symbolic matrix was built packed; no CLI path
+# prints a multi-term result in LaTeX, so the CLI digests do not pin these
+LATEX_DIGESTS = {
+    "1": "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    "2": "2b30da8e12f787a380abd7df939efd8e6856ef9f3b7d60467fd2aa2db27ae4ce",
+    "1,1": "8d6487860e333330e22494e82e349b7947551bd904b1f75b7075ee1b24452fb4",
+    "3": "b1e232775751a16eca7ad561d1db1f49a7824ea3cdeb69427af729d0f59490a9",
+    "2,1": "8695afacaae64419fdb737467b23ec063c251adf0c2055564bdae2f5bfa37d31",
+    "1,1,1": "aaaaa7ad08adf2a82bd30a6b48a280cf18310634cfcefcfa4da866d58cf4fe52",
+    "4": "67bde77916c0dc3b46378a551b6ea009a1152ad0f3396904602e2c45aa36e2f2",
+    "3,1": "02e5878abb0ab8f7745df4917498e85c033fd26c6d453ab7b35a08a1f9aaf21b",
+    "2,2": "9d8d5d27b6b340a225e64cf6e90c8ecd2aad794fd74c28eac4832ace43afb3e9",
+    "2,1,1": "560626bdc9fdef223e91a61434d33ea24485664547433b127ba2a42f01fb3400",
+    "1,1,1,1": "9e0d51e82b2f0b0ce3f8d46f12bf2ac0807a9bcd20475f637639f7a27ac6d3c4",
+    "5": "d4252a6226daaa7ab819bb5080306442767abb92884855a85437236245f99223",
+    "4,1": "6f41a908be33fb8e85013213e3da72b43635884afd4401e8faeaf9b5c994dc27",
+    "3,2": "0bc7c756c7eb75e0fa3420ff3e25ec677fc9578d5e3ee375cd784cfdf88fb621",
+    "3,1,1": "ec7bdd0c893b749c72c1d004e7c85c8e56a727a7d030572e8fbef5bebf42cecd",
+    "2,2,1": "718dcd502f04430b6d96d5ceb2154508b10b9a92b092d765990fa5d45e5649a2",
+    "2,1,1,1": "e63b55cfdf8d6a22329d32fbf0484a9a5df1cc3a5f27c4a9b0ac4b11dd1aad5a",
+    "1,1,1,1,1": "a7e5cf55c5b17ba2b02dbe27ced6461c87617fca66f91f6a1e79d1e27f9e7009",
+    "6": "f6412e187530221414c575c0d8a61729e3598648a7e8a294e06a1628fbb52478",
+    "5,1": "f2309ea71d9d3ea608ef2e13d93ac0b32cd1ab85e20c53091eb39fa07721bc67",
+    "4,2": "4684a5ec9255e5cfebb90bdbe70f7c32d05869442f0e3ab5a347a23b47263f5b",
+    "4,1,1": "35576c9287b170d5bbc8f1a3b2b9f7c8b0d01db16c9adddcad9a1d16662a3815",
+    "3,3": "6c553d05d7c4b3844b8ce9ae006f731aeb18ade2813910512093dd46bfeab9ad",
+    "3,2,1": "74699146fdb39140fa4cf20e28f9ac00e718829f1a7c773af9a3909f113ca614",
+    "3,1,1,1": "faef9741d092ad0ab0d328b687c05eaa5c362f85df66a0d7514bd22a035828bb",
+    "2,2,2": "632d015aab55270310e7c7ddbb1570060154e64395637fe2bd41d0ea7fbdf928",
+    "2,2,1,1": "f23849e5c143fb5287586338aaa180a6be7022318b3cf733d0150854b7ba719c",
+    "2,1,1,1,1": "f187ba7db7afdb39f1cbbf91d24083e2a3c98221cd61832826b08d6dc04e33a6",
+    "1,1,1,1,1,1": "ef0df8615173528ca0229e66a3129b8f0b3f69ee7cfa24fba1c3e64387ca3b88",
+}
+
+
 class TestDiscSymbolic:
     def test_all_ones_closed_form_single_term(self):
         d = disc_symbolic(5, (1, 1, 1, 1, 1))
@@ -953,18 +1018,13 @@ class TestDiscSymbolic:
 
     def test_divides_the_first_column_not_the_determinant(self, monkeypatch):
         # an leaves through the n + g1 - 1 entries of the first column, each
-        # one term or zero; no division runs over the determinant's terms
-        dividends = []
-        exact_divide = SymPoly.exact_divide
-
-        def recorded(self, divisor):
-            dividends.append(len(self.terms))
-            return exact_divide(self, divisor)
-
-        monkeypatch.setattr(SymPoly, "exact_divide", recorded)
-        disc_symbolic(6, (6,))
-        assert len(dividends) == 11
-        assert max(dividends) <= 1
+        # packed as {0: c} or empty; no SymPoly division runs, over the
+        # matrix or the determinant
+        rows = _packed_run(monkeypatch, 6, (6,))
+        column = [row[0] for row in rows]
+        assert len(column) == 11
+        assert [r for r, entry in enumerate(column) if entry] == [0, 5]  # blocks 0 and 1 start there
+        assert column[0] == {0: 1} and column[5] == {0: 6}  # a6 and 6 * a6 over a6
 
     def test_rebuild_matches_the_full_expansion(self):
         # the translation recurrence against the expansion of the whole
@@ -988,19 +1048,39 @@ class TestDiscSymbolic:
         assert disc_symbolic(2, (1, 1)).value == SymPoly(3, {(0, 0, 1): 4})
 
     def test_expands_one_matrix_free_of_a_n_minus_1(self, monkeypatch):
-        # det_minor_expansion is called through the module, once, on the
-        # divided matrix with every entry holding a(n-1) set to 0
+        # one packed expansion, 4-bit fields at order 8, none of them a5's
+        rows = _packed_run(monkeypatch, 6, (3, 2, 1))
+        assert len(rows) == 8
+        # F, F', F'' and F''' have 7, 6, 5, 4 coefficients, one of them a5's
+        assert sum(1 for row in rows for entry in row if entry) == 2 * 6 + 3 * 5 + 2 * 4 + 1 * 3
+
+    def test_packed_rows_are_the_divided_matrix(self, monkeypatch):
+        # the rows handed to _packed_det against the SymPoly construction:
+        # build_symbolic_matrix, its first column divided by an, the entries
+        # that hold a(n-1) dropped, packed at w = (n + g1 - 1).bit_length();
+        # at order 8 that is 4 bits, where the recurrence's degree 7 needs 3
         calls = []
-
-        def recorded(rows):
-            calls.append(rows)
-            return det_minor_expansion(rows)
-
-        monkeypatch.setattr(sys.modules["multidisc.engine"], "det_minor_expansion", recorded)
-        value = disc_symbolic(6, (3, 2, 1)).value
-        assert len(calls) == 1
-        assert not any(exps[5] for row in calls[0] for e in row for exps in e.terms)
-        assert value == full_expansion(6, (3, 2, 1))
+        monkeypatch.setattr(
+            sys.modules["multidisc.engine"], "_packed_det", lambda rows: calls.append(rows) or _packed_det(rows)
+        )
+        widths = set()
+        for n in range(1, 9):
+            an = SymPoly.variable(n + 1, n)
+            for gamma in partitions_of(n):
+                calls.clear()
+                disc_symbolic(n, gamma)
+                width = (n + gamma[0] - 1).bit_length()
+                widths.add(width)
+                shifts = [i * width for i in range(n + 1)]
+                expected = [
+                    [
+                        {} if _a(n - 1, n + 1) in e.terms else _packed(e, shifts)
+                        for e in (row[0].exact_divide(an), *row[1:])
+                    ]
+                    for row in build_symbolic_matrix(n, gamma).entries
+                ]
+                assert calls == [expected], (n, gamma)
+        assert widths == {1, 2, 3, 4}
 
     def test_degree_seven_peaks_below_0_6_mb(self):
         # D_0 of gamma = (7), its minors built on the leading columns, and the
@@ -1104,6 +1184,14 @@ class TestDiscSymbolic:
                 for exps, c in value.terms.items()
             )
             assert sympy.expand(ours - expected) == 0
+
+    def test_latex_output_is_pinned(self):
+        got = {}
+        for n in range(1, 7):
+            for gamma in partitions_of(n):
+                latex = disc_symbolic(n, gamma).value.to_latex()
+                got[",".join(map(str, gamma))] = hashlib.sha256(latex.encode()).hexdigest()
+        assert got == LATEX_DIGESTS
 
     def test_invariants_to_degree_seven(self):
         # tests/symbolic_invariants.py, which a CI step runs at n = 9

@@ -69,6 +69,25 @@ def test_graded_lex_ordering_of_terms():
     assert exps == [(0, 1, 1), (1, 1, 0), (2, 0, 0), (0, 0, 1)]
 
 
+def test_sorted_terms_is_the_graded_lex_key_order():
+    # the two C-level sorts against the one key (total degree, exponents
+    # read from the last variable), on polynomials of mixed degrees; at
+    # nvars = 1 the reversed reading is a single int, not a tuple
+    rng = random.Random(2641)
+    for nvars in range(1, 7):
+        mixed = 0
+        for _ in range(30):
+            terms = {
+                tuple(rng.randint(0, 3) for _ in range(nvars)): rng.choice([-2, -1, 1, 3])
+                for _ in range(rng.randint(0, 25))
+            }
+            p = SymPoly(nvars, terms)
+            expected = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0][::-1]), reverse=True)
+            assert p.sorted_terms() == expected, (nvars, terms)
+            mixed += len({sum(e) for e in p.terms}) > 2
+        assert mixed >= 20, nvars
+
+
 def test_string_rendering():
     nvars = 6
     one_term = SymPoly(nvars, {(0, 0, 0, 0, 0, 4): 86400000})
