@@ -14,7 +14,7 @@ Root-side cross-check formulas, a squarefree-decomposition oracle, and
 degree bookkeeping for competing condition systems round out the toolkit.
 """
 
-from .classify import ClassificationTrace, TraceStep, classify, classify_trace, conditions
+from .classify import ClassificationTrace, classify, classify_trace, conditions
 from .degrees import DegreeRow, d_yhz, degree_table
 from .engine import (
     DiscMatrix,
@@ -24,11 +24,10 @@ from .engine import (
     disc_symbolic,
     disc_value,
 )
-from .partitions import Partition, conjugate, partitions_of
+from .partitions import Partition, conjugate, iter_partitions
 from .roots import (
     RootSpec,
-    disc_from_distinct_roots,
-    disc_from_multiple_roots_abs,
+    disc_from_roots,
     expand,
     squarefree_multiplicity,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "Partition",
     "RootSpec",
     "SymPoly",
-    "TraceStep",
     "UniPoly",
     "build_matrix",
     "build_symbolic_matrix",
@@ -53,12 +51,11 @@ __all__ = [
     "conjugate",
     "d_yhz",
     "degree_table",
-    "disc_from_distinct_roots",
-    "disc_from_multiple_roots_abs",
+    "disc_from_roots",
     "disc_symbolic",
     "disc_value",
     "expand",
-    "partitions_of",
+    "iter_partitions",
     "squarefree_multiplicity",
 ]
 

@@ -6,8 +6,9 @@ such as 0.5, or a rational written p/q; exponent notation (1e5) is
 rejected; a negative first coefficient needs the form --coeffs=-3/7,1/7.
 A coefficient may have at most ``sys.int_info.default_max_str_digits``
 (4300) digits, as parsing is quadratic in its length; exact results print
-at any size.  Exit codes: 0 success, 1 selftest property violation, 2 usage
-or parse error (in batch mode, after every line was tried), 3 internal
+at any size.  Bad input raises ValueError, which ``main`` prints as one
+line.  Exit codes: 0 success, 1 selftest property violation, 2 usage or
+parse error (in batch mode, after every line was tried), 3 internal
 arithmetic error, 130 interrupted (Ctrl-C), 141 output pipe closed early
 (as with "| head").  No traceback is printed for any of them.
 
@@ -39,7 +40,7 @@ from .engine import (
 from .partitions import as_partition
 from .roots import (
     RootSpec,
-    _root_side_disc,
+    disc_from_roots,
     expand,
     random_root_spec,
     squarefree_decomposition,
@@ -58,10 +59,6 @@ _NEGATIVE_FIRST = "a negative first coefficient needs the = form: --coeffs=-3/7,
 _MAX_DIGITS = sys.int_info.default_max_str_digits
 
 
-class CliError(ValueError):
-    """Bad user input; reported on stderr with exit code 2, as any ValueError is."""
-
-
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
@@ -69,18 +66,18 @@ def _json_dumps(obj) -> str:
 def parse_coeffs(text: str) -> UniPoly:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) < 2:
-        raise CliError("need at least two coefficients (degree >= 1)")
+        raise ValueError("need at least two coefficients (degree >= 1)")
     values = []
     for index, part in enumerate(parts, start=1):
         # only a token longer than the bound can hold more digits than it
         if len(part) > _MAX_DIGITS and (digits := sum(map(str.isdigit, part))) > _MAX_DIGITS:
-            raise CliError(f"coefficient {index} has {digits} digits; the limit is {_MAX_DIGITS}")
+            raise ValueError(f"coefficient {index} has {digits} digits; the limit is {_MAX_DIGITS}")
         try:
             values.append(parse_rational(part))
         except (ValueError, ZeroDivisionError):
-            raise CliError(f"malformed rational {part!r}") from None
+            raise ValueError(f"malformed rational {part!r}") from None
     if not values[0]:
-        raise CliError("leading coefficient is zero")
+        raise ValueError("leading coefficient is zero")
     return UniPoly.from_descending(values)
 
 
@@ -88,7 +85,7 @@ def parse_gamma(text: str, n: int) -> tuple[int, ...]:
     try:
         gamma = tuple(int(p.strip()) for p in text.split(","))
     except ValueError:
-        raise CliError(f"malformed partition {text!r}") from None
+        raise ValueError(f"malformed partition {text!r}") from None
     return as_partition(gamma, n)
 
 
@@ -117,14 +114,14 @@ def _cmd_classify(args) -> int:
         with open(args.file, encoding="utf-8-sig") as handle:
             lines = [line.strip() for line in handle]
     except OSError as exc:
-        raise CliError(f"cannot read {args.file}: {exc}") from None
+        raise ValueError(f"cannot read {args.file}: {exc}") from None
     code = 0
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         try:
             poly = parse_coeffs(line)
-        except CliError as exc:
+        except ValueError as exc:
             print(f"error: line {lineno}: {exc}", file=sys.stderr)
             if args.json:
                 print(_json_dumps({"error": str(exc), "line": lineno}))
@@ -138,33 +135,33 @@ def _cmd_discriminant(args) -> int:
     try:
         n = int(args.n)
     except ValueError:
-        raise CliError(f"bad degree {args.n!r}") from None
+        raise ValueError(f"bad degree {args.n!r}") from None
     if n < 1:
-        raise CliError("degree must be at least 1")
+        raise ValueError("degree must be at least 1")
     # the parametric discriminant is generic, and only it has a degree cap
     if args.format == "poly" and args.coeffs is not None:
-        raise CliError("--format poly gives the generic discriminant and reads no --coeffs")
+        raise ValueError("--format poly gives the generic discriminant and reads no --coeffs")
     if args.format != "poly" and args.cap is not None:
-        raise CliError(f"--cap is read only by --format poly, not --format {args.format}")
+        raise ValueError(f"--cap is read only by --format poly, not --format {args.format}")
     cap = SYMBOLIC_CAP_DEFAULT if args.cap is None else args.cap
     if cap < 1:
-        raise CliError("--cap must be at least 1")
+        raise ValueError("--cap must be at least 1")
     gamma = parse_gamma(args.gamma, n)
     poly = None
-    if args.coeffs:
+    if args.coeffs is not None:
         poly = parse_coeffs(args.coeffs)
         if poly.degree != n:
-            raise CliError(f"coefficients give degree {poly.degree}, expected {n}")
+            raise ValueError(f"coefficients give degree {poly.degree}, expected {n}")
 
     if args.format == "value":
         if poly is None:
-            raise CliError("--format value requires --coeffs")
+            raise ValueError("--format value requires --coeffs")
         print(str(disc_value(poly, gamma).value))
         return 0
     if args.format == "poly":
         if n > cap:
-            raise CliError(f"degree {n} exceeds the symbolic cap {cap}; pass --cap {n} "
-                           "if you accept the term growth")
+            raise ValueError(f"degree {n} exceeds the symbolic cap {cap}; pass --cap {n} "
+                             "if you accept the term growth")
         print(str(disc_symbolic(n, gamma).value))
         return 0
     matrix = build_matrix(poly, gamma) if poly is not None else build_symbolic_matrix(n, gamma)
@@ -253,7 +250,7 @@ def run_selftest(max_n: int, trials: int, seed: int, quiet: bool = False) -> tup
                 trace = classify_trace(poly)
                 check(trace.result == mu, f"{label}: classified as {trace.result}")
                 check(
-                    _root_side_disc(spec, trace.delta) == trace.value,
+                    disc_from_roots(spec, trace.delta) == trace.value,
                     f"{label}: root side disagrees with D({trace.delta})",
                 )
                 # the classification filled the memo, so this clears nothing
@@ -275,9 +272,9 @@ def run_selftest(max_n: int, trials: int, seed: int, quiet: bool = False) -> tup
 def _cmd_selftest(args) -> int:
     # a sweep over no degree or no trial checks nothing and must not report OK
     if args.max_n < 1:
-        raise CliError("--max-n must be at least 1")
+        raise ValueError("--max-n must be at least 1")
     if args.trials < 1:
-        raise CliError("--trials must be at least 1")
+        raise ValueError("--trials must be at least 1")
     checked, failures = run_selftest(args.max_n, args.trials, args.seed, quiet=args.quiet)
     for failure in failures[:20]:
         print(f"FAIL {failure}")

@@ -214,16 +214,6 @@ def derivative_coeffs(coeffs: Sequence[Entry], order: int) -> list[Entry]:
     return [coeffs[d] * perm(d, order) for d in range(len(coeffs) - 1, order - 1, -1)]
 
 
-def block_rows(coeffs: Sequence[Entry], order: int, count: int, size: int) -> list[list[Entry]]:
-    """The rows F^(order) * x^k, k = count - 1 down to 0, of width ``size``.
-
-    Each row is the descending coefficient list of F^(order), computed once,
-    with size - 1 - (n - order + k) zeros before it and k after it; F has the
-    ascending ``coeffs``, and the entries live in whatever ring those do.
-    """
-    return _staircase(derivative_coeffs(coeffs, order), coeffs[0] * 0, count, size)
-
-
 def _staircase(desc: list, zero, count: int, size: int) -> list[list]:
     """The rows desc * x^k, k = count - 1 down to 0, of width ``size``: the
     descending list ``desc`` with size - len(desc) - k entries ``zero``
@@ -240,11 +230,17 @@ def _block_sizes(gamma: Partition) -> tuple[int, ...]:
 
 
 def _build(coeffs: Sequence[Entry], gamma: Sequence[int]) -> DiscMatrix:
-    """The discriminant matrix of the polynomial with ascending ``coeffs``."""
+    """The discriminant matrix of the polynomial with ascending ``coeffs``.
+
+    Block ``order`` is the descending coefficient list of F^(order), computed
+    once, laid out by :func:`_staircase`; the entries live in whatever ring
+    ``coeffs`` do.
+    """
     n = len(coeffs) - 1
     gamma = as_partition(gamma, n)
+    zero = coeffs[0] * 0
     blocks = [
-        block_rows(coeffs, order, count, n + gamma[0] - 1)
+        _staircase(derivative_coeffs(coeffs, order), zero, count, n + gamma[0] - 1)
         for order, count in enumerate(_block_sizes(gamma))
     ]
     return DiscMatrix(tuple(tuple(row) for block in blocks for row in block), gamma)
@@ -694,7 +690,7 @@ def disc_symbolic(n: int, gamma: Sequence[int]) -> DiscValue:
     translation recurrence of the module docstring rebuilds D_gamma from it
     (see :func:`_translation_rebuild`).
 
-    The matrix is built packed, in the row layout of :func:`block_rows`:
+    The matrix is built packed, in the row layout of :func:`_build`:
     the entry of block ``order`` in the column of a_d is {a_d: perm(d, order)}
     with a_d the key 1 << d*w, the a(n-1) entries are {}, and a nonzero entry
     of the first column is {0: c}, already divided by an.  The expansion

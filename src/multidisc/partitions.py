@@ -69,11 +69,6 @@ def _descending(n: int) -> Iterator[Partition]:
             rest -= part
 
 
-def partitions_of(n: int) -> list[Partition]:
-    """All partitions of ``n`` in descending lexicographic order: ``iter_partitions`` as a list."""
-    return list(iter_partitions(n))
-
-
 def conjugate(parts: Partition) -> Partition:
     """Conjugate partition: entry i counts the parts that are >= i+1.
 
@@ -91,4 +86,4 @@ def classification_order(n: int) -> list[tuple[Partition, Partition]]:
     involution, pairing each enumerated gamma with its conjugate already yields
     the required order without a separate sort.
     """
-    return [(conjugate(g), g) for g in partitions_of(n)]
+    return [(conjugate(g), g) for g in iter_partitions(n)]

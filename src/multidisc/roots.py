@@ -5,8 +5,7 @@ Two independent routes live here: Yun squarefree decomposition (the
 multiplicity oracle) and the root-side determinant formula that
 expresses a signed discriminant through the roots instead of the
 coefficients, with the confluent Vandermonde product of the roots as its
-divisor.  ``disc_from_distinct_roots`` and ``disc_from_multiple_roots_abs``
-are its two public entry points.
+divisor.  ``disc_from_roots`` is that signed formula for any multiplicities.
 
 Yun's algorithm runs over the integers.  The input is cleared once to a
 primitive integer polynomial; every gcd is a primitive polynomial
@@ -250,7 +249,7 @@ def _derivative_values(desc: list[int], p: int, top: int) -> list[int]:
     return values + [0] * (top - deg)
 
 
-def _root_side_disc(spec: RootSpec, gamma: Partition) -> Fraction:
+def disc_from_roots(spec: RootSpec, gamma) -> Fraction:
     """Signed D_gamma through the roots r_j of multiplicity m_j:
 
         (-1)^(sum C(m_j, 2)) * leading^(g1 - 2) * det M
@@ -273,8 +272,9 @@ def _root_side_disc(spec: RootSpec, gamma: Partition) -> Fraction:
     block is reversed so that k runs descending.  So ``det_fraction_free``
     runs on those integers, the difference product runs on the P_j, and
     leading and the powers of Q are put back as exponents in the one
-    Fraction returned.
+    Fraction returned.  ``gamma`` must be a partition of n, or ValueError.
     """
+    gamma = as_partition(gamma, spec.n)
     q, points = _scaled_roots(spec)
     mults = [m for _, m in spec.roots]
     desc = _monic_product(points, mults)[::-1]
@@ -314,26 +314,21 @@ def _root_side_disc(spec: RootSpec, gamma: Partition) -> Fraction:
 
 
 def disc_from_distinct_roots(spec: RootSpec, gamma) -> Fraction:
-    """Discriminant evaluated through n distinct roots (see :func:`_root_side_disc`).
+    """:func:`disc_from_roots` for n distinct roots; a repeated root raises ValueError.
 
-    The matrix has block rows F^(i)(alpha_j) * alpha_j^k for i = 1..s and
-    k = gi-1..0; its determinant is divided by the Vandermonde product
-    prod_(i<j) (alpha_i - alpha_j) and scaled by leading^(g1 - 2).
+    Kept only for the benchmark's verify workload, which calls it and wraps it.
     """
-    gamma = as_partition(gamma, spec.n)
     if any(m != 1 for _, m in spec.roots):
         raise ValueError("all multiplicities must be 1 (distinct-roots formula)")
-    return _root_side_disc(spec, gamma)
+    return disc_from_roots(spec, gamma)
 
 
 def disc_from_multiple_roots_abs(spec: RootSpec, gamma) -> Fraction:
-    """Absolute value of the discriminant through repeated roots.
+    """The absolute value of :func:`disc_from_roots`.
 
-    Column blocks run over the distinct roots r_j with inner index
-    l = 0..m_j-1; the entry is the l-th derivative of F^(i) * x^k at r_j.
-    This is the absolute value of the signed :func:`_root_side_disc`.
+    Kept only for the benchmark's verify workload, which calls it and wraps it.
     """
-    return abs(_root_side_disc(spec, as_partition(gamma, spec.n)))
+    return abs(disc_from_roots(spec, gamma))
 
 
 # Half-integers in [-9, 9]; small values keep the exact arithmetic compact.

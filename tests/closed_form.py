@@ -18,7 +18,7 @@ It is nonzero for every F with these multiplicities, which is the
 non-vanishing half of the classification (the row count in the ``classify``
 docstring is the other half).
 
-Proof.  ``roots._root_side_disc`` gives, for a partition gamma of s parts,
+Proof.  ``roots.disc_from_roots`` gives, for a partition gamma of s parts,
 
     D_gamma = (-1)^(sum_j C(m_j, 2)) * lead^(g1-2) * det M
               / (prod_j prod_(l<m_j) l! * prod_(i<j) (r_i - r_j)^(m_i m_j)),

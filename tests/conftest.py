@@ -3,7 +3,10 @@
 The Fraction polynomial helpers (``coeff``, ``derivative``, ``mul_power``,
 ``product``, ``scaled``, ``difference``) build the reference rows,
 root-side values and test inputs the library is checked against; the
-library itself never needs them, and ``UniPoly`` has no arithmetic.  The
+library itself never needs them, and ``UniPoly`` has no arithmetic.
+``reference_rows`` writes the staircase rows of a discriminant matrix
+entry by entry from ``math.perm``, sharing no code with the library's row
+layout.  The
 determinant oracles here are deliberately naive (permutation expansion, and Gaussian
 elimination over the rationals) so they share no code path with the
 fraction-free elimination they check; over SymPoly entries the expansion
@@ -41,6 +44,21 @@ def _signed_permutations(n):
     for cols in permutations(range(n)):
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if cols[i] > cols[j])
         yield (-1 if inv % 2 else 1), cols
+
+
+def reference_rows(coeffs, order: int, count: int, size: int) -> list:
+    """The rows x^k * F^(order), k = count - 1 down to 0, of width ``size``.
+
+    F has the ascending ``coeffs``.  Column j holds the coefficient of
+    x^(size - 1 - j), which is coeffs[d] * d!/(d - order)! for the power
+    d = size - 1 - j - k + order of F, and 0 when d is not in order..n.
+    """
+    n = len(coeffs) - 1
+    rows = []
+    for k in range(count - 1, -1, -1):
+        powers = [size - 1 - j - k + order for j in range(size)]
+        rows.append([coeffs[d] * perm(d, order) if order <= d <= n else 0 for d in powers])
+    return rows
 
 
 def perm_det(rows):

@@ -35,7 +35,7 @@ import random
 import sys
 from math import comb
 
-from multidisc import UniPoly, disc_symbolic, disc_value, partitions_of
+from multidisc import UniPoly, disc_symbolic, disc_value, iter_partitions
 
 # terms of the classical discriminant of degree n (OEIS A007878)
 A007878 = {3: 5, 4: 16, 5: 59, 6: 246, 7: 1103, 8: 5247, 9: 26059, 10: 133881}
@@ -52,7 +52,7 @@ def check(n: int, seed: int = 9) -> int:
     """Number of gamma of n checked; AssertionError at the first that fails."""
     rng = random.Random(seed * 1000 + n)
     count = 0
-    for gamma in partitions_of(n):
+    for gamma in iter_partitions(n):
         value = disc_symbolic(n, gamma).value
         degree, w = n + gamma[0] - 2, weight(gamma)
         for exps in value.terms:

@@ -16,15 +16,14 @@ from multidisc import (
     classify_trace,
     conjugate,
     degree_table,
-    disc_from_distinct_roots,
-    disc_from_multiple_roots_abs,
+    disc_from_roots,
     disc_symbolic,
     disc_value,
     expand,
-    partitions_of,
+    iter_partitions,
     squarefree_multiplicity,
 )
-from multidisc.roots import _root_side_disc, random_root_spec
+from multidisc.roots import disc_from_distinct_roots, disc_from_multiple_roots_abs, random_root_spec
 
 from conftest import random_int_poly, scaled, shift_poly
 
@@ -41,7 +40,7 @@ def sweep_specs():
     rng = random.Random(SWEEP_SEED)
     specs = {}
     for n in range(1, SWEEP_MAX_N + 1):
-        for mu in partitions_of(n):
+        for mu in iter_partitions(n):
             specs[(n, mu)] = [random_root_spec(rng, mu) for _ in range(SWEEP_TRIALS)]
     return specs
 
@@ -89,7 +88,7 @@ def test_criterion_4_vanishing_and_nonvanishing_lemmas(sweep_specs):
     zero_checks = 0
     nonzero_checks = 0
     for (n, mu), specs in sweep_specs.items():
-        partitions = partitions_of(n)
+        partitions = list(iter_partitions(n))
         bar_mu = conjugate(mu)
         for spec in specs:
             poly = expand(spec)
@@ -110,7 +109,7 @@ def test_criterion_5_distinct_roots_identity():
     rng = random.Random(SWEEP_SEED + 2)
     checked = 0
     for n in range(1, 7):
-        partitions = partitions_of(n)
+        partitions = list(iter_partitions(n))
         for _ in range(10):
             spec = random_root_spec(rng, (1,) * n)
             poly = expand(spec)
@@ -126,14 +125,14 @@ def test_criterion_6_multiple_roots_identity_abs():
     rng = random.Random(SWEEP_SEED + 3)
     checked = 0
     for n in range(1, 7):
-        partitions = partitions_of(n)
+        partitions = list(iter_partitions(n))
         for mu in partitions:
             for _ in range(10):
                 spec = random_root_spec(rng, mu)
                 poly = expand(spec)
                 for gamma in partitions:
                     rhs = disc_value(poly, gamma).value
-                    assert _root_side_disc(spec, gamma) == rhs, (mu, gamma, spec)
+                    assert disc_from_roots(spec, gamma) == rhs, (mu, gamma, spec)
                     lhs = disc_from_multiple_roots_abs(spec, gamma)
                     assert lhs == abs(rhs), (mu, gamma, spec)
                     checked += 1
@@ -153,7 +152,7 @@ def test_criterion_8_symbolic_degrees_and_specialization():
     specialized = 0
     for n in range(1, 6):
         worst = 0
-        for gamma in partitions_of(n):
+        for gamma in iter_partitions(n):
             d = disc_symbolic(n, gamma)
             worst = max(worst, max(map(sum, d.value.terms)))
             for _ in range(5):

@@ -18,15 +18,14 @@ from multidisc import (
     conjugate,
     disc_value,
     expand,
-    partitions_of,
+    iter_partitions,
     squarefree_multiplicity,
 )
 from multidisc.classify import trace_json_dict
-from multidisc.engine import block_rows
 from multidisc.partitions import classification_order
 from multidisc.roots import random_root_spec
 
-from conftest import product, random_int_poly, scaled, shift_poly, sqf_list_inputs
+from conftest import product, random_int_poly, reference_rows, scaled, shift_poly, sqf_list_inputs
 
 # the package's classify function shadows the module of the same name
 CLASSIFY = import_module("multidisc.classify")
@@ -55,7 +54,7 @@ def test_single_root_full_chain():
         trace = classify_trace(poly)
         assert trace.result == (n,)
         # every earlier discriminant vanishes, so the chain runs to the end
-        assert len(trace.steps) == len(partitions_of(n))
+        assert len(trace.steps) == len(list(iter_partitions(n)))
         assert all(not s.nonzero for s in trace.steps[:-1])
 
 
@@ -93,7 +92,7 @@ def test_trace_values_match_disc_value_for_rational_input():
 def test_oracle_equivalence_sample():
     rng = random.Random(314)
     for n in range(1, 7):
-        for mu in partitions_of(n):
+        for mu in iter_partitions(n):
             for _ in range(3):
                 spec = random_root_spec(rng, mu)
                 poly = expand(spec)
@@ -104,7 +103,7 @@ def test_oracle_equivalence_sample():
 def test_vanishing_and_nonvanishing_sample():
     rng = random.Random(2718)
     for n in range(2, 6):
-        partitions = partitions_of(n)
+        partitions = list(iter_partitions(n))
         for mu in partitions:
             spec = random_root_spec(rng, mu)
             poly = expand(spec)
@@ -129,7 +128,7 @@ def test_vanishing_is_not_monotone_along_the_chain():
 def reference_trace(poly):
     """The plain scan: every discriminant in order up to the first nonzero one."""
     steps = []
-    for gamma in partitions_of(poly.degree):
+    for gamma in iter_partitions(poly.degree):
         value = disc_value(poly, gamma).value
         steps.append((gamma, value, value != 0))
         if value:
@@ -147,7 +146,7 @@ def assert_trace_is_reference(poly):
 def test_pruned_trace_equals_plain_scan_up_to_degree_8():
     rng = random.Random(8)
     for n in range(1, 9):
-        for mu in partitions_of(n):
+        for mu in iter_partitions(n):
             poly = expand(random_root_spec(rng, mu))
             assert_trace_is_reference(poly)
             assert_trace_is_reference(scaled(poly, Fraction(-7, 3)))
@@ -159,7 +158,9 @@ def test_pruned_trace_equals_plain_scan_property():
 
     @st.composite
     def root_specs(draw):
-        mu = draw(st.integers(1, 10).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+        mu = draw(
+            st.integers(1, 10).flatmap(lambda n: st.sampled_from(list(iter_partitions(n))))
+        )
         roots = draw(
             st.lists(
                 st.fractions(-9, 9, max_denominator=4),
@@ -215,12 +216,12 @@ def test_first_two_blocks_are_dependent_iff_g1_exceeds_distinct_roots():
     rng = random.Random(968)
     cases = 0
     for n in range(2, 11):
-        for mu in partitions_of(n):
+        for mu in iter_partitions(n):
             poly = expand(random_root_spec(rng, mu))
             coeffs = poly.clear_denominators()[0]
             for g1 in range(1, n):
                 size = n + g1 - 1
-                rows = block_rows(coeffs, 0, g1 - 1, size) + block_rows(coeffs, 1, g1, size)
+                rows = reference_rows(coeffs, 0, g1 - 1, size) + reference_rows(coeffs, 1, g1, size)
                 assert extend_echelon([], rows) == (g1 <= len(mu)), (mu, g1)
                 cases += 1
     assert cases == 968
@@ -235,28 +236,28 @@ def test_degree_count_rule_is_the_full_width_rule():
     # independent, the full matrix (det != 0) included
     cases = Counter()
     for n in range(1, 10):
-        for mu in partitions_of(n):
+        for mu in iter_partitions(n):
             delta = conjugate(mu)
             for spec in (
                 RootSpec(tuple((i - 2, m) for i, m in enumerate(mu)), -2),
                 RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(5, 3)),
             ):
                 coeffs = expand(spec).clear_denominators()[0]
-                for gamma in partitions_of(n):
+                for gamma in iter_partitions(n):
                     size = n + gamma[0] - 1
-                    rows = block_rows(coeffs, 0, gamma[0] - 1, size)
+                    rows = reference_rows(coeffs, 0, gamma[0] - 1, size)
                     if gamma == delta:
                         echelon = []
                         assert extend_echelon(echelon, rows), spec
                         for j, part in enumerate(gamma, 1):
-                            rows = block_rows(coeffs, j, part, size)
+                            rows = reference_rows(coeffs, j, part, size)
                             assert extend_echelon(echelon, rows), (spec, j)
                             cases[True] += 1
                         break
                     j = next(j for j, (g, d) in enumerate(zip(gamma, delta), 1) if g != d)
                     assert gamma[j - 1] > delta[j - 1], (spec, gamma)
                     for i in range(1, j + 1):
-                        rows += block_rows(coeffs, i, gamma[i - 1], size)
+                        rows += reference_rows(coeffs, i, gamma[i - 1], size)
                     assert len(rows) > size - sum(max(m - j, 0) for m in mu), (spec, gamma)
                     assert not extend_echelon([], rows), (spec, gamma)
                     cases[False] += 1
@@ -267,7 +268,7 @@ def test_trace_delta_is_the_conjugate_of_yun():
     # the chain G_j = gcd(G_(j-1), G_(j-1)') and Yun's decomposition share no
     # gcd code (``roots._prs_gcd`` is Yun's own), so each checks the other
     for n in range(1, 13):
-        for mu in partitions_of(n):
+        for mu in iter_partitions(n):
             for spec in (
                 RootSpec(tuple((i, m) for i, m in enumerate(mu)), 1),
                 RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(-3, 7)),
@@ -333,7 +334,7 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
     assert calls["sylvester_resultant"] == mu[0]
     assert leaves == [trace.delta] and orders == [n - k]
     assert trace.result == mu and trace.delta[0] == k
-    chain = partitions_of(n)
+    chain = list(iter_partitions(n))
     assert [s.gamma for s in trace.steps] == chain[: chain.index(trace.delta) + 1]
     assert all(s.value == 0 for s in trace.steps[:-1])
     if n <= 16:
@@ -459,7 +460,7 @@ def test_leaf_values_are_shift_invariant_and_homogeneous():
         n = draw(st.integers(1, 7))
         if draw(st.booleans()):
             return UniPoly(draw(st.lists(rationals, min_size=n, max_size=n)) + [draw(nonzero)])
-        mu = draw(st.sampled_from(partitions_of(n)))
+        mu = draw(st.sampled_from(list(iter_partitions(n))))
         roots = draw(st.lists(rationals, min_size=len(mu), max_size=len(mu), unique=True))
         return expand(RootSpec(tuple(zip(roots, mu)), draw(nonzero)))
 
@@ -467,7 +468,7 @@ def test_leaf_values_are_shift_invariant_and_homogeneous():
     @hypothesis.given(polys(), rationals, nonzero)
     def check(poly, t, c):
         n = poly.degree
-        for gamma in partitions_of(n):
+        for gamma in iter_partitions(n):
             value = disc_value(poly, gamma).value
             assert disc_value(shift_poly(poly, t), gamma).value == value
             assert disc_value(scaled(poly, c), gamma).value == c ** (n + gamma[0] - 2) * value
@@ -498,7 +499,7 @@ def test_scaling_and_shift_invariance():
     rng = random.Random(161)
     for _ in range(12):
         n = rng.randint(2, 6)
-        mu = rng.choice(partitions_of(n))
+        mu = rng.choice(list(iter_partitions(n)))
         poly = expand(random_root_spec(rng, mu))
         c = Fraction(rng.choice([2, -3, 5, 7]), rng.choice([1, 2, 3]))
         t = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))

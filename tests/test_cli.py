@@ -404,6 +404,15 @@ class TestDiscriminant:
         assert code == 2
         assert "requires --coeffs" in err
 
+    @pytest.mark.parametrize("fmt", ["matrix", "latex", "value"])
+    def test_empty_coeffs_is_rejected_not_read_as_absent(self, capsys, fmt):
+        # as in classify; the generic matrix is asked for by leaving --coeffs out
+        code, out, err = run_cli(
+            capsys, "discriminant", "--n", "2", "--gamma", "2", "--format", fmt, "--coeffs="
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: need at least two coefficients (degree >= 1)\n"
+
     def test_cap_exceeded_names_cap(self, capsys):
         code, _, err = run_cli(
             capsys, "discriminant", "--n", "7", "--gamma", "7", "--format", "poly"

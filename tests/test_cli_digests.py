@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from multidisc import RootSpec, expand, partitions_of
+from multidisc import RootSpec, expand, iter_partitions
 
 from cli_reuse import run
 
@@ -35,26 +35,26 @@ def _coeffs(mu, rational: bool) -> str:
 def invocations() -> list[list[str]]:
     calls = []
     for n in range(1, 11):
-        for mu in partitions_of(n):
+        for mu in iter_partitions(n):
             for rational in (False, True):
                 coeffs = _coeffs(mu, rational)
                 calls.extend(["classify", coeffs, *flags] for flags in ([], ["--trace"], ["--json"]))
     for n in range(1, 6):
-        for mu in partitions_of(n):
+        for mu in iter_partitions(n):
             for rational in (False, True):
                 coeffs = _coeffs(mu, rational)
-                for gamma in partitions_of(n):
+                for gamma in iter_partitions(n):
                     text = ",".join(map(str, gamma))
                     calls.append(["discriminant", "--n", str(n), "--gamma", text, "--format", "value", coeffs])
     for n in range(1, 9):
         cap = ["--cap", str(n)] if n >= 7 else []
-        for gamma in partitions_of(n):
+        for gamma in iter_partitions(n):
             text = ",".join(map(str, gamma))
             calls.append(["discriminant", "--n", str(n), "--gamma", text, "--format", "poly", *cap])
     # order 16, the first whose packed fields take 5 bits
     calls.append(["discriminant", "--n", "9", "--gamma", "8,1", "--format", "poly", "--cap", "9"])
     for n in range(1, 6):
-        for gamma in partitions_of(n):
+        for gamma in iter_partitions(n):
             text = ",".join(map(str, gamma))
             for coeffs in ([], [_coeffs(gamma, False)], [_coeffs(gamma, True)]):
                 for fmt in ("matrix", "latex"):

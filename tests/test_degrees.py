@@ -7,9 +7,8 @@ from multidisc import (
     d_yhz,
     degree_table,
     disc_symbolic,
-    partitions_of,
+    iter_partitions,
 )
-from multidisc.partitions import iter_partitions
 
 from nested_system import check
 
@@ -46,7 +45,7 @@ def test_reference_table_reproduced_exactly():
 
 
 def test_degree_ten_row_against_brute_force():
-    partitions = partitions_of(10)
+    partitions = list(iter_partitions(10))
     assert len(partitions) == 42
     brute = max(d_yhz(mu) for mu in partitions)
     row = list(degree_table(10))[-1]
@@ -56,7 +55,7 @@ def test_degree_ten_row_against_brute_force():
 
 def test_lower_bound_inequality():
     for n in range(2, 11):
-        for mu in partitions_of(n):
+        for mu in iter_partitions(n):
             if len(mu) == 1:
                 continue
             assert d_yhz(mu) >= 2 * n + 3 ** mu[1] - 4 * mu[1]
@@ -115,5 +114,5 @@ def test_rejects_bad_inputs():
 def test_engine_degrees_peak_at_table_value():
     # worst case over the partitions equals the table column for small n
     for n in range(3, 6):
-        worst = max(max(map(sum, disc_symbolic(n, g).value.terms)) for g in partitions_of(n))
+        worst = max(max(map(sum, disc_symbolic(n, g).value.terms)) for g in iter_partitions(n))
         assert worst == 2 * n - 2

@@ -22,7 +22,7 @@ from multidisc import (
     disc_symbolic,
     disc_value,
     expand,
-    partitions_of,
+    iter_partitions,
     squarefree_multiplicity,
 )
 from multidisc.engine import (
@@ -32,7 +32,6 @@ from multidisc.engine import (
     _packed_det,
     _prem,
     _translation_rebuild,
-    block_rows,
     derivative_coeffs,
     det_fraction_free,
     det_minor_expansion,
@@ -50,6 +49,7 @@ from conftest import (
     product,
     random_int_poly,
     reference_gcd,
+    reference_rows,
     scaled,
     shift_poly,
     sym_perm_det,
@@ -113,7 +113,7 @@ class TestMatrixLayout:
     def test_row_count_matches_size_for_all_partitions(self):
         for n in range(1, 11):
             poly = UniPoly([1] * n + [1])
-            for gamma in partitions_of(n):
+            for gamma in iter_partitions(n):
                 m = build_matrix(poly, gamma)
                 size = n + gamma[0] - 1
                 assert len(m.entries) == m.to_json_dict()["size"] == size
@@ -129,7 +129,7 @@ class TestMatrixLayout:
                 + [Fraction(rng.choice([-7, 5, 11]), rng.choice([2, 3, 4]))]
             )
             for poly in (integer, rational):
-                for gamma in partitions_of(n):
+                for gamma in iter_partitions(n):
                     m = build_matrix(poly, gamma)
                     size = len(m.entries)
                     for row, (order, shift) in zip(m.entries, m.to_json_dict()["row_provenance"]):
@@ -428,7 +428,7 @@ def _resultant_inputs(rng):
     roots, with content, with a negative leading coefficient, and sparse."""
     for n in range(1, 31):
         yield random_int_poly(rng, n, bound=40)
-        mu = rng.choice(partitions_of(n))
+        mu = rng.choice(list(iter_partitions(n)))
         cleared = UniPoly(expand(random_root_spec(rng, mu)).clear_denominators()[0])
         yield scaled(cleared, rng.choice([-6, 4, 15]))
         yield UniPoly([1] + [0] * (n - 1) + [1])  # x^n + 1
@@ -444,7 +444,7 @@ class TestSylvesterResultant:
             n = poly.degree
             ints = [c.numerator for c in poly.coeffs]
             size = 2 * n - 1
-            rows = block_rows(ints, 0, n - 1, size) + block_rows(ints, 1, n, size)
+            rows = reference_rows(ints, 0, n - 1, size) + reference_rows(ints, 1, n, size)
             divisor, psc = sylvester_resultant(derivative_coeffs(ints, 0), derivative_coeffs(ints, 1))
             common = len(divisor) - 1
             det = det_fraction_free(rows)
@@ -464,7 +464,7 @@ class TestSylvesterResultant:
                 poly = product(poly, *[UniPoly([Fraction(1, 3), -2])] * 2)
             m = poly.degree
             size = 2 * m - 1
-            rows = block_rows(poly.coeffs, 0, m - 1, size) + block_rows(poly.coeffs, 1, m, size)
+            rows = reference_rows(poly.coeffs, 0, m - 1, size) + reference_rows(poly.coeffs, 1, m, size)
             assert disc_value(poly, (m,)).value == det_rational(rows) / poly.leading
 
     def test_general_pairs_and_the_gcd_degree(self):
@@ -589,7 +589,7 @@ class TestPrincipalSubresultant:
     def test_is_the_leaf_factor_on_dense_rational_inputs(self):
         count = 0
         for n in range(1, 10):
-            for mu in partitions_of(n):
+            for mu in iter_partitions(n):
                 roots = [Fraction(2 * i - 3, 5) for i in range(len(mu))]
                 for lead in (1, Fraction(-3, 7)):
                     poly = expand(RootSpec(tuple(zip(roots, mu)), lead))
@@ -664,7 +664,7 @@ class TestDiscValue:
     def test_determinant_is_divisible_by_leading_coefficient(self):
         rng = random.Random(17)
         for n in range(2, 7):
-            for gamma in partitions_of(n):
+            for gamma in iter_partitions(n):
                 poly = random_int_poly(rng, n)
                 m = build_matrix(poly, gamma)
                 rows = [[e.numerator for e in row] for row in m.entries]
@@ -677,7 +677,7 @@ class TestDiscValue:
         rng = random.Random(23)
         for _ in range(10):
             n = rng.randint(2, 6)
-            gamma = rng.choice(partitions_of(n))
+            gamma = rng.choice(list(iter_partitions(n)))
             poly = random_int_poly(rng, n)
             c = Fraction(rng.choice([2, -3, 5]), rng.choice([1, 2, 7]))
             base = disc_value(poly, gamma).value
@@ -738,13 +738,13 @@ class TestReducedLeaf:
     def test_reduction_equals_bareiss_for_every_gamma_with_g1_equal_k(self):
         cases = {True: 0, False: 0}
         for n in range(1, 11):
-            for mu in partitions_of(n):
+            for mu in iter_partitions(n):
                 k = len(mu)
                 roots = [Fraction(2 * i - 3, 5) for i in range(k)]
                 for lead in (1, -2, Fraction(5, 3), Fraction(-3, 7)):
                     poly = expand(RootSpec(tuple(zip(roots, mu)), lead))
                     delta = conjugate(mu)
-                    for gamma in partitions_of(n):
+                    for gamma in iter_partitions(n):
                         if gamma[0] == k:
                             value = disc_value(poly, gamma).value
                             assert value == _bareiss_value(poly, gamma), (mu, lead, gamma)
@@ -765,7 +765,7 @@ class TestReducedLeaf:
     )
     def test_reduction_equals_bareiss_at_high_degree(self, poly):
         delta = conjugate(squarefree_multiplicity(poly))
-        gammas = [gamma for gamma in partitions_of(poly.degree) if gamma[0] == delta[0]]
+        gammas = [gamma for gamma in iter_partitions(poly.degree) if gamma[0] == delta[0]]
         values = [disc_value(poly, gamma).value for gamma in gammas]
         assert values == [_bareiss_value(poly, gamma) for gamma in gammas]
         assert values[gammas.index(delta)] != 0
@@ -813,7 +813,7 @@ class TestReducedLeaf:
         for mu in [(1, 1, 1, 1, 1), (3, 2), (2, 2, 1), (4, 1, 1), (6,), (3, 3, 1, 1)]:
             poly = expand(RootSpec(tuple((i - 1, m) for i, m in enumerate(mu)), 2))
             n, k = poly.degree, len(mu)
-            for first, gamma in enumerate(partitions_of(n)):
+            for first, gamma in enumerate(iter_partitions(n)):
                 orders.clear()
                 calls["res"] = 0
                 disc_value(poly, gamma)
@@ -857,10 +857,10 @@ class TestReducedLeaf:
         monkeypatch.setattr(engine, "det_fraction_free", counted_det)
         checked = 0
         for n in range(1, 9):
-            for mu in partitions_of(n):
+            for mu in iter_partitions(n):
                 k = len(mu)
                 poly = expand(RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), -2))
-                for gamma in partitions_of(n):
+                for gamma in iter_partitions(n):
                     if gamma[0] > k:
                         calls.clear()
                         assert disc_value(poly, gamma).value == 0, (mu, gamma)
@@ -887,7 +887,7 @@ class TestResultantMemo:
             ints, scale = poly.clear_denominators()
             assert multiple.clear_denominators() == (ints, scale / c)
             n = poly.degree
-            for gamma in partitions_of(n):
+            for gamma in iter_partitions(n):
                 value = disc_value(poly, gamma).value
                 assert disc_value(multiple, gamma).value == c ** (n + gamma[0] - 2) * value, gamma
         assert disc_value(self.SQUAREFREE, (6,)).value != 0
@@ -898,7 +898,7 @@ class TestResultantMemo:
         # the one computed with an empty memo
         engine = sys.modules["multidisc.engine"]
         multiple = scaled(self.POLY, 7)
-        gammas = partitions_of(self.POLY.degree)
+        gammas = list(iter_partitions(self.POLY.degree))
         expected = {}
         for poly in (self.POLY, multiple, self.OTHER):
             for gamma in gammas:
@@ -1030,7 +1030,7 @@ class TestDiscSymbolic:
         # the translation recurrence against the expansion of the whole
         # divided matrix, a(n-1) kept, for every gamma with n <= 6
         for n in range(1, 7):
-            for gamma in partitions_of(n):
+            for gamma in iter_partitions(n):
                 assert disc_symbolic(n, gamma).value == full_expansion(n, gamma), (n, gamma)
 
     def test_recurrence_runs_past_a_zero_coefficient(self):
@@ -1066,7 +1066,7 @@ class TestDiscSymbolic:
         widths = set()
         for n in range(1, 9):
             an = SymPoly.variable(n + 1, n)
-            for gamma in partitions_of(n):
+            for gamma in iter_partitions(n):
                 calls.clear()
                 disc_symbolic(n, gamma)
                 width = (n + gamma[0] - 1).bit_length()
@@ -1102,7 +1102,7 @@ class TestDiscSymbolic:
 
     def test_total_degree_is_homogeneity_degree(self):
         for n in range(1, 6):
-            for gamma in partitions_of(n):
+            for gamma in iter_partitions(n):
                 d = disc_symbolic(n, gamma)
                 value = d.value
                 assert not value.is_zero
@@ -1119,7 +1119,7 @@ class TestDiscSymbolic:
         # (3, 2) and 17 for (2, 2, 1) at n = 5.
         expected = {}
         for n in range(1, 7):
-            for gamma in partitions_of(n):
+            for gamma in iter_partitions(n):
                 matrix = build_symbolic_matrix(n, gamma)
                 size = len(matrix.entries)
                 expected[gamma] = (
@@ -1138,7 +1138,7 @@ class TestDiscSymbolic:
     def test_specialization_matches_concrete_engine(self):
         rng = random.Random(606)
         for n in range(2, 6):
-            for gamma in partitions_of(n):
+            for gamma in iter_partitions(n):
                 d = disc_symbolic(n, gamma)
                 for _ in range(3):
                     vec = [rng.randint(-6, 6) for _ in range(n)]
@@ -1149,7 +1149,7 @@ class TestDiscSymbolic:
     def test_degree_six_agreement_with_concrete_engine(self):
         rng = random.Random(808)
         for n in (6, 7, 8):
-            for gamma in partitions_of(n):
+            for gamma in iter_partitions(n):
                 d = disc_symbolic(n, gamma)
                 for _ in range(2):
                     vec = [rng.randint(-5, 5) for _ in range(n)]
@@ -1164,7 +1164,7 @@ class TestDiscSymbolic:
         for n in range(2, 9):
             degrees = {
                 gamma: max(map(sum, disc_symbolic(n, gamma).value.terms))
-                for gamma in partitions_of(n)
+                for gamma in iter_partitions(n)
             }
             worst = max(degrees.values())
             assert worst == 2 * n - 2 == degrees[(n,)]
@@ -1188,7 +1188,7 @@ class TestDiscSymbolic:
     def test_latex_output_is_pinned(self):
         got = {}
         for n in range(1, 7):
-            for gamma in partitions_of(n):
+            for gamma in iter_partitions(n):
                 latex = disc_symbolic(n, gamma).value.to_latex()
                 got[",".join(map(str, gamma))] = hashlib.sha256(latex.encode()).hexdigest()
         assert got == LATEX_DIGESTS

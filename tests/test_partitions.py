@@ -9,12 +9,12 @@ from multidisc import (
     build_symbolic_matrix,
     conjugate,
     d_yhz,
-    disc_from_distinct_roots,
-    disc_from_multiple_roots_abs,
+    disc_from_roots,
     disc_value,
-    partitions_of,
+    iter_partitions,
 )
-from multidisc.partitions import as_partition, classification_order, iter_partitions
+from multidisc.partitions import as_partition, classification_order
+from multidisc.roots import disc_from_distinct_roots, disc_from_multiple_roots_abs
 
 
 def partition_count(n: int) -> int:
@@ -31,7 +31,7 @@ def partition_count(n: int) -> int:
 
 
 def test_partitions_of_five_matches_known_set():
-    got = partitions_of(5)
+    got = list(iter_partitions(5))
     assert set(got) == {
         (1, 1, 1, 1, 1),
         (2, 1, 1, 1),
@@ -48,29 +48,29 @@ def test_partitions_of_five_matches_known_set():
 
 
 def test_partitions_of_one():
-    assert partitions_of(1) == [(1,)]
+    assert list(iter_partitions(1)) == [(1,)]
 
 
 def test_partition_counts_against_recurrence():
     for n in range(1, 13):
-        assert len(partitions_of(n)) == partition_count(n)
-    assert len(partitions_of(9)) == 30
+        assert len(list(iter_partitions(n))) == partition_count(n)
+    assert len(list(iter_partitions(9))) == 30
 
 
 def test_partitions_are_valid_and_sum_correctly():
     for n in range(1, 11):
-        for p in partitions_of(n):
+        for p in iter_partitions(n):
             assert as_partition(p) == p
             assert sum(p) == n
 
 
 def test_partitions_of_rejects_nonpositive():
     with pytest.raises(ValueError):
-        partitions_of(0)
+        iter_partitions(0)
     with pytest.raises(ValueError):
-        partitions_of(-3)
+        iter_partitions(-3)
     with pytest.raises(ValueError):
-        partitions_of(True)
+        iter_partitions(True)
 
 
 def test_iter_partitions_is_partitions_of_one_at_a_time():
@@ -78,7 +78,6 @@ def test_iter_partitions_is_partitions_of_one_at_a_time():
     # n in the classification order
     for n in range(1, 21):
         got = list(iter_partitions(n))
-        assert got == partitions_of(n)
         assert len(got) == partition_count(n)
         assert all(as_partition(p, n) == p for p in got)
         assert all(a > b for a, b in zip(got, got[1:]))
@@ -100,7 +99,7 @@ def test_conjugate_examples():
 
 def test_conjugate_is_involution():
     for n in range(1, 13):
-        for p in partitions_of(n):
+        for p in iter_partitions(n):
             assert conjugate(conjugate(p)) == p
 
 
@@ -132,7 +131,7 @@ def test_conjugate_is_involution_property():
 def test_conjugate_part_counts():
     # first conjugate part = number of parts; number of conjugate parts = largest part
     for n in range(1, 13):
-        for mu in partitions_of(n):
+        for mu in iter_partitions(n):
             gamma = conjugate(mu)
             assert gamma[0] == len(mu)
             assert len(gamma) == mu[0]
@@ -155,6 +154,7 @@ def test_non_integer_parts_are_rejected_not_truncated():
         lambda parts: disc_value(quintic, parts),
         lambda parts: build_matrix(quintic, parts),
         lambda parts: build_symbolic_matrix(5, parts),
+        lambda parts: disc_from_roots(repeated, parts),
         lambda parts: disc_from_multiple_roots_abs(repeated, parts),
         lambda parts: disc_from_distinct_roots(distinct, parts),
         d_yhz,
@@ -196,7 +196,7 @@ def test_classification_order_degenerate_and_large():
     for a, b in zip(gammas, gammas[1:]):
         assert a > b
     # both columns cover all partitions exactly once
-    assert set(gammas) == set(partitions_of(9))
-    assert set(m for m, _ in pairs) == set(partitions_of(9))
+    assert set(gammas) == set(iter_partitions(9))
+    assert set(m for m, _ in pairs) == set(iter_partitions(9))
     for mu, gamma in pairs:
         assert conjugate(mu) == gamma

@@ -8,16 +8,16 @@ from multidisc import (
     RootSpec,
     UniPoly,
     conjugate,
-    disc_from_distinct_roots,
-    disc_from_multiple_roots_abs,
+    disc_from_roots,
     disc_value,
     expand,
-    partitions_of,
+    iter_partitions,
     squarefree_multiplicity,
 )
 from multidisc.engine import sylvester_resultant
 from multidisc.roots import (
-    _root_side_disc,
+    disc_from_distinct_roots,
+    disc_from_multiple_roots_abs,
     random_root_spec,
     squarefree_decomposition,
 )
@@ -132,7 +132,10 @@ def _seeded_sqf_inputs():
     rng = random.Random(1505)
     polys = []
     for n in range(1, 21):
-        partitions = partitions_of(n) if n <= 12 else [(1,) * n, (n,), (3, 3, 2) + (1,) * (n - 8)]
+        if n <= 12:
+            partitions = list(iter_partitions(n))
+        else:
+            partitions = [(1,) * n, (n,), (3, 3, 2) + (1,) * (n - 8)]
         for mu in rng.sample(partitions, min(3, len(partitions))):
             spec = random_root_spec(rng, mu)
             polys.append(expand(spec))
@@ -216,7 +219,7 @@ class TestSquarefreeOracle:
         rng = random.Random(100)
         for n in range(1, 11):
             for _ in range(5):
-                mu = rng.choice(partitions_of(n))
+                mu = rng.choice(list(iter_partitions(n)))
                 spec = random_root_spec(rng, mu)
                 assert squarefree_multiplicity(expand(spec)) == mu
 
@@ -226,7 +229,7 @@ class TestSquarefreeOracle:
         rng = random.Random(3)
         for _ in range(12):
             n = rng.randint(2, 8)
-            mu = rng.choice(partitions_of(n))
+            mu = rng.choice(list(iter_partitions(n)))
             poly = expand(random_root_spec(rng, mu))
             lead, factors = squarefree_decomposition(poly)
             assert scaled(product(*[g for g, i in factors for _ in range(i)]), lead) == poly
@@ -254,7 +257,7 @@ class TestDistinctRootsFormula:
             for _ in range(4):
                 spec = random_root_spec(rng, (1,) * n)
                 poly = expand(spec)
-                for gamma in partitions_of(n):
+                for gamma in iter_partitions(n):
                     assert disc_from_distinct_roots(spec, gamma) == disc_value(poly, gamma).value
 
     def test_all_ones_gamma_closed_form(self):
@@ -288,7 +291,7 @@ class TestMultipleRootsFormula:
     def test_identity_against_engine(self):
         rng = random.Random(91)
         for n in range(2, 6):
-            partitions = partitions_of(n)
+            partitions = list(iter_partitions(n))
             for mu in partitions:
                 spec = random_root_spec(rng, mu)
                 poly = expand(spec)
@@ -300,10 +303,10 @@ class TestMultipleRootsFormula:
         rng = random.Random(121)
         for n in range(2, 6):
             spec = random_root_spec(rng, (1,) * n)
-            for gamma in partitions_of(n):
-                assert disc_from_multiple_roots_abs(spec, gamma) == abs(
-                    disc_from_distinct_roots(spec, gamma)
-                )
+            for gamma in iter_partitions(n):
+                signed = disc_from_roots(spec, gamma)
+                assert disc_from_distinct_roots(spec, gamma) == signed
+                assert disc_from_multiple_roots_abs(spec, gamma) == abs(signed)
 
 
 def _reference_expand(spec):
@@ -375,13 +378,14 @@ def _assert_matches_reference(spec, gammas):
     assert got == want and all(type(c) is Fraction for c in got.coeffs)
     distinct = all(m == 1 for _, m in spec.roots)
     for gamma in gammas:
-        assert _exact(
-            disc_from_multiple_roots_abs(spec, gamma), _reference_multiple_abs(spec, gamma)
-        ), (spec, gamma)
+        signed = disc_from_roots(spec, gamma)
+        reference = _reference_multiple_abs(spec, gamma)
+        assert _exact(abs(signed), reference), (spec, gamma)
+        assert _exact(disc_from_multiple_roots_abs(spec, gamma), reference), (spec, gamma)
         if distinct:
-            assert _exact(
-                disc_from_distinct_roots(spec, gamma), _reference_distinct(spec, gamma)
-            ), (spec, gamma)
+            reference = _reference_distinct(spec, gamma)
+            assert _exact(signed, reference), (spec, gamma)
+            assert _exact(disc_from_distinct_roots(spec, gamma), reference), (spec, gamma)
 
 
 class TestTaylorShiftRows:
@@ -389,7 +393,7 @@ class TestTaylorShiftRows:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_gamma_up_to_degree_8(self, n):
-        partitions = partitions_of(n)
+        partitions = list(iter_partitions(n))
         for idx, mu in enumerate(partitions):
             pool, leading = (INTEGER_ROOTS, 3) if idx % 2 else (MIXED_ROOTS, Fraction(-3, 7))
             # rotate so each root of the pool takes each multiplicity in turn
@@ -401,7 +405,7 @@ class TestTaylorShiftRows:
         rng = random.Random(1409)
         pool = MIXED_ROOTS + [Fraction(k, 2) for k in range(-9, 10, 2)] + [Fraction(3, 7)]
         for n in range(9, 15):
-            partitions = partitions_of(n)
+            partitions = list(iter_partitions(n))
             for mu in ((1,) * n, rng.choice(partitions[1:-1]), rng.choice(partitions[1:-1])):
                 leading = rng.choice([Fraction(-3, 7), Fraction(2), Fraction(5, 4)])
                 spec = _spec(zip(rng.sample(pool, len(mu)), mu), leading)
@@ -417,7 +421,7 @@ class TestTaylorShiftRows:
         # (n - 2, 1, 1) at gamma = (2, 2, 1, ...), with l = n - 3, up to 11.
         rng = random.Random(2900 + n)
         pool = MIXED_ROOTS + [Fraction(k, 2) for k in range(-9, 10, 2)]
-        partitions = partitions_of(n)
+        partitions = list(iter_partitions(n))
         for mu in ((n,), (n - 1, 1), ((n + 1) // 2, n // 2), (n - 2, 1, 1)):
             leading = rng.choice([Fraction(-3, 7), Fraction(2), Fraction(5, 4)])
             spec = _spec(zip(rng.sample(pool, len(mu)), mu), leading)
@@ -427,7 +431,7 @@ class TestTaylorShiftRows:
         spec = _spec([(Fraction(1, 3), 2), (Fraction(-2, 5), 1), (Fraction(7, 4), 3), (0, 1)],
                      Fraction(-3, 7))
         assert spec.n == 7
-        _assert_matches_reference(spec, partitions_of(7))
+        _assert_matches_reference(spec, iter_partitions(7))
         value = disc_from_multiple_roots_abs(spec, conjugate(spec.multiplicities()))
         assert value == abs(disc_value(expand(spec), conjugate(spec.multiplicities())).value)
         assert value != 0
@@ -437,15 +441,24 @@ class TestTaylorShiftRows:
 def test_signed_root_side_formula_is_disc_value(n):
     # the confluent-Vandermonde sign (-1)^(sum C(m_j, 2)) makes the root side
     # equal D_gamma itself, not only its absolute value
-    partitions = partitions_of(n)
+    partitions = list(iter_partitions(n))
     for idx, mu in enumerate(partitions):
         for pool, leading in ((INTEGER_ROOTS, -2), (MIXED_ROOTS, Fraction(5, 3))):
             roots = [pool[(idx + j) % len(pool)] for j in range(len(mu))]
             spec = _spec(zip(roots, mu), leading)
             poly = expand(spec)
             for gamma in partitions:
-                assert _exact(_root_side_disc(spec, gamma), disc_value(poly, gamma).value), (
+                assert _exact(disc_from_roots(spec, gamma), disc_value(poly, gamma).value), (
                     spec, gamma)
+
+
+def test_signed_formula_rejects_a_bad_gamma():
+    # the partition check is disc_from_roots' own, not only its wrappers':
+    # a non-partition, and partitions of 4 and 5 for a spec of degree 3
+    spec = _spec([(1, 2), (-1, 1)])
+    for gamma in [(1, 2), (3, 0), (), (3.0,), (2, 2), (2, 2, 1)]:
+        with pytest.raises(ValueError, match="not a partition"):
+            disc_from_roots(spec, gamma)
 
 
 def test_leibniz_vanishing_structure():
@@ -454,7 +467,7 @@ def test_leibniz_vanishing_structure():
     rng = random.Random(777)
     for _ in range(10):
         n = rng.randint(2, 7)
-        mu = rng.choice(partitions_of(n))
+        mu = rng.choice(list(iter_partitions(n)))
         spec = random_root_spec(rng, mu)
         poly = expand(spec)
         gamma = conjugate(mu)
@@ -474,7 +487,7 @@ def test_derivatives_vanish_to_multiplicity():
     rng = random.Random(888)
     for _ in range(8):
         n = rng.randint(2, 6)
-        mu = rng.choice(partitions_of(n))
+        mu = rng.choice(list(iter_partitions(n)))
         spec = random_root_spec(rng, mu)
         poly = expand(spec)
         for root, mult in spec.roots:
@@ -504,7 +517,7 @@ class TestClosedForm:
         pool = [Fraction(a, 3) for a in range(-15, 16)]
         specs = []
         for n in range(1, 13):
-            for mu in partitions_of(n):
+            for mu in iter_partitions(n):
                 pairs = list(zip(rng.sample(pool, len(mu)), mu))
                 rng.shuffle(pairs)  # the closed form orders the roots itself
                 specs.append(RootSpec(tuple(pairs), lead))
