@@ -22,13 +22,13 @@ alone.  At level 1 this is the rule g1 > k for k distinct roots, by which
 of the non-nested discriminants vanish on the input and does not change
 them; Yun's decomposition (``roots``) stays an independent oracle of delta.
 Vanishing is not monotone along the order (x^4 - x has D(3,1) = 0 but
-D(2,2) != 0), so no scan may bisect on the values.
+D(2,2) != 0), so no scan may bisect on the values.  This module writes no
+text: ``cli`` writes every output format under its one lifted int-to-str bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -153,31 +153,3 @@ def _condition_rows(
         yield conjugate(gamma), list(zero), gamma
         zero.append(gamma)
 
-
-def trace_json_dict(poly: UniPoly, trace: ClassificationTrace) -> dict:
-    """JSON-ready trace: all numbers as strings to keep them exact.
-
-    The steps are built from ``trace.zero_steps()``, so no ``TraceStep`` is made.
-    """
-    steps = [{"gamma": list(gamma), "value": "0", "nonzero": False} for gamma in trace.zero_steps()]
-    steps.append({"gamma": list(trace.delta), "value": _text(trace.value), "nonzero": True})
-    return {
-        "input": ",".join(_text(c) for c in poly.descending_coeffs()),
-        "n": poly.degree,
-        "steps": steps,
-        "multiplicity": list(trace.result),
-    }
-
-
-def _text(value: Fraction) -> str:
-    """``str(value)``, also past the interpreter's bound on int-to-str
-    conversion (4300 digits by default), which a D_delta can pass.  A value
-    within the bound is written by str() itself; above it str() raises
-    ValueError, and the text is built from Decimal, which converts an int
-    exactly and is not bound by it."""
-    try:
-        return str(value)
-    except ValueError:
-        pass
-    text = str(Decimal(value.numerator))
-    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"

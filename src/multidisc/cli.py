@@ -5,12 +5,15 @@ x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4); each entry is an integer, a decimal
 such as 0.5, or a rational written p/q; exponent notation (1e5) is
 rejected; a negative first coefficient needs the form --coeffs=-3/7,1/7.
 A coefficient may have at most ``sys.int_info.default_max_str_digits``
-(4300) digits, as parsing is quadratic in its length; exact results print
-at any size.  Bad input raises ValueError, which ``main`` prints as one
-line.  Exit codes: 0 success, 1 selftest property violation, 2 usage or
-parse error (in batch mode, after every line was tried), 3 internal
-arithmetic error, 130 interrupted (Ctrl-C), 141 output pipe closed early
-(as with "| head").  No traceback is printed for any of them.
+(4300) digits, as parsing is quadratic in its length.  ``main`` lifts the
+interpreter's int-to-str bound for every command, and this module writes
+every output format, the classification's text and JSON among them, so
+plain ``str`` writes exact results at any size.  Bad input raises
+ValueError, which ``main`` prints as one line.  Exit codes: 0 success, 1
+selftest property violation, 2 usage or parse error (in batch mode, after
+every line was tried), 3 internal arithmetic error, 130 interrupted
+(Ctrl-C), 141 output pipe closed early (as with "| head").  No traceback
+is printed for any of them.
 
 The argument parser is built once per process, on the first ``main()``
 call, and reused by every later call: ``parse_args`` returns a new
@@ -26,7 +29,7 @@ import os
 import random
 import sys
 
-from .classify import classify_trace, conditions, trace_json_dict
+from .classify import ClassificationTrace, classify_trace, conditions
 from .degrees import degree_table
 from .engine import (
     _build,
@@ -93,10 +96,22 @@ def _format_partition(parts) -> str:
     return ",".join(str(p) for p in parts)
 
 
+def _trace_json(poly: UniPoly, trace: ClassificationTrace) -> dict:
+    # every number is a string, to keep it exact; no TraceStep is made
+    steps = [{"gamma": list(gamma), "value": "0", "nonzero": False} for gamma in trace.zero_steps()]
+    steps.append({"gamma": list(trace.delta), "value": str(trace.value), "nonzero": True})
+    return {
+        "input": ",".join(map(str, poly.descending_coeffs())),
+        "n": poly.degree,
+        "steps": steps,
+        "multiplicity": list(trace.result),
+    }
+
+
 def _print_classification(args, poly: UniPoly) -> None:
     trace = classify_trace(poly)
     if args.json:
-        print(_json_dumps(trace_json_dict(poly, trace)))
+        print(_json_dumps(_trace_json(poly, trace)))
         return
     if args.trace:
         # built whole first, so an engine fault in the walk prints no step
@@ -113,7 +128,7 @@ def _cmd_classify(args) -> int:
     try:
         with open(args.file, encoding="utf-8-sig") as handle:
             lines = [line.strip() for line in handle]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {args.file}: {exc}") from None
     code = 0
     for lineno, line in enumerate(lines, start=1):

@@ -126,8 +126,6 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
     takes out again.
     """
     a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
     while len(b) > 1:
         lead, tail, rem = b[0], b[1:], a
         while len(rem) >= len(b):

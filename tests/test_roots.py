@@ -16,6 +16,7 @@ from multidisc import (
 )
 from multidisc.engine import sylvester_resultant
 from multidisc.roots import (
+    _prs_gcd,
     disc_from_distinct_roots,
     disc_from_multiple_roots_abs,
     random_root_spec,
@@ -181,6 +182,20 @@ class TestIntegerYun:
         assert lead == -1 and [(g.coeffs, i) for g, i in factors] == [((-1, 1), 3)]
         lead, factors = squarefree_decomposition(UniPoly([1, Fraction(1, 2)]))
         assert lead == Fraction(1, 2) and [(g.coeffs, i) for g, i in factors] == [((2, 1), 1)]
+
+    def test_prs_gcd_is_the_rational_gcd_in_either_degree_order(self):
+        # Yun passes deg a = deg b + 1; a shorter a is swapped by the first pass
+        rng = random.Random(129)
+        orders = set()
+        for _ in range(60):
+            common = random_int_poly(rng, rng.randint(0, 3))
+            f, g = (product(common, random_int_poly(rng, rng.randint(0, 6))) for _ in range(2))
+            for a, b in ((f, g), (g, f)):
+                ints = ([int(c) for c in p.descending_coeffs()] for p in (a, b))
+                got = UniPoly.from_descending(_prs_gcd(*ints))
+                assert scaled(got, 1 / got.leading) == reference_gcd(a, b), (a, b)
+                orders.add((a.degree > b.degree) - (a.degree < b.degree))
+        assert orders == {-1, 0, 1}
 
     def test_pure_powers_and_empty_low_factors(self):
         lead, factors = squarefree_decomposition(expand(_spec([(1, 30)])))
