@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -27,6 +28,7 @@ from conftest import product, random_int_poly, reference_rows, scaled, shift_pol
 # the package's classify function shadows the module of the same name
 CLASSIFY = import_module("multidisc.classify")
 ENGINE = import_module("multidisc.engine")
+CLI = import_module("multidisc.cli")
 
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
@@ -539,3 +541,15 @@ def test_conditions_rejects_bad_n_at_the_call():
     for bad in [0, -3, True, 2.0, "x"]:
         with pytest.raises(ValueError, match="n must be a positive integer"):
             conditions(bad)
+
+
+def test_trace_json_schema_and_round_trip():
+    # the JSON record the CLI builds from a trace
+    data = CLI._trace_json(QUINTIC, classify_trace(QUINTIC))
+    assert data["input"] == "1,-5,7,1,-8,4"
+    assert data["n"] == 5
+    assert data["multiplicity"] == [2, 2, 1]
+    assert data["steps"][0] == {"gamma": [5], "value": "0", "nonzero": False}
+    assert data["steps"][-1]["nonzero"] is True
+    encoded = CLI._json_dumps(data)
+    assert CLI._json_dumps(json.loads(encoded)) == encoded

@@ -74,6 +74,15 @@ def test_iter_partitions_gives_each_partition_once_in_order():
         assert all(a > b for a, b in zip(got, got[1:]))
 
 
+def test_partitions_of_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        iter_partitions(0)
+    with pytest.raises(ValueError):
+        iter_partitions(-3)
+    with pytest.raises(ValueError):
+        iter_partitions(True)
+
+
 def test_iter_partitions_rejects_bad_n_at_the_call():
     # a plain generator function would raise only at the first next()
     for bad in [0, -3, True, 2.0]:
