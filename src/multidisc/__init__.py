@@ -17,7 +17,6 @@ degree bookkeeping for competing condition systems round out the toolkit.
 from .classify import ClassificationTrace, classify, classify_trace, conditions
 from .degrees import DegreeRow, d_yhz, degree_table
 from .engine import (
-    DiscMatrix,
     DiscValue,
     build_matrix,
     build_symbolic_matrix,
@@ -37,7 +36,6 @@ from .unipoly import UniPoly
 __all__ = [
     "ClassificationTrace",
     "DegreeRow",
-    "DiscMatrix",
     "DiscValue",
     "Partition",
     "RootSpec",

@@ -7,13 +7,13 @@ rejected; a negative first coefficient needs the form --coeffs=-3/7,1/7.
 A coefficient may have at most ``sys.int_info.default_max_str_digits``
 (4300) digits, as parsing is quadratic in its length.  ``main`` lifts the
 interpreter's int-to-str bound for every command, and this module writes
-every output format, the classification's text and JSON among them, so
-plain ``str`` writes exact results at any size.  Bad input raises
-ValueError, which ``main`` prints as one line.  Exit codes: 0 success, 1
-selftest property violation, 2 usage or parse error (in batch mode, after
-every line was tried), 3 internal arithmetic error, 130 interrupted
-(Ctrl-C), 141 output pipe closed early (as with "| head").  No traceback
-is printed for any of them.
+every output format, the classification's text and JSON and the matrix's
+JSON and LaTeX among them, so plain ``str`` writes exact results at any
+size.  Bad input raises ValueError, which ``main`` prints as one line.
+Exit codes: 0 success, 1 selftest property violation, 2 usage or parse
+error (in batch mode, after every line was tried), 3 internal arithmetic
+error, 130 interrupted (Ctrl-C), 141 output pipe closed early (as with
+"| head").  No traceback is printed for any of them.
 
 The argument parser is built once per process, on the first ``main()``
 call, and reused by every later call: ``parse_args`` returns a new
@@ -28,10 +28,12 @@ import json
 import os
 import random
 import sys
+from itertools import accumulate
 
 from .classify import ClassificationTrace, classify_trace, conditions
 from .degrees import degree_table
 from .engine import (
+    _block_sizes,
     _build,
     build_matrix,
     build_symbolic_matrix,
@@ -49,6 +51,7 @@ from .roots import (
     squarefree_decomposition,
     squarefree_multiplicity,
 )
+from .sympoly import SymPoly
 from .unipoly import UniPoly, parse_rational
 
 
@@ -121,6 +124,58 @@ def _print_classification(args, poly: UniPoly) -> None:
     print(_format_partition(trace.result))
 
 
+def _matrix_json(rows, gamma) -> dict:
+    sizes = _block_sizes(gamma)
+    symbolic = isinstance(rows[0][0], SymPoly)
+    if symbolic:
+        entries = [[[[str(c), list(e)] for e, c in x.sorted_terms()] for x in row] for row in rows]
+    else:
+        entries = [[str(x) for x in row] for row in rows]
+    return {
+        "n": sum(gamma),
+        "gamma": list(gamma),
+        "gamma0": gamma[0] - 1,
+        "size": len(rows),
+        "symbolic": symbolic,
+        # the order-0 block is listed, with no rows, also when g1 = 1
+        "blocks": [
+            {"derivative": order, "rows": list(range(end - count, end))}
+            for order, (count, end) in enumerate(zip(sizes, accumulate(sizes)))
+        ],
+        # (derivative order, shift power) of every row, the shifts descending
+        "row_provenance": [
+            [order, shift] for order, count in enumerate(sizes) for shift in range(count - 1, -1, -1)
+        ],
+        "entries": entries,
+    }
+
+
+def _matrix_latex(rows, gamma) -> str:
+    # the determinant as an array, a zero as a blank cell and a rule under the
+    # last row of every block but the last; an empty order-0 block "ends" at -1
+    ends = {end - 1 for end in accumulate(_block_sizes(gamma))}
+    lines = []
+    for idx, row in enumerate(rows):
+        line = " & ".join(map(_latex_entry, row))
+        if idx != len(rows) - 1:
+            line += r" \\" + (r"\hline" if idx in ends else "")
+        lines.append(line)
+    header = r"\left|\begin{array}{" + "c" * len(rows) + "}"
+    return "\n".join([header, *lines, r"\end{array}\right|"])
+
+
+def _latex_entry(entry) -> str:
+    # a SymPoly of the generic matrix, or a Fraction of a concrete one
+    if not entry:
+        return ""
+    if isinstance(entry, SymPoly):
+        return entry.to_latex()
+    if entry.denominator == 1:
+        return str(entry.numerator)
+    sign = "-" if entry < 0 else ""
+    return rf"{sign}\frac{{{abs(entry.numerator)}}}{{{entry.denominator}}}"
+
+
 def _cmd_classify(args) -> int:
     if not args.file:
         _print_classification(args, parse_coeffs(args.coeffs))
@@ -179,11 +234,11 @@ def _cmd_discriminant(args) -> int:
                              "if you accept the term growth")
         print(str(disc_symbolic(n, gamma).value))
         return 0
-    matrix = build_matrix(poly, gamma) if poly is not None else build_symbolic_matrix(n, gamma)
+    rows = build_matrix(poly, gamma) if poly is not None else build_symbolic_matrix(n, gamma)
     if args.format == "latex":
-        print(matrix.to_latex())
+        print(_matrix_latex(rows, gamma))
     else:
-        print(_json_dumps(matrix.to_json_dict()))
+        print(_json_dumps(_matrix_json(rows, gamma)))
     return 0
 
 
@@ -273,7 +328,7 @@ def run_selftest(max_n: int, trials: int, seed: int, quiet: bool = False) -> tup
                 for lam in zero:
                     values = [disc_value(poly, lam).value]
                     if lam[0] > len(mu):  # g1 > k
-                        values.append(det_fraction_free(_build(ints, lam).entries))
+                        values.append(det_fraction_free(_build(ints, lam)))
                     check(not any(values), f"{label}: D({lam}) expected to vanish")
                 check(
                     disc_value(poly, nonzero).value != 0,

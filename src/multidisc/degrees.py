@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .partitions import as_partition, conjugate, iter_partitions
+from .partitions import conjugate, iter_partitions
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def d_yhz(mu) -> int:
     * j = mu2 = s when mu1 = mu2, where D_j = m: product;
     * j = 1 when mu = (n), as delta_1 = 1: 2n - 1.
     """
-    return _nested_max(conjugate(as_partition(mu)))
+    return _nested_max(conjugate(mu))
 
 
 def _nested_max(delta) -> int:

@@ -8,8 +8,8 @@ matrix, divided by the leading coefficient.  The matrix stacks row blocks
     F^(i) * x^(gi-1) ... F^(i) * x^0        (gi rows, for i = 1..s)
 
 with every row right-aligned to a common width n + g1 - 1: column j holds
-the coefficient of x^(size-1-j), so the serialized matrices reproduce the
-familiar staircase layout with blanks in the lower-left/upper-right.
+the coefficient of x^(size-1-j), so the zeros fill the lower-left and
+upper-right of the familiar staircase.
 
 A concrete D_gamma takes one of three routes, chosen by g1 against k, the
 number of distinct roots of F.  k comes from G = gcd(F, F'), of degree
@@ -124,81 +124,7 @@ from .sympoly import SymPoly
 from .unipoly import UniPoly
 
 Entry = Union[int, Fraction, SymPoly]
-
-
-@dataclass(frozen=True)
-class DiscMatrix:
-    """Square discriminant matrix; gamma fixes its layout and the row of every entry."""
-
-    entries: tuple[tuple[Entry, ...], ...]
-    gamma: Partition
-
-    def blocks(self) -> list[tuple[int, list[int]]]:
-        """Row indices grouped by derivative order.
-
-        The order-0 block is always present, with an empty row list when
-        gamma starts at 1, so serialized output shows the full block layout.
-        """
-        grouped, start = [], 0
-        for order, count in enumerate(_block_sizes(self.gamma)):
-            grouped.append((order, list(range(start, start + count))))
-            start += count
-        return grouped
-
-    def to_json_dict(self) -> dict:
-        symbolic = isinstance(self.entries[0][0], SymPoly)
-        if symbolic:
-            entries = [
-                [[[str(c), list(e)] for e, c in entry.sorted_terms()] for entry in row]
-                for row in self.entries
-            ]
-        else:
-            entries = [[str(e) for e in row] for row in self.entries]
-        blocks = self.blocks()
-        return {
-            "n": sum(self.gamma),
-            "gamma": list(self.gamma),
-            "gamma0": self.gamma[0] - 1,
-            "size": len(self.entries),
-            "symbolic": symbolic,
-            "blocks": [{"derivative": order, "rows": rows} for order, rows in blocks],
-            # (derivative order, shift power) of every row, the shifts descending
-            "row_provenance": [
-                [order, shift] for order, rows in blocks for shift in range(len(rows) - 1, -1, -1)
-            ],
-            "entries": entries,
-        }
-
-    def to_latex(self) -> str:
-        """Determinant as a LaTeX array, horizontal rules between row blocks."""
-        boundaries = set()
-        nonempty = [rows for _, rows in self.blocks() if rows]
-        for rows in nonempty[:-1]:
-            boundaries.add(rows[-1])
-        lines = []
-        last = len(self.entries) - 1
-        for idx, row in enumerate(self.entries):
-            cells = [_latex_entry(e) for e in row]
-            line = " & ".join(cells)
-            if idx != last:
-                line += r" \\"
-            if idx in boundaries:
-                line += r"\hline"
-            lines.append(line)
-        header = r"\left|\begin{array}{" + "c" * len(self.entries) + "}"
-        return "\n".join([header, *lines, r"\end{array}\right|"])
-
-
-def _latex_entry(entry: Entry) -> str:
-    if isinstance(entry, SymPoly):
-        return "" if entry.is_zero else entry.to_latex()
-    value = Fraction(entry)
-    if not value:
-        return ""
-    if value.denominator == 1:
-        return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return rf"{sign}\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+Rows = tuple[tuple[Entry, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -229,12 +155,13 @@ def _block_sizes(gamma: Partition) -> tuple[int, ...]:
     return (gamma[0] - 1, *gamma)
 
 
-def _build(coeffs: Sequence[Entry], gamma: Sequence[int]) -> DiscMatrix:
-    """The discriminant matrix of the polynomial with ascending ``coeffs``.
+def _build(coeffs: Sequence[Entry], gamma: Sequence[int]) -> Rows:
+    """The rows of the discriminant matrix of the polynomial with ascending
+    ``coeffs``, top to bottom, each a tuple.
 
     Block ``order`` is the descending coefficient list of F^(order), computed
-    once, laid out by :func:`_staircase`; the entries live in whatever ring
-    ``coeffs`` do.
+    once, laid out by :func:`_staircase`, with the block sizes of
+    :func:`_block_sizes`; the entries live in whatever ring ``coeffs`` do.
     """
     n = len(coeffs) - 1
     gamma = as_partition(gamma, n)
@@ -243,18 +170,19 @@ def _build(coeffs: Sequence[Entry], gamma: Sequence[int]) -> DiscMatrix:
         _staircase(derivative_coeffs(coeffs, order), zero, count, n + gamma[0] - 1)
         for order, count in enumerate(_block_sizes(gamma))
     ]
-    return DiscMatrix(tuple(tuple(row) for block in blocks for row in block), gamma)
+    return tuple(tuple(row) for block in blocks for row in block)
 
 
-def build_matrix(poly: UniPoly, gamma: Sequence[int]) -> DiscMatrix:
-    """Concrete discriminant matrix for a polynomial of degree >= 1."""
+def build_matrix(poly: UniPoly, gamma: Sequence[int]) -> Rows:
+    """The rows of the concrete discriminant matrix of a polynomial of degree >= 1."""
     if poly.is_zero or poly.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
     return _build(poly.coeffs, gamma)
 
 
-def build_symbolic_matrix(n: int, gamma: Sequence[int]) -> DiscMatrix:
-    """Discriminant matrix of the generic degree-n polynomial, entries in Z[a0..an].
+def build_symbolic_matrix(n: int, gamma: Sequence[int]) -> Rows:
+    """The rows of the discriminant matrix of the generic degree-n polynomial,
+    entries in Z[a0..an].
 
     ``n`` is checked here, at the call: a bool, a float such as 2.0 or a
     string is not read as a degree.
@@ -600,7 +528,7 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     elif gamma[0] == k:
         dp = _reduced_det(ints, divisor, psc, gamma)
     else:
-        dp = det_fraction_free(_build(ints, gamma).entries)
+        dp = det_fraction_free(_build(ints, gamma))
     # dp is the determinant for scale * poly, homogeneous of degree n + g1 - 1
     value = Fraction(dp, ints[-1]) / scale ** (n + gamma[0] - 2)
     return DiscValue(value, gamma)

@@ -61,6 +61,16 @@ def reference_rows(coeffs, order: int, count: int, size: int) -> list:
     return rows
 
 
+def row_layout(gamma) -> list[tuple[int, int]]:
+    """(derivative order, shift) of each row of the gamma matrix, top to bottom.
+
+    g1 - 1 rows of F, then gi rows of F^(i) for each part gi, every block's
+    shifts descending to 0.
+    """
+    counts = [gamma[0] - 1, *gamma]
+    return [(order, shift) for order, count in enumerate(counts) for shift in range(count - 1, -1, -1)]
+
+
 def perm_det(rows):
     """Determinant by explicit permutation expansion; fine up to ~7x7."""
     total = 0

@@ -18,7 +18,7 @@ def test_all_lists_exactly_the_public_names():
     assert sorted(multidisc.__all__) == sorted(public)
     assert len(multidisc.__all__) == len(set(multidisc.__all__))
     assert set(multidisc.__all__) == {
-        "ClassificationTrace", "DegreeRow", "DiscMatrix", "DiscValue", "Partition", "RootSpec",
+        "ClassificationTrace", "DegreeRow", "DiscValue", "Partition", "RootSpec",
         "SymPoly", "UniPoly", "build_matrix", "build_symbolic_matrix", "classify",
         "classify_trace", "conditions", "conjugate", "d_yhz", "degree_table", "disc_from_roots",
         "disc_symbolic", "disc_value", "expand", "iter_partitions", "squarefree_multiplicity",

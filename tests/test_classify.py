@@ -302,7 +302,8 @@ def _count_calls(monkeypatch, module, name, calls, record=None):
 def test_squarefree_input_runs_one_resultant_and_no_matrix(monkeypatch):
     poly = random_int_poly(random.Random(28), 28, bound=40)
     calls = Counter()
-    for name in ("sylvester_resultant", "det_fraction_free", "build_matrix"):
+    # _build is the one builder of every numeric route's full matrix
+    for name in ("sylvester_resultant", "det_fraction_free", "_build"):
         _count_calls(monkeypatch, ENGINE, name, calls)
     for name in ("sylvester_resultant", "disc_value"):
         _count_calls(monkeypatch, CLASSIFY, name, calls)

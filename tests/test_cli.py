@@ -11,11 +11,20 @@ from pathlib import Path
 import pytest
 
 import multidisc
-from multidisc import RootSpec, classify_trace, conditions, disc_value, expand, UniPoly
+from multidisc import (
+    RootSpec,
+    UniPoly,
+    classify_trace,
+    conditions,
+    disc_value,
+    expand,
+    iter_partitions,
+)
 from multidisc.cli import main, run_selftest
 from multidisc.engine import DiscValue
 
 from cli_reuse import check_reuse
+from conftest import coeff, derivative, mul_power, random_int_poly, row_layout
 
 
 def run_cli(capsys, *argv):
@@ -372,13 +381,49 @@ class TestDiscriminant:
         assert code == 0
         data = json.loads(out)
         assert data["size"] == 7
-        assert data["symbolic"] is True
+        assert (data["n"], data["gamma0"], data["symbolic"]) == (5, 2, True)
+        assert data["row_provenance"] == [
+            [0, 1],
+            [0, 0],
+            [1, 2],
+            [1, 1],
+            [1, 0],
+            [2, 1],
+            [2, 0],
+        ]
         assert data["blocks"] == [
             {"derivative": 0, "rows": [0, 1]},
             {"derivative": 1, "rows": [2, 3, 4]},
             {"derivative": 2, "rows": [5, 6]},
         ]
         assert json.dumps(json.loads(out.strip()), sort_keys=True) == out.strip()
+
+    def test_matrix_format_rows_are_the_shifted_derivatives(self, capsys):
+        # row_provenance names the (order, shift) of each row, whose entries
+        # are the coefficients of F^(order) * x^shift
+        rng = random.Random(99)
+        for n in range(1, 11):
+            integer = random_int_poly(rng, n)
+            rational = UniPoly(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                + [Fraction(rng.choice([-7, 5, 11]), rng.choice([2, 3, 4]))]
+            )
+            for poly in (integer, rational):
+                text = ",".join(map(str, poly.descending_coeffs()))
+                for gamma in iter_partitions(n):
+                    code, out, _ = run_cli(
+                        capsys, "discriminant", "--n", str(n), "--gamma",
+                        ",".join(map(str, gamma)), "--format", "matrix", f"--coeffs={text}",
+                    )
+                    assert code == 0
+                    data = json.loads(out)
+                    size = n + gamma[0] - 1
+                    assert (data["n"], data["size"], data["symbolic"]) == (n, size, False)
+                    assert len(data["entries"]) == size
+                    assert data["row_provenance"] == [list(p) for p in row_layout(gamma)]
+                    for row, (order, shift) in zip(data["entries"], data["row_provenance"]):
+                        p = mul_power(derivative(poly, order), shift)
+                        assert row == [str(coeff(p, size - 1 - j)) for j in range(size)]
 
     def test_matrix_format_concrete(self, capsys):
         code, out, _ = run_cli(

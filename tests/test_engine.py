@@ -25,6 +25,7 @@ from multidisc import (
     iter_partitions,
     squarefree_multiplicity,
 )
+from multidisc.cli import main
 from multidisc.engine import (
     _build,
     _exact,
@@ -50,6 +51,7 @@ from conftest import (
     random_int_poly,
     reference_gcd,
     reference_rows,
+    row_layout,
     scaled,
     shift_poly,
     sym_perm_det,
@@ -66,24 +68,15 @@ def _a(idx, nvars):
 
 
 class TestMatrixLayout:
+    # the JSON layout of these matrices (size, blocks, row provenance) is
+    # checked through the CLI in TestSerialization below and in
+    # test_cli.TestDiscriminant
     def test_quintic_gamma_32_block_structure(self):
         m = build_symbolic_matrix(5, (3, 2))
-        layout = m.to_json_dict()
-        assert len(m.entries) == layout["size"] == 7
-        assert (layout["n"], layout["gamma0"], layout["symbolic"]) == (5, 2, True)
-        assert layout["row_provenance"] == [
-            [0, 1],
-            [0, 0],
-            [1, 2],
-            [1, 1],
-            [1, 0],
-            [2, 1],
-            [2, 0],
-        ]
-        assert m.blocks() == [(0, [0, 1]), (1, [2, 3, 4]), (2, [5, 6])]
+        assert len(m) == 7
         # second-derivative rows carry 5*4 a5, 4*3 a4, 3*2 a3, 2*1 a2
         nv = 6
-        row = m.entries[5]  # F'' * x^1, right-aligned to width 7
+        row = m[5]  # F'' * x^1, right-aligned to width 7
         coeffs = [(e.sorted_terms()[0][1] if not e.is_zero else 0) for e in row]
         assert coeffs == [0, 0, 20, 12, 6, 2, 0]
         assert row[2] == SymPoly(nv, {_a(5, nv): 20})
@@ -91,23 +84,19 @@ class TestMatrixLayout:
 
     def test_all_ones_gamma_has_empty_order_zero_block(self):
         m = build_symbolic_matrix(5, (1, 1, 1, 1, 1))
-        layout = m.to_json_dict()
-        assert len(m.entries) == layout["size"] == 5
-        assert layout["gamma0"] == 0
-        assert layout["row_provenance"] == [[1, 0], [2, 0], [3, 0], [4, 0], [5, 0]]
-        assert m.blocks()[0] == (0, [])
+        assert len(m) == 5
+        # no row of F: the first row is F' = 5 a5 x^4 + ... + a1
+        assert m[0] == tuple(SymPoly(6, {_a(d, 6): d}) for d in range(5, 0, -1))
 
     def test_degree_one_matrix(self):
         m = build_matrix(UniPoly([0, Fraction(7)], ), (1,))
-        assert m.entries == ((Fraction(7),),)
-        layout = m.to_json_dict()
-        assert (layout["n"], layout["size"], layout["symbolic"]) == (1, 1, False)
+        assert m == ((Fraction(7),),)
 
     def test_staircase_right_alignment(self):
         # first row of the gamma=(5) matrix is F*x^3: a5..a0 then three blanks
         m = build_matrix(QUINTIC, (5,))
-        assert len(m.entries) == 9
-        first = [str(e) for e in m.entries[0]]
+        assert len(m) == 9
+        first = [str(e) for e in m[0]]
         assert first == ["1", "-5", "7", "1", "-8", "4", "0", "0", "0"]
 
     def test_row_count_matches_size_for_all_partitions(self):
@@ -116,8 +105,8 @@ class TestMatrixLayout:
             for gamma in iter_partitions(n):
                 m = build_matrix(poly, gamma)
                 size = n + gamma[0] - 1
-                assert len(m.entries) == m.to_json_dict()["size"] == size
-                assert all(len(row) == size for row in m.entries)
+                assert len(m) == size
+                assert all(len(row) == size for row in m)
 
     def test_rows_match_shifted_derivatives(self):
         # the definition of row (order, shift): the coefficients of F^(order) * x^shift
@@ -131,8 +120,9 @@ class TestMatrixLayout:
             for poly in (integer, rational):
                 for gamma in iter_partitions(n):
                     m = build_matrix(poly, gamma)
-                    size = len(m.entries)
-                    for row, (order, shift) in zip(m.entries, m.to_json_dict()["row_provenance"]):
+                    size = len(m)
+                    assert size == len(row_layout(gamma))
+                    for row, (order, shift) in zip(m, row_layout(gamma)):
                         p = mul_power(derivative(poly, order), shift)
                         assert row == tuple(coeff(p, size - 1 - j) for j in range(size))
 
@@ -145,6 +135,9 @@ class TestMatrixLayout:
             build_matrix(UniPoly([4]), (1,))  # constant
         with pytest.raises(ValueError):
             build_matrix(UniPoly(), (1,))
+        for constant in (UniPoly([4]), UniPoly()):
+            with pytest.raises(ValueError, match="degree at least 1"):
+                disc_value(constant, (1,))
 
 
 def _sparse_rows(rng, size, density, entry):
@@ -195,7 +188,7 @@ class TestDeterminants:
         rng = random.Random(1616)
         for gamma in [(10,), (5, 3, 2), (6, 4, 2, 2), (4, 4, 4, 1), (8, 8)]:
             poly = random_int_poly(rng, sum(gamma), bound=30)
-            rows = [[e.numerator for e in row] for row in build_matrix(poly, gamma).entries]
+            rows = [[e.numerator for e in row] for row in build_matrix(poly, gamma)]
             assert det_fraction_free(rows) == sympy.Matrix(rows).det(method="berkowitz")
 
     def test_skipped_rows_are_caught_up(self):
@@ -318,7 +311,7 @@ class TestDeterminants:
         gc.collect()
         gc.disable()
         try:
-            det_minor_expansion(build_symbolic_matrix(5, (3, 2)).entries)
+            det_minor_expansion(build_symbolic_matrix(5, (3, 2)))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -383,7 +376,7 @@ class TestDeterminants:
         # end peaked at about 9 MB, two column levels of SymPoly minors at
         # 3.6 MB, the same two levels as dicts on packed int keys at 1.9 MB,
         # and those levels built on the leading columns at 1.0 MB
-        rows = build_symbolic_matrix(7, (7,)).entries
+        rows = build_symbolic_matrix(7, (7,))
         tracemalloc.start()
         try:
             det_minor_expansion(rows)
@@ -397,6 +390,9 @@ class TestDeterminants:
             det_fraction_free([[1, 2]])
         with pytest.raises(ValueError):
             det_fraction_free([])
+        for rows in ([[SymPoly(1, {(1,): 1}), SymPoly(1)]], []):
+            with pytest.raises(ValueError, match="square nonempty matrix required"):
+                det_minor_expansion(rows)
 
 
 def _sylvester(a, b):
@@ -666,8 +662,7 @@ class TestDiscValue:
         for n in range(2, 7):
             for gamma in iter_partitions(n):
                 poly = random_int_poly(rng, n)
-                m = build_matrix(poly, gamma)
-                rows = [[e.numerator for e in row] for row in m.entries]
+                rows = [[e.numerator for e in row] for row in build_matrix(poly, gamma)]
                 dp = det_fraction_free(rows)
                 # the staircase layout skips rows in most elimination steps
                 assert dp == det_rational(rows)
@@ -722,7 +717,7 @@ class TestDiscValue:
 def _bareiss_value(poly, gamma):
     """D_gamma by the Bareiss elimination of the full matrix, rescaled by hand."""
     ints, scale = poly.clear_denominators()
-    dp = det_fraction_free(_build(ints, gamma).entries)
+    dp = det_fraction_free(_build(ints, gamma))
     return Fraction(dp, ints[-1]) / scale ** (poly.degree + gamma[0] - 2)
 
 
@@ -944,7 +939,7 @@ def full_expansion(n, gamma):
     """D_gamma from the expansion of the whole generic matrix, its first
     column divided by an: the reference for the translation recurrence."""
     an = SymPoly.variable(n + 1, n)
-    rows = [(row[0].exact_divide(an), *row[1:]) for row in build_symbolic_matrix(n, gamma).entries]
+    rows = [(row[0].exact_divide(an), *row[1:]) for row in build_symbolic_matrix(n, gamma)]
     return det_minor_expansion(rows)
 
 
@@ -1077,7 +1072,7 @@ class TestDiscSymbolic:
                         {} if _a(n - 1, n + 1) in e.terms else _packed(e, shifts)
                         for e in (row[0].exact_divide(an), *row[1:])
                     ]
-                    for row in build_symbolic_matrix(n, gamma).entries
+                    for row in build_symbolic_matrix(n, gamma)
                 ]
                 assert calls == [expected], (n, gamma)
         assert widths == {1, 2, 3, 4}
@@ -1120,10 +1115,9 @@ class TestDiscSymbolic:
         expected = {}
         for n in range(1, 7):
             for gamma in iter_partitions(n):
-                matrix = build_symbolic_matrix(n, gamma)
-                size = len(matrix.entries)
+                size = len(build_symbolic_matrix(n, gamma))
                 expected[gamma] = (
-                    sum(order - shift for order, shift in matrix.to_json_dict()["row_provenance"])
+                    sum(order - shift for order, shift in row_layout(gamma))
                     + size * (size - 1) // 2
                     - n
                 )
@@ -1209,9 +1203,10 @@ class TestDiscSymbolic:
 
 
 class TestSerialization:
-    def test_json_dict_concrete(self):
-        m = build_matrix(QUINTIC, (3, 2))
-        data = m.to_json_dict()
+    # the matrix JSON and LaTeX are written by the CLI, from the rows that
+    # build_matrix and build_symbolic_matrix return
+    def test_json_dict_concrete(self, capsys):
+        data = json.loads(_printed(capsys, "5", "3,2", "matrix", "--coeffs=1,-5,7,1,-8,4"))
         assert data["n"] == 5
         assert data["gamma"] == [3, 2]
         assert data["size"] == 7
@@ -1222,32 +1217,36 @@ class TestSerialization:
             {"derivative": 2, "rows": [5, 6]},
         ]
         assert data["entries"][0][0] == "1"
-        json.dumps(data)  # must be serializable as-is
 
-    def test_json_dict_symbolic_monomial_lists(self):
-        m = build_symbolic_matrix(5, (1, 1, 1, 1, 1))
-        data = m.to_json_dict()
+    def test_json_dict_symbolic_monomial_lists(self, capsys):
+        data = json.loads(_printed(capsys, "5", "1,1,1,1,1", "matrix"))
+        assert (data["size"], data["gamma0"]) == (5, 0)
+        assert data["row_provenance"] == [[1, 0], [2, 0], [3, 0], [4, 0], [5, 0]]
         assert data["blocks"][0] == {"derivative": 0, "rows": []}
         first = data["entries"][0][0]
         assert first == [["5", [0, 0, 0, 0, 0, 1]]]
         assert data["entries"][1][0] == []  # structural zero below the staircase
-        json.dumps(data)
 
-    def test_latex_blocks_and_blanks(self):
-        m = build_symbolic_matrix(5, (3, 2))
-        tex = m.to_latex()
+    def test_latex_blocks_and_blanks(self, capsys):
+        tex = _printed(capsys, "5", "3,2", "latex")
         assert tex.count(r"\hline") == 2  # three blocks, two separators
         assert tex.startswith(r"\left|\begin{array}{ccccccc}")
-        assert tex.endswith(r"\end{array}\right|")
+        assert tex.endswith(r"\end{array}\right|" + "\n")
         lines = tex.splitlines()[1:-1]
         assert len(lines) == 7
         # zeros render as blank cells, preserving the staircase look
         assert lines[1].startswith(" & ")
         assert "20a_{5}" in lines[5]
 
-    def test_latex_concrete_fractions(self):
-        m = build_matrix(UniPoly([Fraction(1, 2), 1]), (1,))
-        tex = m.to_latex()
+    def test_latex_concrete_fractions(self, capsys):
+        tex = _printed(capsys, "1", "1", "latex", "--coeffs", "1,1/2")
         assert "1" in tex
-        m2 = build_matrix(UniPoly([Fraction(-3, 2), Fraction(1, 2)]), (1,))
-        assert r"\frac{1}{2}" in m2.to_latex()
+        assert r"\frac{1}{2}" in _printed(capsys, "1", "1", "latex", "--coeffs", "1/2,-3/2")
+
+
+def _printed(capsys, n, gamma, fmt, *coeffs):
+    """What ``multidisc discriminant`` prints for these arguments; it must exit 0."""
+    assert main(["discriminant", "--n", n, "--gamma", gamma, "--format", fmt, *coeffs]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out

@@ -59,6 +59,10 @@ class TestRootSpec:
         with pytest.raises(ValueError):
             _spec([(1, 2), (1, 1)])
 
+    def test_no_roots_rejected(self):
+        with pytest.raises(ValueError, match="at least one root is required"):
+            _spec([])
+
     def test_zero_leading_rejected(self):
         with pytest.raises(ValueError):
             _spec([(1, 1)], leading=0)

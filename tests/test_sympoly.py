@@ -104,6 +104,9 @@ def test_evaluate_matches_hand_expansion():
     p = SymPoly(nvars, {(1, 2, 0): 3, (0, 0, 1): -1})
     # 3*a0*a1^2 - a2 at (2, 5, 7)
     assert p.evaluate((2, 5, 7)) == 3 * 2 * 25 - 7
+    for values in ((2, 5), (2, 5, 7, 1)):
+        with pytest.raises(ValueError, match=f"expected 3 values, got {len(values)}"):
+            p.evaluate(values)
 
 
 def test_incompatible_rings_rejected():
