@@ -315,7 +315,10 @@ def disc_from_distinct_roots(spec: RootSpec, gamma) -> Fraction:
     """:func:`disc_from_roots` for n distinct roots; a repeated root raises ValueError.
 
     Kept only for the benchmark's verify workload, which calls it and wraps it.
+    Gamma is checked first, so a bad gamma with a repeated root reports the
+    gamma, as :func:`disc_from_roots` does.
     """
+    as_partition(gamma, spec.n)
     if any(m != 1 for _, m in spec.roots):
         raise ValueError("all multiplicities must be 1 (distinct-roots formula)")
     return disc_from_roots(spec, gamma)

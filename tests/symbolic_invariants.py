@@ -2,11 +2,10 @@
 
     PYTHONPATH=src python tests/symbolic_invariants.py 9
 
-The digests pin the bytes of ``disc_symbolic`` for n <= 8 and at (8, 1) of
-n = 9 only, and the D_(9) and D_(10) checks pin bytes that the code itself
-recorded.  For every gamma of
-each given n, this checks D_gamma = disc_symbolic(n, gamma) against facts
-that do not come from its own output:
+The CLI digests pin the bytes of ``disc_symbolic`` for n <= 8 and at (8, 1)
+of n = 9 only.  For every gamma of each given n, this checks
+D_gamma = disc_symbolic(n, gamma) against facts that do not come from its own
+output:
 
 * It is homogeneous of degree n + g1 - 2: every entry of the matrix, of
   order n + g1 - 1, is one term of degree 1 or 0, and the division by an
@@ -24,13 +23,20 @@ that do not come from its own output:
 * D_(n) has as many terms as the classical discriminant of degree n, OEIS
   A007878, for n = 3..10.
 
+For n = 9 and n = 10 it also pins the bytes of D_(n): the sha256 of its
+``str`` and one newline, which is what ``multidisc discriminant --format poly``
+prints (tests/test_cli.py checks that the CLI prints the library's text).
+These two digests were recorded from the code itself, so they catch a change
+of output, not a wrong one.
+
 L * D = 0, the translation invariance, is not checked: ``disc_symbolic``
 builds D from it.  It needs no pytest; tests/test_engine.py runs it for
-n <= 7, and CI steps for n = 9 and n = 10.
+n <= 7, and CI for n = 9 and n = 10, the only run that builds D_(9) and D_(10).
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from math import comb
@@ -39,6 +45,11 @@ from multidisc import UniPoly, disc_symbolic, disc_value, iter_partitions
 
 # terms of the classical discriminant of degree n (OEIS A007878)
 A007878 = {3: 5, 4: 16, 5: 59, 6: 246, 7: 1103, 8: 5247, 9: 26059, 10: 133881}
+# sha256 of str(D_(n)) + "\n", the bytes that ``discriminant --format poly`` prints
+SHA256 = {
+    9: "147ed0209e6b2b068c8f29c7885a1689dfa8871e914c1621eec9cf03874732ca",
+    10: "86a22f616efabbabf2c802d9ba31f0bfbc7bfb258e8ad553c77688b946cd9714",
+}
 
 
 def weight(gamma) -> int:
@@ -64,6 +75,9 @@ def check(n: int, seed: int = 9) -> int:
         if gamma == (n,) and n in A007878:
             terms = len(value.terms)
             assert terms == A007878[n], f"D_({n}) has {terms} terms, not {A007878[n]}"
+        if gamma == (n,) and n in SHA256:
+            digest = hashlib.sha256((str(value) + "\n").encode()).hexdigest()
+            assert digest == SHA256[n], f"D_({n}) prints with sha256 {digest}, not {SHA256[n]}"
         count += 1
     return count
 

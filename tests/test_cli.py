@@ -16,6 +16,7 @@ from multidisc import (
     UniPoly,
     classify_trace,
     conditions,
+    disc_symbolic,
     disc_value,
     expand,
     iter_partitions,
@@ -372,7 +373,17 @@ class TestDiscriminant:
             capsys, "discriminant", "--n", "5", "--gamma", "1,1,1,1,1", "--format", "poly"
         )
         assert code == 0
-        assert out.strip() == "86400000*a5^4"
+        assert out == "86400000*a5^4\n"
+
+    def test_poly_format_prints_the_library_text(self, capsys):
+        # the whole stdout is str of disc_symbolic and one newline, the bytes
+        # whose sha256 symbolic_invariants.py pins for D_(9) and D_(10)
+        for n in range(1, 7):
+            for gamma in iter_partitions(n):
+                text = ",".join(map(str, gamma))
+                argv = ["discriminant", "--n", str(n), "--gamma", text, "--format", "poly"]
+                expected = str(disc_symbolic(n, gamma).value) + "\n"
+                assert run_cli(capsys, *argv) == (0, expected, ""), gamma
 
     def test_matrix_format_symbolic(self, capsys):
         code, out, _ = run_cli(
@@ -519,7 +530,12 @@ class TestDiscriminant:
             "7",
         )
         assert code == 0
-        assert out.strip().endswith("*a7^6")
+        assert out.endswith("*a7^6\n")
+        assert out == str(disc_symbolic(7, (1,) * 7).value) + "\n"
+        # (8,1) of n = 9, the deepest request among the CLI digests
+        argv = ["discriminant", "--n", "9", "--gamma", "8,1", "--format", "poly", "--cap", "9"]
+        expected = str(disc_symbolic(9, (8, 1)).value) + "\n"
+        assert run_cli(capsys, *argv) == (0, expected, "")
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -289,8 +289,11 @@ class TestDistinctRootsFormula:
             assert disc_from_distinct_roots(spec, (1,) * n) == product * spec.leading ** (n - 1)
 
     def test_repeated_roots_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all multiplicities must be 1"):
             disc_from_distinct_roots(_spec([(1, 2), (2, 1)]), (3,))
+        # with a bad gamma as well, the gamma is reported, as by disc_from_roots
+        with pytest.raises(ValueError, match=r"\(2, 2\) is not a partition of 3"):
+            disc_from_distinct_roots(_spec([(1, 2), (2, 1)]), (2, 2))
 
 
 class TestMultipleRootsFormula:
