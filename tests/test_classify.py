@@ -524,9 +524,10 @@ def test_conditions_are_chain_prefixes():
 
 
 def test_conditions_yields_one_row_at_a_time():
-    # p(35) = 14883 and p(50) = 204226 rows, listing 110 million and 21 billion
-    # partitions in all; the first row must come without enumerating the others
-    for n in (35, 50):
+    # p(35) = 14883, p(50) = 204226 and p(60) = 966467 rows, listing 110
+    # million, 21 billion and 467 billion partitions in all; the first row must
+    # come without enumerating the others
+    for n in (35, 50, 60):
         tracemalloc.start()
         try:
             mu, zero, nonzero = next(iter(conditions(n)))

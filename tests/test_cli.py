@@ -1,9 +1,12 @@
 import json
 import os
 import random
+import select
 import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
@@ -32,6 +35,43 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    # without PYTHONUNBUFFERED the child block-buffers a piped stdout, as it
+    # does for a user, so a missing flush shows
+    env = dict(os.environ, PYTHONPATH=str(Path(multidisc.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@contextmanager
+def cli_child(*argv):
+    """``python -m multidisc.cli *argv`` with piped output, killed on exit."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "multidisc.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    ) as proc:
+        try:
+            yield proc
+        finally:
+            proc.kill()
+
+
+def read_lines(stream, count, seconds=10):
+    """The first ``count`` lines of a pipe, or a failure after ``seconds``."""
+    fd, data = stream.fileno(), b""
+    deadline = time.monotonic() + seconds
+    while data.count(b"\n") < count:
+        ready, _, _ = select.select([fd], [], [], max(0, deadline - time.monotonic()))
+        assert ready, f"{count} lines did not come within {seconds} s: {data!r}"
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            break
+        data += chunk
+    return data.decode().splitlines()[:count]
 
 
 class TestClassify:
@@ -181,18 +221,10 @@ class TestClassify:
     def test_batch_output_to_closed_pipe_exits_quietly(self, tmp_path):
         batch = tmp_path / "polys.txt"
         batch.write_text("1,-5,7,1,-8,4\n" * 50, encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(Path(multidisc.__file__).parents[1]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "multidisc.cli", "classify", "--file", str(batch)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        proc.stdout.close()  # the reader is gone before the first line is written
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 141
-        assert err == b""
+        with cli_child("classify", "--file", str(batch)) as proc:
+            proc.stdout.close()  # the reader is gone before the first line is written
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
 
     def test_closed_pipe_leaves_no_open_descriptor(self, monkeypatch):
         # in-process, as a caller that keeps running after main returns
@@ -608,6 +640,12 @@ class TestConditionsAndTable:
             "9,135,17,16\n"
         )
 
+    def test_degree_table_streams_its_rows(self):
+        # the rows up to n = 80 walk 123 million partitions; the header and the
+        # row for n = 3 must come through the pipe at once
+        with cli_child("degree-table", "--max-n", "80") as proc:
+            assert read_lines(proc.stdout, 2) == ["n,d_yhz,d_hy21,d_hy22", "3,5,5,4"]
+
 
 class TestSelftest:
     def test_small_sweep_passes(self, capsys):
@@ -739,17 +777,12 @@ def test_rejected_input_exits_2_with_one_line(capsys, argv, message):
 
 
 def test_interrupt_exits_130_without_a_traceback():
-    env = dict(os.environ, PYTHONPATH=str(Path(multidisc.__file__).parents[1]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "multidisc.cli", "conditions", "--n", "40"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    proc.stdout.readline()  # the p(40) = 37,338 rows are under way
-    proc.send_signal(signal.SIGINT)
-    # communicate drains stdout, so the final flush of its buffer cannot block
-    _, err = proc.communicate(timeout=60)
+    with cli_child("conditions", "--n", "40") as proc:
+        # the p(40) = 37,338 rows are under way
+        assert len(read_lines(proc.stdout, 1)) == 1
+        proc.send_signal(signal.SIGINT)
+        # communicate drains stdout, so the final flush of its buffer cannot block
+        _, err = proc.communicate(timeout=60)
     assert proc.returncode == 130
     assert b"Traceback" not in err and err.count(b"\n") <= 1
 
@@ -760,9 +793,13 @@ def test_kept_parser_matches_a_fresh_parser():
 
 
 def test_parser_is_built_on_first_use_not_at_import():
-    env = dict(os.environ, PYTHONPATH=str(Path(multidisc.__file__).parents[1]))
     probe = "import multidisc.cli as c; print(c._parser is None)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        check=True,
+        timeout=60,
     )
     assert result.stdout == "True\n"

@@ -53,6 +53,22 @@ def test_degree_ten_row_against_brute_force():
     assert (row.d_hy21, row.d_hy22) == (19, 18)
 
 
+def test_degree_table_yields_one_row_at_a_time(monkeypatch):
+    # the rows up to n = 80 walk 123 million partitions; the first row must
+    # walk only those of 3
+    walked = []
+
+    def recorded(n):
+        walked.append(n)
+        if n > 3:
+            raise AssertionError(f"the first row walked the partitions of {n}")
+        return iter_partitions(n)
+
+    monkeypatch.setattr("multidisc.degrees.iter_partitions", recorded)
+    assert next(degree_table(80)) == DegreeRow(3, 5)
+    assert walked == [3]
+
+
 def test_lower_bound_inequality():
     for n in range(2, 11):
         for mu in iter_partitions(n):

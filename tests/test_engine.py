@@ -863,6 +863,12 @@ class TestReducedLeaf:
                         assert _bareiss_value(poly, gamma) == 0, (mu, gamma)
                         checked += 1
         assert checked == 373
+        # prod_{i<=40} (x - i)^2 has k = 40: D_(41,39) is 0 with no determinant,
+        # where the Bareiss elimination of its matrix, of order 120, takes 12 s
+        poly = expand(RootSpec(tuple((i, 2) for i in range(1, 41)), 1))
+        calls.clear()
+        assert disc_value(poly, (41, 39)).value == 0
+        assert calls == []
 
 
 class TestResultantMemo:
