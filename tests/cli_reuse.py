@@ -1,13 +1,11 @@
 """Check that reusing the CLI's argument parser leaks no state between calls.
 
-    PYTHONPATH=src python tests/cli_reuse.py
-
 ``multidisc.cli.main`` builds its parser on the first call and keeps it for
 the life of the process.  This runs a mixed sequence of invocations through
 one kept parser, forwards and then backwards, and compares each call's
 stdout, stderr and exit code (or ``SystemExit`` code) with the same argv run
-on a freshly built parser.  It needs no pytest, so it also runs under
-interpreters that have none; tests/test_cli.py runs it too.
+on a freshly built parser.
+``tests/test_cli.py::test_kept_parser_matches_a_fresh_parser`` runs it.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-import sys
 import tempfile
 
 from multidisc import cli
@@ -87,7 +84,3 @@ def check_reuse() -> int:
     finally:
         cli._parser = saved
 
-
-if __name__ == "__main__":
-    compared = check_reuse()
-    print(f"OK: {compared} calls on one kept parser match a fresh parser ({sys.version.split()[0]})")

@@ -54,10 +54,11 @@ def reference_rows(coeffs, order: int, count: int, size: int) -> list:
     d = size - 1 - j - k + order of F, and 0 when d is not in order..n.
     """
     n = len(coeffs) - 1
+    values = [coeffs[d] * perm(d, order) for d in range(n + 1)]
     rows = []
     for k in range(count - 1, -1, -1):
         powers = [size - 1 - j - k + order for j in range(size)]
-        rows.append([coeffs[d] * perm(d, order) if order <= d <= n else 0 for d in powers])
+        rows.append([values[d] if order <= d <= n else 0 for d in powers])
     return rows
 
 

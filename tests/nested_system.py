@@ -18,8 +18,9 @@ degree, and every polynomial of the system has total degree at most B (a
 determinant of order r with entries of degree e has degree at most r e), so
 a line degree of B proves that B is the system's exact maximum degree.  The
 point t = B + 1 checks that bound too: a d_yhz below the true degree would
-show as line degree B + 1, where B + 1 points could still fit degree B.  It
-needs no pytest; tests/test_degrees.py runs it for n <= 8.
+show as line degree B + 1, where B + 1 points could still fit degree B.  The
+rows come from ``reference_rows`` of tests/conftest.py, so it needs pytest,
+which the test extra installs; tests/test_degrees.py runs it for n <= 8.
 """
 
 from __future__ import annotations
@@ -31,20 +32,17 @@ from multidisc import conjugate, d_yhz
 from multidisc.engine import det_fraction_free
 from multidisc.partitions import iter_partitions
 
+from conftest import reference_rows
+
 NONZERO = [c for c in range(-9, 10) if c]
 
 
-def _sylvester_rows(p: list[int], i: int) -> list[list[int]]:
-    """The D - 1 - i shifts of ``p`` above the D - i shifts of p', descending
-    coefficients; ``p`` has formal degree D = len(p) - 1."""
+def _rows(p: list[int], i: int) -> list[list[int]]:
+    """The D - 1 - i shifts of ``p`` above the D - i shifts of p', of width
+    2D - 1 - i; ``p`` has descending coefficients and formal degree D = len(p) - 1."""
     d = len(p) - 1
-    dp = [c * (d - k) for k, c in enumerate(p[:-1])]
     width = 2 * d - 1 - i
-    rows = []
-    for poly, count in ((p, d - 1 - i), (dp, d - i)):
-        for shift in range(count):
-            rows.append([0] * shift + poly + [0] * (width - len(poly) - shift))
-    return rows
+    return reference_rows(p[::-1], 0, d - 1 - i, width) + reference_rows(p[::-1], 1, d - i, width)
 
 
 def _pscs(coeffs: list[int], delta) -> list[int]:
@@ -56,13 +54,13 @@ def _pscs(coeffs: list[int], delta) -> list[int]:
     for part in delta:
         rest -= part
         for i in range(rest):
-            rows = _sylvester_rows(p, i)
+            rows = _rows(p, i)
             r = len(rows)
             pscs.append(det_fraction_free([row[:r] for row in rows]))
         # P_(j+1) = S_rest(P_j, P_j'): the coefficient of x^(rest - e) is the
         # determinant of the first r - 1 columns and column r - 1 + e, and the
         # leading one is psc_rest (at the last level, rest = 0 and it is Res)
-        rows = _sylvester_rows(p, rest)
+        rows = _rows(p, rest)
         r = len(rows)
         p = [
             det_fraction_free([row[: r - 1] + [row[r - 1 + e]] for row in rows])

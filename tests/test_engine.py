@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import json
 import random
 import sys
 import tracemalloc
@@ -25,7 +24,6 @@ from multidisc import (
     iter_partitions,
     squarefree_multiplicity,
 )
-from multidisc.cli import main
 from multidisc.engine import (
     _build,
     _exact,
@@ -395,12 +393,17 @@ class TestDeterminants:
                 det_minor_expansion(rows)
 
 
-def _sylvester(a, b):
-    """Sylvester matrix of descending ``a`` and ``b``: deg b rows of a above deg a rows of b."""
-    m, k = len(a) - 1, len(b) - 1
-    return [[0] * i + list(a) + [0] * (k - 1 - i) for i in range(k)] + [
-        [0] * i + list(b) + [0] * (m - 1 - i) for i in range(m)
-    ]
+def _descending_ints(poly):
+    assert all(c.denominator == 1 for c in poly.coeffs)
+    return [c.numerator for c in poly.descending_coeffs()]
+
+
+def _pair_rows(a, b, d=0):
+    """The l - d shifts of descending ``a`` above the m - d shifts of ``b``, of
+    degrees m and l, each of width m + l - d: the Sylvester matrix at d = 0."""
+    m, l = len(a) - 1, len(b) - 1
+    size = m + l - d
+    return reference_rows(a[::-1], 0, l - d, size) + reference_rows(b[::-1], 0, m - d, size)
 
 
 def _rank(rows):
@@ -431,6 +434,35 @@ def _resultant_inputs(rng):
         if n > 1:
             yield UniPoly([0, -1] + [0] * (n - 2) + [1])  # x^n - x
         yield UniPoly([rng.randint(-3, 3) if rng.random() < 0.25 else 0 for _ in range(n)] + [-2])
+
+
+def _dense_pair(rng):
+    """Descending integer a and b of degree 0..7, a with content 1 or 6, and a
+    common factor of degree 1..3 in two of five."""
+    a = [rng.choice([-4, -1, 2, 3, 6])] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 7))]
+    b = [rng.choice([-3, 1, 4, 10])] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 7))]
+    if rng.random() < 0.4:
+        f = UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [3])
+        a = _descending_ints(product(UniPoly.from_descending(a), f))
+        b = _descending_ints(product(UniPoly.from_descending(b), f))
+    content = rng.choice([1, 1, 6])
+    return [c * content for c in a], b
+
+
+def _sparse_pair(rng):
+    """Descending integer a and b of degree 0..6 with about half their lower
+    coefficients 0, content on both, and a common factor in one of two."""
+
+    def sparse(leads, degree):
+        return [rng.choice(leads)] + [rng.choice([0, rng.randint(-5, 5)]) for _ in range(degree)]
+
+    a = sparse([-4, -1, 2, 3, 6], rng.randint(0, 6))
+    b = sparse([-3, 1, 4, 10], rng.randint(0, 6))
+    if rng.random() < 0.5:
+        f = UniPoly.from_descending(sparse([1, 2, -3], rng.randint(1, 3)))
+        a = _descending_ints(product(UniPoly.from_descending(a), f))
+        b = _descending_ints(product(UniPoly.from_descending(b), f))
+    return [c * rng.choice([1, 1, 6]) for c in a], [c * rng.choice([1, 1, 10]) for c in b]
 
 
 class TestSylvesterResultant:
@@ -464,33 +496,59 @@ class TestSylvesterResultant:
             assert disc_value(poly, (m,)).value == det_rational(rows) / poly.leading
 
     def test_general_pairs_and_the_gcd_degree(self):
-        # unequal degrees in either order, both odd included (the swap's sign),
-        # with and without a common factor; the gcd degree is the Sylvester
-        # matrix's rank defect
-        rng = random.Random(5151)
-        for _ in range(300):
-            a = [rng.choice([-4, -1, 2, 3, 6])] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 7))]
-            b = [rng.choice([-3, 1, 4, 10])] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 7))]
-            if rng.random() < 0.4:
-                f = UniPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [3])
-                a = [c.numerator for c in product(UniPoly.from_descending(a), f).descending_coeffs()]
-                b = [c.numerator for c in product(UniPoly.from_descending(b), f).descending_coeffs()]
-            content = rng.choice([1, 1, 6])
-            a = [c * content for c in a]
-            divisor, psc = sylvester_resultant(a, b)
-            rows = _sylvester(a, b)
-            if rows:
-                assert det_fraction_free(rows) == (psc if divisor == [1] else 0), (a, b)
-                assert len(divisor) - 1 == len(rows) - _rank(rows), (a, b)
-            else:
-                assert (divisor, psc) == ([1], 1)
-            if len(divisor) > 1:  # G divides both, and is primitive
+        # dense and sparse pairs of unequal degrees in either order and equal
+        # ones, both odd included (the swap's sign), with and without a common
+        # factor and content: psc_d for d = deg G is the determinant of the
+        # first m + l - 2d columns of the pair's rows, deg G is the Sylvester
+        # matrix's rank defect, and on a coprime pair psc is the resultant
+        for seed, pair in ((5151, _dense_pair), (6262, _sparse_pair)):
+            rng = random.Random(seed)
+            coprime = 0
+            for _ in range(300):
+                a, b = pair(rng)
+                divisor, psc = sylvester_resultant(a, b)
+                m, l, d = len(a) - 1, len(b) - 1, len(divisor) - 1
+                leading = [row[: m + l - 2 * d] for row in _pair_rows(a, b, d)]
+                assert psc == (det_fraction_free(leading) if leading else 1), (a, b)
+                rows = _pair_rows(a, b)
+                assert d == len(rows) - _rank(rows), (a, b)
+                if not d:
+                    coprime += 1
+                    continue
+                # Res = 0 with psc nonzero, and G divides both and is primitive
+                assert det_fraction_free(rows) == 0 and psc, (a, b)
                 g = UniPoly.from_descending(divisor)
                 assert not divmod(UniPoly.from_descending(a), g)[1], (a, b)
                 assert not divmod(UniPoly.from_descending(b), g)[1], (a, b)
                 assert gcd(*divisor) == 1
+            assert 50 < coprime < 250, seed
         assert sylvester_resultant([3], [5, 1]) == ([1], 3)
         assert sylvester_resultant([2, 0, 1], [-5]) == ([1], 25)
+
+    def test_dense_and_repeated_inputs_at_degree_40_to_85(self, monkeypatch):
+        # dense F at n = 40, 60 and 80, where every pseudo-remainder drops the
+        # degree by exactly one (the one-pass step); then that F of degree 80
+        # times (x - 2)^2 (x + 1)^3, where G = (x - 2)(x + 1)^2, the
+        # determinant is 0 and psc is nonzero
+        engine = sys.modules["multidisc.engine"]
+        prem, drops = engine._prem, []
+        monkeypatch.setattr(engine, "_prem", lambda a, b: drops.append(len(a) - len(b)) or prem(a, b))
+
+        def check(ints):
+            a, b = derivative_coeffs(ints, 0), derivative_coeffs(ints, 1)
+            drops.clear()
+            divisor, psc = sylvester_resultant(a, b)
+            assert psc and det_fraction_free(_pair_rows(a, b)) == (psc if divisor == [1] else 0)
+            return divisor
+
+        rng = random.Random(4080)
+        for n in (40, 60, 80):
+            ints = [rng.randint(-99, 99) for _ in range(n)] + [rng.choice([-7, 3, 5])]
+            assert check(ints) == [1] and drops == [1] * (n - 1), n
+        for root in (2, 2, -1, -1, -1):
+            # times (x - root): the coefficient of x^e is a_(e-1) - root * a_e
+            ints = [a - root * b for a, b in zip([0] + ints, ints + [0])]
+        assert check(ints) in ([1, 0, -3, -2], [-1, 0, 3, 2])
 
     def test_rejects_zero_leading_and_flags_inexact_division(self):
         with pytest.raises(ValueError):
@@ -542,25 +600,6 @@ class TestSylvesterResultant:
             sylvester_resultant(a, b)
 
 
-def _leading_columns_det(a, b, d):
-    """psc_d(a, b) by its definition: the determinant of the first m + l - 2d
-    columns of l - d rows of ``a`` above m - d rows of ``b``, both descending,
-    of degrees m and l."""
-    m, l = len(a) - 1, len(b) - 1
-    size = m + l - 2 * d
-    if not size:
-        return 1
-    rows = [[0] * i + list(a) + [0] * (l - d - 1 - i) for i in range(l - d)] + [
-        [0] * i + list(b) + [0] * (m - d - 1 - i) for i in range(m - d)
-    ]
-    return det_fraction_free([row[:size] for row in rows])
-
-
-def _descending_ints(poly):
-    assert all(c.denominator == 1 for c in poly.coeffs)
-    return [c.numerator for c in poly.descending_coeffs()]
-
-
 def _leaf_factor(poly):
     """lc(G)^(2k-1) * Res(F/G, F'/G) for F = ``poly`` cleared to integers, with
     no PRS: G = gcd(F, F') by Euclid over the rationals, made a primitive
@@ -570,7 +609,7 @@ def _leaf_factor(poly):
     (a, r), (b, s) = divmod(f, g), divmod(derivative(f), g)
     assert r.is_zero and s.is_zero
     k = f.degree - g.degree
-    res = det_fraction_free(_sylvester(_descending_ints(a), _descending_ints(b)))
+    res = det_fraction_free(_pair_rows(_descending_ints(a), _descending_ints(b)))
     return g.leading.numerator ** (2 * k - 1) * res
 
 
@@ -609,35 +648,6 @@ class TestPrincipalSubresultant:
             assert _psc(poly) == _leaf_factor(poly), poly
             cases[len(squarefree_multiplicity(poly)) < poly.degree] += 1
         assert cases[True] > 100 and cases[False] > 20
-
-    def test_is_the_leading_columns_determinant_of_general_pairs(self):
-        # unequal degrees in either order and equal ones, with and without a
-        # common factor; on a coprime pair psc is the resultant
-        rng = random.Random(6262)
-        coprime = 0
-
-        def sparse(leads, degree):
-            return [rng.choice(leads)] + [rng.choice([0, rng.randint(-5, 5)]) for _ in range(degree)]
-
-        for _ in range(300):
-            a = sparse([-4, -1, 2, 3, 6], rng.randint(0, 6))
-            b = sparse([-3, 1, 4, 10], rng.randint(0, 6))
-            if rng.random() < 0.5:
-                f = UniPoly.from_descending(sparse([1, 2, -3], rng.randint(1, 3)))
-                a = _descending_ints(product(UniPoly.from_descending(a), f))
-                b = _descending_ints(product(UniPoly.from_descending(b), f))
-            a = [c * rng.choice([1, 1, 6]) for c in a]
-            b = [c * rng.choice([1, 1, 10]) for c in b]
-            divisor, psc = sylvester_resultant(a, b)
-            assert psc == _leading_columns_det(a, b, len(divisor) - 1), (a, b)
-            rows = _sylvester(a, b)
-            res = det_fraction_free(rows) if rows else 1
-            if divisor == [1]:
-                assert psc == res, (a, b)
-                coprime += 1
-            else:
-                assert res == 0 and psc, (a, b)
-        assert 50 < coprime < 250
 
 
 class TestDiscValue:
@@ -1206,53 +1216,3 @@ class TestDiscSymbolic:
         for entry in (build_symbolic_matrix, disc_symbolic):
             with pytest.raises(ValueError, match="degree must be an integer of at least 1"):
                 entry(n, (1,))
-
-
-class TestSerialization:
-    # the matrix JSON and LaTeX are written by the CLI, from the rows that
-    # build_matrix and build_symbolic_matrix return
-    def test_json_dict_concrete(self, capsys):
-        data = json.loads(_printed(capsys, "5", "3,2", "matrix", "--coeffs=1,-5,7,1,-8,4"))
-        assert data["n"] == 5
-        assert data["gamma"] == [3, 2]
-        assert data["size"] == 7
-        assert data["symbolic"] is False
-        assert data["blocks"] == [
-            {"derivative": 0, "rows": [0, 1]},
-            {"derivative": 1, "rows": [2, 3, 4]},
-            {"derivative": 2, "rows": [5, 6]},
-        ]
-        assert data["entries"][0][0] == "1"
-
-    def test_json_dict_symbolic_monomial_lists(self, capsys):
-        data = json.loads(_printed(capsys, "5", "1,1,1,1,1", "matrix"))
-        assert (data["size"], data["gamma0"]) == (5, 0)
-        assert data["row_provenance"] == [[1, 0], [2, 0], [3, 0], [4, 0], [5, 0]]
-        assert data["blocks"][0] == {"derivative": 0, "rows": []}
-        first = data["entries"][0][0]
-        assert first == [["5", [0, 0, 0, 0, 0, 1]]]
-        assert data["entries"][1][0] == []  # structural zero below the staircase
-
-    def test_latex_blocks_and_blanks(self, capsys):
-        tex = _printed(capsys, "5", "3,2", "latex")
-        assert tex.count(r"\hline") == 2  # three blocks, two separators
-        assert tex.startswith(r"\left|\begin{array}{ccccccc}")
-        assert tex.endswith(r"\end{array}\right|" + "\n")
-        lines = tex.splitlines()[1:-1]
-        assert len(lines) == 7
-        # zeros render as blank cells, preserving the staircase look
-        assert lines[1].startswith(" & ")
-        assert "20a_{5}" in lines[5]
-
-    def test_latex_concrete_fractions(self, capsys):
-        tex = _printed(capsys, "1", "1", "latex", "--coeffs", "1,1/2")
-        assert "1" in tex
-        assert r"\frac{1}{2}" in _printed(capsys, "1", "1", "latex", "--coeffs", "1/2,-3/2")
-
-
-def _printed(capsys, n, gamma, fmt, *coeffs):
-    """What ``multidisc discriminant`` prints for these arguments; it must exit 0."""
-    assert main(["discriminant", "--n", n, "--gamma", gamma, "--format", fmt, *coeffs]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    return out

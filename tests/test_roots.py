@@ -7,6 +7,7 @@ import pytest
 from multidisc import (
     RootSpec,
     UniPoly,
+    classify_trace,
     conjugate,
     disc_from_roots,
     disc_value,
@@ -472,6 +473,25 @@ def test_signed_root_side_formula_is_disc_value(n):
             for gamma in partitions:
                 assert _exact(disc_from_roots(spec, gamma), disc_value(poly, gamma).value), (
                     spec, gamma)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(Fraction(3, 2), 20), (-2, 20)],
+        [(1, 12), (Fraction(-1, 2), 12), (3, 12)],
+        [(Fraction(1, 2), 10), (-1, 10), (Fraction(-5, 2), 10), (2, 10)],
+        [(-1, 14), (Fraction(5, 2), 11), (0, 11)],
+    ],
+    ids=lambda pairs: ",".join(str(m) for _, m in pairs),
+)
+def test_signed_root_side_formula_at_degree_36_to_40(pairs):
+    # the classification's D_delta, lead -3; the sign exponent sum C(m_j, 2)
+    # is odd only for (14,11,11), where it is 201
+    spec = _spec(pairs, -3)
+    trace = classify_trace(expand(spec))
+    assert trace.result == spec.multiplicities()
+    assert trace.value and trace.value == disc_from_roots(spec, trace.delta)
 
 
 def test_signed_formula_rejects_a_bad_gamma():
