@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import random
 import sys
 import tracemalloc
@@ -24,6 +25,7 @@ from multidisc import (
     iter_partitions,
     squarefree_multiplicity,
 )
+from multidisc.cli import main
 from multidisc.engine import (
     _build,
     _exact,
@@ -465,6 +467,34 @@ def _sparse_pair(rng):
     return [c * rng.choice([1, 1, 6]) for c in a], [c * rng.choice([1, 1, 10]) for c in b]
 
 
+def _check_general_pairs(seed, pair):
+    """300 pairs from ``pair``: unequal degrees in either order and equal
+    ones, both odd included (the swap's sign), with and without a common
+    factor and content. psc_d for d = deg G is the determinant of the first
+    m + l - 2d columns of the pair's rows, deg G is the Sylvester matrix's
+    rank defect, and on a coprime pair psc is the resultant."""
+    rng = random.Random(seed)
+    coprime = 0
+    for _ in range(300):
+        a, b = pair(rng)
+        divisor, psc = sylvester_resultant(a, b)
+        m, l, d = len(a) - 1, len(b) - 1, len(divisor) - 1
+        leading = [row[: m + l - 2 * d] for row in _pair_rows(a, b, d)]
+        assert psc == (det_fraction_free(leading) if leading else 1), (a, b)
+        rows = _pair_rows(a, b)
+        assert d == len(rows) - _rank(rows), (a, b)
+        if not d:
+            coprime += 1
+            continue
+        # Res = 0 with psc nonzero, and G divides both and is primitive
+        assert det_fraction_free(rows) == 0 and psc, (a, b)
+        g = UniPoly.from_descending(divisor)
+        assert not divmod(UniPoly.from_descending(a), g)[1], (a, b)
+        assert not divmod(UniPoly.from_descending(b), g)[1], (a, b)
+        assert gcd(*divisor) == 1
+    assert 50 < coprime < 250, seed
+
+
 class TestSylvesterResultant:
     def test_equals_the_bareiss_determinant_of_the_gamma_n_matrix(self):
         rng = random.Random(3737)
@@ -496,32 +526,7 @@ class TestSylvesterResultant:
             assert disc_value(poly, (m,)).value == det_rational(rows) / poly.leading
 
     def test_general_pairs_and_the_gcd_degree(self):
-        # dense and sparse pairs of unequal degrees in either order and equal
-        # ones, both odd included (the swap's sign), with and without a common
-        # factor and content: psc_d for d = deg G is the determinant of the
-        # first m + l - 2d columns of the pair's rows, deg G is the Sylvester
-        # matrix's rank defect, and on a coprime pair psc is the resultant
-        for seed, pair in ((5151, _dense_pair), (6262, _sparse_pair)):
-            rng = random.Random(seed)
-            coprime = 0
-            for _ in range(300):
-                a, b = pair(rng)
-                divisor, psc = sylvester_resultant(a, b)
-                m, l, d = len(a) - 1, len(b) - 1, len(divisor) - 1
-                leading = [row[: m + l - 2 * d] for row in _pair_rows(a, b, d)]
-                assert psc == (det_fraction_free(leading) if leading else 1), (a, b)
-                rows = _pair_rows(a, b)
-                assert d == len(rows) - _rank(rows), (a, b)
-                if not d:
-                    coprime += 1
-                    continue
-                # Res = 0 with psc nonzero, and G divides both and is primitive
-                assert det_fraction_free(rows) == 0 and psc, (a, b)
-                g = UniPoly.from_descending(divisor)
-                assert not divmod(UniPoly.from_descending(a), g)[1], (a, b)
-                assert not divmod(UniPoly.from_descending(b), g)[1], (a, b)
-                assert gcd(*divisor) == 1
-            assert 50 < coprime < 250, seed
+        _check_general_pairs(5151, _dense_pair)
         assert sylvester_resultant([3], [5, 1]) == ([1], 3)
         assert sylvester_resultant([2, 0, 1], [-5]) == ([1], 25)
 
@@ -648,6 +653,9 @@ class TestPrincipalSubresultant:
             assert _psc(poly) == _leaf_factor(poly), poly
             cases[len(squarefree_multiplicity(poly)) < poly.degree] += 1
         assert cases[True] > 100 and cases[False] > 20
+
+    def test_is_the_leading_columns_determinant_of_general_pairs(self):
+        _check_general_pairs(6262, _sparse_pair)
 
 
 class TestDiscValue:
@@ -1216,3 +1224,54 @@ class TestDiscSymbolic:
         for entry in (build_symbolic_matrix, disc_symbolic):
             with pytest.raises(ValueError, match="degree must be an integer of at least 1"):
                 entry(n, (1,))
+
+
+class TestSerialization:
+    # the matrix JSON and LaTeX are written by the CLI, from the rows that
+    # build_matrix and build_symbolic_matrix return
+    def test_json_dict_concrete(self, capsys):
+        data = json.loads(_printed(capsys, "5", "3,2", "matrix", "--coeffs=1,-5,7,1,-8,4"))
+        assert data["n"] == 5
+        assert data["gamma"] == [3, 2]
+        assert data["size"] == 7
+        assert data["symbolic"] is False
+        assert data["blocks"] == [
+            {"derivative": 0, "rows": [0, 1]},
+            {"derivative": 1, "rows": [2, 3, 4]},
+            {"derivative": 2, "rows": [5, 6]},
+        ]
+        assert data["entries"][0][0] == "1"
+
+    def test_json_dict_symbolic_monomial_lists(self, capsys):
+        data = json.loads(_printed(capsys, "5", "1,1,1,1,1", "matrix"))
+        assert (data["size"], data["gamma0"]) == (5, 0)
+        assert data["row_provenance"] == [[1, 0], [2, 0], [3, 0], [4, 0], [5, 0]]
+        assert data["blocks"][0] == {"derivative": 0, "rows": []}
+        first = data["entries"][0][0]
+        assert first == [["5", [0, 0, 0, 0, 0, 1]]]
+        assert data["entries"][1][0] == []  # structural zero below the staircase
+
+    def test_latex_blocks_and_blanks(self, capsys):
+        tex = _printed(capsys, "5", "3,2", "latex")
+        assert tex.count(r"\hline") == 2  # three blocks, two separators
+        assert tex.startswith(r"\left|\begin{array}{ccccccc}")
+        assert tex.endswith(r"\end{array}\right|" + "\n")
+        lines = tex.splitlines()[1:-1]
+        assert len(lines) == 7
+        # zeros render as blank cells, preserving the staircase look
+        assert lines[1].startswith(" & ")
+        assert "20a_{5}" in lines[5]
+
+    def test_latex_concrete_fractions(self, capsys):
+        # the matrix of degree 1 is the one cell a_1
+        for coeffs, cell in (("1,1/2", "1"), ("1/2,-3/2", r"\frac{1}{2}")):
+            tex = "\\left|\\begin{array}{c}\n" + cell + "\n\\end{array}\\right|\n"
+            assert _printed(capsys, "1", "1", "latex", "--coeffs", coeffs) == tex, coeffs
+
+
+def _printed(capsys, n, gamma, fmt, *coeffs):
+    """What ``multidisc discriminant`` prints for these arguments; it must exit 0."""
+    assert main(["discriminant", "--n", n, "--gamma", gamma, "--format", fmt, *coeffs]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
