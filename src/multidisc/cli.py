@@ -11,9 +11,10 @@ every output format, the classification's text and JSON and the matrix's
 JSON and LaTeX among them, so plain ``str`` writes exact results at any
 size.  Bad input raises ValueError, which ``main`` prints as one line.
 Exit codes: 0 success, 1 selftest property violation, 2 usage or parse
-error (in batch mode, after every line was tried), 3 internal arithmetic
-error, 130 interrupted (Ctrl-C), 141 output pipe closed early (as with
-"| head").  No traceback is printed for any of them.
+error (in batch mode, after every line was tried) or a request that runs
+out of memory, 3 internal arithmetic error, 130 interrupted (Ctrl-C), 141
+output pipe closed early (as with "| head").  No traceback is printed for
+any of them.
 
 The argument parser is built once per process, on the first ``main()``
 call, and reused by every later call: ``parse_args`` returns a new
@@ -453,6 +454,9 @@ def main(argv=None) -> int:
         return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: not enough memory for this request", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: internal arithmetic error: {exc}", file=sys.stderr)

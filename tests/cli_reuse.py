@@ -17,15 +17,17 @@ import tempfile
 
 from multidisc import cli
 
-QUINTIC = "1,-5,7,1,-8,4"
+from conftest import QUINTIC
+
+COEFFS = ",".join(map(str, QUINTIC.descending_coeffs()))
 
 
 def invocations(batch_path: str) -> list[tuple[list[str], object]]:
     """(argv, the exit code it must give) pairs; a usage error exits through SystemExit."""
     disc = ["discriminant", "--n", "4", "--gamma", "2,2"]
     return [
-        (["classify", "--coeffs", QUINTIC], 0),
-        (["classify", "--coeffs", QUINTIC, "--trace"], 0),
+        (["classify", "--coeffs", COEFFS], 0),
+        (["classify", "--coeffs", COEFFS, "--trace"], 0),
         (["classify", "--coeffs", "3/2,0,-5/7,1", "--json"], 0),
         (["classify", "--file", batch_path], 2),
         (["classify", "--file", batch_path, "--json"], 2),
@@ -39,7 +41,7 @@ def invocations(batch_path: str) -> list[tuple[list[str], object]]:
         (["selftest", "--trials", "0"], 2),
         ([], ("exit", 2)),
         (["classify"], ("exit", 2)),
-        (["classify", "--coeffs", QUINTIC, "--file", batch_path], ("exit", 2)),
+        (["classify", "--coeffs", COEFFS, "--file", batch_path], ("exit", 2)),
         ([*disc, "--format", "bogus"], ("exit", 2)),
         (["--help"], ("exit", 0)),
         (["classify", "--help"], ("exit", 0)),
@@ -64,7 +66,7 @@ def check_reuse() -> int:
         with tempfile.TemporaryDirectory() as tmp:
             batch = os.path.join(tmp, "polys.txt")
             with open(batch, "w", encoding="utf-8") as handle:
-                handle.write(f"{QUINTIC}\n1,frog\n\n1,0,-1\n")
+                handle.write(f"{COEFFS}\n1,frog\n\n1,0,-1\n")
             cases = invocations(batch)
             fresh = []
             for argv, code in cases:

@@ -12,19 +12,32 @@ elimination over the rationals) so they share no code path with the
 fraction-free elimination they check; over SymPoly entries the expansion
 sums and multiplies the term dicts itself, sharing no code with the packed
 cofactor expansion.
+
+The harness: ``spy`` records the args of each call of a function or
+method and lets the call run; ``traced_peak`` is the one tracemalloc probe;
+``QUINTIC`` is the paper's reference quintic; ``ENGINE``, ``CLASSIFY`` and
+``CLI`` are the modules that tests patch.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
+from importlib import import_module
 from itertools import permutations
 from math import perm
 
 import pytest
 
-from multidisc import SymPoly, UniPoly, engine, expand
+from multidisc import SymPoly, UniPoly, expand
 from multidisc.roots import random_root_spec
+
+# the package's classify function shadows the module of the same name
+ENGINE, CLASSIFY, CLI = (import_module(f"multidisc.{name}") for name in ("engine", "classify", "cli"))
+
+# x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4 = (x - 1)^2 (x + 1) (x - 2)^2, delta = (3, 2)
+QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
 
 @pytest.fixture(autouse=True)
@@ -34,9 +47,34 @@ def fresh_resultant_memo():
     A test that patches ``sylvester_resultant`` must see the PRS run, not an
     entry an earlier test left, and must not leave its own entry behind.
     """
-    engine._last_resultant = (None, None)
+    ENGINE._last_resultant = (None, None)
     yield
-    engine._last_resultant = (None, None)
+    ENGINE._last_resultant = (None, None)
+
+
+def spy(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name``, a function or a method, and return the list that
+    gets each call's args tuple; the call itself runs unchanged."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def _signed_permutations(n):

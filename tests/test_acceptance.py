@@ -25,9 +25,7 @@ from multidisc import (
 )
 from multidisc.roots import disc_from_distinct_roots, disc_from_multiple_roots_abs, random_root_spec
 
-from conftest import random_int_poly, scaled, shift_poly
-
-QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
+from conftest import QUINTIC, random_int_poly, scaled, shift_poly
 
 SWEEP_SEED = 20230417
 SWEEP_TRIALS = 20

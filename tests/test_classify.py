@@ -1,9 +1,7 @@
 import json
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from importlib import import_module
 from math import gcd
 
 import pytest
@@ -23,14 +21,20 @@ from multidisc import (
 from multidisc.partitions import classification_order
 from multidisc.roots import random_root_spec
 
-from conftest import product, random_int_poly, reference_rows, scaled, shift_poly, sqf_list_inputs
-
-# the package's classify function shadows the module of the same name
-CLASSIFY = import_module("multidisc.classify")
-ENGINE = import_module("multidisc.engine")
-CLI = import_module("multidisc.cli")
-
-QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
+from conftest import (
+    CLASSIFY,
+    CLI,
+    ENGINE,
+    QUINTIC,
+    product,
+    random_int_poly,
+    reference_rows,
+    scaled,
+    shift_poly,
+    spy,
+    sqf_list_inputs,
+    traced_peak,
+)
 
 
 def test_reference_quintic():
@@ -286,32 +290,22 @@ def test_trace_delta_is_the_conjugate_of_yun_at_high_multiplicity(mu):
     assert all(not s.nonzero for s in trace.steps[:-1]) and trace.steps[-1].nonzero
 
 
-def _count_calls(monkeypatch, module, name, calls, record=None):
-    """Count the calls of ``module.name`` in ``calls[name]``, passing their args to ``record``."""
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls[name] += 1
-        if record is not None:
-            record(*args)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
+def _resultants(monkeypatch):
+    """The recorded ``sylvester_resultant`` calls of the engine and of the walk."""
+    return [spy(monkeypatch, owner, "sylvester_resultant") for owner in (ENGINE, CLASSIFY)]
 
 
 def test_squarefree_input_runs_one_resultant_and_no_matrix(monkeypatch):
     poly = random_int_poly(random.Random(28), 28, bound=40)
-    calls = Counter()
+    resultants = _resultants(monkeypatch)
     # _build is the one builder of every numeric route's full matrix
-    for name in ("sylvester_resultant", "det_fraction_free", "_build"):
-        _count_calls(monkeypatch, ENGINE, name, calls)
-    for name in ("sylvester_resultant", "disc_value"):
-        _count_calls(monkeypatch, CLASSIFY, name, calls)
+    dets, builds = spy(monkeypatch, ENGINE, "det_fraction_free"), spy(monkeypatch, ENGINE, "_build")
+    leaves = spy(monkeypatch, CLASSIFY, "disc_value")
     trace = classify_trace(poly)
     assert trace.result == (1,) * 28 and len(trace.steps) == 1
     # the leaf is delta = (n) at g1 = k = n: psc_0(F, F') = Res(F, F') from
     # the first PRS, times the determinant of an empty remainder matrix
-    assert calls == Counter(sylvester_resultant=1, disc_value=1)
+    assert (sum(map(len, resultants)), len(leaves), dets, builds) == (1, 1, [], [])
 
 
 @pytest.mark.parametrize("mu", [(10, 10), (8, 7, 5), (15, 15), (8, 8), (6, 5, 5)])
@@ -324,15 +318,13 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
     spec = RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3)
     poly = expand(spec)
     n, k = poly.degree, len(mu)
-    leaves, orders = [], []
-    calls = Counter()
-    _count_calls(monkeypatch, ENGINE, "sylvester_resultant", calls)
-    _count_calls(monkeypatch, CLASSIFY, "sylvester_resultant", calls)
-    _count_calls(monkeypatch, CLASSIFY, "disc_value", calls, lambda poly, gamma: leaves.append(gamma))
-    _count_calls(monkeypatch, ENGINE, "det_fraction_free", calls, lambda rows: orders.append(len(rows)))
+    resultants = _resultants(monkeypatch)
+    leaves = spy(monkeypatch, CLASSIFY, "disc_value")
+    dets = spy(monkeypatch, ENGINE, "det_fraction_free")
     trace = classify_trace(poly)
-    assert calls["sylvester_resultant"] == mu[0]
-    assert leaves == [trace.delta] and orders == [n - k]
+    assert sum(map(len, resultants)) == mu[0]
+    assert [gamma for _, gamma in leaves] == [trace.delta]
+    assert [len(rows) for (rows,) in dets] == [n - k]
     assert trace.result == mu and trace.delta[0] == k
     chain = list(iter_partitions(n))
     assert [s.gamma for s in trace.steps] == chain[: chain.index(trace.delta) + 1]
@@ -360,13 +352,11 @@ def test_walk_does_the_same_work(monkeypatch, mu, work):
     # and one leaf, on delta, which takes none: G = gcd(F, F') and
     # psc_(n-k)(F, F') come from the memo of the first step's PRS
     poly = expand(RootSpec(tuple((Fraction(i), m) for i, m in enumerate(mu)), 1))
-    calls = Counter()
-    _count_calls(monkeypatch, ENGINE, "sylvester_resultant", calls)
-    _count_calls(monkeypatch, CLASSIFY, "sylvester_resultant", calls)
-    _count_calls(monkeypatch, CLASSIFY, "disc_value", calls)
+    resultants = _resultants(monkeypatch)
+    leaves = spy(monkeypatch, CLASSIFY, "disc_value")
     trace = classify_trace(poly)
     assert trace.result == mu
-    assert (len(trace.steps), calls["sylvester_resultant"], calls["disc_value"]) == work
+    assert (len(trace.steps), sum(map(len, resultants)), len(leaves)) == work
 
 
 @pytest.mark.parametrize(
@@ -379,25 +369,19 @@ def test_classification_clears_its_input_once(monkeypatch, mu, determinants):
     # from the memo of ``disc_resultant``.  Its remainder matrix is empty for
     # a squarefree input, so no determinant runs there
     spec = RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(-3, 7))
-    calls = Counter()
-    _count_calls(monkeypatch, UniPoly, "clear_denominators", calls)
-    _count_calls(monkeypatch, CLASSIFY, "disc_value", calls)
-    _count_calls(monkeypatch, ENGINE, "det_fraction_free", calls)
+    clears = spy(monkeypatch, UniPoly, "clear_denominators")
+    leaves = spy(monkeypatch, CLASSIFY, "disc_value")
+    dets = spy(monkeypatch, ENGINE, "det_fraction_free")
     assert classify_trace(expand(spec)).result == mu
-    assert (calls["clear_denominators"], calls["disc_value"]) == (1, 1)
-    assert calls["det_fraction_free"] == determinants
+    assert (len(clears), len(leaves)) == (1, 1)
+    assert len(dets) == determinants
 
 
 def test_walk_takes_the_partitions_lazily():
     # p(60) = 966467 partitions, a few hundred MB as a list; this input
     # breaks the chain at the second partition, (59, 1)
     poly = product(expand(RootSpec(((1, 2),), 1)), UniPoly([-2] + [0] * 57 + [1]))  # (x - 1)^2 (x^58 - 2)
-    tracemalloc.start()
-    try:
-        trace = classify_trace(poly)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    trace, peak = traced_peak(lambda: classify_trace(poly))
     assert [s.gamma for s in trace.steps] == [(60,), (59, 1)]
     assert trace.result == (2,) + (1,) * 58
     assert peak < 16 * 2**20
@@ -417,12 +401,7 @@ def test_classify_never_walks_the_partitions(monkeypatch, name):
 
     monkeypatch.setattr(CLASSIFY, "iter_partitions", walked)
     poly = DEEP[name]
-    tracemalloc.start()
-    try:
-        mu = classify(poly)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    mu, peak = traced_peak(lambda: classify(poly))
     assert mu == squarefree_multiplicity(poly)
     assert peak < 2**19  # 0.16 MB for (x - 1)^60 on CPython 3.11
 
@@ -528,12 +507,7 @@ def test_conditions_yields_one_row_at_a_time():
     # million, 21 billion and 467 billion partitions in all; the first row must
     # come without enumerating the others
     for n in (35, 50, 60):
-        tracemalloc.start()
-        try:
-            mu, zero, nonzero = next(iter(conditions(n)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (mu, zero, nonzero), peak = traced_peak(lambda: next(iter(conditions(n))))
         assert (mu, zero, nonzero) == ((1,) * n, [], (n,))
         assert peak < 2**20, (n, peak)
 

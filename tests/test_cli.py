@@ -8,7 +8,6 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -28,7 +27,7 @@ from multidisc.cli import main, run_selftest
 from multidisc.engine import DiscValue
 
 from cli_reuse import check_reuse
-from conftest import coeff, derivative, mul_power, random_int_poly, row_layout
+from conftest import CLASSIFY, CLI, coeff, derivative, mul_power, random_int_poly, row_layout, spy
 
 
 def run_cli(capsys, *argv):
@@ -236,7 +235,7 @@ class TestClassify:
             return fd
 
         real_open = os.open
-        monkeypatch.setattr(import_module("multidisc.cli").os, "open", recording_open)
+        monkeypatch.setattr(CLI.os, "open", recording_open)
         read_end, write_end = os.pipe()
         os.close(read_end)
         with os.fdopen(write_end, "w") as stdout:
@@ -279,8 +278,7 @@ class TestClassify:
             "disc_resultant": lambda poly: ((), Fraction(1), (1, 0, 0, 1), 0),
         }
         outputs = {"iter_partitions": [["--json"], ["--trace"]]}.get(fault, [[]])
-        # the package's classify function shadows the module of the same name
-        monkeypatch.setattr(import_module("multidisc.classify"), fault, faults[fault])
+        monkeypatch.setattr(CLASSIFY, fault, faults[fault])
         for flags in outputs:
             code, out, err = run_cli(capsys, "classify", *flags, "--coeffs", coeffs)
             assert (code, out) == (3, ""), flags
@@ -291,7 +289,7 @@ class TestClassify:
         def walked(n):
             raise AssertionError("classify walked the partitions")
 
-        monkeypatch.setattr(import_module("multidisc.classify"), "iter_partitions", walked)
+        monkeypatch.setattr(CLASSIFY, "iter_partitions", walked)
         coeffs = ",".join(str(c) for c in expand(RootSpec(((1, 60),), 1)).descending_coeffs())
         assert run_cli(capsys, "classify", "--coeffs", coeffs) == (0, "60\n", "")
 
@@ -666,15 +664,7 @@ class TestSelftest:
         # disc_value gives D_lambda = 0 for g1 > k with no determinant, so the
         # sweep checks each such lambda before conj(mu) with one Bareiss
         # elimination of its full matrix, of order n + g1 - 1
-        cli_module = import_module("multidisc.cli")
-        orders = []
-        det = cli_module.det_fraction_free
-
-        def counted_det(rows):
-            orders.append(len(rows))
-            return det(rows)
-
-        monkeypatch.setattr(cli_module, "det_fraction_free", counted_det)
+        dets = spy(monkeypatch, CLI, "det_fraction_free")
         checked, failures = run_selftest(6, 1, 5, quiet=True)
         assert failures == [] and checked > 0
         expected = [
@@ -684,13 +674,13 @@ class TestSelftest:
             for lam in zero
             if lam[0] > len(mu)
         ]
+        orders = [len(rows) for (rows,) in dets]
         assert orders == expected and len(orders) == 80
 
     def test_factor_check_catches_swapped_multiplicities(self, monkeypatch):
         # the right factors under swapped multiplicity labels: the check pins
         # each g_i to the roots of multiplicity i
-        cli_module = import_module("multidisc.cli")
-        decompose = cli_module.squarefree_decomposition
+        decompose = CLI.squarefree_decomposition
 
         def swapped(poly):
             lead, factors = decompose(poly)
@@ -699,7 +689,7 @@ class TestSelftest:
                 factors = [(g, j), (h, i), *factors[2:]]
             return lead, factors
 
-        monkeypatch.setattr(cli_module, "squarefree_decomposition", swapped)
+        monkeypatch.setattr(CLI, "squarefree_decomposition", swapped)
         _, failures = run_selftest(4, 1, 0, quiet=True)
         assert failures and all("squarefree factors" in failure for failure in failures)
 
@@ -774,6 +764,18 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
 )
 def test_rejected_input_exits_2_with_one_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    # conditions --n 100000000000 runs out at its first row, which allocates
+    # a list of n + 1 parts
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(CLI, "conditions", exhausted)
+    for flags in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "conditions", "--n", "100000000000", *flags)
+        assert (code, out, err) == (2, "", "error: not enough memory for this request\n"), flags
 
 
 def test_interrupt_exits_130_without_a_traceback():

@@ -2,8 +2,6 @@ import gc
 import hashlib
 import json
 import random
-import sys
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -30,7 +28,6 @@ from multidisc.engine import (
     _build,
     _exact,
     _packed,
-    _packed_det,
     _prem,
     _translation_rebuild,
     derivative_coeffs,
@@ -42,6 +39,9 @@ from multidisc.engine import (
 from multidisc.roots import random_root_spec
 
 from conftest import (
+    CLASSIFY,
+    ENGINE,
+    QUINTIC,
     coeff,
     derivative,
     det_rational,
@@ -54,11 +54,11 @@ from conftest import (
     row_layout,
     scaled,
     shift_poly,
+    spy,
     sym_perm_det,
+    traced_peak,
 )
 from symbolic_invariants import check as check_invariants, weight
-
-QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
 
 def _a(idx, nvars):
@@ -377,12 +377,7 @@ class TestDeterminants:
         # 3.6 MB, the same two levels as dicts on packed int keys at 1.9 MB,
         # and those levels built on the leading columns at 1.0 MB
         rows = build_symbolic_matrix(7, (7,))
-        tracemalloc.start()
-        try:
-            det_minor_expansion(rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: det_minor_expansion(rows))
         assert peak < 3 * 2**20
 
     def test_non_square_rejected(self):
@@ -535,13 +530,11 @@ class TestSylvesterResultant:
         # degree by exactly one (the one-pass step); then that F of degree 80
         # times (x - 2)^2 (x + 1)^3, where G = (x - 2)(x + 1)^2, the
         # determinant is 0 and psc is nonzero
-        engine = sys.modules["multidisc.engine"]
-        prem, drops = engine._prem, []
-        monkeypatch.setattr(engine, "_prem", lambda a, b: drops.append(len(a) - len(b)) or prem(a, b))
+        prems = spy(monkeypatch, ENGINE, "_prem")
 
         def check(ints):
             a, b = derivative_coeffs(ints, 0), derivative_coeffs(ints, 1)
-            drops.clear()
+            prems.clear()
             divisor, psc = sylvester_resultant(a, b)
             assert psc and det_fraction_free(_pair_rows(a, b)) == (psc if divisor == [1] else 0)
             return divisor
@@ -549,7 +542,7 @@ class TestSylvesterResultant:
         rng = random.Random(4080)
         for n in (40, 60, 80):
             ints = [rng.randint(-99, 99) for _ in range(n)] + [rng.choice([-7, 3, 5])]
-            assert check(ints) == [1] and drops == [1] * (n - 1), n
+            assert check(ints) == [1] and [len(a) - len(b) for a, b in prems] == [1] * (n - 1), n
         for root in (2, 2, -1, -1, -1):
             # times (x - root): the coefficient of x^e is a_(e-1) - root * a_e
             ints = [a - root * b for a, b in zip([0] + ints, ints + [0])]
@@ -587,11 +580,10 @@ class TestSylvesterResultant:
         # one coefficient of the second pseudo-remainder off by one: that step
         # divides it by lc(F')^2 = 18^2, which leaves a remainder, and the
         # division loop raises rather than go on with a wrong sequence
-        engine = sys.modules["multidisc.engine"]
         a = [3, -1, 4, 1, -5, 9, 2]
         b = derivative_coeffs(a[::-1], 1)
         assert sylvester_resultant(a, b)[0] == [1]
-        real, steps = engine._prem, []
+        real, steps = ENGINE._prem, []
 
         def perturbed(a, b):
             rem = real(a, b)
@@ -600,7 +592,7 @@ class TestSylvesterResultant:
                 rem[-1] += 1
             return rem
 
-        monkeypatch.setattr(engine, "_prem", perturbed)
+        monkeypatch.setattr(ENGINE, "_prem", perturbed)
         with pytest.raises(ArithmeticError, match="non-exact"):
             sylvester_resultant(a, b)
 
@@ -787,20 +779,11 @@ class TestReducedLeaf:
         # the full matrix of delta = (59, 1) has order 118; R_delta has order 1.
         # Two resultants in all: Res(F, F') with G_1 of degree 1, then
         # gcd(G_1, G_1'); the leaf reads G_1 and its psc from the memo
-        calls = {"res": 0}
-        for name in ("multidisc.engine", "multidisc.classify"):
-            module = sys.modules[name]
-            res = module.sylvester_resultant
-
-            def counted_res(a, b, res=res):
-                calls["res"] += 1
-                return res(a, b)
-
-            monkeypatch.setattr(module, "sylvester_resultant", counted_res)
+        calls = [spy(monkeypatch, module, "sylvester_resultant") for module in (ENGINE, CLASSIFY)]
         trace = classify_trace(_many_roots(60))
         assert trace.delta == (59, 1)
         assert trace.result == (2,) + (1,) * 58
-        assert calls["res"] == 2
+        assert sum(map(len, calls)) == 2
 
     def test_routing(self, monkeypatch):
         # the first gamma on a polynomial runs the one PRS of F and F', and
@@ -808,27 +791,14 @@ class TestReducedLeaf:
         # determinant, g1 = k reads psc_(n-k)(F, F') off the PRS and runs one
         # determinant of order n - k (none for gamma = (n) on a squarefree F),
         # and g1 < k runs one Bareiss at its full order n + g1 - 1
-        engine = sys.modules["multidisc.engine"]
-        orders = []
-        calls = {"res": 0}
-        det, res = engine.det_fraction_free, engine.sylvester_resultant
-
-        def counted_det(rows):
-            orders.append(len(rows))
-            return det(rows)
-
-        def counted_res(a, b):
-            calls["res"] += 1
-            return res(a, b)
-
-        monkeypatch.setattr(engine, "det_fraction_free", counted_det)
-        monkeypatch.setattr(engine, "sylvester_resultant", counted_res)
+        dets = spy(monkeypatch, ENGINE, "det_fraction_free")
+        resultants = spy(monkeypatch, ENGINE, "sylvester_resultant")
         for mu in [(1, 1, 1, 1, 1), (3, 2), (2, 2, 1), (4, 1, 1), (6,), (3, 3, 1, 1)]:
             poly = expand(RootSpec(tuple((i - 1, m) for i, m in enumerate(mu)), 2))
             n, k = poly.degree, len(mu)
             for first, gamma in enumerate(iter_partitions(n)):
-                orders.clear()
-                calls["res"] = 0
+                dets.clear()
+                resultants.clear()
                 disc_value(poly, gamma)
                 prs = 0 if first else 1
                 if gamma[0] > k:
@@ -837,37 +807,29 @@ class TestReducedLeaf:
                     expected = [n - k] if n > k else []
                 else:
                     expected = [n + gamma[0] - 1]
-                assert (orders, calls["res"]) == (expected, prs), (mu, gamma)
+                orders = [len(rows) for (rows,) in dets]
+                assert (orders, len(resultants)) == (expected, prs), (mu, gamma)
 
     def test_inexact_division_is_an_engine_fault(self, monkeypatch):
         # a divisor that is not G = gcd(F, F') = x - 1: the remainder of F''
         # by 8x - 1 is -29/4, so psc * det R = -2 * -29/4 is no integer, and
         # the final exact division raises rather than return a wrong value
-        engine = sys.modules["multidisc.engine"]
         poly = expand(RootSpec(((1, 2), (2, 1)), 1))
-        real = engine.disc_resultant
+        real = ENGINE.disc_resultant
 
         def wrong_gcd(poly):
             ints, scale, _, psc = real(poly)
             assert psc == -2
             return ints, scale, (8, -1), psc
 
-        monkeypatch.setattr(engine, "disc_resultant", wrong_gcd)
+        monkeypatch.setattr(ENGINE, "disc_resultant", wrong_gcd)
         with pytest.raises(ArithmeticError, match="non-exact"):
             disc_value(poly, (2, 1))
 
     def test_row_count_route_runs_no_determinant(self, monkeypatch):
         # every gamma with g1 > k is 0 by the row count at level 1, and the
         # Bareiss elimination of its full matrix agrees
-        engine = sys.modules["multidisc.engine"]
-        calls = []
-        det = engine.det_fraction_free
-
-        def counted_det(rows):
-            calls.append(len(rows))
-            return det(rows)
-
-        monkeypatch.setattr(engine, "det_fraction_free", counted_det)
+        calls = spy(monkeypatch, ENGINE, "det_fraction_free")
         checked = 0
         for n in range(1, 9):
             for mu in iter_partitions(n):
@@ -915,23 +877,15 @@ class TestResultantMemo:
         # P, c * P and another polynomial in turn: a call hits the memo only
         # right after a call on the same polynomial, and every value equals
         # the one computed with an empty memo
-        engine = sys.modules["multidisc.engine"]
         multiple = scaled(self.POLY, 7)
         gammas = list(iter_partitions(self.POLY.degree))
         expected = {}
         for poly in (self.POLY, multiple, self.OTHER):
             for gamma in gammas:
-                engine._last_resultant = (None, None)
+                ENGINE._last_resultant = (None, None)
                 expected[poly, gamma] = disc_value(poly, gamma).value
-        engine._last_resultant = (None, None)
-        calls = {"res": 0}
-        res = engine.sylvester_resultant
-
-        def counted_res(a, b):
-            calls["res"] += 1
-            return res(a, b)
-
-        monkeypatch.setattr(engine, "sylvester_resultant", counted_res)
+        ENGINE._last_resultant = (None, None)
+        resultants = spy(monkeypatch, ENGINE, "sylvester_resultant")
         order = [
             (poly, gamma)
             for gamma in gammas
@@ -939,7 +893,7 @@ class TestResultantMemo:
         ]
         assert [disc_value(*case).value for case in order] == [expected[case] for case in order]
         # four misses for the first gamma, then three for each (P hits after P)
-        assert calls["res"] == 4 + 3 * (len(gammas) - 1)
+        assert len(resultants) == 4 + 3 * (len(gammas) - 1)
 
     def test_the_memoized_gcd_is_a_tuple(self):
         first = disc_resultant(self.POLY)
@@ -971,7 +925,7 @@ def _packed_run(monkeypatch, n, gamma):
     """The rows of the one _packed_det call of disc_symbolic(n, gamma), which
     runs with SymPoly.exact_divide barred; the checks every packed run meets."""
     width = (n + gamma[0] - 1).bit_length()
-    calls, divided = [], []
+    divided = []
 
     def barred(self, divisor):
         divided.append(self)
@@ -979,12 +933,10 @@ def _packed_run(monkeypatch, n, gamma):
 
     with monkeypatch.context() as patch:
         patch.setattr(SymPoly, "exact_divide", barred)
-        patch.setattr(
-            sys.modules["multidisc.engine"], "_packed_det", lambda rows: calls.append(rows) or _packed_det(rows)
-        )
+        calls = spy(patch, ENGINE, "_packed_det")
         value = disc_symbolic(n, gamma).value
     assert len(calls) == 1 and divided == []
-    (rows,) = calls
+    [(rows,)] = calls
     keys = [key for row in rows for entry in row for key in entry]
     # no key has an a(n-1) field, and every key of the first column is the monomial 1
     assert keys and not any(key >> (n - 1) * width & (1 << width) - 1 for key in keys)
@@ -1078,10 +1030,7 @@ class TestDiscSymbolic:
         # build_symbolic_matrix, its first column divided by an, the entries
         # that hold a(n-1) dropped, packed at w = (n + g1 - 1).bit_length();
         # at order 8 that is 4 bits, where the recurrence's degree 7 needs 3
-        calls = []
-        monkeypatch.setattr(
-            sys.modules["multidisc.engine"], "_packed_det", lambda rows: calls.append(rows) or _packed_det(rows)
-        )
+        calls = spy(monkeypatch, ENGINE, "_packed_det")
         widths = set()
         for n in range(1, 9):
             an = SymPoly.variable(n + 1, n)
@@ -1098,18 +1047,13 @@ class TestDiscSymbolic:
                     ]
                     for row in build_symbolic_matrix(n, gamma)
                 ]
-                assert calls == [expected], (n, gamma)
+                assert calls == [(expected,)], (n, gamma)
         assert widths == {1, 2, 3, 4}
 
     def test_degree_seven_peaks_below_0_6_mb(self):
         # D_0 of gamma = (7), its minors built on the leading columns, and the
         # rebuild peaked at 0.34 MB; the minors on the trailing columns at 1.0 MB
-        tracemalloc.start()
-        try:
-            disc_symbolic(7, (7,))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: disc_symbolic(7, (7,)))
         assert peak < 0.6 * 2**20
 
     def test_recurrence_raises_on_a_remainder(self):

@@ -17,6 +17,7 @@ from multidisc import (
 )
 from multidisc.engine import sylvester_resultant
 from multidisc.roots import (
+    _exact_divide,
     _prs_gcd,
     disc_from_distinct_roots,
     disc_from_multiple_roots_abs,
@@ -26,6 +27,7 @@ from multidisc.roots import (
 
 from closed_form import DEEP, check
 from conftest import (
+    QUINTIC,
     derivative,
     det_rational,
     difference,
@@ -36,8 +38,6 @@ from conftest import (
     scaled,
     sqf_list_inputs,
 )
-
-QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
 
 
 def _spec(pairs, leading=1):
@@ -179,6 +179,12 @@ class TestIntegerYun:
         for poly in polys:
             got = _decomposition_key(squarefree_decomposition(poly))
             assert got == _decomposition_key(_reference_squarefree(poly)), poly
+        # its divisions are exact by construction; a remainder in a quotient
+        # coefficient (3x / (2x + 1)) or left over ((x^2 + 1) / (x + 1)) raises
+        assert _exact_divide([2, 3, 1], [2, 1]) == [1, 1]
+        for a, b in (([3, 0], [2, 1]), ([1, 0, 1], [1, 1])):
+            with pytest.raises(ArithmeticError, match="non-exact"):
+                _exact_divide(a, b)
 
     def test_content_sign_and_rational_leading(self):
         lead, factors = squarefree_decomposition(UniPoly([-6, 0, 6]))

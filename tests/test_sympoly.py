@@ -30,6 +30,8 @@ def test_exact_divide_rejects_non_divisible():
         a5a5_plus_a4.exact_divide(_var(5))
     with pytest.raises(ArithmeticError):
         SymPoly(6, {(0,) * 6: 3}).exact_divide(SymPoly(6, {(0,) * 6: 2}))
+    with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+        a5a5_plus_a4.exact_divide(SymPoly(6))
 
 
 def test_exact_divide_round_trip():

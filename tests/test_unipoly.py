@@ -8,9 +8,7 @@ import pytest
 from multidisc import UniPoly
 from multidisc.unipoly import parse_rational
 
-from conftest import coeff, derivative, difference, mul_power, product, random_int_poly, scaled
-
-QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
+from conftest import QUINTIC, coeff, derivative, difference, mul_power, product, random_int_poly, scaled
 
 
 def test_zero_polynomial_has_no_degree():
@@ -121,6 +119,10 @@ def test_divmod_is_euclidean():
         q, r = divmod(a, b)
         assert difference(a, product(q, b)) == r
         assert r.is_zero or r.degree < b.degree
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        divmod(QUINTIC, UniPoly())
+    with pytest.raises(TypeError):
+        divmod(QUINTIC, 3)
 
 
 def test_parse_rational_is_exact_and_rejects_exponents():
