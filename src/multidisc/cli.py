@@ -19,7 +19,18 @@ any of them.
 The argument parser is built once per process, on the first ``main()``
 call, and reused by every later call: ``parse_args`` returns a new
 namespace each time, and no default is mutable.  ``build_parser()`` still
-returns a new parser on every call.
+returns a new parser on every call.  The top-level parser only picks the
+command, so when the first argument names one, ``main`` parses the rest
+with that command's own parser, built with it; every other argv (none,
+``-h`` or an unknown command) goes to the top-level parser.  An argument a
+command does not read is reported by that command's parser, with its usage.
+
+``classify --json`` writes its line as text from the walk of the zero
+steps, one format per step and no dict: the keys in sorted order and
+``json.dumps``'s separators give the bytes ``json.dumps(record,
+sort_keys=True)`` gives, and both string fields go through ``json.dumps``.
+The line is built whole and printed once, so a fault in the walk prints
+nothing.
 """
 
 from __future__ import annotations
@@ -100,22 +111,33 @@ def _format_partition(parts) -> str:
     return ",".join(str(p) for p in parts)
 
 
-def _trace_json(poly: UniPoly, trace: ClassificationTrace) -> dict:
-    # every number is a string, to keep it exact; no TraceStep is made
-    steps = [{"gamma": list(gamma), "value": "0", "nonzero": False} for gamma in trace.zero_steps()]
-    steps.append({"gamma": list(trace.delta), "value": str(trace.value), "nonzero": True})
-    return {
-        "input": ",".join(map(str, poly.descending_coeffs())),
-        "n": poly.degree,
-        "steps": steps,
-        "multiplicity": list(trace.result),
-    }
+# one zero step of the classification JSON: with the keys in sorted order and
+# json.dumps's separators, the line is the encoder's text for the same record
+_ZERO_STEP = '{"gamma": %s, "nonzero": false, "value": "0"}, '
+_CLASSIFICATION = (
+    '{"input": %s, "multiplicity": %s, "n": %s, '
+    '"steps": [%s{"gamma": %s, "nonzero": true, "value": %s}]}'
+)
+
+
+def _classification_json(poly: UniPoly, trace: ClassificationTrace) -> str:
+    # every number is a string, to keep it exact, and str of a list of ints is
+    # its JSON text; built whole, so an engine fault in the walk prints nothing
+    zero = "".join([_ZERO_STEP % str(list(gamma)) for gamma in trace.zero_steps()])
+    return _CLASSIFICATION % (
+        json.dumps(",".join(map(str, poly.descending_coeffs()))),
+        list(trace.result),
+        poly.degree,
+        zero,
+        list(trace.delta),
+        json.dumps(str(trace.value)),
+    )
 
 
 def _print_classification(args, poly: UniPoly) -> None:
     trace = classify_trace(poly)
     if args.json:
-        print(_json_dumps(_trace_json(poly, trace)))
+        print(_classification_json(poly, trace))
         return
     if args.trace:
         # built whole first, so an engine fault in the walk prints no step
@@ -356,15 +378,21 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
+    """A new top-level parser; ``commands``, when given, gets each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="multidisc",
         description="Classify the complex-root multiplicity structure of a "
         "univariate polynomial in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {} if commands is None else commands
 
-    p = sub.add_parser(
+    def command(name, **kwargs) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
+
+    p = command(
         "classify",
         help="multiplicity vector of a polynomial",
         description="Coefficients are given highest power first.",
@@ -380,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--file", help="batch mode: one coefficient list per line")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser(
+    p = command(
         "discriminant",
         help="one discriminant: matrix, LaTeX, parametric polynomial, or value",
     )
@@ -402,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_discriminant)
 
-    p = sub.add_parser(
+    p = command(
         "conditions",
         help="equality/inequation table for every multiplicity vector",
     )
@@ -410,11 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_conditions)
 
-    p = sub.add_parser("degree-table", help="CSV of worst-case degrees")
+    p = command("degree-table", help="CSV of worst-case degrees")
     p.add_argument("--max-n", type=int, default=9)
     p.set_defaults(func=_cmd_degree_table)
 
-    p = sub.add_parser(
+    p = command(
         "selftest",
         help="run the randomized verification sweeps",
     )
@@ -428,13 +456,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _parser: argparse.ArgumentParser | None = None
+_commands: dict[str, argparse.ArgumentParser] = {}
 
 
 def main(argv=None) -> int:
-    global _parser
+    global _parser, _commands
     if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+        _commands = {}
+        _parser = build_parser(_commands)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser only picks the command and hands it the rest, so
+    # a named command's own parser reads the rest directly
+    command = _commands.get(argv[0]) if argv else None
+    args = _parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     # parse_coeffs bounds every coefficient, so the interpreter's bound on
     # int-to-str conversion is lifted for this call only: results print whole
     limit = sys.get_int_max_str_digits()

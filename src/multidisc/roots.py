@@ -102,9 +102,9 @@ def expand(spec: RootSpec) -> UniPoly:
     """
     q, points = _scaled_roots(spec)
     coeffs = _monic_product(points, [m for _, m in spec.roots])
-    num, den = spec.leading.numerator, spec.leading.denominator
+    num, den, n = spec.leading.numerator, spec.leading.denominator, len(coeffs) - 1
     # one normalization per coefficient, not one for K_e / Q^(n-e) and one for the product
-    return UniPoly(Fraction(num * c, den * q ** (spec.n - e)) for e, c in enumerate(coeffs))
+    return UniPoly(Fraction(num * c, den * q ** (n - e)) for e, c in enumerate(coeffs))
 
 
 def _primitive(p: list[int]) -> list[int]:

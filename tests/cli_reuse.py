@@ -61,7 +61,7 @@ def run(argv: list[str]) -> tuple[object, str, str]:
 
 def check_reuse() -> int:
     """Number of kept-parser calls compared; AssertionError at the first mismatch."""
-    saved = cli._parser
+    saved = cli._parser, cli._commands
     try:
         with tempfile.TemporaryDirectory() as tmp:
             batch = os.path.join(tmp, "polys.txt")
@@ -84,5 +84,5 @@ def check_reuse() -> int:
             assert cli._parser is kept, "main() built a second parser"
             return 2 * len(cases)
     finally:
-        cli._parser = saved
+        cli._parser, cli._commands = saved
 

@@ -520,12 +520,44 @@ def test_conditions_rejects_bad_n_at_the_call():
 
 
 def test_trace_json_schema_and_round_trip():
-    # the JSON record the CLI builds from a trace
-    data = CLI._trace_json(QUINTIC, classify_trace(QUINTIC))
+    # the JSON line the CLI writes for a trace
+    text = CLI._classification_json(QUINTIC, classify_trace(QUINTIC))
+    data = json.loads(text)
     assert data["input"] == "1,-5,7,1,-8,4"
     assert data["n"] == 5
     assert data["multiplicity"] == [2, 2, 1]
     assert data["steps"][0] == {"gamma": [5], "value": "0", "nonzero": False}
     assert data["steps"][-1]["nonzero"] is True
-    encoded = CLI._json_dumps(data)
-    assert CLI._json_dumps(json.loads(encoded)) == encoded
+    assert json.dumps(data, sort_keys=True) == text
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        pytest.param(CLI.parse_coeffs("2,3"), id="n=1"),
+        pytest.param(expand(RootSpec(((1, 2), (-2, 1)), Fraction(-3, 7))), id="lead=-3/7"),
+        # 626 zero steps, every partition of 20 but the last
+        pytest.param(expand(RootSpec(((1, 20),), 1)), id="(x-1)^20"),
+        pytest.param(
+            expand(
+                RootSpec(tuple((Fraction(2 * i - 5, 2), m) for i, m in enumerate((4, 3, 3, 2, 1, 1))), 1)
+            ),
+            id="half-integer-roots-n=14",
+        ),
+        # the PRS sign-rule inputs of test_cli_digests
+        pytest.param(CLI.parse_coeffs("1,0,0,-1,0"), id="x^4-x"),
+        pytest.param(CLI.parse_coeffs("3,0,0,-10,0,0,3"), id="3x^6-10x^3+3"),
+        pytest.param(CLI.parse_coeffs("2,0,0,-2,-2,0,0,2"), id="2x^7-2x^4-2x^3+2"),
+    ],
+)
+def test_classification_json_is_the_encoders_text(poly):
+    # the CLI writes the line as text: it must be the bytes json.dumps gives
+    # for the same record, and hold every step of the trace in order
+    trace = classify_trace(poly)
+    text = CLI._classification_json(poly, trace)
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True)
+    assert data["input"] == ",".join(map(str, poly.descending_coeffs()))
+    assert (data["n"], data["multiplicity"]) == (poly.degree, list(trace.result))
+    steps = [(tuple(step["gamma"]), step["value"], step["nonzero"]) for step in data["steps"]]
+    assert steps == [(step.gamma, str(step.value), step.nonzero) for step in trace.steps]

@@ -26,8 +26,9 @@ from multidisc import (
 from multidisc.cli import main, run_selftest
 from multidisc.engine import DiscValue
 
-from cli_reuse import check_reuse
+from cli_reuse import check_reuse, invocations
 from conftest import CLASSIFY, CLI, coeff, derivative, mul_power, random_int_poly, row_layout, spy
+from test_cli_digests import invocations as digest_invocations
 
 
 def run_cli(capsys, *argv):
@@ -792,6 +793,37 @@ def test_interrupt_exits_130_without_a_traceback():
 def test_kept_parser_matches_a_fresh_parser():
     # main() keeps its parser for the process; no call may see another's state
     assert check_reuse() > 0
+
+
+def test_a_command_parser_reads_what_the_top_level_parser_reads(capsys, tmp_path):
+    # main() hands a named command's argv to that command's parser: it must
+    # give the top-level parser's namespace without its command, and reject
+    # (or answer --help) where that parser does, with the same exit code
+    commands = {}
+    top = CLI.build_parser(commands)
+    argvs = [argv for argv, _ in invocations(str(tmp_path / "polys.txt"))] + digest_invocations()
+    parsed = 0
+    for argv in argvs:
+        if not argv or argv[0] not in commands:
+            continue
+        try:
+            whole = vars(top.parse_args(argv))
+        except SystemExit as exc:
+            with pytest.raises(SystemExit) as routed:
+                commands[argv[0]].parse_args(argv[1:])
+            assert routed.value.code == exc.code, argv
+            continue
+        assert whole.pop("command") == argv[0]
+        assert vars(commands[argv[0]].parse_args(argv[1:])) == whole, argv
+        parsed += 1
+    capsys.readouterr()
+    assert parsed > 1190
+    # what names no command still goes to the top-level parser
+    for argv, code in (([], 2), (["--help"], 0), (["frobnicate"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code, argv
+        assert capsys.readouterr().err.startswith("usage: multidisc [-h]") == bool(code), argv
 
 
 def test_parser_is_built_on_first_use_not_at_import():
