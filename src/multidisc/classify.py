@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .engine import derivative_coeffs, disc_resultant, disc_value, sylvester_resultant
-# classification_order is kept for perfbench/tracing.py's wrap; ROADMAP item 1 drops both
+# classification_order is kept for perfbench/tracing.py's wrap; ROADMAP item 1b drops both
 from .partitions import Partition, as_partition, classification_order, conjugate, iter_partitions
 from .unipoly import UniPoly
 

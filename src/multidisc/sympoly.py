@@ -36,16 +36,19 @@ class SymPoly:
         _check_nvars(nvars)
         self.nvars = nvars
         clean: dict[tuple[int, ...], int] = {}
+        # a tuple key only: two distinct tuples are two distinct exponent
+        # vectors, so no terms merge
         for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != nvars or not all(_is_int(e) and e >= 0 for e in exps):
+            if (
+                not isinstance(exps, tuple)
+                or len(exps) != nvars
+                or not all(_is_int(e) and e >= 0 for e in exps)
+            ):
                 raise ValueError(f"bad exponent vector {exps!r} for {nvars} variables")
             if not _is_int(coeff):
                 raise ValueError(f"coefficient {coeff!r} of {exps!r} is not an int")
             if coeff:
-                clean[exps] = clean.get(exps, 0) + coeff
-                if not clean[exps]:
-                    del clean[exps]
+                clean[exps] = coeff
         self.terms = clean
 
     @classmethod

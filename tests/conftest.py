@@ -17,20 +17,36 @@ The harness: ``spy`` records the args of each call of a function or
 method and lets the call run; ``traced_peak`` is the one tracemalloc probe;
 ``QUINTIC`` is the paper's reference quintic; ``ENGINE``, ``CLASSIFY`` and
 ``CLI`` are the modules that tests patch.
+
+The checkers below the Fraction helpers each check one fact that several
+tests check, every test on its own inputs.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
 from importlib import import_module
 from itertools import permutations
-from math import perm
+from math import perm, prod
 
 import pytest
 
-from multidisc import SymPoly, UniPoly, expand
+from multidisc import (
+    SymPoly,
+    UniPoly,
+    classify,
+    classify_trace,
+    conjugate,
+    degree_table,
+    disc_from_roots,
+    disc_value,
+    expand,
+    iter_partitions,
+    squarefree_multiplicity,
+)
 from multidisc.roots import random_root_spec
 
 # the package's classify function shadows the module of the same name
@@ -38,6 +54,17 @@ ENGINE, CLASSIFY, CLI = (import_module(f"multidisc.{name}") for name in ("engine
 
 # x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4 = (x - 1)^2 (x + 1) (x - 2)^2, delta = (3, 2)
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
+
+# Table 1 of the paper, n = 3..9: (d_yhz, d_hy21, d_hy22)
+TABLE_1 = {
+    3: (5, 5, 4),
+    4: (9, 7, 6),
+    5: (15, 9, 8),
+    6: (27, 11, 10),
+    7: (45, 13, 12),
+    8: (81, 15, 14),
+    9: (135, 17, 16),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -266,3 +293,124 @@ def sqf_list_inputs() -> list[UniPoly]:
                 + [rng.choice([-4, 1, 3])]
             ))
     return polys
+
+
+def assert_quintic_trace(trace) -> None:
+    """``trace`` is QUINTIC's: D(5) = D(4,1) = 0 and D(3,2) != 0, so mu = (2, 2, 1)."""
+    assert list(trace.zero_steps()) == [(5,), (4, 1)]
+    assert trace.delta == (3, 2) and trace.value != 0
+    assert trace.result == (2, 2, 1) == conjugate(trace.delta)
+
+
+def assert_quintic_record(text: str) -> None:
+    """``text`` is the JSON line of QUINTIC's classification, in the bytes
+    ``json.dumps(record, sort_keys=True)`` gives."""
+    data = json.loads(text)
+    assert (data["input"], data["n"], data["multiplicity"]) == ("1,-5,7,1,-8,4", 5, [2, 2, 1])
+    zero = [{"gamma": gamma, "nonzero": False, "value": "0"} for gamma in ([5], [4, 1])]
+    assert data["steps"][:2] == zero and len(data["steps"]) == 3
+    assert data["steps"][-1]["nonzero"] is True
+    assert json.dumps(data, sort_keys=True) == text
+
+
+def trace_steps(trace) -> list[tuple]:
+    """(gamma, D_gamma, D_gamma != 0) per step of ``trace``: the zero steps, then delta."""
+    zero = Fraction(0)
+    steps = [(gamma, zero, False) for gamma in trace.zero_steps()]
+    return steps + [(trace.delta, trace.value, trace.value != 0)]
+
+
+def json_steps(trace) -> list[dict]:
+    """The steps of ``trace`` as the CLI's JSON record holds them."""
+    return [{"gamma": list(gamma), "value": str(value), "nonzero": nonzero}
+            for gamma, value, nonzero in trace_steps(trace)]
+
+
+def reference_trace(poly) -> list[tuple]:
+    """The plain scan: (gamma, D_gamma, D_gamma != 0) for every gamma in
+    order, up to the first nonzero D_gamma."""
+    steps = []
+    for gamma in iter_partitions(poly.degree):
+        value = disc_value(poly, gamma).value
+        steps.append((gamma, value, value != 0))
+        if value:
+            return steps
+    raise AssertionError("chain exhausted")
+
+
+def assert_trace_is_reference(poly) -> None:
+    """classify_trace(poly) holds the plain scan's steps, and mu = conj(delta)."""
+    trace = classify_trace(poly)
+    assert trace_steps(trace) == reference_trace(poly), poly
+    assert trace.result == conjugate(trace.delta)
+
+
+def assert_classified(poly, mu):
+    """The classification and Yun's squarefree decomposition both give ``mu``,
+    and the chain breaks at delta = conj(mu); returns the trace.  They share
+    no gcd code (``roots._prs_gcd`` is Yun's own), so each checks the other."""
+    trace = classify_trace(poly)
+    assert (trace.result, trace.delta) == (mu, conjugate(mu)), poly
+    assert squarefree_multiplicity(poly) == mu, poly
+    return trace
+
+
+def zeros_before_conjugate(poly, mu) -> int:
+    """The paper's two lemmas for ``poly`` of multiplicity vector ``mu``:
+    D_lam = 0 for every lam before conj(mu), and D_conj(mu) != 0.  Returns
+    the number of zeros checked."""
+    steps = reference_trace(poly)
+    assert steps[-1][0] == conjugate(mu), (mu, poly)
+    return len(steps) - 1
+
+
+def assert_root_side(spec, gammas) -> list[Fraction]:
+    """The signed root-side formula ``disc_from_roots(spec, gamma)`` is
+    D_gamma of expand(spec), the same Fraction, for each gamma; returns the
+    values."""
+    poly = expand(spec)
+    values = []
+    for gamma in gammas:
+        value, expected = disc_from_roots(spec, gamma), disc_value(poly, gamma).value
+        assert type(value) is type(expected) and value == expected, (spec, gamma)
+        values.append(value)
+    return values
+
+
+def all_ones_disc(n: int, leading):
+    """D_(1^n) in closed form: prod_(i<=n) i^i * leading^(n-1)."""
+    return prod(i**i for i in range(1, n + 1)) * leading ** (n - 1)
+
+
+def check_all_ones(rng: random.Random, trials: int) -> int:
+    """D_(1^n) of ``trials`` random integer polynomials of each degree
+    n = 2..8 against ``all_ones_disc``; returns the number checked."""
+    degrees = range(2, 9)
+    for n in degrees:
+        for _ in range(trials):
+            poly = random_int_poly(rng, n)
+            assert disc_value(poly, (1,) * n).value == all_ones_disc(n, poly.leading), poly
+    return len(degrees) * trials
+
+
+def assert_leaf_invariant(poly, gamma, c, t=None):
+    """D_gamma(c F) = c^(n + g1 - 2) D_gamma(F), and, given ``t``,
+    D_gamma(F(x + t)) = D_gamma(F); returns D_gamma(F)."""
+    value = disc_value(poly, gamma).value
+    scaled_value = disc_value(scaled(poly, c), gamma).value
+    assert scaled_value == c ** (poly.degree + gamma[0] - 2) * value, (poly, gamma, c)
+    if t is not None:
+        assert disc_value(shift_poly(poly, t), gamma).value == value, (poly, gamma, t)
+    return value
+
+
+def assert_scale_and_shift_invariant(poly, mu, c, t) -> None:
+    """``classify`` gives ``mu`` for c * poly and for poly(x + t)."""
+    assert classify(scaled(poly, c)) == mu, (mu, c, poly)
+    assert classify(shift_poly(poly, t)) == mu, (mu, t, poly)
+
+
+def assert_table_1() -> None:
+    """degree_table(9) yields the rows n = 3..9 of TABLE_1, in order."""
+    rows = [(row.n, row.d_yhz, row.d_hy21, row.d_hy22) for row in degree_table(9)]
+    assert rows == [(n, *columns) for n, columns in TABLE_1.items()]

@@ -32,6 +32,10 @@ of output, not a wrong one.
 L * D = 0, the translation invariance, is not checked: ``disc_symbolic``
 builds D from it.  It needs no pytest; tests/test_engine.py runs it for
 n <= 7, and CI for n = 9 and n = 10, the only run that builds D_(9) and D_(10).
+
+``sweep`` is the homogeneity and specialization check alone, and
+``check_symbolic`` runs it and returns the largest total degree it saw; the
+tests of these facts call it.
 """
 
 from __future__ import annotations
@@ -59,19 +63,41 @@ def weight(gamma) -> int:
     return comb(n + g1 - 1, 2) - comb(g1 - 1, 2) + blocks - n
 
 
+def sweep(n: int, rng=None, points: int = 0, bound: int = 20, leads=(-3, -1, 1, 2, 5)):
+    """Yield (gamma, D_gamma) for every gamma of n, each once it is checked.
+
+    D_gamma must be nonzero and homogeneous of degree n + g1 - 2, and equal
+    ``disc_value`` at ``points`` integer points drawn from ``rng``: n entries
+    in -bound..bound, then a leading entry from the nonzero ``leads``.
+    """
+    leads = [c for c in leads if c]
+    for gamma in iter_partitions(n):
+        value = disc_symbolic(n, gamma).value
+        degree = n + gamma[0] - 2
+        assert value.terms, f"{gamma}: D_gamma is 0"
+        for exps in value.terms:
+            assert sum(exps) == degree, f"{gamma}: term {exps} is not of degree {degree}"
+        for _ in range(points):
+            point = [rng.randint(-bound, bound) for _ in range(n)] + [rng.choice(leads)]
+            expected = disc_value(UniPoly(point), gamma).value
+            assert value.evaluate(point) == expected, f"{gamma}: differs from disc_value at {point}"
+        yield gamma, value
+
+
+def check_symbolic(n: int, rng=None, **options) -> int:
+    """Check every D_gamma of n by ``sweep(n, rng, **options)``; returns the
+    largest total degree among them."""
+    return max(max(map(sum, value.terms)) for _, value in sweep(n, rng, **options))
+
+
 def check(n: int, seed: int = 9) -> int:
     """Number of gamma of n checked; AssertionError at the first that fails."""
     rng = random.Random(seed * 1000 + n)
     count = 0
-    for gamma in iter_partitions(n):
-        value = disc_symbolic(n, gamma).value
-        degree, w = n + gamma[0] - 2, weight(gamma)
+    for gamma, value in sweep(n, rng, points=1):
+        w = weight(gamma)
         for exps in value.terms:
-            assert sum(exps) == degree, f"{gamma}: term {exps} is not of degree {degree}"
             assert sum(d * e for d, e in enumerate(exps)) == w, f"{gamma}: {exps} weighs not {w}"
-        point = [rng.randint(-20, 20) for _ in range(n)] + [rng.choice([-3, -1, 1, 2, 5])]
-        expected = disc_value(UniPoly(point), gamma).value
-        assert value.evaluate(point) == expected, f"{gamma}: differs from disc_value at {point}"
         if gamma == (n,) and n in A007878:
             terms = len(value.terms)
             assert terms == A007878[n], f"D_({n}) has {terms} terms, not {A007878[n]}"

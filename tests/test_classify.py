@@ -1,6 +1,6 @@
 import json
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -18,7 +18,6 @@ from multidisc import (
     iter_partitions,
     squarefree_multiplicity,
 )
-from multidisc.partitions import classification_order
 from multidisc.roots import random_root_spec
 
 from conftest import (
@@ -26,14 +25,22 @@ from conftest import (
     CLI,
     ENGINE,
     QUINTIC,
+    assert_classified,
+    assert_leaf_invariant,
+    assert_quintic_record,
+    assert_quintic_trace,
+    assert_scale_and_shift_invariant,
+    assert_trace_is_reference,
+    json_steps,
     product,
     random_int_poly,
     reference_rows,
+    reference_trace,
     scaled,
-    shift_poly,
     spy,
     sqf_list_inputs,
     traced_peak,
+    zeros_before_conjugate,
 )
 
 
@@ -42,13 +49,7 @@ def test_reference_quintic():
 
 
 def test_reference_quintic_trace():
-    trace = classify_trace(QUINTIC)
-    assert [s.gamma for s in trace.steps] == [(5,), (4, 1), (3, 2)]
-    assert [s.nonzero for s in trace.steps] == [False, False, True]
-    assert trace.steps[0].value == 0 and trace.steps[1].value == 0
-    assert trace.steps[2].value != 0
-    assert trace.delta == (3, 2)
-    assert trace.result == (2, 2, 1) == conjugate(trace.delta)
+    assert_quintic_trace(classify_trace(QUINTIC))
 
 
 def test_single_root_full_chain():
@@ -57,25 +58,17 @@ def test_single_root_full_chain():
         trace = classify_trace(poly)
         assert trace.result == (n,)
         # every earlier discriminant vanishes, so the chain runs to the end
-        assert len(trace.steps) == len(list(iter_partitions(n)))
-        assert all(not s.nonzero for s in trace.steps[:-1])
+        assert list(trace.zero_steps()) == list(iter_partitions(n))[:-1]
 
 
 def test_squarefree_quintic_single_step():
-    poly = UniPoly.from_descending([1, 0, 0, 0, 1, 1])  # x^5 + x + 1
-    assert squarefree_multiplicity(poly) == (1, 1, 1, 1, 1)
-    trace = classify_trace(poly)
-    assert len(trace.steps) == 1
-    assert trace.steps[0].gamma == (5,)
-    assert trace.result == (1, 1, 1, 1, 1)
+    trace = assert_classified(UniPoly.from_descending([1, 0, 0, 0, 1, 1]), (1,) * 5)  # x^5 + x + 1
+    assert list(trace.zero_steps()) == []
 
 
 def test_expanded_product_with_mult_32():
-    poly = expand(RootSpec(((1, 2), (2, 3)), 1))
-    trace = classify_trace(poly)
-    assert trace.result == (3, 2)
-    assert trace.delta == (2, 2, 1) == conjugate((3, 2))
-    assert squarefree_multiplicity(poly) == (3, 2)
+    trace = assert_classified(expand(RootSpec(((1, 2), (2, 3)), 1)), (3, 2))
+    assert trace.delta == (2, 2, 1)
 
 
 def test_rejects_constant_and_zero():
@@ -86,10 +79,7 @@ def test_rejects_constant_and_zero():
 
 
 def test_trace_values_match_disc_value_for_rational_input():
-    poly = scaled(QUINTIC, Fraction(2, 3))
-    trace = classify_trace(poly)
-    for step in trace.steps:
-        assert step.value == disc_value(poly, step.gamma).value
+    assert_trace_is_reference(scaled(QUINTIC, Fraction(2, 3)))
 
 
 def test_oracle_equivalence_sample():
@@ -97,24 +87,14 @@ def test_oracle_equivalence_sample():
     for n in range(1, 7):
         for mu in iter_partitions(n):
             for _ in range(3):
-                spec = random_root_spec(rng, mu)
-                poly = expand(spec)
-                assert classify(poly) == mu
-                assert squarefree_multiplicity(poly) == mu
+                assert_classified(expand(random_root_spec(rng, mu)), mu)
 
 
 def test_vanishing_and_nonvanishing_sample():
     rng = random.Random(2718)
     for n in range(2, 6):
-        partitions = list(iter_partitions(n))
-        for mu in partitions:
-            spec = random_root_spec(rng, mu)
-            poly = expand(spec)
-            bar_mu = conjugate(mu)
-            assert disc_value(poly, bar_mu).value != 0
-            for lam in partitions:
-                if lam > bar_mu:
-                    assert disc_value(poly, lam).value == 0
+        for mu in iter_partitions(n):
+            zeros_before_conjugate(expand(random_root_spec(rng, mu)), mu)
 
 
 def test_vanishing_is_not_monotone_along_the_chain():
@@ -126,24 +106,6 @@ def test_vanishing_is_not_monotone_along_the_chain():
     assert disc_value(poly, (3, 1)).value == 0
     assert disc_value(poly, (2, 2)).value == -432
     assert classify(poly) == (1, 1, 1, 1)
-
-
-def reference_trace(poly):
-    """The plain scan: every discriminant in order up to the first nonzero one."""
-    steps = []
-    for gamma in iter_partitions(poly.degree):
-        value = disc_value(poly, gamma).value
-        steps.append((gamma, value, value != 0))
-        if value:
-            return steps
-    raise AssertionError("chain exhausted")
-
-
-def assert_trace_is_reference(poly):
-    trace = classify_trace(poly)
-    assert [(s.gamma, s.value, s.nonzero) for s in trace.steps] == reference_trace(poly)
-    assert trace.delta == trace.steps[-1].gamma
-    assert trace.result == conjugate(trace.delta)
 
 
 def test_pruned_trace_equals_plain_scan_up_to_degree_8():
@@ -268,48 +230,53 @@ def test_degree_count_rule_is_the_full_width_rule():
 
 
 def test_trace_delta_is_the_conjugate_of_yun():
-    # the chain G_j = gcd(G_(j-1), G_(j-1)') and Yun's decomposition share no
-    # gcd code (``roots._prs_gcd`` is Yun's own), so each checks the other
+    # the chain G_j = gcd(G_(j-1), G_(j-1)') against Yun's decomposition
     for n in range(1, 13):
         for mu in iter_partitions(n):
             for spec in (
                 RootSpec(tuple((i, m) for i, m in enumerate(mu)), 1),
                 RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(-3, 7)),
             ):
-                poly = expand(spec)
-                delta = classify_trace(poly).delta
-                assert delta == conjugate(squarefree_multiplicity(poly)) == conjugate(mu), spec
+                assert_classified(expand(spec), mu)
 
 
 @pytest.mark.parametrize("mu", [(40,), (20, 20), (12, 12, 12)])
 def test_trace_delta_is_the_conjugate_of_yun_at_high_multiplicity(mu):
     # too deep for the reference scan: p(40) = 37338 determinants
     poly = expand(RootSpec(tuple((i + 1, m) for i, m in enumerate(mu)), 1))  # (x - 1)^40, ...
-    trace = classify_trace(poly)
-    assert trace.delta == conjugate(squarefree_multiplicity(poly)) == conjugate(mu)
-    assert all(not s.nonzero for s in trace.steps[:-1]) and trace.steps[-1].nonzero
+    assert assert_classified(poly, mu).value != 0
 
 
-def _resultants(monkeypatch):
-    """The recorded ``sylvester_resultant`` calls of the engine and of the walk."""
-    return [spy(monkeypatch, owner, "sylvester_resultant") for owner in (ENGINE, CLASSIFY)]
+Work = namedtuple("Work", "length resultants leaves dets clears builds")
 
 
-def test_squarefree_input_runs_one_resultant_and_no_matrix(monkeypatch):
-    poly = random_int_poly(random.Random(28), 28, bound=40)
-    resultants = _resultants(monkeypatch)
+def chain_work(poly):
+    """classify_trace(poly) and a ``Work`` of what it ran: the number of steps,
+    of ``sylvester_resultant`` calls by the engine and the walk, the leaf
+    gammas, each determinant's order, and the clearing and ``_build`` calls."""
+    with pytest.MonkeyPatch.context() as patch:
+        resultants = [spy(patch, owner, "sylvester_resultant") for owner in (ENGINE, CLASSIFY)]
+        leaves = spy(patch, CLASSIFY, "disc_value")
+        dets = spy(patch, ENGINE, "det_fraction_free")
+        clears = spy(patch, UniPoly, "clear_denominators")
+        builds = spy(patch, ENGINE, "_build")
+        trace = classify_trace(poly)
+    return trace, Work(sum(1 for _ in trace.zero_steps()) + 1, sum(map(len, resultants)),
+                       [gamma for _, gamma in leaves], [len(rows) for (rows,) in dets],
+                       len(clears), len(builds))
+
+
+def test_squarefree_input_runs_one_resultant_and_no_matrix():
+    trace, work = chain_work(random_int_poly(random.Random(28), 28, bound=40))
+    assert trace.result == (1,) * 28 and work.length == 1
     # _build is the one builder of every numeric route's full matrix
-    dets, builds = spy(monkeypatch, ENGINE, "det_fraction_free"), spy(monkeypatch, ENGINE, "_build")
-    leaves = spy(monkeypatch, CLASSIFY, "disc_value")
-    trace = classify_trace(poly)
-    assert trace.result == (1,) * 28 and len(trace.steps) == 1
     # the leaf is delta = (n) at g1 = k = n: psc_0(F, F') = Res(F, F') from
     # the first PRS, times the determinant of an empty remainder matrix
-    assert (sum(map(len, resultants)), len(leaves), dets, builds) == (1, 1, [], [])
+    assert (work.resultants, len(work.leaves), work.dets, work.builds) == (1, 1, [], 0)
 
 
 @pytest.mark.parametrize("mu", [(10, 10), (8, 7, 5), (15, 15), (8, 8), (6, 5, 5)])
-def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu):
+def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(mu):
     # the gcd chain takes m_1 resultants in all, Res(F, F') the first, and
     # decides every step before delta; delta starts at g1 = k, so its leaf
     # reads G = gcd(F, F') and psc_(n-k)(F, F') from the first step's memo,
@@ -318,19 +285,12 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
     spec = RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3)
     poly = expand(spec)
     n, k = poly.degree, len(mu)
-    resultants = _resultants(monkeypatch)
-    leaves = spy(monkeypatch, CLASSIFY, "disc_value")
-    dets = spy(monkeypatch, ENGINE, "det_fraction_free")
-    trace = classify_trace(poly)
-    assert sum(map(len, resultants)) == mu[0]
-    assert [gamma for _, gamma in leaves] == [trace.delta]
-    assert [len(rows) for (rows,) in dets] == [n - k]
+    trace, work = chain_work(poly)
+    assert (work.resultants, work.leaves, work.dets) == (mu[0], [trace.delta], [n - k])
     assert trace.result == mu and trace.delta[0] == k
     chain = list(iter_partitions(n))
-    assert [s.gamma for s in trace.steps] == chain[: chain.index(trace.delta) + 1]
-    assert all(s.value == 0 for s in trace.steps[:-1])
+    assert list(trace.zero_steps()) == chain[: chain.index(trace.delta)]
     if n <= 16:
-        monkeypatch.undo()
         assert_trace_is_reference(poly)
 
 
@@ -346,35 +306,30 @@ def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(monkeypatch, mu
         ((2, 2, 2, 2, 1, 1), (8, 2, 1)),
     ],
 )
-def test_walk_does_the_same_work(monkeypatch, mu, work):
+def test_walk_does_the_same_work(mu, work):
     # (steps, resultants, leaf determinants) for F = prod (x - i)^mu_i,
     # i = 0, 1, 2, ...: one resultant per level of the gcd chain, m_1 in all,
     # and one leaf, on delta, which takes none: G = gcd(F, F') and
     # psc_(n-k)(F, F') come from the memo of the first step's PRS
-    poly = expand(RootSpec(tuple((Fraction(i), m) for i, m in enumerate(mu)), 1))
-    resultants = _resultants(monkeypatch)
-    leaves = spy(monkeypatch, CLASSIFY, "disc_value")
-    trace = classify_trace(poly)
+    trace, done = chain_work(expand(RootSpec(tuple((Fraction(i), m) for i, m in enumerate(mu)), 1)))
     assert trace.result == mu
-    assert (len(trace.steps), sum(map(len, resultants)), len(leaves)) == work
+    assert (done.length, done.resultants, len(done.leaves)) == work
 
 
 @pytest.mark.parametrize(
     "mu, determinants",
     [((1,) * 6, 0), ((10, 10), 1), ((8, 7, 5), 1), ((4, 3, 3, 2, 2, 1), 1), ((2, 2, 1), 1)],
 )
-def test_classification_clears_its_input_once(monkeypatch, mu, determinants):
+def test_classification_clears_its_input_once(mu, determinants):
     # one clearing feeds the first PRS, whose G_1 starts the gcd chain; the
     # leaf ``disc_value`` runs on every input and reads the cleared integers
     # from the memo of ``disc_resultant``.  Its remainder matrix is empty for
     # a squarefree input, so no determinant runs there
     spec = RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(-3, 7))
-    clears = spy(monkeypatch, UniPoly, "clear_denominators")
-    leaves = spy(monkeypatch, CLASSIFY, "disc_value")
-    dets = spy(monkeypatch, ENGINE, "det_fraction_free")
-    assert classify_trace(expand(spec)).result == mu
-    assert (len(clears), len(leaves)) == (1, 1)
-    assert len(dets) == determinants
+    trace, work = chain_work(expand(spec))
+    assert trace.result == mu
+    assert (work.clears, len(work.leaves)) == (1, 1)
+    assert len(work.dets) == determinants
 
 
 def test_walk_takes_the_partitions_lazily():
@@ -382,7 +337,7 @@ def test_walk_takes_the_partitions_lazily():
     # breaks the chain at the second partition, (59, 1)
     poly = product(expand(RootSpec(((1, 2),), 1)), UniPoly([-2] + [0] * 57 + [1]))  # (x - 1)^2 (x^58 - 2)
     trace, peak = traced_peak(lambda: classify_trace(poly))
-    assert [s.gamma for s in trace.steps] == [(60,), (59, 1)]
+    assert (list(trace.zero_steps()), trace.delta) == ([(60,)], (59, 1))
     assert trace.result == (2,) + (1,) * 58
     assert peak < 16 * 2**20
 
@@ -442,11 +397,8 @@ def test_leaf_values_are_shift_invariant_and_homogeneous():
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
     @hypothesis.given(polys(), rationals, nonzero)
     def check(poly, t, c):
-        n = poly.degree
-        for gamma in iter_partitions(n):
-            value = disc_value(poly, gamma).value
-            assert disc_value(shift_poly(poly, t), gamma).value == value
-            assert disc_value(scaled(poly, c), gamma).value == c ** (n + gamma[0] - 2) * value
+        for gamma in iter_partitions(poly.degree):
+            assert_leaf_invariant(poly, gamma, c, t)
 
     check()
 
@@ -466,8 +418,7 @@ def test_deep_two_root_scan_is_all_zero_until_the_last_step():
     trace = classify_trace(poly)
     assert trace.result == (15, 15)
     assert trace.delta == (2,) * 15
-    assert all(step.value == 0 and not step.nonzero for step in trace.steps[:-1])
-    assert trace.steps[-1].nonzero
+    assert trace.value != 0
 
 
 def test_scaling_and_shift_invariance():
@@ -478,8 +429,7 @@ def test_scaling_and_shift_invariance():
         poly = expand(random_root_spec(rng, mu))
         c = Fraction(rng.choice([2, -3, 5, 7]), rng.choice([1, 2, 3]))
         t = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
-        assert classify(scaled(poly, c)) == mu
-        assert classify(shift_poly(poly, t)) == mu
+        assert_scale_and_shift_invariant(poly, mu, c, t)
 
 
 def test_conditions_for_degree_five():
@@ -493,13 +443,9 @@ def test_conditions_for_degree_five():
 
 def test_conditions_are_chain_prefixes():
     for n in (1, 4, 6):
-        order = classification_order(n)
+        chain = list(iter_partitions(n))
         table = list(conditions(n))
-        assert len(table) == len(order)
-        for idx, (mu, zero, nonzero) in enumerate(table):
-            assert mu == order[idx][0]
-            assert nonzero == order[idx][1]
-            assert zero == [g for _, g in order[:idx]]
+        assert table == [(conjugate(gamma), chain[:idx], gamma) for idx, gamma in enumerate(chain)]
 
 
 def test_conditions_yields_one_row_at_a_time():
@@ -521,14 +467,7 @@ def test_conditions_rejects_bad_n_at_the_call():
 
 def test_trace_json_schema_and_round_trip():
     # the JSON line the CLI writes for a trace
-    text = CLI._classification_json(QUINTIC, classify_trace(QUINTIC))
-    data = json.loads(text)
-    assert data["input"] == "1,-5,7,1,-8,4"
-    assert data["n"] == 5
-    assert data["multiplicity"] == [2, 2, 1]
-    assert data["steps"][0] == {"gamma": [5], "value": "0", "nonzero": False}
-    assert data["steps"][-1]["nonzero"] is True
-    assert json.dumps(data, sort_keys=True) == text
+    assert_quintic_record(CLI._classification_json(QUINTIC, classify_trace(QUINTIC)))
 
 
 @pytest.mark.parametrize(
@@ -559,5 +498,4 @@ def test_classification_json_is_the_encoders_text(poly):
     assert text == json.dumps(data, sort_keys=True)
     assert data["input"] == ",".join(map(str, poly.descending_coeffs()))
     assert (data["n"], data["multiplicity"]) == (poly.degree, list(trace.result))
-    steps = [(tuple(step["gamma"]), step["value"], step["nonzero"]) for step in data["steps"]]
-    assert steps == [(step.gamma, str(step.value), step.nonzero) for step in trace.steps]
+    assert data["steps"] == json_steps(trace)

@@ -27,7 +27,8 @@ from multidisc.cli import main, run_selftest
 from multidisc.engine import DiscValue
 
 from cli_reuse import check_reuse, invocations
-from conftest import CLASSIFY, CLI, coeff, derivative, mul_power, random_int_poly, row_layout, spy
+from conftest import (CLASSIFY, CLI, assert_quintic_record, coeff, derivative, json_steps, mul_power,
+                      random_int_poly, row_layout, spy)
 from test_cli_digests import invocations as digest_invocations
 
 
@@ -97,12 +98,7 @@ class TestClassify:
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--coeffs", "1,-5,7,1,-8,4", "--json")
         assert code == 0
-        data = json.loads(out)
-        assert data["input"] == "1,-5,7,1,-8,4"
-        assert data["n"] == 5
-        assert data["multiplicity"] == [2, 2, 1]
-        assert data["steps"][0] == {"gamma": [5], "nonzero": False, "value": "0"}
-        assert data["steps"][-1]["nonzero"] is True
+        assert_quintic_record(out.strip())
 
     def test_json_steps_are_the_trace_steps(self, capsys):
         polys = [
@@ -115,10 +111,7 @@ class TestClassify:
             text = ",".join(map(str, poly.descending_coeffs()))
             code, out, err = run_cli(capsys, "classify", "--coeffs", text, "--json")
             assert (code, err) == (0, "")
-            assert json.loads(out)["steps"] == [
-                {"gamma": list(s.gamma), "value": str(s.value), "nonzero": s.nonzero}
-                for s in classify_trace(poly).steps
-            ]
+            assert json.loads(out)["steps"] == json_steps(classify_trace(poly))
 
     def test_json_round_trip_is_byte_identical(self, capsys):
         _, out, _ = run_cli(capsys, "classify", "--coeffs", "3/2,0,-5/7,1", "--json")

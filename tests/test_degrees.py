@@ -6,21 +6,12 @@ from multidisc import (
     DegreeRow,
     d_yhz,
     degree_table,
-    disc_symbolic,
     iter_partitions,
 )
 
+from conftest import assert_table_1
 from nested_system import check
-
-TABLE_1 = {
-    3: (5, 5, 4),
-    4: (9, 7, 6),
-    5: (15, 9, 8),
-    6: (27, 11, 10),
-    7: (45, 13, 12),
-    8: (81, 15, 14),
-    9: (135, 17, 16),
-}
+from symbolic_invariants import check_symbolic
 
 
 def test_nested_system_examples():
@@ -38,10 +29,7 @@ def test_linear_systems_are_functions_of_n_only():
 
 
 def test_reference_table_reproduced_exactly():
-    rows = list(degree_table(9))
-    assert [r.n for r in rows] == list(range(3, 10))
-    for row in rows:
-        assert (row.d_yhz, row.d_hy21, row.d_hy22) == TABLE_1[row.n]
+    assert_table_1()
 
 
 def test_degree_ten_row_against_brute_force():
@@ -130,5 +118,4 @@ def test_rejects_bad_inputs():
 def test_engine_degrees_peak_at_table_value():
     # worst case over the partitions equals the table column for small n
     for n in range(3, 6):
-        worst = max(max(map(sum, disc_symbolic(n, g).value.terms)) for g in iter_partitions(n))
-        assert worst == 2 * n - 2
+        assert check_symbolic(n) == 2 * n - 2

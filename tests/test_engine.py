@@ -42,6 +42,8 @@ from conftest import (
     CLASSIFY,
     ENGINE,
     QUINTIC,
+    assert_leaf_invariant,
+    check_all_ones,
     coeff,
     derivative,
     det_rational,
@@ -53,12 +55,12 @@ from conftest import (
     reference_rows,
     row_layout,
     scaled,
-    shift_poly,
     spy,
     sym_perm_det,
     traced_peak,
+    zeros_before_conjugate,
 )
-from symbolic_invariants import check as check_invariants, weight
+from symbolic_invariants import check as check_invariants, check_symbolic, weight
 
 
 def _a(idx, nvars):
@@ -653,20 +655,11 @@ class TestPrincipalSubresultant:
 
 class TestDiscValue:
     def test_reference_quintic_chain_values(self):
-        assert disc_value(QUINTIC, (5,)).value == 0
-        assert disc_value(QUINTIC, (4, 1)).value == 0
-        assert disc_value(QUINTIC, (3, 2)).value != 0
+        # D(5) = D(4,1) = 0 and D(3,2) != 0
+        assert zeros_before_conjugate(QUINTIC, (2, 2, 1)) == 2
 
     def test_closed_form_for_all_ones(self):
-        rng = random.Random(404)
-        for n in range(2, 9):
-            expected_product = 1
-            for i in range(1, n + 1):
-                expected_product *= i**i
-            for _ in range(6):
-                poly = random_int_poly(rng, n)
-                value = disc_value(poly, (1,) * n).value
-                assert value == expected_product * poly.leading ** (n - 1)
+        check_all_ones(random.Random(404), 6)
 
     def test_determinant_is_divisible_by_leading_coefficient(self):
         rng = random.Random(17)
@@ -686,18 +679,14 @@ class TestDiscValue:
             gamma = rng.choice(list(iter_partitions(n)))
             poly = random_int_poly(rng, n)
             c = Fraction(rng.choice([2, -3, 5]), rng.choice([1, 2, 7]))
-            base = disc_value(poly, gamma).value
-            assert disc_value(scaled(poly, c), gamma).value == c ** (n + gamma[0] - 2) * base
+            assert_leaf_invariant(poly, gamma, c)
         # gamma = (n) at the classify workloads' degrees, on the resultant path;
         # D_(n) is also invariant under a shift of x
         for n in range(20, 31, 2):
             poly = random_int_poly(rng, n, bound=30)
             c = Fraction(rng.choice([2, -3, 5]), rng.choice([1, 2, 7]))
             t = Fraction(rng.randint(-4, 4), rng.choice([1, 3]))
-            base = disc_value(poly, (n,)).value
-            assert base != 0
-            assert disc_value(scaled(poly, c), (n,)).value == c ** (2 * n - 2) * base
-            assert disc_value(shift_poly(poly, t), (n,)).value == base
+            assert assert_leaf_invariant(poly, (n,), c, t) != 0
 
     def test_classical_discriminant_at_workload_degrees_matches_sympy(self):
         # the classify workloads run D_(n) at n = 20..28, far above perm_det's reach
@@ -719,10 +708,8 @@ class TestDiscValue:
                 assert sympy.Rational(value.numerator, value.denominator) == expected
 
     def test_rational_coefficients_supported(self):
-        poly = scaled(QUINTIC, Fraction(3, 7))
-        assert disc_value(poly, (5,)).value == 0
-        expected = disc_value(QUINTIC, (3, 2)).value * Fraction(3, 7) ** (5 + 3 - 2)
-        assert disc_value(poly, (3, 2)).value == expected
+        assert disc_value(scaled(QUINTIC, Fraction(3, 7)), (5,)).value == 0
+        assert_leaf_invariant(QUINTIC, (3, 2), Fraction(3, 7))
 
 
 def _bareiss_value(poly, gamma):
@@ -1065,14 +1052,9 @@ class TestDiscSymbolic:
                 _translation_rebuild(base, 2, 2, 2)
 
     def test_total_degree_is_homogeneity_degree(self):
+        # every D_gamma nonzero and homogeneous of degree n + g1 - 2
         for n in range(1, 6):
-            for gamma in iter_partitions(n):
-                d = disc_symbolic(n, gamma)
-                value = d.value
-                assert not value.is_zero
-                assert max(map(sum, value.terms)) == n + gamma[0] - 2
-                # homogeneous: every term has the same total degree
-                assert {sum(e) for e in value.terms} == {n + gamma[0] - 2}
+            assert check_symbolic(n) == 2 * n - 2
 
     def test_terms_are_isobaric(self):
         # a_d has weight d.  In the column of x^j, row (order o, shift k)
@@ -1101,36 +1083,21 @@ class TestDiscSymbolic:
     def test_specialization_matches_concrete_engine(self):
         rng = random.Random(606)
         for n in range(2, 6):
-            for gamma in iter_partitions(n):
-                d = disc_symbolic(n, gamma)
-                for _ in range(3):
-                    vec = [rng.randint(-6, 6) for _ in range(n)]
-                    vec.append(rng.choice([c for c in range(-5, 6) if c]))
-                    poly = UniPoly(vec)
-                    assert d.value.evaluate(vec) == disc_value(poly, gamma).value
+            check_symbolic(n, rng, points=3, bound=6, leads=range(-5, 6))
 
     def test_degree_six_agreement_with_concrete_engine(self):
         rng = random.Random(808)
         for n in (6, 7, 8):
-            for gamma in iter_partitions(n):
-                d = disc_symbolic(n, gamma)
-                for _ in range(2):
-                    vec = [rng.randint(-5, 5) for _ in range(n)]
-                    vec.append(rng.choice([c for c in range(-4, 5) if c]))
-                    poly = UniPoly(vec)
-                    assert d.value.evaluate(vec) == disc_value(poly, gamma).value
+            check_symbolic(n, rng, points=2, bound=5, leads=range(-4, 5))
 
     def test_max_degree_is_the_single_determinant_bound(self):
         # the abstract's claim, computed: over every gamma of n the largest
-        # total degree of D_gamma is 2n - 2, reached at the classical gamma = (n)
+        # total degree of D_gamma is 2n - 2, reached at the classical gamma =
+        # (n) alone, as D_gamma has degree n + g1 - 2
         table = {row.n: row.d_hy22 for row in degree_table(8)}
         for n in range(2, 9):
-            degrees = {
-                gamma: max(map(sum, disc_symbolic(n, gamma).value.terms))
-                for gamma in iter_partitions(n)
-            }
-            worst = max(degrees.values())
-            assert worst == 2 * n - 2 == degrees[(n,)]
+            worst = check_symbolic(n)
+            assert worst == 2 * n - 2
             if n >= 3:
                 assert worst == table[n]
 

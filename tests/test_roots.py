@@ -28,6 +28,8 @@ from multidisc.roots import (
 from closed_form import DEEP, check
 from conftest import (
     QUINTIC,
+    all_ones_disc,
+    assert_root_side,
     derivative,
     det_rational,
     difference,
@@ -281,19 +283,13 @@ class TestDistinctRootsFormula:
         rng = random.Random(55)
         for n in range(1, 6):
             for _ in range(4):
-                spec = random_root_spec(rng, (1,) * n)
-                poly = expand(spec)
-                for gamma in iter_partitions(n):
-                    assert disc_from_distinct_roots(spec, gamma) == disc_value(poly, gamma).value
+                assert_root_side(random_root_spec(rng, (1,) * n), iter_partitions(n))
 
     def test_all_ones_gamma_closed_form(self):
         rng = random.Random(66)
         for n in range(2, 6):
             spec = random_root_spec(rng, (1,) * n)
-            product = 1
-            for i in range(1, n + 1):
-                product *= i**i
-            assert disc_from_distinct_roots(spec, (1,) * n) == product * spec.leading ** (n - 1)
+            assert disc_from_roots(spec, (1,) * n) == all_ones_disc(n, spec.leading)
 
     def test_repeated_roots_rejected(self):
         with pytest.raises(ValueError, match="all multiplicities must be 1"):
@@ -322,11 +318,7 @@ class TestMultipleRootsFormula:
         for n in range(2, 6):
             partitions = list(iter_partitions(n))
             for mu in partitions:
-                spec = random_root_spec(rng, mu)
-                poly = expand(spec)
-                for gamma in partitions:
-                    lhs = disc_from_multiple_roots_abs(spec, gamma)
-                    assert lhs == abs(disc_value(poly, gamma).value)
+                assert_root_side(random_root_spec(rng, mu), partitions)
 
     def test_reduces_to_distinct_roots_up_to_sign(self):
         rng = random.Random(121)
@@ -408,13 +400,9 @@ def _assert_matches_reference(spec, gammas):
     distinct = all(m == 1 for _, m in spec.roots)
     for gamma in gammas:
         signed = disc_from_roots(spec, gamma)
-        reference = _reference_multiple_abs(spec, gamma)
-        assert _exact(abs(signed), reference), (spec, gamma)
-        assert _exact(disc_from_multiple_roots_abs(spec, gamma), reference), (spec, gamma)
+        assert _exact(abs(signed), _reference_multiple_abs(spec, gamma)), (spec, gamma)
         if distinct:
-            reference = _reference_distinct(spec, gamma)
-            assert _exact(signed, reference), (spec, gamma)
-            assert _exact(disc_from_distinct_roots(spec, gamma), reference), (spec, gamma)
+            assert _exact(signed, _reference_distinct(spec, gamma)), (spec, gamma)
 
 
 class TestTaylorShiftRows:
@@ -461,8 +449,7 @@ class TestTaylorShiftRows:
                      Fraction(-3, 7))
         assert spec.n == 7
         _assert_matches_reference(spec, iter_partitions(7))
-        value = disc_from_multiple_roots_abs(spec, conjugate(spec.multiplicities()))
-        assert value == abs(disc_value(expand(spec), conjugate(spec.multiplicities())).value)
+        [value] = assert_root_side(spec, [conjugate(spec.multiplicities())])
         assert value != 0
 
 
@@ -474,11 +461,7 @@ def test_signed_root_side_formula_is_disc_value(n):
     for idx, mu in enumerate(partitions):
         for pool, leading in ((INTEGER_ROOTS, -2), (MIXED_ROOTS, Fraction(5, 3))):
             roots = [pool[(idx + j) % len(pool)] for j in range(len(mu))]
-            spec = _spec(zip(roots, mu), leading)
-            poly = expand(spec)
-            for gamma in partitions:
-                assert _exact(disc_from_roots(spec, gamma), disc_value(poly, gamma).value), (
-                    spec, gamma)
+            assert_root_side(_spec(zip(roots, mu), leading), partitions)
 
 
 @pytest.mark.parametrize(

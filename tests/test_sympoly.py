@@ -128,8 +128,10 @@ def test_never_equal_to_an_int():
 def test_exponents_and_coefficients_must_be_ints():
     # a float or bool exponent or coefficient is rejected at the call: 1.5
     # printed as a0^1.5 and broke the packing of det_minor_expansion, True was
-    # stored as the exponent, and 2.5 printed as 2.5*a0 in the integer ring
-    for exps in ((1.5, 0), (1.0, 0), (True, 0), (0, False)):
+    # stored as the exponent, and 2.5 printed as 2.5*a0 in the integer ring;
+    # a key that is no tuple is rejected too: b"\x01\x00" was read as a0, so
+    # {(1, 0): 1, b"\x01\x00": -1} merged to the zero polynomial
+    for exps in ((1.5, 0), (1.0, 0), (True, 0), (0, False), b"\x01\x00"):
         with pytest.raises(ValueError, match="bad exponent vector"):
             SymPoly(2, {exps: 1})
     for coeff in (2.5, 2.0, True, False, Fraction(1, 2), Fraction(4)):
@@ -137,7 +139,9 @@ def test_exponents_and_coefficients_must_be_ints():
             SymPoly(2, {(1, 0): coeff})
     with pytest.raises(TypeError):
         SymPoly.variable(2, 0) * 0.5
-    assert SymPoly(2, {(1, 0): 2, (0, 3): -1}).terms == {(1, 0): 2, (0, 3): -1}
+    p = SymPoly(2, {(1, 0): 2, (0, 3): -1})
+    assert p.terms == {(1, 0): 2, (0, 3): -1}
+    assert eval(repr(p), {"SymPoly": SymPoly}) == p
 
 
 def test_nvars_and_index_must_be_ints():

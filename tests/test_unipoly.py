@@ -31,6 +31,7 @@ def test_fraction_coefficients_are_kept_and_others_converted():
     assert poly.coeffs[0] is half
     assert poly.coeffs == (half, 3, 1, Fraction(1, 4))
     assert all(type(c) is Fraction for c in poly.coeffs)
+    assert eval(repr(poly), {"UniPoly": UniPoly, "Fraction": Fraction}) == poly
 
 
 def test_derivative_order_zero_is_identity():
