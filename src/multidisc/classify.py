@@ -36,7 +36,7 @@ from typing import Iterator
 from .engine import derivative_coeffs, disc_resultant, disc_value, sylvester_resultant
 # classification_order is kept for perfbench/tracing.py's wrap; ROADMAP item 1b drops both
 from .partitions import Partition, as_partition, classification_order, conjugate, iter_partitions
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _positive_degree
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,7 @@ def classify_trace(poly: UniPoly) -> ClassificationTrace:
     the input once and runs m_1 resultants.  A chain whose delta is not a
     partition of n, or D_delta = 0, is an engine fault.
     """
-    if poly.is_zero or poly.degree < 1:
-        raise ValueError("polynomial must have degree at least 1")
-    n = poly.degree
+    n = _positive_degree(poly)
     divisor = disc_resultant(poly)[2]
     levels = [n - len(divisor) + 1]
     while len(divisor) > 1:

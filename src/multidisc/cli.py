@@ -2,7 +2,8 @@
 
 Coefficients are entered highest power first ("1,-5,7,1,-8,4" is
 x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4); each entry is an integer, a decimal
-such as 0.5, or a rational written p/q; exponent notation (1e5) is
+such as 0.5, or a rational written p/q, read as int and Fraction read it
+(so 1_000 and non-ASCII digits are accepted); exponent notation (1e5) is
 rejected; a negative first coefficient needs the form --coeffs=-3/7,1/7.
 A coefficient may have at most ``sys.int_info.default_max_str_digits``
 (4300) digits, as parsing is quadratic in its length.  ``main`` lifts the
@@ -54,7 +55,7 @@ from .engine import (
     disc_symbolic,
     disc_value,
 )
-from .partitions import as_partition
+from .partitions import _count, as_partition
 from .roots import (
     RootSpec,
     disc_from_roots,
@@ -229,16 +230,13 @@ def _cmd_discriminant(args) -> int:
         n = int(args.n)
     except ValueError:
         raise ValueError(f"bad degree {args.n!r}") from None
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     # the parametric discriminant is generic, and only it has a degree cap
     if args.format == "poly" and args.coeffs is not None:
         raise ValueError("--format poly gives the generic discriminant and reads no --coeffs")
     if args.format != "poly" and args.cap is not None:
         raise ValueError(f"--cap is read only by --format poly, not --format {args.format}")
-    cap = SYMBOLIC_CAP_DEFAULT if args.cap is None else args.cap
-    if cap < 1:
-        raise ValueError("--cap must be at least 1")
+    cap = _count(SYMBOLIC_CAP_DEFAULT if args.cap is None else args.cap, "--cap", 1)
+    # n is checked with gamma, by as_partition
     gamma = parse_gamma(args.gamma, n)
     poly = None
     if args.coeffs is not None:
@@ -310,8 +308,12 @@ def run_selftest(max_n: int, trials: int, seed: int, quiet: bool = False) -> tup
     Where g1 > k, ``disc_value`` gives 0 by a row count alone, so the same
     property also checks that the Bareiss elimination of the full matrix is 0.
 
-    Returns (number of properties checked, failure descriptions).
+    Returns (number of properties checked, failure descriptions).  A sweep
+    over no degree or no trial checks nothing, so ``max_n`` and ``trials``
+    below 1 raise ValueError.
     """
+    _count(max_n, "max_n", 1)
+    _count(trials, "trials", 1)
     rng = random.Random(seed)
     checked = 0
     failures: list[str] = []
@@ -363,11 +365,6 @@ def run_selftest(max_n: int, trials: int, seed: int, quiet: bool = False) -> tup
 
 
 def _cmd_selftest(args) -> int:
-    # a sweep over no degree or no trial checks nothing and must not report OK
-    if args.max_n < 1:
-        raise ValueError("--max-n must be at least 1")
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
     checked, failures = run_selftest(args.max_n, args.trials, args.seed, quiet=args.quiet)
     for failure in failures[:20]:
         print(f"FAIL {failure}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .partitions import conjugate, iter_partitions
+from .partitions import _count, conjugate, iter_partitions
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,5 @@ def degree_table(max_n: int) -> Iterator[DegreeRow]:
     partitions of n, so the maximum of ``d_yhz`` over them is the maximum
     of the level rule over the partitions themselves, read as delta.
     """
-    if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 3:
-        raise ValueError(f"max_n must be an integer of at least 3, got {max_n!r}")
+    _count(max_n, "max_n", 3)
     return (DegreeRow(n, max(map(_nested_max, iter_partitions(n)))) for n in range(3, max_n + 1))

@@ -121,7 +121,7 @@ from typing import Sequence, Union
 
 from .partitions import Partition, as_partition
 from .sympoly import SymPoly
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _positive_degree
 
 Entry = Union[int, Fraction, SymPoly]
 Rows = tuple[tuple[Entry, ...], ...]
@@ -162,9 +162,9 @@ def _build(coeffs: Sequence[Entry], gamma: Sequence[int]) -> Rows:
     Block ``order`` is the descending coefficient list of F^(order), computed
     once, laid out by :func:`_staircase`, with the block sizes of
     :func:`_block_sizes`; the entries live in whatever ring ``coeffs`` do.
+    ``gamma`` must be a partition of n: every caller has checked it.
     """
     n = len(coeffs) - 1
-    gamma = as_partition(gamma, n)
     zero = coeffs[0] * 0
     blocks = [
         _staircase(derivative_coeffs(coeffs, order), zero, count, n + gamma[0] - 1)
@@ -175,27 +175,19 @@ def _build(coeffs: Sequence[Entry], gamma: Sequence[int]) -> Rows:
 
 def build_matrix(poly: UniPoly, gamma: Sequence[int]) -> Rows:
     """The rows of the concrete discriminant matrix of a polynomial of degree >= 1."""
-    if poly.is_zero or poly.degree < 1:
-        raise ValueError("polynomial must have degree at least 1")
-    return _build(poly.coeffs, gamma)
+    return _build(poly.coeffs, as_partition(gamma, _positive_degree(poly)))
 
 
 def build_symbolic_matrix(n: int, gamma: Sequence[int]) -> Rows:
     """The rows of the discriminant matrix of the generic degree-n polynomial,
     entries in Z[a0..an].
 
-    ``n`` is checked here, at the call: a bool, a float such as 2.0 or a
-    string is not read as a degree.
+    ``n`` and ``gamma`` are checked here, at the call, by the one check
+    ``as_partition(gamma, n)``: a bool, a float such as 2.0 or a string is not
+    read as a degree.
     """
-    gamma = _symbolic_gamma(n, gamma)
+    gamma = as_partition(gamma, n)
     return _build([SymPoly.variable(n + 1, d) for d in range(n + 1)], gamma)
-
-
-def _symbolic_gamma(n: int, gamma: Sequence[int]) -> Partition:
-    """``gamma`` as a partition of the generic degree ``n``, or ValueError."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"degree must be an integer of at least 1, got {n!r}")
-    return as_partition(gamma, n)
 
 
 def det_fraction_free(rows: Sequence[Sequence[int]]) -> int:
@@ -517,9 +509,7 @@ def disc_value(poly: UniPoly, gamma: Sequence[int]) -> DiscValue:
     The one rational is built at the exit: the determinant rescaled through
     its homogeneity degree n + g1 - 1 and divided by the leading coefficient.
     """
-    if poly.is_zero or poly.degree < 1:
-        raise ValueError("polynomial must have degree at least 1")
-    n = poly.degree
+    n = _positive_degree(poly)
     gamma = as_partition(gamma, n)
     ints, scale, divisor, psc = disc_resultant(poly)
     k = n + 1 - len(divisor)
@@ -610,13 +600,13 @@ def _reduced_det(ints: Sequence[int], divisor: Sequence[int], psc: int, gamma: P
 def disc_symbolic(n: int, gamma: Sequence[int]) -> DiscValue:
     """Parametric discriminant as an integer polynomial in a0..an.
 
-    ``n`` and ``gamma`` are checked as :func:`build_symbolic_matrix` checks
-    them.  Every nonzero entry in the first column of the generic matrix is
-    c * an, so dividing that column by the monomial an divides the
-    determinant by it.  With every entry that holds a(n-1) set to 0, the
-    division-free cofactor expansion of the divided matrix is D_0, and the
-    translation recurrence of the module docstring rebuilds D_gamma from it
-    (see :func:`_translation_rebuild`).
+    ``n`` and ``gamma`` are checked by the one check ``as_partition(gamma,
+    n)``, as in :func:`build_symbolic_matrix`.  Every nonzero entry in the
+    first column of the generic matrix is c * an, so dividing that column by
+    the monomial an divides the determinant by it.  With every entry that
+    holds a(n-1) set to 0, the division-free cofactor expansion of the
+    divided matrix is D_0, and the translation recurrence of the module
+    docstring rebuilds D_gamma from it (see :func:`_translation_rebuild`).
 
     The matrix is built packed, in the row layout of :func:`_build`:
     the entry of block ``order`` in the column of a_d is {a_d: perm(d, order)}
@@ -632,7 +622,7 @@ def disc_symbolic(n: int, gamma: Sequence[int]) -> DiscValue:
     n + g1 - 2 = size - 1, and no exponent of a numerator exceeds that
     degree, so no field of w bits carries.
     """
-    gamma = _symbolic_gamma(n, gamma)
+    gamma = as_partition(gamma, n)
     size = n + gamma[0] - 1
     width = size.bit_length()
     rows: list[list[dict[int, int]]] = []

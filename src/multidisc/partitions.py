@@ -7,17 +7,34 @@ from typing import Iterator
 Partition = tuple[int, ...]
 
 
+def _is_int(value) -> bool:
+    # a bool is not a count, a part or an exponent, although it is an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` if it is an int of at least ``least``, else ValueError: the
+    one check of every count the library and the CLI take.  A float such as
+    2.0, a string or a bool is not read as a count."""
+    if not _is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
 def as_partition(parts, n: int | None = None) -> Partition:
     """``parts`` as a partition tuple, or ValueError; the sum must be ``n`` when given.
 
     A partition is a nonempty weakly decreasing tuple of positive ints.  Floats
     and bools are not ints here, so a part such as 2.5 or True is rejected
-    rather than truncated.
+    rather than truncated.  ``n`` is checked first, as every count is, by
+    :func:`_count`: this is the one check of a degree and a partition of it.
     """
+    if n is not None:
+        _count(n, "n", 1)
     parts = tuple(parts)
     if (
         not parts
-        or any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in parts)
+        or any(not _is_int(p) or p < 1 for p in parts)
         or any(a < b for a, b in zip(parts, parts[1:]))
         or (n is not None and sum(parts) != n)
     ):
@@ -37,9 +54,7 @@ def iter_partitions(n: int) -> Iterator[Partition]:
     ``n`` is checked here, at the call, so a bad ``n`` raises before the first
     partition is asked for.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    return _descending(n)
+    return _descending(_count(n, "n", 1))
 
 
 def _descending(n: int) -> Iterator[Partition]:

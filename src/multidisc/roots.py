@@ -41,7 +41,7 @@ from math import factorial, gcd, lcm
 
 from .engine import det_fraction_free
 from .partitions import Partition, as_partition
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _positive_degree
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,7 @@ def _squarefree_ints(poly: UniPoly) -> list[tuple[list[int], int]]:
     both have degree deg V - 1, and lc(Z) = lc(V) * sum_(j>i) (j - i) deg H_j,
     so Z is 0 exactly when V = H_i, and otherwise has degree deg V - 1.
     """
-    if poly.is_zero or poly.degree < 1:
-        raise ValueError("polynomial must have degree at least 1")
+    _positive_degree(poly)
     f = list(poly.clear_denominators()[0][::-1])
     if f[0] < 0:
         f = [-c for c in f]

@@ -13,15 +13,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping
 
-
-def _is_int(value) -> bool:
-    # a bool is not an exponent or a coefficient, although it is an int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_nvars(nvars) -> None:
-    if not _is_int(nvars) or nvars < 1:
-        raise ValueError(f"nvars must be an integer of at least 1, got {nvars!r}")
+from .partitions import _count, _is_int
 
 
 class SymPoly:
@@ -33,8 +25,7 @@ class SymPoly:
     terms: dict[tuple[int, ...], int]
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        _check_nvars(nvars)
-        self.nvars = nvars
+        self.nvars = _count(nvars, "nvars", 1)
         clean: dict[tuple[int, ...], int] = {}
         # a tuple key only: two distinct tuples are two distinct exponent
         # vectors, so no terms merge
@@ -53,7 +44,7 @@ class SymPoly:
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "SymPoly":
-        _check_nvars(nvars)
+        _count(nvars, "nvars", 1)
         if not _is_int(index) or not 0 <= index < nvars:
             raise ValueError(f"variable index must be an integer in 0..{nvars - 1}, got {index!r}")
         exps = [0] * nvars

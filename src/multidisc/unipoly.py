@@ -32,6 +32,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _positive_degree(poly: "UniPoly") -> int:
+    """The degree of ``poly``, or ValueError below 1: the one degree gate of
+    every path that takes a polynomial, as a constant has no discriminant."""
+    if len(poly.coeffs) < 2:
+        raise ValueError("polynomial must have degree at least 1")
+    return len(poly.coeffs) - 1
+
+
 class UniPoly:
     """Immutable a0 + a1*x + ... + an*x^n with Fraction coefficients."""
 

@@ -302,15 +302,22 @@ def assert_quintic_trace(trace) -> None:
     assert trace.result == (2, 2, 1) == conjugate(trace.delta)
 
 
+def encoder_record(text: str) -> dict:
+    """The record the JSON line ``text`` holds, which must be the bytes
+    ``json.dumps(record, sort_keys=True)`` gives for it."""
+    data = json.loads(text)
+    assert json.dumps(data, sort_keys=True) == text
+    return data
+
+
 def assert_quintic_record(text: str) -> None:
     """``text`` is the JSON line of QUINTIC's classification, in the bytes
     ``json.dumps(record, sort_keys=True)`` gives."""
-    data = json.loads(text)
+    data = encoder_record(text)
     assert (data["input"], data["n"], data["multiplicity"]) == ("1,-5,7,1,-8,4", 5, [2, 2, 1])
     zero = [{"gamma": gamma, "nonzero": False, "value": "0"} for gamma in ([5], [4, 1])]
     assert data["steps"][:2] == zero and len(data["steps"]) == 3
     assert data["steps"][-1]["nonzero"] is True
-    assert json.dumps(data, sort_keys=True) == text
 
 
 def trace_steps(trace) -> list[tuple]:

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 from types import ModuleType
@@ -7,6 +8,7 @@ import multidisc.cli  # noqa: F401 - the tracer wraps names in every module of t
 from multidisc import SymPoly, UniPoly
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+SOURCES = sorted(Path(multidisc.__file__).resolve().parent.glob("*.py"))
 
 
 def test_all_lists_exactly_the_public_names():
@@ -57,3 +59,37 @@ def test_every_benchmark_wrap_target_exists():
         assert tracer.missing == set()
     finally:
         tracer.uninstall()
+
+
+def functions_holding(matches) -> set[str]:
+    """module.qualname of every function of the package whose own body holds
+    a node for which ``matches`` is true; the module's name for its top level."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if matches(child):
+                found.add(".".join(scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, [*scope, child.name] if named else scope)
+
+    for path in SOURCES:
+        walk(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return found
+
+
+def test_each_input_rule_has_one_home():
+    # the integer rule, "an int and not a bool", and the degree gate are each
+    # written once, so that no later change can split either of them again
+    def bool_check(node):
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and "bool" in ast.unparse(node.args[1])
+        )
+
+    def degree_message(node):
+        return isinstance(node, ast.Constant) and "must have degree at least 1" in str(node.value)
+
+    assert functions_holding(bool_check) == {"partitions._is_int"}
+    assert functions_holding(degree_message) == {"unipoly._positive_degree"}

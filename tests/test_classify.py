@@ -1,4 +1,3 @@
-import json
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -31,6 +30,7 @@ from conftest import (
     assert_quintic_trace,
     assert_scale_and_shift_invariant,
     assert_trace_is_reference,
+    encoder_record,
     json_steps,
     product,
     random_int_poly,
@@ -419,6 +419,14 @@ def test_deep_two_root_scan_is_all_zero_until_the_last_step():
     assert trace.result == (15, 15)
     assert trace.delta == (2,) * 15
     assert trace.value != 0
+    # the 5588 partitions before delta are zero steps by the row count alone;
+    # the Bareiss elimination of the full matrix must agree, at both ends of
+    # the walk and at a seeded sample between them
+    zero = list(trace.zero_steps())
+    assert len(zero) == 5588
+    ints = ENGINE.disc_resultant(poly)[0]
+    for gamma in [zero[0], zero[-1], *random.Random(5588).sample(zero[1:-1], 200)]:
+        assert ENGINE.det_fraction_free(ENGINE._build(ints, gamma)) == 0, gamma
 
 
 def test_scaling_and_shift_invariance():
@@ -461,7 +469,7 @@ def test_conditions_yields_one_row_at_a_time():
 def test_conditions_rejects_bad_n_at_the_call():
     # a plain generator function would raise only at the first next()
     for bad in [0, -3, True, 2.0, "x"]:
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
             conditions(bad)
 
 
@@ -493,9 +501,7 @@ def test_classification_json_is_the_encoders_text(poly):
     # the CLI writes the line as text: it must be the bytes json.dumps gives
     # for the same record, and hold every step of the trace in order
     trace = classify_trace(poly)
-    text = CLI._classification_json(poly, trace)
-    data = json.loads(text)
-    assert text == json.dumps(data, sort_keys=True)
+    data = encoder_record(CLI._classification_json(poly, trace))
     assert data["input"] == ",".join(map(str, poly.descending_coeffs()))
     assert (data["n"], data["multiplicity"]) == (poly.degree, list(trace.result))
     assert data["steps"] == json_steps(trace)

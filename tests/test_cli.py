@@ -26,9 +26,9 @@ from multidisc import (
 from multidisc.cli import main, run_selftest
 from multidisc.engine import DiscValue
 
-from cli_reuse import check_reuse, invocations
-from conftest import (CLASSIFY, CLI, assert_quintic_record, coeff, derivative, json_steps, mul_power,
-                      random_int_poly, row_layout, spy)
+from cli_reuse import check_reuse, invocations, run as run_main
+from conftest import (CLASSIFY, CLI, assert_quintic_record, coeff, derivative, encoder_record, json_steps,
+                      mul_power, random_int_poly, row_layout, spy)
 from test_cli_digests import invocations as digest_invocations
 
 
@@ -115,8 +115,7 @@ class TestClassify:
 
     def test_json_round_trip_is_byte_identical(self, capsys):
         _, out, _ = run_cli(capsys, "classify", "--coeffs", "3/2,0,-5/7,1", "--json")
-        emitted = out.strip()
-        assert json.dumps(json.loads(emitted), sort_keys=True) == emitted
+        encoder_record(out.strip())
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "classify", "--coeffs", "1,-5,7,1,-8,4", "--trace")
@@ -414,7 +413,7 @@ class TestDiscriminant:
             capsys, "discriminant", "--n", "5", "--gamma", "3,2", "--format", "matrix"
         )
         assert code == 0
-        data = json.loads(out)
+        data = encoder_record(out.strip())
         assert data["size"] == 7
         assert (data["n"], data["gamma0"], data["symbolic"]) == (5, 2, True)
         assert data["row_provenance"] == [
@@ -431,7 +430,6 @@ class TestDiscriminant:
             {"derivative": 1, "rows": [2, 3, 4]},
             {"derivative": 2, "rows": [5, 6]},
         ]
-        assert json.dumps(json.loads(out.strip()), sort_keys=True) == out.strip()
 
     def test_matrix_format_rows_are_the_shifted_derivatives(self, capsys):
         # row_provenance names the (order, shift) of each row, whose entries
@@ -538,7 +536,8 @@ class TestDiscriminant:
         code, out, err = run_cli(
             capsys, "discriminant", "--n", "2", "--gamma", "2", "--format", "poly", "--cap", cap
         )
-        assert (code, out, err) == (2, "", "error: --cap must be at least 1\n")
+        message = f"error: --cap must be an integer of at least 1, got {cap}\n"
+        assert (code, out, err) == (2, "", message)
 
     def test_cap_override(self, capsys):
         code, out, _ = run_cli(
@@ -696,9 +695,13 @@ class TestSelftest:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (("--max-n", "0"), "--max-n must be at least 1"),
-            (("--trials", "0"), "--trials must be at least 1"),
-            (("--trials", "-3"), "--trials must be at least 1"),
+            # each id names the rule its case breaks, in words that stay fixed
+            pytest.param(("--max-n", "0"), "max_n must be an integer of at least 1, got 0",
+                         id="flags0---max-n must be at least 1"),
+            pytest.param(("--trials", "0"), "trials must be an integer of at least 1, got 0",
+                         id="flags1---trials must be at least 1"),
+            pytest.param(("--trials", "-3"), "trials must be an integer of at least 1, got -3",
+                         id="flags2---trials must be at least 1"),
         ],
     )
     def test_sweep_that_checks_nothing_is_rejected(self, capsys, flags, message):
@@ -749,10 +752,12 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
         (["discriminant", "--n", "5", "--gamma", "3,x", "--format", "matrix"],
          "malformed partition '3,x'"),
         (["discriminant", "--n", "x", "--gamma", "1", "--format", "matrix"], "bad degree 'x'"),
-        (["discriminant", "--n", "0", "--gamma", "1", "--format", "matrix"],
-         "degree must be at least 1"),
-        # the last two are the library's own checks, of conditions and degree_table
-        (["conditions", "--n", "0"], "n must be a positive integer, got 0"),
+        # the last three are the library's own checks, of as_partition,
+        # conditions and degree_table; the two ids name the rule their case breaks
+        pytest.param(["discriminant", "--n", "0", "--gamma", "1", "--format", "matrix"],
+                     "n must be an integer of at least 1, got 0", id="argv2-degree must be at least 1"),
+        pytest.param(["conditions", "--n", "0"], "n must be an integer of at least 1, got 0",
+                     id="argv3-n must be a positive integer, got 0"),
         (["degree-table", "--max-n", "2"], "max_n must be an integer of at least 3, got 2"),
     ],
 )
@@ -830,3 +835,91 @@ def test_parser_is_built_on_first_use_not_at_import():
         timeout=60,
     )
     assert result.stdout == "True\n"
+
+
+def test_argv_grammar_exits_0_or_2_without_a_traceback(tmp_path):
+    # argv for every command, drawn from a grammar of good and bad tokens:
+    # an answer exits 0, an input error exits 2 with one "error: " line, and
+    # a usage error exits 2 through argparse with its usage; never 3.  Every
+    # count is bounded, so that no example runs long
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    batch = tmp_path / "polys.txt"
+    batch.write_text("1,-5,7,1,-8,4\n1,frog\n\n3/2,0,-5/7,1\n", encoding="utf-8")
+
+    def mostly(usual, other):
+        # ``usual`` three times in four, so that most examples reach an answer
+        return st.integers(0, 3).flatmap(lambda i: usual if i else other)
+
+    def count(most):
+        other = st.sampled_from(["0", "-1", "x", "True", "2.0", "", "1e1", "١"])
+        return mostly(st.integers(1, most).map(str), other)
+
+    # tokens int and Fraction read, "1_000" and non-ASCII digits among them, and tokens they do not
+    good = st.one_of(
+        st.integers(-20, 20).map(str),
+        st.tuples(st.integers(-9, 9), st.integers(1, 5)).map(lambda pq: "%d/%d" % pq),
+        st.decimals(-9, 9, places=2).map(str),
+        st.sampled_from(["1_000", "-1_0", "١", "٢/٣", "١.٥", " 3 "]),
+    )
+    bad = st.sampled_from(["1e5", "2E-1", "1.5e0", "x", "", "-", "1/0", "inf", "1__0"])
+
+    def coeffs(n):
+        # mostly n + 1 good tokens after a nonzero first one, or a list of any tokens
+        lead = st.sampled_from(["1", "-2", "3/2", "١", "1_000", "0.5", "0"])
+        degree_n = st.tuples(lead, st.lists(good, min_size=n, max_size=n)).map(lambda t: [t[0], *t[1]])
+        text = mostly(degree_n, st.lists(st.one_of(good, bad), max_size=7)).map(",".join)
+        return st.one_of(text.map(lambda t: ["--coeffs=" + t]), text.map(lambda t: ["--coeffs", t]))
+
+    @st.composite
+    def classify(draw):
+        source = st.one_of(
+            st.integers(1, 6).flatmap(coeffs),
+            st.sampled_from([["--file", str(batch)], ["--file", str(tmp_path)]]),
+        )
+        flags = st.lists(st.sampled_from(["--json", "--trace"]), unique=True)
+        return ["classify", *draw(source), *draw(flags)]
+
+    @st.composite
+    def discriminant(draw):
+        n = draw(st.integers(1, 6))
+        gamma = mostly(
+            st.sampled_from(list(iter_partitions(n))).map(lambda parts: ",".join(map(str, parts))),
+            st.sampled_from(["3,x", "2.0", "", "True", "1_0", "١,١", "-1,3"]),
+        )
+        form = draw(st.sampled_from(["matrix", "latex", "poly", "value", "bogus"]))
+        args = ["discriminant", "--n", draw(mostly(st.just(str(n)), count(6))),
+                "--gamma", draw(gamma), "--format", form]
+        # mostly the options that the format reads, sometimes the others
+        if draw(st.integers(0, 3)) < (3 if form in ("value", "matrix", "latex") else 1):
+            args += draw(coeffs(n))
+        if draw(st.integers(0, 3)) < (2 if form == "poly" else 1):
+            args += ["--cap", draw(count(6))]
+        return args
+
+    @st.composite
+    def counted(draw):
+        # conditions, degree-table and selftest, each count bounded
+        name = draw(st.sampled_from(["conditions", "degree-table", "selftest"]))
+        if name == "conditions":
+            return [name, "--n", draw(count(8)), *draw(st.sampled_from([[], ["--json"]]))]
+        if name == "degree-table":
+            return [name, *(["--max-n", draw(count(8))] if draw(st.booleans()) else [])]
+        args = [name, "--max-n", draw(count(3)), "--trials", draw(count(2))]
+        if draw(st.booleans()):
+            args += ["--seed", str(draw(st.integers(-9, 99)))]
+        return args + draw(st.sampled_from([[], ["--quiet"]]))
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(classify(), discriminant(), counted()))
+    def check(args):
+        code, out, err = run_main(args)
+        assert "Traceback" not in err, args
+        if code == ("exit", 2):
+            assert err.startswith("usage:"), (args, err)
+        elif code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+        else:
+            assert code == 0, (args, code, err)
+
+    check()

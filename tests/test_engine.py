@@ -1134,7 +1134,7 @@ class TestDiscSymbolic:
     @pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "3", 0, -1])
     def test_degree_is_checked_at_the_call(self, n):
         for entry in (build_symbolic_matrix, disc_symbolic):
-            with pytest.raises(ValueError, match="degree must be an integer of at least 1"):
+            with pytest.raises(ValueError, match="n must be an integer of at least 1"):
                 entry(n, (1,))
 
 

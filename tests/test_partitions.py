@@ -1,18 +1,24 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from multidisc import (
     RootSpec,
+    SymPoly,
     UniPoly,
     build_matrix,
     build_symbolic_matrix,
+    conditions,
     conjugate,
     d_yhz,
+    degree_table,
     disc_from_roots,
+    disc_symbolic,
     disc_value,
     iter_partitions,
 )
+from multidisc.cli import run_selftest
 from multidisc.partitions import as_partition, classification_order
 from multidisc.roots import disc_from_distinct_roots, disc_from_multiple_roots_abs
 
@@ -88,6 +94,28 @@ def test_iter_partitions_rejects_bad_n_at_the_call():
     for bad in [0, -3, True, 2.0]:
         with pytest.raises(ValueError):
             iter_partitions(bad)
+
+
+def test_every_count_is_checked_by_the_one_integer_rule():
+    # a count is an int, not a bool, and at least its least value; each entry
+    # point reports a bad one in the same words, before any work starts
+    entry_points = [
+        (lambda v: as_partition((2,), v), "n", 1),
+        (iter_partitions, "n", 1),
+        (conditions, "n", 1),
+        (lambda v: build_symbolic_matrix(v, (1,)), "n", 1),
+        (lambda v: disc_symbolic(v, (1,)), "n", 1),
+        (degree_table, "max_n", 3),
+        (SymPoly, "nvars", 1),
+        (lambda v: SymPoly.variable(v, 0), "nvars", 1),
+        (lambda v: run_selftest(v, 1, 0, quiet=True), "max_n", 1),
+        (lambda v: run_selftest(1, v, 0, quiet=True), "trials", 1),
+    ]
+    for entry, name, least in entry_points:
+        for bad in [least - 1, -1, True, 2.0, "2"]:
+            message = f"{name} must be an integer of at least {least}, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                entry(bad)
 
 
 def test_conjugate_examples():
