@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 Partition = tuple[int, ...]
+_ANY_N = object()  # as_partition's default: no n, so any sum; None is a bad n
 
 
 def _is_int(value) -> bool:
@@ -21,7 +22,7 @@ def _count(value, name: str, least: int) -> int:
     return value
 
 
-def as_partition(parts, n: int | None = None) -> Partition:
+def as_partition(parts, n: int = _ANY_N) -> Partition:
     """``parts`` as a partition tuple, or ValueError; the sum must be ``n`` when given.
 
     A partition is a nonempty weakly decreasing tuple of positive ints.  Floats
@@ -29,16 +30,16 @@ def as_partition(parts, n: int | None = None) -> Partition:
     rather than truncated.  ``n`` is checked first, as every count is, by
     :func:`_count`: this is the one check of a degree and a partition of it.
     """
-    if n is not None:
+    if n is not _ANY_N:
         _count(n, "n", 1)
     parts = tuple(parts)
     if (
         not parts
         or any(not _is_int(p) or p < 1 for p in parts)
         or any(a < b for a, b in zip(parts, parts[1:]))
-        or (n is not None and sum(parts) != n)
+        or (n is not _ANY_N and sum(parts) != n)
     ):
-        of = "" if n is None else f" of {n}"
+        of = "" if n is _ANY_N else f" of {n}"
         raise ValueError(f"{parts!r} is not a partition{of}")
     return parts
 

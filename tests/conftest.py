@@ -18,8 +18,11 @@ method and lets the call run; ``traced_peak`` is the one tracemalloc probe;
 ``QUINTIC`` is the paper's reference quintic; ``ENGINE``, ``CLASSIFY`` and
 ``CLI`` are the modules that tests patch.
 
-The checkers below the Fraction helpers each check one fact that several
-tests check, every test on its own inputs.
+The checkers below the Fraction helpers each check one fact that more than
+one test checks.  Where the fact has an acceptance criterion in
+``test_acceptance.py``, that criterion is its widest sampled sweep; the
+other callers are worked examples and inputs outside the criterion's
+ranges, not a narrower rerun of it.
 """
 
 from __future__ import annotations
@@ -37,10 +40,8 @@ import pytest
 from multidisc import (
     SymPoly,
     UniPoly,
-    classify,
     classify_trace,
     conjugate,
-    degree_table,
     disc_from_roots,
     disc_value,
     expand,
@@ -54,17 +55,6 @@ ENGINE, CLASSIFY, CLI = (import_module(f"multidisc.{name}") for name in ("engine
 
 # x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4 = (x - 1)^2 (x + 1) (x - 2)^2, delta = (3, 2)
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])
-
-# Table 1 of the paper, n = 3..9: (d_yhz, d_hy21, d_hy22)
-TABLE_1 = {
-    3: (5, 5, 4),
-    4: (9, 7, 6),
-    5: (15, 9, 8),
-    6: (27, 11, 10),
-    7: (45, 13, 12),
-    8: (81, 15, 14),
-    9: (135, 17, 16),
-}
 
 
 @pytest.fixture(autouse=True)
@@ -295,29 +285,12 @@ def sqf_list_inputs() -> list[UniPoly]:
     return polys
 
 
-def assert_quintic_trace(trace) -> None:
-    """``trace`` is QUINTIC's: D(5) = D(4,1) = 0 and D(3,2) != 0, so mu = (2, 2, 1)."""
-    assert list(trace.zero_steps()) == [(5,), (4, 1)]
-    assert trace.delta == (3, 2) and trace.value != 0
-    assert trace.result == (2, 2, 1) == conjugate(trace.delta)
-
-
 def encoder_record(text: str) -> dict:
     """The record the JSON line ``text`` holds, which must be the bytes
     ``json.dumps(record, sort_keys=True)`` gives for it."""
     data = json.loads(text)
     assert json.dumps(data, sort_keys=True) == text
     return data
-
-
-def assert_quintic_record(text: str) -> None:
-    """``text`` is the JSON line of QUINTIC's classification, in the bytes
-    ``json.dumps(record, sort_keys=True)`` gives."""
-    data = encoder_record(text)
-    assert (data["input"], data["n"], data["multiplicity"]) == ("1,-5,7,1,-8,4", 5, [2, 2, 1])
-    zero = [{"gamma": gamma, "nonzero": False, "value": "0"} for gamma in ([5], [4, 1])]
-    assert data["steps"][:2] == zero and len(data["steps"]) == 3
-    assert data["steps"][-1]["nonzero"] is True
 
 
 def trace_steps(trace) -> list[tuple]:
@@ -389,17 +362,6 @@ def all_ones_disc(n: int, leading):
     return prod(i**i for i in range(1, n + 1)) * leading ** (n - 1)
 
 
-def check_all_ones(rng: random.Random, trials: int) -> int:
-    """D_(1^n) of ``trials`` random integer polynomials of each degree
-    n = 2..8 against ``all_ones_disc``; returns the number checked."""
-    degrees = range(2, 9)
-    for n in degrees:
-        for _ in range(trials):
-            poly = random_int_poly(rng, n)
-            assert disc_value(poly, (1,) * n).value == all_ones_disc(n, poly.leading), poly
-    return len(degrees) * trials
-
-
 def assert_leaf_invariant(poly, gamma, c, t=None):
     """D_gamma(c F) = c^(n + g1 - 2) D_gamma(F), and, given ``t``,
     D_gamma(F(x + t)) = D_gamma(F); returns D_gamma(F)."""
@@ -409,15 +371,3 @@ def assert_leaf_invariant(poly, gamma, c, t=None):
     if t is not None:
         assert disc_value(shift_poly(poly, t), gamma).value == value, (poly, gamma, t)
     return value
-
-
-def assert_scale_and_shift_invariant(poly, mu, c, t) -> None:
-    """``classify`` gives ``mu`` for c * poly and for poly(x + t)."""
-    assert classify(scaled(poly, c)) == mu, (mu, c, poly)
-    assert classify(shift_poly(poly, t)) == mu, (mu, t, poly)
-
-
-def assert_table_1() -> None:
-    """degree_table(9) yields the rows n = 3..9 of TABLE_1, in order."""
-    rows = [(row.n, row.d_yhz, row.d_hy21, row.d_hy22) for row in degree_table(9)]
-    assert rows == [(n, *columns) for n, columns in TABLE_1.items()]

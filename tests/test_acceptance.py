@@ -1,5 +1,10 @@
 """Acceptance suite: one test per criterion, every check exact (no epsilons).
 
+Each criterion is the widest sampled sweep of its fact in the suite; the
+per-module tests keep the worked examples and the inputs outside its ranges.
+A fact that other tests check too has its checker in ``conftest.py`` or
+``symbolic_invariants.py``; the rest are written out here.
+
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line
 per criterion; with ``-s`` each test also prints a summary of what it swept.
 """
@@ -10,17 +15,25 @@ from fractions import Fraction
 
 import pytest
 
-from multidisc import classify_trace, expand, iter_partitions
+from multidisc import (
+    classify,
+    classify_trace,
+    conjugate,
+    degree_table,
+    disc_value,
+    expand,
+    iter_partitions,
+)
 from multidisc.roots import random_root_spec
 
 from conftest import (
     QUINTIC,
+    all_ones_disc,
     assert_classified,
-    assert_quintic_trace,
     assert_root_side,
-    assert_scale_and_shift_invariant,
-    assert_table_1,
-    check_all_ones,
+    random_int_poly,
+    scaled,
+    shift_poly,
     zeros_before_conjugate,
 )
 from symbolic_invariants import check_symbolic
@@ -45,13 +58,23 @@ def test_criterion_1_reference_quintic_classification():
     start = time.perf_counter()
     trace = classify_trace(QUINTIC)
     elapsed = time.perf_counter() - start
-    assert_quintic_trace(trace)
+    # D(5) = D(4,1) = 0 and D(3,2) != 0, so mu = (2, 2, 1)
+    assert list(trace.zero_steps()) == [(5,), (4, 1)]
+    assert trace.delta == (3, 2) and trace.value != 0
+    assert trace.result == (2, 2, 1) == conjugate(trace.delta)
     assert elapsed < 1.0
     print(f"PASS criterion 1: quintic -> (2,2,1) in {elapsed * 1000:.1f} ms")
 
 
 def test_criterion_2_last_discriminant_closed_form():
-    checked = check_all_ones(random.Random(SWEEP_SEED + 1), 20)
+    # D_(1^n) of 20 random integer polynomials of each degree n = 2..8
+    rng = random.Random(SWEEP_SEED + 1)
+    checked = 0
+    for n in range(2, 9):
+        for _ in range(20):
+            poly = random_int_poly(rng, n)
+            assert disc_value(poly, (1,) * n).value == all_ones_disc(n, poly.leading), poly
+            checked += 1
     print(f"PASS criterion 2: closed form exact on {checked} random polynomials")
 
 
@@ -99,7 +122,17 @@ def test_criterion_6_multiple_roots_identity_abs():
 
 
 def test_criterion_7_degree_table_reproduction():
-    assert_table_1()
+    # Table 1 of the paper, rows n = 3..9: (n, d_yhz, d_hy21, d_hy22)
+    table = [
+        (3, 5, 5, 4),
+        (4, 9, 7, 6),
+        (5, 15, 9, 8),
+        (6, 27, 11, 10),
+        (7, 45, 13, 12),
+        (8, 81, 15, 14),
+        (9, 135, 17, 16),
+    ]
+    assert [(row.n, row.d_yhz, row.d_hy21, row.d_hy22) for row in degree_table(9)] == table
     print("PASS criterion 7: degree table rows n=3..9 match exactly")
 
 
@@ -119,6 +152,8 @@ def test_criterion_9_invariance_under_scaling_and_shift(sweep_specs):
         for spec in specs[:3]:
             c = Fraction(rng.choice([2, -3, 5, 7, -11]), rng.choice([1, 2, 3, 4]))
             t = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
-            assert_scale_and_shift_invariant(expand(spec), mu, c, t)
+            poly = expand(spec)
+            assert classify(scaled(poly, c)) == mu, (mu, c, poly)
+            assert classify(shift_poly(poly, t)) == mu, (mu, t, poly)
             checked += 2
     print(f"PASS criterion 9: {checked} invariance checks (scaling and shift)")

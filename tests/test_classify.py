@@ -26,9 +26,6 @@ from conftest import (
     QUINTIC,
     assert_classified,
     assert_leaf_invariant,
-    assert_quintic_record,
-    assert_quintic_trace,
-    assert_scale_and_shift_invariant,
     assert_trace_is_reference,
     encoder_record,
     json_steps,
@@ -40,16 +37,11 @@ from conftest import (
     spy,
     sqf_list_inputs,
     traced_peak,
-    zeros_before_conjugate,
 )
 
 
 def test_reference_quintic():
     assert classify(QUINTIC) == (2, 2, 1)
-
-
-def test_reference_quintic_trace():
-    assert_quintic_trace(classify_trace(QUINTIC))
 
 
 def test_single_root_full_chain():
@@ -80,21 +72,6 @@ def test_rejects_constant_and_zero():
 
 def test_trace_values_match_disc_value_for_rational_input():
     assert_trace_is_reference(scaled(QUINTIC, Fraction(2, 3)))
-
-
-def test_oracle_equivalence_sample():
-    rng = random.Random(314)
-    for n in range(1, 7):
-        for mu in iter_partitions(n):
-            for _ in range(3):
-                assert_classified(expand(random_root_spec(rng, mu)), mu)
-
-
-def test_vanishing_and_nonvanishing_sample():
-    rng = random.Random(2718)
-    for n in range(2, 6):
-        for mu in iter_partitions(n):
-            zeros_before_conjugate(expand(random_root_spec(rng, mu)), mu)
 
 
 def test_vanishing_is_not_monotone_along_the_chain():
@@ -429,17 +406,6 @@ def test_deep_two_root_scan_is_all_zero_until_the_last_step():
         assert ENGINE.det_fraction_free(ENGINE._build(ints, gamma)) == 0, gamma
 
 
-def test_scaling_and_shift_invariance():
-    rng = random.Random(161)
-    for _ in range(12):
-        n = rng.randint(2, 6)
-        mu = rng.choice(list(iter_partitions(n)))
-        poly = expand(random_root_spec(rng, mu))
-        c = Fraction(rng.choice([2, -3, 5, 7]), rng.choice([1, 2, 3]))
-        t = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
-        assert_scale_and_shift_invariant(poly, mu, c, t)
-
-
 def test_conditions_for_degree_five():
     table = list(conditions(5))
     by_mu = {mu: (zero, nonzero) for mu, zero, nonzero in table}
@@ -464,18 +430,6 @@ def test_conditions_yields_one_row_at_a_time():
         (mu, zero, nonzero), peak = traced_peak(lambda: next(iter(conditions(n))))
         assert (mu, zero, nonzero) == ((1,) * n, [], (n,))
         assert peak < 2**20, (n, peak)
-
-
-def test_conditions_rejects_bad_n_at_the_call():
-    # a plain generator function would raise only at the first next()
-    for bad in [0, -3, True, 2.0, "x"]:
-        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
-            conditions(bad)
-
-
-def test_trace_json_schema_and_round_trip():
-    # the JSON line the CLI writes for a trace
-    assert_quintic_record(CLI._classification_json(QUINTIC, classify_trace(QUINTIC)))
 
 
 @pytest.mark.parametrize(

@@ -27,8 +27,8 @@ from multidisc.cli import main, run_selftest
 from multidisc.engine import DiscValue
 
 from cli_reuse import check_reuse, invocations, run as run_main
-from conftest import (CLASSIFY, CLI, assert_quintic_record, coeff, derivative, encoder_record, json_steps,
-                      mul_power, random_int_poly, row_layout, spy)
+from conftest import (CLASSIFY, CLI, coeff, derivative, encoder_record, json_steps, mul_power,
+                      random_int_poly, row_layout, spy)
 from test_cli_digests import invocations as digest_invocations
 
 
@@ -98,7 +98,11 @@ class TestClassify:
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--coeffs", "1,-5,7,1,-8,4", "--json")
         assert code == 0
-        assert_quintic_record(out.strip())
+        data = encoder_record(out.strip())
+        assert (data["input"], data["n"], data["multiplicity"]) == ("1,-5,7,1,-8,4", 5, [2, 2, 1])
+        zero = [{"gamma": gamma, "nonzero": False, "value": "0"} for gamma in ([5], [4, 1])]
+        assert data["steps"][:2] == zero and len(data["steps"]) == 3
+        assert data["steps"][-1]["nonzero"] is True
 
     def test_json_steps_are_the_trace_steps(self, capsys):
         polys = [
@@ -695,13 +699,11 @@ class TestSelftest:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            # each id names the rule its case breaks, in words that stay fixed
-            pytest.param(("--max-n", "0"), "max_n must be an integer of at least 1, got 0",
-                         id="flags0---max-n must be at least 1"),
-            pytest.param(("--trials", "0"), "trials must be an integer of at least 1, got 0",
-                         id="flags1---trials must be at least 1"),
+            # each id names its input, so a reworded message keeps the id
+            pytest.param(("--max-n", "0"), "max_n must be an integer of at least 1, got 0", id="max-n-0"),
+            pytest.param(("--trials", "0"), "trials must be an integer of at least 1, got 0", id="trials-0"),
             pytest.param(("--trials", "-3"), "trials must be an integer of at least 1, got -3",
-                         id="flags2---trials must be at least 1"),
+                         id="trials--3"),
         ],
     )
     def test_sweep_that_checks_nothing_is_rejected(self, capsys, flags, message):
@@ -749,16 +751,19 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["discriminant", "--n", "5", "--gamma", "3,x", "--format", "matrix"],
-         "malformed partition '3,x'"),
-        (["discriminant", "--n", "x", "--gamma", "1", "--format", "matrix"], "bad degree 'x'"),
-        # the last three are the library's own checks, of as_partition,
-        # conditions and degree_table; the two ids name the rule their case breaks
+        # each id names its input, so a reworded message keeps the id; the
+        # last three are the library's own checks, of as_partition,
+        # conditions and degree_table
+        pytest.param(["discriminant", "--n", "5", "--gamma", "3,x", "--format", "matrix"],
+                     "malformed partition '3,x'", id="discriminant-gamma-3,x"),
+        pytest.param(["discriminant", "--n", "x", "--gamma", "1", "--format", "matrix"],
+                     "bad degree 'x'", id="discriminant-n-x"),
         pytest.param(["discriminant", "--n", "0", "--gamma", "1", "--format", "matrix"],
-                     "n must be an integer of at least 1, got 0", id="argv2-degree must be at least 1"),
+                     "n must be an integer of at least 1, got 0", id="discriminant-n-0"),
         pytest.param(["conditions", "--n", "0"], "n must be an integer of at least 1, got 0",
-                     id="argv3-n must be a positive integer, got 0"),
-        (["degree-table", "--max-n", "2"], "max_n must be an integer of at least 3, got 2"),
+                     id="conditions-n-0"),
+        pytest.param(["degree-table", "--max-n", "2"], "max_n must be an integer of at least 3, got 2",
+                     id="degree-table-max-n-2"),
     ],
 )
 def test_rejected_input_exits_2_with_one_line(capsys, argv, message):

@@ -80,25 +80,10 @@ def test_iter_partitions_gives_each_partition_once_in_order():
         assert all(a > b for a, b in zip(got, got[1:]))
 
 
-def test_partitions_of_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        iter_partitions(0)
-    with pytest.raises(ValueError):
-        iter_partitions(-3)
-    with pytest.raises(ValueError):
-        iter_partitions(True)
-
-
-def test_iter_partitions_rejects_bad_n_at_the_call():
-    # a plain generator function would raise only at the first next()
-    for bad in [0, -3, True, 2.0]:
-        with pytest.raises(ValueError):
-            iter_partitions(bad)
-
-
 def test_every_count_is_checked_by_the_one_integer_rule():
     # a count is an int, not a bool, and at least its least value; each entry
-    # point reports a bad one in the same words, before any work starts
+    # point reports a bad one in the same words at the call, before any work
+    # starts, even where it returns a generator
     entry_points = [
         (lambda v: as_partition((2,), v), "n", 1),
         (iter_partitions, "n", 1),
@@ -112,7 +97,7 @@ def test_every_count_is_checked_by_the_one_integer_rule():
         (lambda v: run_selftest(1, v, 0, quiet=True), "trials", 1),
     ]
     for entry, name, least in entry_points:
-        for bad in [least - 1, -1, True, 2.0, "2"]:
+        for bad in [least - 1, -1, -3, True, False, 2.0, 2.5, "2", None]:
             message = f"{name} must be an integer of at least {least}, got {bad!r}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 entry(bad)
