@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +22,6 @@ from multidisc import (
     iter_partitions,
     squarefree_multiplicity,
 )
-from multidisc.cli import main
 from multidisc.engine import (
     _build,
     _exact,
@@ -69,9 +67,8 @@ def _a(idx, nvars):
 
 
 class TestMatrixLayout:
-    # the JSON layout of these matrices (size, blocks, row provenance) is
-    # checked through the CLI in TestSerialization below and in
-    # test_cli.TestDiscriminant
+    # the JSON and LaTeX layout of these matrices (size, blocks, row
+    # provenance) is checked through the CLI in test_cli.TestDiscriminant
     def test_quintic_gamma_32_block_structure(self):
         m = build_symbolic_matrix(5, (3, 2))
         assert len(m) == 7
@@ -1116,54 +1113,3 @@ class TestDiscSymbolic:
     def test_library_has_no_degree_cap(self):
         # only the CLI caps --format poly; the library computes D_(7) as asked
         assert len(disc_symbolic(7, (7,)).value.terms) == 1103
-
-
-class TestSerialization:
-    # the matrix JSON and LaTeX are written by the CLI, from the rows that
-    # build_matrix and build_symbolic_matrix return
-    def test_json_dict_concrete(self, capsys):
-        data = json.loads(_printed(capsys, "5", "3,2", "matrix", "--coeffs=1,-5,7,1,-8,4"))
-        assert data["n"] == 5
-        assert data["gamma"] == [3, 2]
-        assert data["size"] == 7
-        assert data["symbolic"] is False
-        assert data["blocks"] == [
-            {"derivative": 0, "rows": [0, 1]},
-            {"derivative": 1, "rows": [2, 3, 4]},
-            {"derivative": 2, "rows": [5, 6]},
-        ]
-        assert data["entries"][0][0] == "1"
-
-    def test_json_dict_symbolic_monomial_lists(self, capsys):
-        data = json.loads(_printed(capsys, "5", "1,1,1,1,1", "matrix"))
-        assert (data["size"], data["gamma0"]) == (5, 0)
-        assert data["row_provenance"] == [[1, 0], [2, 0], [3, 0], [4, 0], [5, 0]]
-        assert data["blocks"][0] == {"derivative": 0, "rows": []}
-        first = data["entries"][0][0]
-        assert first == [["5", [0, 0, 0, 0, 0, 1]]]
-        assert data["entries"][1][0] == []  # structural zero below the staircase
-
-    def test_latex_blocks_and_blanks(self, capsys):
-        tex = _printed(capsys, "5", "3,2", "latex")
-        assert tex.count(r"\hline") == 2  # three blocks, two separators
-        assert tex.startswith(r"\left|\begin{array}{ccccccc}")
-        assert tex.endswith(r"\end{array}\right|" + "\n")
-        lines = tex.splitlines()[1:-1]
-        assert len(lines) == 7
-        # zeros render as blank cells, preserving the staircase look
-        assert lines[1].startswith(" & ")
-        assert "20a_{5}" in lines[5]
-
-    def test_latex_concrete_fractions(self, capsys):
-        # the matrix of degree 1 is the one cell a_1
-        for coeffs, cell in (("1,1/2", "1"), ("1/2,-3/2", r"\frac{1}{2}")):
-            tex = "\\left|\\begin{array}{c}\n" + cell + "\n\\end{array}\\right|\n"
-            assert _printed(capsys, "1", "1", "latex", "--coeffs", coeffs) == tex, coeffs
-
-
-def _printed(capsys, n, gamma, fmt, *coeffs):
-    """What ``multidisc discriminant`` prints for these arguments; it must exit 0."""
-    assert main(["discriminant", "--n", n, "--gamma", gamma, "--format", fmt, *coeffs]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    return out
