@@ -4,7 +4,8 @@ Coefficients are entered highest power first ("1,-5,7,1,-8,4" is
 x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4); each entry is an integer, a decimal
 such as 0.5, or a rational written p/q, read as int and Fraction read it
 (so 1_000 and non-ASCII digits are accepted); exponent notation (1e5) is
-rejected; a negative first coefficient needs the form --coeffs=-3/7,1/7.
+rejected; a list with a negative first coefficient is read in either
+form, --coeffs -3/7,1/7 or --coeffs=-3/7,1/7.
 A coefficient may have at most ``sys.int_info.default_max_str_digits``
 (4300) digits, as parsing is quadratic in its length.  ``main`` lifts the
 interpreter's int-to-str bound for every command, and this module writes
@@ -71,8 +72,6 @@ from .unipoly import UniPoly, parse_rational
 # --format poly stops above this degree unless --cap raises it: the term
 # count of the parametric discriminant grows quickly with the degree
 SYMBOLIC_CAP_DEFAULT = 6
-# argparse reads a separate "-3/7,1/7" as an option
-_NEGATIVE_FIRST = "a negative first coefficient needs the = form: --coeffs=-3/7,1/7"
 # the interpreter's default bound, read from a constant so that no earlier
 # change to the current bound can lift it
 _MAX_DIGITS = sys.int_info.default_max_str_digits
@@ -399,9 +398,7 @@ def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
     output.add_argument("--json", action="store_true", help="emit JSON output")
     output.add_argument("--trace", action="store_true", help="print the full discriminant chain")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--coeffs", help=f'coefficient list, e.g. "1,-5,7,1,-8,4"; {_NEGATIVE_FIRST}'
-    )
+    group.add_argument("--coeffs", help='coefficient list, e.g. "1,-5,7,1,-8,4"')
     group.add_argument("--file", help="batch mode: one coefficient list per line")
     p.set_defaults(func=_cmd_classify)
 
@@ -417,9 +414,7 @@ def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
         choices=["matrix", "latex", "poly", "value"],
         help="output representation",
     )
-    p.add_argument(
-        "--coeffs", help=f"concrete coefficients (required for value); {_NEGATIVE_FIRST}"
-    )
+    p.add_argument("--coeffs", help="concrete coefficients (required for value)")
     p.add_argument(
         "--cap",
         type=int,
@@ -463,6 +458,13 @@ def main(argv=None) -> int:
         _parser = build_parser(_commands)
     if argv is None:
         argv = sys.argv[1:]
+    # argparse reads a separate "-3/7,1/7" as an option, so a value of
+    # --coeffs that starts with "-" and a digit or "." is joined to its flag
+    if "--coeffs" in argv:
+        at = argv.index("--coeffs") + 1
+        value = argv[at] if at < len(argv) else ""
+        if value[:1] == "-" and (value[1:2].isdecimal() or value[1:2] == "."):
+            argv = [*argv[: at - 1], f"--coeffs={value}", *argv[at + 1 :]]
     # the top-level parser only picks the command and hands it the rest, so
     # a named command's own parser reads the rest directly
     command = _commands.get(argv[0]) if argv else None

@@ -3,7 +3,9 @@
 The Fraction polynomial helpers (``coeff``, ``derivative``, ``mul_power``,
 ``product``, ``scaled``, ``difference``) build the reference rows,
 root-side values and test inputs the library is checked against; the
-library itself never needs them, and ``UniPoly`` has no arithmetic.
+library itself never needs them, and ``UniPoly`` has no ring arithmetic
+(no ``+``, ``-`` or ``*``).  Its ``divmod`` and ``eval`` stay: the oracles
+here and in the tests call them, and the benchmark's tracer wraps them.
 ``reference_rows`` writes the staircase rows of a discriminant matrix
 entry by entry from ``math.perm``, sharing no code with the library's row
 layout.  The

@@ -34,8 +34,9 @@ builds D from it.  It needs no pytest; tests/test_engine.py runs it for
 n <= 7, and CI for n = 9 and n = 10, the only run that builds D_(9) and D_(10).
 
 ``sweep`` is the homogeneity and specialization check alone, and
-``check_symbolic`` runs it and returns the largest total degree it saw; the
-tests of these facts call it.
+``check_symbolic`` runs it and returns the largest total degree it saw;
+criterion 8 of tests/test_acceptance.py, which runs it for n <= 8, is its
+one caller.
 """
 
 from __future__ import annotations

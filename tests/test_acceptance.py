@@ -139,7 +139,7 @@ def test_criterion_7_degree_table_reproduction():
 def test_criterion_8_symbolic_degrees_and_specialization():
     rng = random.Random(SWEEP_SEED + 4)
     specialized = 0
-    for n in range(1, 6):
+    for n in range(1, 9):
         assert check_symbolic(n, rng, points=5, bound=9, leads=range(-9, 10)) == 2 * n - 2, n
         specialized += 5 * len(list(iter_partitions(n)))
     print(f"PASS criterion 8: symbolic degrees peak at 2n-2; {specialized} specializations match")

@@ -1,6 +1,7 @@
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -243,70 +244,53 @@ def chain_work(poly):
                        len(clears), len(builds))
 
 
-def test_squarefree_input_runs_one_resultant_and_no_matrix():
-    trace, work = chain_work(random_int_poly(random.Random(28), 28, bound=40))
-    assert trace.result == (1,) * 28 and work.length == 1
-    # _build is the one builder of every numeric route's full matrix
-    # the leaf is delta = (n) at g1 = k = n: psc_0(F, F') = Res(F, F') from
-    # the first PRS, times the determinant of an empty remainder matrix
-    assert (work.resultants, len(work.leaves), work.dets, work.builds) == (1, 1, [], 0)
+def placed(mu):
+    """-3/7 * prod (x - (2i - 3)/5)^mu_i: one placement of the roots, as the
+    work below depends on mu alone."""
+    return expand(RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(-3, 7)))
 
 
-@pytest.mark.parametrize("mu", [(10, 10), (8, 7, 5), (15, 15), (8, 8), (6, 5, 5)])
-def test_walk_starts_its_echelon_at_the_number_of_distinct_roots(mu):
-    # the gcd chain takes m_1 resultants in all, Res(F, F') the first, and
-    # decides every step before delta; delta starts at g1 = k, so its leaf
-    # reads G = gcd(F, F') and psc_(n-k)(F, F') from the first step's memo,
-    # takes no resultant, and eliminates only the remainder matrix R_delta,
-    # of order n - k
-    spec = RootSpec(tuple((Fraction(2 * i - 3, 2), m) for i, m in enumerate(mu)), 3)
-    poly = expand(spec)
+# (input, mu, steps): the steps are the zero steps and delta = conj(mu)
+WORK = [
+    pytest.param(random_int_poly(random.Random(28), 28, bound=40), (1,) * 28, 1, id="dense-28"),
+    *(
+        pytest.param(placed(mu), mu, steps, id=",".join(map(str, mu)))
+        for mu, steps in [
+            ((1,) * 6, 1),
+            ((2, 2, 1), 3),
+            ((2, 2, 2, 2, 1, 1), 8),
+            ((4, 3, 3, 2, 2, 1), 71),
+            ((3, 3, 3, 3, 2, 2, 2, 1, 1), 145),
+            ((6, 5, 5), 202),
+            ((8, 8), 223),
+            ((8, 7, 5), 586),
+            ((10, 10), 617),
+            ((15, 15), 5589),
+        ]
+    ),
+    # (x - 1)^2 (x - 2) ... (x - 59): the full matrix of delta = (59, 1) has
+    # order 118, R_delta order 1
+    pytest.param(
+        expand(RootSpec(((1, 2),) + tuple((i, 1) for i in range(2, 60)), 1)), (2,) + (1,) * 58, 2,
+        id="many-roots-60",
+    ),
+]
+
+
+@pytest.mark.parametrize("poly, mu, steps", WORK)
+def test_classification_work(poly, mu, steps):
+    # one clearing feeds the first PRS, Res(F, F'), whose G_1 starts the gcd
+    # chain: one resultant per level, m_1 in all, and they decide every step
+    # before delta.  The one leaf, on delta = conj(mu), starts at g1 = k, so
+    # it reads G = gcd(F, F') and psc_(n-k)(F, F') from the first step's
+    # memo, takes no resultant, and eliminates only the remainder matrix
+    # R_delta, of order n - k and empty for a squarefree F.  _build, the one
+    # builder of every numeric route's full matrix, never runs
     n, k = poly.degree, len(mu)
     trace, work = chain_work(poly)
-    assert (work.resultants, work.leaves, work.dets) == (mu[0], [trace.delta], [n - k])
-    assert trace.result == mu and trace.delta[0] == k
-    chain = list(iter_partitions(n))
-    assert list(trace.zero_steps()) == chain[: chain.index(trace.delta)]
-    if n <= 16:
-        assert_trace_is_reference(poly)
-
-
-@pytest.mark.parametrize(
-    "mu, work",
-    [
-        ((10, 10), (617, 10, 1)),
-        ((8, 7, 5), (586, 8, 1)),
-        ((15, 15), (5589, 15, 1)),
-        ((6, 5, 5), (202, 6, 1)),
-        ((4, 3, 3, 2, 2, 1), (71, 4, 1)),
-        ((3, 3, 3, 3, 2, 2, 2, 1, 1), (145, 3, 1)),
-        ((2, 2, 2, 2, 1, 1), (8, 2, 1)),
-    ],
-)
-def test_walk_does_the_same_work(mu, work):
-    # (steps, resultants, leaf determinants) for F = prod (x - i)^mu_i,
-    # i = 0, 1, 2, ...: one resultant per level of the gcd chain, m_1 in all,
-    # and one leaf, on delta, which takes none: G = gcd(F, F') and
-    # psc_(n-k)(F, F') come from the memo of the first step's PRS
-    trace, done = chain_work(expand(RootSpec(tuple((Fraction(i), m) for i, m in enumerate(mu)), 1)))
     assert trace.result == mu
-    assert (done.length, done.resultants, len(done.leaves)) == work
-
-
-@pytest.mark.parametrize(
-    "mu, determinants",
-    [((1,) * 6, 0), ((10, 10), 1), ((8, 7, 5), 1), ((4, 3, 3, 2, 2, 1), 1), ((2, 2, 1), 1)],
-)
-def test_classification_clears_its_input_once(mu, determinants):
-    # one clearing feeds the first PRS, whose G_1 starts the gcd chain; the
-    # leaf ``disc_value`` runs on every input and reads the cleared integers
-    # from the memo of ``disc_resultant``.  Its remainder matrix is empty for
-    # a squarefree input, so no determinant runs there
-    spec = RootSpec(tuple((Fraction(2 * i - 3, 5), m) for i, m in enumerate(mu)), Fraction(-3, 7))
-    trace, work = chain_work(expand(spec))
-    assert trace.result == mu
-    assert (work.clears, len(work.leaves)) == (1, 1)
-    assert len(work.dets) == determinants
+    assert work == Work(steps, mu[0], [conjugate(mu)], [n - k] if n > k else [], 1, 0)
+    assert [*trace.zero_steps(), trace.delta] == list(islice(iter_partitions(n), steps))
 
 
 def test_walk_takes_the_partitions_lazily():

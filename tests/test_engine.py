@@ -13,9 +13,7 @@ from multidisc import (
     UniPoly,
     build_matrix,
     build_symbolic_matrix,
-    classify_trace,
     conjugate,
-    degree_table,
     disc_symbolic,
     disc_value,
     expand,
@@ -37,7 +35,6 @@ from multidisc.engine import (
 from multidisc.roots import random_root_spec
 
 from conftest import (
-    CLASSIFY,
     ENGINE,
     QUINTIC,
     assert_leaf_invariant,
@@ -57,7 +54,7 @@ from conftest import (
     traced_peak,
     zeros_before_conjugate,
 )
-from symbolic_invariants import check as check_invariants, check_symbolic, weight
+from symbolic_invariants import check as check_invariants, weight
 
 
 def _a(idx, nvars):
@@ -235,19 +232,6 @@ class TestDeterminants:
             det_fraction_free([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]])
         with pytest.raises(TypeError):
             det_fraction_free([[0, 1.5], [0, 2.5]])
-
-    def test_symbolic_matrix_against_minor_expansion(self):
-        rng = random.Random(8)
-        nv = 3
-        for _ in range(6):
-            rows = [
-                [
-                    SymPoly(nv, {tuple(rng.randint(0, 1) for _ in range(nv)): rng.randint(-3, 3)})
-                    for _ in range(4)
-                ]
-                for _ in range(4)
-            ]
-            assert det_minor_expansion(rows) == sym_perm_det(rows)
 
     def test_minor_expansion_on_sparse_multi_term_matrices(self):
         # orders 1..6, odd and even, so the sign (-1)^(place + column) of the
@@ -756,16 +740,6 @@ class TestReducedLeaf:
         assert values == [_bareiss_value(poly, gamma) for gamma in gammas]
         assert values[gammas.index(delta)] != 0
 
-    def test_many_root_input_at_degree_60(self, monkeypatch):
-        # the full matrix of delta = (59, 1) has order 118; R_delta has order 1.
-        # Two resultants in all: Res(F, F') with G_1 of degree 1, then
-        # gcd(G_1, G_1'); the leaf reads G_1 and its psc from the memo
-        calls = [spy(monkeypatch, module, "sylvester_resultant") for module in (ENGINE, CLASSIFY)]
-        trace = classify_trace(_many_roots(60))
-        assert trace.delta == (59, 1)
-        assert trace.result == (2,) + (1,) * 58
-        assert sum(map(len, calls)) == 2
-
     def test_routing(self, monkeypatch):
         # the first gamma on a polynomial runs the one PRS of F and F', and
         # every later gamma on it reads that PRS from the memo; g1 > k runs no
@@ -1050,39 +1024,16 @@ class TestDiscSymbolic:
         # x^k F^(o).  So every term of the determinant has weight
         # sum(o - k) over the rows plus sum(j) = size(size - 1)/2, and the
         # division by an takes n off.  Not n(n - 1) in general: 18 for
-        # (3, 2) and 17 for (2, 2, 1) at n = 5.
+        # (3, 2) and 17 for (2, 2, 1) at n = 5.  check_invariants holds every
+        # D_gamma of n <= 7 to weight(gamma)
         expected = {}
         for n in range(1, 7):
             for gamma in iter_partitions(n):
-                size = len(build_symbolic_matrix(n, gamma))
-                expected[gamma] = (
-                    sum(order - shift for order, shift in row_layout(gamma))
-                    + size * (size - 1) // 2
-                    - n
-                )
-                weights = {
-                    sum(d * e for d, e in enumerate(exps))
-                    for exps in disc_symbolic(n, gamma).value.terms
-                }
-                assert weights == {expected[gamma]}, (n, gamma)
+                layout = row_layout(gamma)
+                size = len(layout)
+                expected[gamma] = sum(order - shift for order, shift in layout) + size * (size - 1) // 2 - n
                 assert weight(gamma) == expected[gamma], (n, gamma)
         assert (expected[(3, 2)], expected[(2, 2, 1)], expected[(5,)]) == (18, 17, 20)
-
-    def test_degree_six_agreement_with_concrete_engine(self):
-        rng = random.Random(808)
-        for n in (6, 7, 8):
-            check_symbolic(n, rng, points=2, bound=5, leads=range(-4, 5))
-
-    def test_max_degree_is_the_single_determinant_bound(self):
-        # the abstract's claim, computed: over every gamma of n the largest
-        # total degree of D_gamma is 2n - 2, reached at the classical gamma =
-        # (n) alone, as D_gamma has degree n + g1 - 2
-        table = {row.n: row.d_hy22 for row in degree_table(8)}
-        for n in range(2, 9):
-            worst = check_symbolic(n)
-            assert worst == 2 * n - 2
-            if n >= 3:
-                assert worst == table[n]
 
     def test_classical_discriminant_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -1109,7 +1060,3 @@ class TestDiscSymbolic:
     def test_invariants_to_degree_seven(self):
         # tests/symbolic_invariants.py, which a CI step runs at n = 9
         assert [check_invariants(n) for n in range(1, 8)] == [1, 2, 3, 5, 7, 11, 15]
-
-    def test_library_has_no_degree_cap(self):
-        # only the CLI caps --format poly; the library computes D_(7) as asked
-        assert len(disc_symbolic(7, (7,)).value.terms) == 1103
