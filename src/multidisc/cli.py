@@ -5,7 +5,8 @@ x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4); each entry is an integer, a decimal
 such as 0.5, or a rational written p/q, read as int and Fraction read it
 (so 1_000 and non-ASCII digits are accepted); exponent notation (1e5) is
 rejected; a list with a negative first coefficient is read in either
-form, --coeffs -3/7,1/7 or --coeffs=-3/7,1/7.
+form, --coeffs -3/7,1/7 or --coeffs=-3/7,1/7.  No option is read from a
+prefix of its name, so --coeff is rejected whatever the sign of its value.
 A coefficient may have at most ``sys.int_info.default_max_str_digits``
 (4300) digits, as parsing is quadratic in its length.  ``main`` lifts the
 interpreter's int-to-str bound for every command, and this module writes
@@ -107,8 +108,10 @@ def parse_gamma(text: str, n: int) -> tuple[int, ...]:
     return as_partition(gamma, n)
 
 
-def _format_partition(parts) -> str:
-    return ",".join(str(p) for p in parts)
+def _format_partition(parts, texts: list[str] | None = None) -> str:
+    """The parts joined by commas.  ``texts[p]`` is ``str(p)``: a caller that
+    formats many partitions of n makes that table of n + 1 texts once."""
+    return ",".join(map(str, parts) if texts is None else map(texts.__getitem__, parts))
 
 
 # one zero step of the classification JSON: with the keys in sorted order and
@@ -140,9 +143,11 @@ def _print_classification(args, poly: UniPoly) -> None:
         print(_classification_json(poly, trace))
         return
     if args.trace:
-        # built whole first, so an engine fault in the walk prints no step
-        lines = [f"D({_format_partition(gamma)}) = 0" for gamma in trace.zero_steps()]
-        lines.append(f"D({_format_partition(trace.delta)}) = {trace.value} (nonzero)")
+        # built whole first, so an engine fault in the walk prints no step;
+        # each part's text is made once, not once per step
+        texts = [str(p) for p in range(poly.degree + 1)]
+        lines = [f"D({_format_partition(gamma, texts)}) = 0" for gamma in trace.zero_steps()]
+        lines.append(f"D({_format_partition(trace.delta, texts)}) = {trace.value} (nonzero)")
         print("\n".join(lines))
     print(_format_partition(trace.result))
 
@@ -378,6 +383,7 @@ def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
     """A new top-level parser; ``commands``, when given, gets each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="multidisc",
+        allow_abbrev=False,
         description="Classify the complex-root multiplicity structure of a "
         "univariate polynomial in exact arithmetic.",
     )
@@ -385,7 +391,7 @@ def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
     commands = {} if commands is None else commands
 
     def command(name, **kwargs) -> argparse.ArgumentParser:
-        commands[name] = sub.add_parser(name, **kwargs)
+        commands[name] = sub.add_parser(name, allow_abbrev=False, **kwargs)
         return commands[name]
 
     p = command(

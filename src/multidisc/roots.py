@@ -30,6 +30,17 @@ above it, one product and one sum per entry.  The determinant runs on
 these integer rows, the difference product on the integers P_j, and one
 exact division at the end gives the rational value; no Fraction entry is
 built.
+
+The columns carry large common factors: with distinct roots, column j is
+K'(P_j) * (P_j^k)_k.  A fraction-free elimination (Bareiss 1968) carries
+them into every minor it forms, so each column is divided by its content
+before the elimination and the product of the contents multiplies the
+result.  By multilinearity in the columns this changes no value, and every
+quotient is exact because the content divides each entry of its column.
+For gamma of s parts, a column (P_j, l) with s + l < m_j is zero, as
+every F^(i) with i <= s vanishes at r_j to an order above l (gamma = (n)
+at a repeated root has one); its content is 0 and it is divided by 1, so
+the elimination sees the zero column and returns 0.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .engine import det_fraction_free
 from .partitions import Partition, as_partition
@@ -123,11 +134,22 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
     near the size of the inputs' instead of growing along the sequence as
     Euclid's do.  A pass whose top coefficient is already 0 only drops it;
     that changes the remainder by a power of lc(b), a constant the content
-    takes out again.
+    takes out again.  Yun's gcds mostly drop the degree by one, and such a
+    step is one pass: with l = lc(b), q1 = l * a0 and q0 = l * a1 - a0 * b1,
+    the remainder l^2 * a - (q1 * x + q0) * b has the term
+    l^2 * a_(i+2) - q0 * b_(i+1) - q1 * b_(i+2) of x^i, with b_(len(b)) = 0.
+    It may carry one more factor l > 0 than the loop's, which the content
+    takes out, so the gcd is the same.  Any other drop runs the loop.
     """
     a, b = _primitive(a), _primitive(b)
     while len(b) > 1:
         lead, tail, rem = b[0], b[1:], a
+        if len(a) - len(b) == 1:
+            # one pass: l^2 * a - (q1 * x + q0) * b, whose first two terms cancel
+            q1 = lead * a[0]
+            q0 = lead * a[1] - a[0] * b[1]
+            l2 = lead * lead
+            rem = [l2 * x - q0 * y - q1 * z for x, y, z in zip(a[2:], tail, [*b[2:], 0])]
         while len(rem) >= len(b):
             top = rem[0]
             if top:
@@ -267,9 +289,12 @@ def disc_from_roots(spec: RootSpec, gamma) -> Fraction:
     Row 0 is read off the Taylor values, each later row is built from the
     one above it (the left neighbour is the same root at l - 1), and the
     block is reversed so that k runs descending.  So ``det_fraction_free``
-    runs on those integers, the difference product runs on the P_j, and
-    leading and the powers of Q are put back as exponents in the one
-    Fraction returned.  ``gamma`` must be a partition of n, or ValueError.
+    runs on those integers, each column divided by its content c (exact, as
+    c divides every entry of the column) and prod c put back by
+    multilinearity; a zero column, which has c = 0, is divided by 1, and the
+    determinant is 0.  The difference product runs on the P_j, and leading
+    and the powers of Q are put back as exponents in the one Fraction
+    returned.  ``gamma`` must be a partition of n, or ValueError.
     """
     gamma = as_partition(gamma, spec.n)
     q, points = _scaled_roots(spec)
@@ -301,7 +326,10 @@ def disc_from_roots(spec: RootSpec, gamma) -> Fraction:
             q_exp += i - k - n
             block.append(row)
         rows.extend(reversed(block))
-    numer = det_fraction_free(rows)
+    # the column contents out and back as one product; a zero column divides by 1
+    contents = [gcd(*col) or 1 for col in zip(*rows)]
+    numer = det_fraction_free([[e // c for e, c in zip(row, contents)] for row in rows])
+    numer *= prod(contents)
     if pairs % 2:
         numer = -numer
     lead_exp = n + gamma[0] - 2

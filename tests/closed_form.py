@@ -63,8 +63,10 @@ from the spec's roots and leading coefficient: no ``multidisc`` code runs
 in it.
 tests/test_roots.py compares it with ``classify_trace(expand(spec)).value``
 on every mu with n <= 12 at two leading coefficients and on the deep inputs
-up to n = 60; the script runs the deep inputs from n = 59 to 80, where the
-root-side determinant is the slow check.
+up to n = 60.  The script runs the deep inputs from n = 59 to 80 and also
+compares ``disc_from_roots`` there, a third oracle: in about 22 s on a 2-core
+x86_64 machine with CPython 3.11, of which the root side takes 17 s (3.8 s
+at n = 59, 2.7 s at h = 40) and the closed form 0.08 s.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
-from multidisc import RootSpec, classify_trace, expand
+from multidisc import RootSpec, classify_trace, disc_from_roots, expand
 
 
 def closed_form(spec) -> Fraction:
@@ -103,19 +105,23 @@ DEEP = (
 )
 
 
-def check(specs) -> int:
+def check(specs, root_side: bool = False) -> int:
     """Number of specs checked; AssertionError at the first whose closed form
-    is not the classification's D_delta."""
+    is not the classification's D_delta, or, with ``root_side``, whose
+    root-side determinant ``disc_from_roots(spec, delta)`` is not."""
     count = 0
     for spec in specs:
-        value = classify_trace(expand(spec)).value
-        assert closed_form(spec) == value, f"closed form differs at {spec.roots}"
+        trace = classify_trace(expand(spec))
+        assert closed_form(spec) == trace.value, f"closed form differs at {spec.roots}"
+        if root_side:
+            root_value = disc_from_roots(spec, trace.delta)
+            assert root_value == trace.value, f"root side differs at {spec.roots}"
         count += 1
     return count
 
 
 if __name__ == "__main__":
     deep = [spec for spec in DEEP if spec.n >= 59]
-    count = check(deep)
+    count = check(deep, root_side=True)
     low, high = min(spec.n for spec in deep), max(spec.n for spec in deep)
-    print(f"OK: closed form = D_delta on {count} inputs of degree {low}-{high}")
+    print(f"OK: closed form = root side = D_delta on {count} inputs of degree {low}-{high}")

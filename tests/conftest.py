@@ -17,8 +17,8 @@ cofactor expansion.
 
 The harness: ``spy`` records the args of each call of a function or
 method and lets the call run; ``traced_peak`` is the one tracemalloc probe;
-``QUINTIC`` is the paper's reference quintic; ``ENGINE``, ``CLASSIFY`` and
-``CLI`` are the modules that tests patch.
+``QUINTIC`` is the paper's reference quintic; ``ENGINE``, ``CLASSIFY``,
+``ROOTS`` and ``CLI`` are the modules that tests patch.
 
 The checkers below the Fraction helpers each check one fact that more than
 one test checks.  Where the fact has an acceptance criterion in
@@ -53,7 +53,9 @@ from multidisc import (
 from multidisc.roots import random_root_spec
 
 # the package's classify function shadows the module of the same name
-ENGINE, CLASSIFY, CLI = (import_module(f"multidisc.{name}") for name in ("engine", "classify", "cli"))
+ENGINE, CLASSIFY, ROOTS, CLI = (
+    import_module(f"multidisc.{name}") for name in ("engine", "classify", "roots", "cli")
+)
 
 # x^5 - 5x^4 + 7x^3 + x^2 - 8x + 4 = (x - 1)^2 (x + 1) (x - 2)^2, delta = (3, 2)
 QUINTIC = UniPoly.from_descending([1, -5, 7, 1, -8, 4])

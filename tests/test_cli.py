@@ -682,6 +682,10 @@ def test_every_rejection_in_the_cli_is_a_row():
         # main joins a value that starts with "-" and a digit or "." to --coeffs, and no other
         pytest.param(["classify", "--coeffs", "-x"], "argument --coeffs: expected one argument",
                      id="classify-coeffs--x"),
+        # no option is read from a prefix of its name, so both signs are rejected alike
+        *(pytest.param(["classify", "--coeff", coeffs], "one of the arguments --coeffs --file is required",
+                       id=f"classify-coeff-{coeffs}")
+          for coeffs in ("3/7,1/7", "-3/7,1/7")),
     ],
 )
 def test_usage_error_exits_2(argv, fragment):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -28,6 +28,7 @@ from multidisc.roots import (
 from closed_form import DEEP, check
 from conftest import (
     QUINTIC,
+    ROOTS,
     all_ones_disc,
     assert_root_side,
     derivative,
@@ -38,6 +39,7 @@ from conftest import (
     random_int_poly,
     reference_gcd,
     scaled,
+    spy,
     sqf_list_inputs,
 )
 
@@ -468,6 +470,26 @@ def test_signed_root_side_formula_at_degree_36_to_40(pairs):
     trace = classify_trace(expand(spec))
     assert trace.result == spec.multiplicities()
     assert trace.value and trace.value == disc_from_roots(spec, trace.delta)
+
+
+@pytest.mark.parametrize(
+    "pairs, gamma",
+    [
+        ([(Fraction(3, 2), 20), (-2, 20)], (2,) * 20),
+        # s = 1 < m_1 = 2: column (P_1, 0) is zero, and so is D_gamma
+        ([(Fraction(3, 2), 2), (-2, 1)], (3,)),
+    ],
+    ids=["(20,20)", "zero-column"],
+)
+def test_root_side_determinant_runs_on_column_primitive_rows(monkeypatch, pairs, gamma):
+    # the columns' contents are taken out before the elimination and put back
+    # as one product, so every nonzero column reaches it with content 1
+    calls = spy(monkeypatch, ROOTS, "det_fraction_free")
+    value = disc_from_roots(_spec(pairs, -3), gamma)
+    [(rows,)] = calls
+    contents = [gcd(*col) for col in zip(*rows)]
+    assert set(contents) <= {0, 1}
+    assert (0 in contents) == (value == 0) == (len(gamma) == 1)
 
 
 def test_signed_formula_rejects_a_bad_gamma():
